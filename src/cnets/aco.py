@@ -1,16 +1,27 @@
 """Ant-colony optimization on closed-tour problems.
 
-Nodes are locations (their payload lists the ants currently sitting
-there), edges are trails carrying a pheromone level and a fixed
-desirability (reciprocal edge cost). The fast scale sends every ant on
-one complete tour; the slow scale evaporates and deposits pheromone,
-optionally after a local-search demon improves the iteration's best
-tour. Ants prefer edges by pheromone**alpha * desirability**beta.
+Nodes are locations and edges are trails. The colony's adjustable state
+is one symmetric n x n pheromone array on the architecture; each trail's
+fixed desirability is the reciprocal of its cost. Ants prefer trails by
+pheromone**alpha * desirability**beta (``choice_info``), computed once
+per iteration. The fast scale sends all ants on one complete tour in
+lockstep: each step picks every ant's next location from a row-wise
+cumulative sum over the locations it has not visited. The slow scale
+evaporates and deposits pheromone, optionally after a local-search
+demon (2-opt) improves the iteration's best tour.
+
+Powers use Python's scalar ``**``: numpy's vectorised power rounds
+differently from it on some builds. Sums, products and maxima are exact
+IEEE operations, so the array forms give the same bits as a scalar walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 from .core import ComputingNetwork, EdgeState, NodeState
 from .errors import (
@@ -62,71 +73,13 @@ class AcoParams:
             )
 
 
-@dataclass
-class AntState:
-    """One ant's walk in progress (or just completed)."""
-
-    path: list[int] = field(default_factory=list)
-    length: float = 0.0
-    visited: set[int] = field(default_factory=set)
-
-
-@dataclass
-class LocationPayload:
-    """Ants currently at this location."""
-
-    ants: list[AntState] = field(default_factory=list)
-
-
-@dataclass
-class TrailPayload:
-    """Adjustable pheromone plus the fixed desirability of one trail."""
-
-    pheromone: float
-    desirability: float
-
-
-def transition_weights(
-    candidates: Sequence[tuple[int, TrailPayload]], params: AcoParams
-) -> list[float]:
-    """Unnormalized preference for each candidate trail."""
-    return [
-        trail.pheromone**params.alpha * trail.desirability**params.beta
-        for _, trail in candidates
-    ]
-
-
-def transition_probabilities(
-    candidates: Sequence[tuple[int, TrailPayload]], params: AcoParams
-) -> list[float]:
-    weights = transition_weights(candidates, params)
-    total = sum(weights)
-    if total <= 0.0:
-        raise DeadEndError("no admissible move has positive weight")
-    return [w / total for w in weights]
-
-
-def choose_next(
-    ant: AntState,
-    candidates: Sequence[tuple[int, TrailPayload]],
-    params: AcoParams,
-    rng: RngStream,
-) -> int:
-    """Sample the ant's next location among unvisited candidates."""
-    admissible = [(node, trail) for node, trail in candidates if node not in ant.visited]
-    if not admissible:
-        raise DeadEndError("ant has no unvisited location to move to")
-    weights = transition_weights(admissible, params)
-    total = sum(weights)
-    if total <= 0.0:
-        raise DeadEndError("no admissible move has positive weight")
-    threshold = float(rng.uniform(0.0, total))
-    acc = 0.0
-    for (node, _), w in zip(admissible, weights):
-        acc += w
-        if threshold < acc:
-            return node
-    return admissible[-1][0]
+@lru_cache(maxsize=8)
+def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every trail (i < j), in edge-id order; cached, as numpy
+    builds them slower than a small colony builds the rest of its network."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 class AcoArchitecture:
@@ -140,26 +93,28 @@ class AcoArchitecture:
         self.problem = graph
         self.params = params
         n = graph.n
-        # trail lookup by unordered node pair
-        self._edge_index: dict[tuple[int, int], int] = {}
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                self._edge_index[(i, j)] = k
-                k += 1
+        # pheromone[i, j] == pheromone[j, i] is trail (i, j); the diagonal is unused
+        self.pheromone = np.full((n, n), float(params.initial_pheromone))
+        self._upper = _trail_indices(n)
+        self._desirability = (1.0 / graph.cost_matrix[self._upper]).tolist()
+        self._eta_beta: tuple[float | None, np.ndarray] = (None, np.empty(0))
         self.best_path_found: list[int] | None = None
         self.best_length: float | None = None
         self._iteration_solutions: list[tuple[list[int], float]] = []
 
+    def choice_info(self, params: AcoParams) -> np.ndarray:
+        """pheromone**alpha * desirability**beta per trail; zero diagonal."""
+        alpha, beta = params.alpha, params.beta
+        if self._eta_beta[0] != beta:  # computed once per network
+            self._eta_beta = (beta, np.array([eta**beta for eta in self._desirability]))
+        upper = np.array([tau**alpha for tau in self.pheromone[self._upper].tolist()])
+        out = np.zeros(self.pheromone.shape)
+        out[self._upper] = upper * self._eta_beta[1]
+        return out + out.T
+
     def check_problem(self, problem) -> None:
         if problem != self.problem:
             raise ConfigurationError("network was built for a different graph")
-
-    def trail(self, net: ComputingNetwork, i: int, j: int) -> TrailPayload:
-        if i == j:
-            raise ConfigurationError(f"no trail from node {i} to itself")
-        key = (i, j) if i < j else (j, i)
-        return net.edges[self._edge_index[key]].payload
 
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
@@ -211,107 +166,159 @@ class AcoArchitecture:
         }
 
 
-def _construct_one(
-    net: ComputingNetwork, start: int, params: AcoParams, rng: RngStream
-) -> AntState:
-    graph: TourGraph = net.arch.problem
-    arch: AcoArchitecture = net.arch
-    n = graph.n
-    ant = AntState(path=[start], length=0.0, visited={start})
-    net.nodes[start].payload.ants.append(ant)
-    try:
-        while len(ant.path) < n:
-            here = ant.path[-1]
-            candidates = [
-                (node, arch.trail(net, here, node)) for node in range(n) if node != here
-            ]
-            nxt = choose_next(ant, candidates, params, rng)
-            net.nodes[here].payload.ants.remove(ant)
-            net.nodes[nxt].payload.ants.append(ant)
-            ant.length += graph.cost(here, nxt)
-            ant.path.append(nxt)
-            ant.visited.add(nxt)
-    except DeadEndError:
-        net.nodes[ant.path[-1]].payload.ants.remove(ant)
-        raise
-    ant.length += graph.cost(ant.path[-1], ant.path[0])
-    if not ant.length < float("inf"):
-        raise NumericDivergenceError(f"tour length diverged at node {ant.path[-1]}")
-    return ant
+def next_locations(
+    weights: np.ndarray, visited: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep move: each row's next location and whether it dead-ended.
+
+    Row k samples an unvisited column with probability proportional to
+    weights[k]: the first column whose running sum exceeds total * u,
+    or the last unvisited column when rounding puts the threshold at the
+    total. A row whose unvisited weights sum to zero dead-ends (it still
+    gets that last unvisited column, so the walk stays well formed).
+    """
+    cumulative = np.where(visited, 0.0, weights).cumsum(axis=1)
+    total = cumulative[:, -1]
+    threshold = total * uniforms
+    chosen = (cumulative > threshold[:, None]).argmax(axis=1)
+    short = threshold >= total
+    if not np.count_nonzero(short):
+        return chosen, short
+    chosen[short] = visited.shape[1] - 1 - (~visited[short, ::-1]).argmax(axis=1)
+    return chosen, total <= 0.0
+
+
+def _successors(tours: np.ndarray) -> np.ndarray:
+    """Each tour's next location after every position, closing the loop."""
+    return np.concatenate((tours[:, 1:], tours[:, :1]), axis=1)
+
+
+def _walk(
+    choice: np.ndarray, cost: np.ndarray, starts: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every ant from its start: (tours, lengths, dead-ended)."""
+    ants, n = uniforms.shape[0], uniforms.shape[1] + 1
+    rows = np.arange(ants)
+    tours = np.empty((ants, n), dtype=np.intp)
+    tours[:, 0] = here = starts
+    visited = np.zeros((ants, n), dtype=bool)
+    visited[rows, starts] = True
+    dead = np.zeros(ants, dtype=bool)
+    for step, u in enumerate(uniforms.T, start=1):
+        here, stuck = next_locations(choice[here], visited, u)
+        dead |= stuck
+        visited[rows, here] = True
+        tours[:, step] = here
+    # cumsum adds left to right: the same sums as accumulating step by step
+    lengths = cost[tours, _successors(tours)].cumsum(axis=1)[:, -1]
+    return tours, lengths, dead
 
 
 def construct_solutions(
     net: ComputingNetwork, params: AcoParams, rng: RngStream
 ) -> list[tuple[list[int], float]]:
-    """Send every ant on one complete closed tour.
+    """Send every ant on one complete closed tour, all ants in lockstep.
 
-    On a complete graph no walk can dead-end, but the restart bound
-    still guards custom payload states that zero out every trail.
+    Each ant draws its start, then one uniform per move, in ant order.
+    On a complete graph a walk dead-ends only when every remaining
+    weight underflows to zero; such ants are re-walked from their start
+    with fresh uniforms, at most MAX_RESTARTS times.
     """
-    graph: TourGraph = net.arch.problem
-    solutions = []
-    for _ in range(params.ants):
-        start = int(rng.integers(0, graph.n))
-        restarts = 0
-        while True:
-            try:
-                ant = _construct_one(net, start, params, rng)
-                break
-            except DeadEndError:
-                restarts += 1
-                if restarts > MAX_RESTARTS:
-                    raise
-        solutions.append((ant.path, ant.length))
-        net.nodes[ant.path[-1]].payload.ants.remove(ant)
-    return solutions
+    arch: AcoArchitecture = net.arch
+    cost = arch.problem.cost_matrix
+    n = len(cost)
+    try:
+        with np.errstate(over="raise"):
+            choice = arch.choice_info(params)
+            # nonnegative terms: no partial sum of a row exceeds the whole row's
+            choice.cumsum(axis=1)
+    except (OverflowError, FloatingPointError):
+        raise NumericDivergenceError("transition weights overflow") from None
+    starts = np.empty(params.ants, dtype=np.intp)
+    uniforms = np.empty((params.ants, n - 1))
+    for ant in range(params.ants):
+        starts[ant] = rng.integers(0, n)
+        uniforms[ant] = rng.uniform(size=n - 1)
+    tours, lengths, dead = _walk(choice, cost, starts, uniforms)
+    for _ in range(MAX_RESTARTS):
+        if not dead.any():
+            break
+        again = np.flatnonzero(dead)
+        redo = _walk(choice, cost, starts[again], rng.uniform(size=(len(again), n - 1)))
+        tours[again], lengths[again], dead[again] = redo
+    if dead.any():
+        raise DeadEndError(f"an ant still found no positive trail after {MAX_RESTARTS} restarts")
+    if not (lengths < float("inf")).all():
+        raise NumericDivergenceError("a tour length diverged")
+    return list(zip(tours.tolist(), lengths.tolist()))
 
 
 def evaporate(net: ComputingNetwork, rate: float) -> None:
     """Decay every trail, clamped to the architecture's pheromone floor."""
     if not 0.0 <= rate <= 1.0:
         raise ConfigurationError(f"evaporation rate must be in [0, 1], got {rate}")
-    floor = net.arch.params.min_pheromone
-    for edge in net.edges:
-        edge.payload.pheromone = max(floor, (1.0 - rate) * edge.payload.pheromone)
+    tau = net.arch.pheromone
+    np.maximum(net.arch.params.min_pheromone, (1.0 - rate) * tau, out=tau)
 
 
 def deposit(
     net: ComputingNetwork, solutions: Sequence[tuple[Sequence[int], float]], amount: float
 ) -> None:
-    """Every solution reinforces its tour edges by amount / tour length."""
-    arch: AcoArchitecture = net.arch
-    for path, length in solutions:
+    """Every solution reinforces its tour edges by amount / tour length.
+
+    Trails shared by several tours take their shares in solution order,
+    one addition at a time, as a loop over the solutions would.
+    """
+    for _, length in solutions:
         if length <= 0.0:
             raise MalformedInstanceError(
                 f"tour length must be positive to deposit, got {length}"
             )
-        share = amount / length
-        for k in range(len(path)):
-            trail = arch.trail(net, path[k], path[(k + 1) % len(path)])
-            trail.pheromone += share
+    if not solutions:
+        return
+    here = np.array([path for path, _ in solutions], dtype=np.intp)
+    after = _successors(here)
+    shares = np.repeat([amount / length for _, length in solutions], 2 * here.shape[1])
+    # both directions of every tour edge, solution by solution; add.at
+    # adds repeated indices in order, and one tour never repeats an index
+    rows = np.concatenate([here, after], axis=1).ravel()
+    cols = np.concatenate([after, here], axis=1).ravel()
+    np.add.at(net.arch.pheromone, (rows, cols), shares)
 
 
 def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
-    """2-opt: reverse segments while any reversal shortens the closed tour."""
-    tour = list(path)
-    n = len(tour)
+    """2-opt: reverse segments while any reversal shortens the closed tour.
+
+    First improvement, in the order of the plain double loop over
+    (i, j): for each i the gains of every remaining j are computed at
+    once, the first improving reversal is applied, and the scan goes on
+    from j + 1 on the updated tour.
+    """
+    cost = graph.cost_matrix
+    n = len(path)
+    # ring[n] repeats ring[0]; no reversal touches either end
+    ring = np.array([*path, path[0]], dtype=np.intp)
+    edge = cost[ring[:-1], ring[1:]]  # edge[k]: cost of ring[k] -> ring[k + 1]
     improved = True
     while improved:
         improved = False
-        for i in range(n - 1):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1:
-                    continue  # reversing the whole tour changes nothing
-                a, b = tour[i], tour[i + 1]
-                c, d = tour[j], tour[(j + 1) % n]
+        for i in range(n - 2):
+            stop = n - 1 if i == 0 else n  # reversing the whole tour changes nothing
+            j = i + 2
+            while j < stop:
                 delta = (
-                    graph.cost(a, c) + graph.cost(b, d)
-                    - graph.cost(a, b) - graph.cost(c, d)
+                    cost[ring[i]][ring[j:stop]] + cost[ring[i + 1]][ring[j + 1 : stop + 1]]
+                    - edge[i] - edge[j:stop]
                 )
-                if delta < -1e-12:
-                    tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])
-                    improved = True
-    return tour
+                k = int((delta < -1e-12).argmax())
+                if not delta[k] < -1e-12:
+                    break
+                j += k
+                ring[i + 1 : j + 1] = ring[j:i:-1].copy()
+                edge[i : j + 1] = cost[ring[i : j + 1], ring[i + 1 : j + 2]]
+                improved = True
+                j += 1
+    return ring[:n].tolist()
 
 
 def best_path(net: ComputingNetwork) -> list[int] | None:
@@ -323,22 +330,11 @@ def best_path(net: ComputingNetwork) -> list[int] | None:
 def build_aco_network(
     graph: TourGraph, params: AcoParams | None = None
 ) -> ComputingNetwork:
-    """Complete trail network over the graph's locations."""
+    """Complete trail network; the pheromone lives on the architecture, not in payloads."""
     params = params or AcoParams()
-    nodes = [NodeState(id=i, payload=LocationPayload()) for i in range(graph.n)]
-    edges = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            edges.append(
-                EdgeState(
-                    id=len(edges),
-                    endpoints=(i, j),
-                    directed=False,
-                    payload=TrailPayload(
-                        pheromone=params.initial_pheromone,
-                        desirability=1.0 / graph.cost(i, j),
-                    ),
-                )
-            )
-    arch = AcoArchitecture(graph=graph, params=params)
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    nodes = [NodeState(id=i, payload=None) for i in range(graph.n)]
+    edges = [
+        EdgeState(id=k, endpoints=pair, directed=False, payload=None)
+        for k, pair in enumerate(combinations(range(graph.n), 2))
+    ]
+    return ComputingNetwork(nodes=nodes, edges=edges, arch=AcoArchitecture(graph, params))

@@ -66,12 +66,13 @@ def _build_two_scale(config: RunConfig, rng: RngStream) -> tuple[ComputingNetwor
     raise ConfigurationError(f"cannot build architecture {config.architecture!r}")
 
 
-def _meta_search(config: RunConfig) -> MetaSearch:
+def _meta_search(config: RunConfig, problem: Any) -> MetaSearch:
     """Turn the meta section into a search over rebuilt inner runs.
 
-    The config's own parameter values seed the initial population
-    (clipped to the boxes), so the search result can only match or
-    improve on them.
+    problem is the instance _build_two_scale already loaded. The
+    config's own parameter values seed the initial population (clipped
+    to the boxes), so the search result can only match or improve on
+    them.
     """
     section = config.meta
     boxes = {key: ParamBox(low=lo, high=hi) for key, (lo, hi) in section.parameters.items()}
@@ -79,21 +80,14 @@ def _meta_search(config: RunConfig) -> MetaSearch:
     seed_genome = {key: float(getattr(base_params, key)) for key in boxes}
 
     if config.architecture == "aco":
-        graph = TourGraph.from_csv(config.aco.graph, fmt=config.aco.graph_format)
-
         def rebuild(genome, rng):
             merged = replace(base_params, **genome)
-            return aco.build_aco_network(graph, merged), graph
+            return aco.build_aco_network(problem, merged), problem
 
     else:
-        pso_section = config.pso
-        objective = named_objective(
-            pso_section.objective, pso_section.dimension, pso_section.bounds
-        )
-
         def rebuild(genome, rng):
             merged = replace(base_params, **genome)
-            return pso.build_pso_network(objective, rng, merged), objective
+            return pso.build_pso_network(problem, rng, merged), problem
 
     meta_config = MetaConfig(
         population_size=section.population_size,
@@ -144,7 +138,9 @@ def execute(config: RunConfig) -> ExecuteResult:
         records = result.records
     elif config.schedule.meta_generations > 0:
         net, problem = _build_two_scale(config, rng)
-        records = run(net, config.schedule, problem, rng, meta_search=_meta_search(config))
+        records = run(
+            net, config.schedule, problem, rng, meta_search=_meta_search(config, problem)
+        )
     else:
         net, problem = _build_two_scale(config, rng)
         records = run(net, config.schedule, problem, rng)

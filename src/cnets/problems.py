@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +19,12 @@ from .errors import ConfigurationError, MalformedInstanceError
 from .rng import RngStream
 
 Row = tuple[float, ...]
+
+
+def _read_only(rows: tuple[Row, ...]) -> np.ndarray:
+    matrix = np.array(rows, dtype=float)
+    matrix.flags.writeable = False
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -57,10 +64,20 @@ class Dataset:
         return len(self.targets[0])
 
     def input_matrix(self) -> np.ndarray:
-        return np.array(self.inputs, dtype=float)
+        """Inputs as a read-only (samples, input arity) array, built once."""
+        return self._input_matrix
 
     def target_matrix(self) -> np.ndarray:
-        return np.array(self.targets, dtype=float)
+        """Targets as a read-only (samples, target arity) array, built once."""
+        return self._target_matrix
+
+    @cached_property
+    def _input_matrix(self) -> np.ndarray:
+        return _read_only(self.inputs)
+
+    @cached_property
+    def _target_matrix(self) -> np.ndarray:
+        return _read_only(self.targets)
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[Sequence[float], Sequence[float]]]) -> "Dataset":
@@ -155,6 +172,11 @@ class TourGraph:
 
     def cost(self, i: int, j: int) -> float:
         return self.costs[i][j]
+
+    @cached_property
+    def cost_matrix(self) -> np.ndarray:
+        """costs as a read-only float array, built once."""
+        return _read_only(self.costs)
 
     def tour_length(self, tour: Sequence[int]) -> float:
         """Length of the closed tour visiting every node exactly once."""

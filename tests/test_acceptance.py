@@ -82,9 +82,8 @@ def _install_pheromone_guard(net, violations):
 
     def guarded(inner_net, feedback, stream):
         original(inner_net, feedback, stream)
-        for edge in inner_net.edges:
-            if edge.payload.pheromone < 0.0:
-                violations.append(edge.payload.pheromone)
+        pheromone = inner_net.arch.pheromone
+        violations.extend(pheromone[pheromone < 0.0].tolist())
 
     net.arch.slow = guarded
 

@@ -1,27 +1,26 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnets.aco import (
+    MAX_RESTARTS,
     AcoParams,
-    AntState,
-    TrailPayload,
     best_path,
     build_aco_network,
-    choose_next,
     construct_solutions,
     demon_local_search,
     deposit,
     evaporate,
-    transition_probabilities,
-    transition_weights,
+    next_locations,
 )
 from cnets.core import ScaleSchedule, run
 from cnets.errors import (
     ConfigurationError,
     DeadEndError,
     MalformedInstanceError,
+    NumericDivergenceError,
 )
 from cnets.problems import TourGraph
 from cnets.rng import RngStream
@@ -61,79 +60,169 @@ class TestParams:
         AcoParams()
 
 
+def probabilities(row: np.ndarray, here: int) -> np.ndarray:
+    """Move probabilities out of here, from one choice_info row."""
+    weights = np.delete(row, here)
+    return weights / weights.sum()
+
+
 class TestTransitions:
     def test_worked_probability_example(self):
-        # pheromones (2, 1), desirabilities (1, 1), alpha = beta = 1
-        candidates = [
-            (1, TrailPayload(pheromone=2.0, desirability=1.0)),
-            (2, TrailPayload(pheromone=1.0, desirability=1.0)),
-        ]
+        # from node 0: pheromones (2, 1), desirabilities (1, 1), alpha = beta = 1
+        graph = TourGraph.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=1.0)
-        assert transition_probabilities(candidates, params) == pytest.approx([2 / 3, 1 / 3])
+        net = build_aco_network(graph, params)
+        net.arch.pheromone[0, 1] = net.arch.pheromone[1, 0] = 2.0
+        row = net.arch.choice_info(params)[0]
+        assert probabilities(row, 0) == pytest.approx([2 / 3, 1 / 3])
 
     def test_beta_raises_desirability(self):
-        candidates = [
-            (1, TrailPayload(pheromone=1.0, desirability=2.0)),
-            (2, TrailPayload(pheromone=1.0, desirability=1.0)),
-        ]
+        # costs 0.5 and 1 out of node 0: desirabilities 2 and 1
+        graph = TourGraph.from_matrix([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=2.0)
-        assert transition_weights(candidates, params) == pytest.approx([4.0, 1.0])
+        net = build_aco_network(graph, params)
+        assert net.arch.choice_info(params)[0].tolist() == pytest.approx([0.0, 4.0, 1.0])
 
     def test_zero_total_weight_is_a_dead_end(self):
-        candidates = [(1, TrailPayload(pheromone=0.0, desirability=1.0))]
-        with pytest.raises(DeadEndError):
-            transition_probabilities(candidates, AcoParams(alpha=1.0, beta=1.0))
+        weights = np.array([[0.0, 0.0, 0.0]])
+        visited = np.array([[True, False, False]])
+        _, dead = next_locations(weights, visited, np.array([0.5]))
+        assert dead.tolist() == [True]
 
     def test_choose_next_skips_visited(self):
-        ant = AntState(path=[0, 1], length=1.0, visited={0, 1})
-        candidates = [
-            (1, TrailPayload(pheromone=5.0, desirability=5.0)),
-            (2, TrailPayload(pheromone=1.0, desirability=1.0)),
-        ]
-        assert choose_next(ant, candidates, AcoParams(), RngStream(0)) == 2
+        weights = np.array([[0.0, 25.0, 1.0]])
+        visited = np.array([[True, True, False]])
+        for u in (0.0, 0.5, 0.999999):
+            chosen, dead = next_locations(weights, visited, np.array([u]))
+            assert chosen.tolist() == [2] and dead.tolist() == [False]
 
     def test_choose_next_with_everything_visited(self):
-        ant = AntState(path=[0, 1, 2], length=2.0, visited={0, 1, 2})
-        candidates = [(2, TrailPayload(pheromone=1.0, desirability=1.0))]
-        with pytest.raises(DeadEndError):
-            choose_next(ant, candidates, AcoParams(), RngStream(0))
+        weights = np.array([[0.0, 1.0, 1.0]])
+        visited = np.array([[True, True, True]])
+        _, dead = next_locations(weights, visited, np.array([0.5]))
+        assert dead.tolist() == [True]
+
+    def test_rounding_at_the_total_takes_the_last_unvisited_location(self):
+        # a subnormal total times u rounds back up to the total, so no
+        # running sum exceeds the threshold: the scalar walk then takes
+        # its last admissible candidate, here a zero-weight one
+        weights = np.array([[0.0, 5e-324, 0.0]])
+        visited = np.array([[True, False, False]])
+        chosen, dead = next_locations(weights, visited, np.array([0.9]))
+        assert chosen.tolist() == [2] and dead.tolist() == [False]
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30)
     def test_probabilities_sum_to_one(self, seed):
         rng = RngStream(seed)
-        candidates = [
-            (k, TrailPayload(pheromone=float(rng.uniform(0.1, 5.0)), desirability=float(rng.uniform(0.1, 5.0))))
-            for k in range(4)
-        ]
-        probs = transition_probabilities(candidates, AcoParams(alpha=1.3, beta=0.7))
-        assert sum(probs) == pytest.approx(1.0)
-        assert all(p > 0 for p in probs)
+        graph = TourGraph.random_euclidean(5, rng)
+        params = AcoParams(alpha=1.3, beta=0.7)
+        net = build_aco_network(graph, params)
+        upper = np.triu(rng.uniform(0.1, 5.0, size=(5, 5)), 1)
+        net.arch.pheromone[...] = upper + upper.T
+        choice = net.arch.choice_info(params)
+        for here in range(5):
+            probs = probabilities(choice[here], here)
+            assert probs.sum() == pytest.approx(1.0)
+            assert (probs > 0).all()
+
+
+class CountingStream(RngStream):
+    """An RngStream that logs the name of every draw call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+
+    def uniform(self, *args, **kwargs):
+        self.calls.append("uniform")
+        return super().uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls.append("integers")
+        return super().integers(*args, **kwargs)
+
+
+class TestDeadEnds:
+    def test_underflow_dead_ends_after_the_restart_bound(self):
+        # every trail at the floor: 1e-9 ** 100 underflows to 0
+        params = AcoParams(alpha=100.0, ants=2)
+        net = build_aco_network(square_graph(), params)
+        evaporate(net, 1.0)
+        assert (net.arch.pheromone == params.min_pheromone).all()
+        rng = CountingStream(7)
+        with pytest.raises(DeadEndError):
+            construct_solutions(net, params, rng)
+        # each ant draws a start and a walk, then the stuck ants are re-walked
+        assert rng.calls == ["integers", "uniform"] * 2 + ["uniform"] * MAX_RESTARTS
+
+    def test_dead_ended_ants_restart_from_their_start(self):
+        # a square with a fifth node below its bottom edge; only the trails
+        # listed have positive weight, so many walks get stuck part-way
+        graph = TourGraph.from_coordinates([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -0.5)])
+        trails = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
+        params = AcoParams(alpha=100.0, ants=6)
+        net = build_aco_network(graph, params)
+        net.arch.pheromone[...] = params.min_pheromone
+        for a, b in trails:
+            net.arch.pheromone[a, b] = net.arch.pheromone[b, a] = 1.0
+        rng = CountingStream(3)
+        solutions = construct_solutions(net, params, rng)
+        assert len(rng.calls) > 2 * params.ants  # some ant restarted
+        for path, length in solutions:
+            assert length == graph.tour_length(path)
+            steps = {frozenset(pair) for pair in zip(path, path[1:])}
+            assert steps <= {frozenset(pair) for pair in trails}
+
+
+class TestDivergence:
+    def test_overflowing_pheromone_power_is_a_divergence(self):
+        graph = TourGraph.random_euclidean(6, RngStream(1))
+        net = build_aco_network(graph, AcoParams(alpha=400.0, initial_pheromone=10.0))
+        with pytest.raises(NumericDivergenceError) as caught:
+            run(net, ScaleSchedule(slow_steps=2), graph, RngStream(2))
+        assert caught.value.step_position == (1, 0)
+
+    def test_overflowing_desirability_power_is_a_divergence(self):
+        graph = TourGraph.from_coordinates([(0, 0), (1e-90, 0), (1, 1)])
+        params = AcoParams(beta=6.0)
+        net = build_aco_network(graph, params)
+        with pytest.raises(NumericDivergenceError):
+            construct_solutions(net, params, RngStream(0))
+
+    def test_weights_too_large_to_sum_are_a_divergence(self):
+        # every weight is finite, but a row of them sums past the largest double
+        graph = TourGraph.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        params = AcoParams(alpha=1.0, beta=0.0, initial_pheromone=1e308)
+        net = build_aco_network(graph, params)
+        with pytest.raises(NumericDivergenceError):
+            construct_solutions(net, params, RngStream(0))
 
 
 class TestPheromoneUpdates:
     def test_evaporation_scales_every_trail(self):
         net = build_aco_network(square_graph(), AcoParams(initial_pheromone=2.0))
         evaporate(net, 0.1)
-        assert all(e.payload.pheromone == pytest.approx(1.8) for e in net.edges)
+        tau = net.arch.pheromone
+        assert all(tau[e.endpoints] == pytest.approx(1.8) for e in net.edges)
 
     def test_evaporation_respects_the_floor(self):
         net = build_aco_network(
             square_graph(), AcoParams(initial_pheromone=1.0, min_pheromone=0.5)
         )
         evaporate(net, 0.9)
-        assert all(e.payload.pheromone == 0.5 for e in net.edges)
+        assert (net.arch.pheromone == 0.5).all()
 
     def test_deposit_adds_amount_over_length(self):
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(initial_pheromone=1.0))
         deposit(net, [([0, 1, 2, 3], 4.0)], amount=1.0)
-        arch = net.arch
+        tau = net.arch.pheromone
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
-            assert arch.trail(net, i, j).pheromone == pytest.approx(1.25)
+            assert tau[i, j] == tau[j, i] == pytest.approx(1.25)
         # the diagonals carry no deposit
-        assert arch.trail(net, 0, 2).pheromone == 1.0
-        assert arch.trail(net, 1, 3).pheromone == 1.0
+        assert tau[0, 2] == tau[2, 0] == 1.0
+        assert tau[1, 3] == tau[3, 1] == 1.0
 
     def test_deposit_rejects_degenerate_length(self):
         net = build_aco_network(square_graph())
@@ -143,9 +232,11 @@ class TestPheromoneUpdates:
     def test_trail_lookup_is_symmetric(self):
         net = build_aco_network(square_graph())
         arch = net.arch
-        assert arch.trail(net, 0, 2) is arch.trail(net, 2, 0)
-        with pytest.raises(ConfigurationError):
-            arch.trail(net, 1, 1)
+        deposit(net, [([0, 2, 1, 3], 5.0), ([3, 1, 0, 2], 4.0)], amount=1.0)
+        assert arch.pheromone[0, 2] == arch.pheromone[2, 0]
+        assert (arch.pheromone == arch.pheromone.T).all()
+        # there is no trail from a node to itself
+        assert (np.diag(arch.choice_info(arch.params)) == 0.0).all()
 
 
 class TestConstruction:
@@ -161,8 +252,11 @@ class TestConstruction:
     def test_no_ants_left_behind(self):
         graph = TourGraph.random_euclidean(5, RngStream(3))
         net = build_aco_network(graph, AcoParams(ants=4))
+        before = net.arch.pheromone.copy()
         construct_solutions(net, net.arch.params, RngStream(4))
-        assert all(node.payload.ants == [] for node in net.nodes)
+        # construction leaves nothing behind: no node state, no trail change
+        assert all(node.payload is None for node in net.nodes)
+        assert (net.arch.pheromone == before).all()
 
     def test_construction_is_seed_deterministic(self):
         graph = TourGraph.random_euclidean(5, RngStream(3))
@@ -234,7 +328,7 @@ class TestColonyRuns:
         params = AcoParams(ants=3, evaporation=0.9, min_pheromone=1e-6)
         net = build_aco_network(graph, params)
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(62))
-        assert all(e.payload.pheromone >= 1e-6 for e in net.edges)
+        assert (net.arch.pheromone >= 1e-6).all()
 
     def test_problem_mismatch_rejected(self):
         graph = TourGraph.random_euclidean(5, RngStream(71))

@@ -6,6 +6,7 @@ from cnets.config import load_config
 from cnets.errors import ConfigurationError
 from cnets.harness import execute
 from cnets.records import read_run_file
+from cnets.rng import RngStream
 
 
 @pytest.fixture
@@ -160,12 +161,14 @@ class TestExecute:
             "seed": 5,
         }
         result = run_config(workdir, data)
-        from cnets.harness import _meta_search
+        from cnets.harness import _build_two_scale, _meta_search
         from cnets.meta import evaluate_genome
 
         path = workdir / "again.json"
         path.write_text(json.dumps(data))
-        search = _meta_search(load_config(str(path)))
+        config = load_config(str(path))
+        _, graph = _build_two_scale(config, RngStream(0))
+        search = _meta_search(config, graph)
         default_fitness = evaluate_genome(
             {"alpha": 1.0}, search.rebuild, 3, (1, 2)
         )

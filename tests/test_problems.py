@@ -50,6 +50,23 @@ class TestDataset:
         with pytest.raises(ConfigurationError):
             Dataset(inputs=((1.0,),), targets=())
 
+    def test_matrices_are_built_once_and_read_only(self):
+        ds = xor_dataset()
+        x, t = ds.input_matrix(), ds.target_matrix()
+        assert x is ds.input_matrix() and t is ds.target_matrix()
+        assert x.tolist() == [list(row) for row in ds.inputs]
+        assert t.tolist() == [list(row) for row in ds.targets]
+        for matrix in (x, t):
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 5.0
+
+    def test_cached_matrices_leave_equality_and_hash_alone(self):
+        used, fresh = xor_dataset(), xor_dataset()
+        used.input_matrix()
+        used.target_matrix()
+        assert used == fresh
+        assert hash(used) == hash(fresh)
+
 
 class TestTourGraph:
     def test_euclidean_distances(self):
@@ -83,6 +100,16 @@ class TestTourGraph:
     def test_malformed_matrices_rejected(self, matrix):
         with pytest.raises(MalformedInstanceError):
             TourGraph.from_matrix(matrix)
+
+    def test_cost_matrix_is_built_once_and_read_only(self):
+        graph = TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
+        matrix = graph.cost_matrix
+        assert matrix is graph.cost_matrix
+        assert matrix.tolist() == [list(row) for row in graph.costs]
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 1.0
+        assert graph == TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
+        assert hash(graph) == hash(TourGraph(graph.costs))
 
     def test_random_instances_are_reproducible(self):
         a = TourGraph.random_euclidean(5, RngStream(1))
