@@ -1,6 +1,6 @@
 """Multi-scale computing networks: one substrate, four architectures.
 
-Nodes and edges carry architecture-specific payloads; fast dynamics
+Nodes and edges carry architecture-specific state; fast dynamics
 evaluate the network function, a slow adaptation algorithm rewrites the
 adjustable state, and an optional third scale searches over the
 adaptation's own parameters. Includes a feedforward neural network, an

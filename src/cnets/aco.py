@@ -112,6 +112,16 @@ class AcoArchitecture:
         out[self._upper] = upper * self._eta_beta[1]
         return out + out.T
 
+    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+        """One node per location and one undirected edge per trail, in edge-id order."""
+        n = self.problem.n
+        nodes = [NodeState(id=i, payload=None) for i in range(n)]
+        edges = [
+            EdgeState(id=k, endpoints=pair, directed=False, payload=None)
+            for k, pair in enumerate(combinations(range(n), 2))
+        ]
+        return nodes, edges
+
     def check_problem(self, problem) -> None:
         if problem != self.problem:
             raise ConfigurationError("network was built for a different graph")
@@ -330,11 +340,6 @@ def best_path(net: ComputingNetwork) -> list[int] | None:
 def build_aco_network(
     graph: TourGraph, params: AcoParams | None = None
 ) -> ComputingNetwork:
-    """Complete trail network; the pheromone lives on the architecture, not in payloads."""
-    params = params or AcoParams()
-    nodes = [NodeState(id=i, payload=None) for i in range(graph.n)]
-    edges = [
-        EdgeState(id=k, endpoints=pair, directed=False, payload=None)
-        for k, pair in enumerate(combinations(range(graph.n), 2))
-    ]
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=AcoArchitecture(graph, params))
+    """Complete trail network; the pheromone lives on the architecture, and
+    nodes and edges are derived from the graph only when read."""
+    return ComputingNetwork(arch=AcoArchitecture(graph, params or AcoParams()))

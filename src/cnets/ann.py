@@ -1,9 +1,11 @@
 """Layered feedforward neural networks.
 
-Nodes are neurons (bias and activation live in the node payload), edges
-are directed synapses carrying one weight each. The fast scale computes
-the network function by layer-wise composition; the slow scale is plain
-gradient descent on batch mean squared error.
+Nodes are neurons and edges are directed synapses carrying one weight
+each. The adjustable state lives on the architecture as per-layer
+arrays, and the node and edge lists are derived from the topology only
+when read. The fast scale computes the network function by layer-wise
+composition; the slow scale is plain gradient descent on batch mean
+squared error.
 
 Edge ids follow a fixed layout: all synapses into layer 1 first, then
 layer 2, and so on; within a layer, grouped by destination neuron, then
@@ -14,7 +16,6 @@ node-id order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,17 +45,6 @@ def activate(kind: str, value):
         known = ", ".join(sorted(ACTIVATIONS))
         raise ConfigurationError(f"unknown activation {kind!r} (known: {known})")
     return ACTIVATIONS[kind][0](value)
-
-
-def weighted_sum(
-    inputs: Sequence[float], weights: Sequence[float], bias: float
-) -> float:
-    """Bias plus the dot product of paired inputs and weights."""
-    if len(inputs) != len(weights):
-        raise ConfigurationError(
-            f"got {len(inputs)} inputs for {len(weights)} weights"
-        )
-    return float(bias + sum(w * x for w, x in zip(weights, inputs)))
 
 
 @dataclass(frozen=True)
@@ -103,142 +93,7 @@ class LayeredTopology:
         return self.edge_count + self.bias_count
 
 
-@dataclass
-class NeuronPayload:
-    """Adjustable and transient state of one neuron.
-
-    pre_activation and output hold the values from the most recent
-    evaluation; input-layer neurons use the identity activation and a
-    frozen zero bias.
-    """
-
-    activation: str
-    bias: float
-    pre_activation: float = 0.0
-    output: float = 0.0
-
-
-@dataclass
-class SynapsePayload:
-    """One directed connection weight."""
-
-    weight: float
-
-
-def _weights(net: ComputingNetwork, topo: LayeredTopology) -> list[np.ndarray]:
-    """Per-layer weight matrices, shape (destination size, source size)."""
-    out = []
-    for k in range(topo.depth - 1):
-        src, dst = topo.layer_sizes[k], topo.layer_sizes[k + 1]
-        base = topo.edge_base(k)
-        block = [net.edges[base + j].payload.weight for j in range(src * dst)]
-        out.append(np.array(block, dtype=float).reshape(dst, src))
-    return out
-
-
-def _biases(net: ComputingNetwork, topo: LayeredTopology) -> list[np.ndarray]:
-    out = []
-    for k in range(1, topo.depth):
-        base = topo.node_base(k)
-        out.append(
-            np.array(
-                [net.nodes[base + j].payload.bias for j in range(topo.layer_sizes[k])],
-                dtype=float,
-            )
-        )
-    return out
-
-
-def _store_weights(
-    net: ComputingNetwork,
-    topo: LayeredTopology,
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-) -> None:
-    for k in range(topo.depth - 1):
-        base = topo.edge_base(k)
-        flat = weights[k].reshape(-1)
-        for j, value in enumerate(flat):
-            net.edges[base + j].payload.weight = float(value)
-    for k in range(1, topo.depth):
-        base = topo.node_base(k)
-        for j in range(topo.layer_sizes[k]):
-            net.nodes[base + j].payload.bias = float(biases[k - 1][j])
-
-
-def _layer_activations(net: ComputingNetwork, topo: LayeredTopology) -> list[str]:
-    return [
-        net.nodes[topo.node_base(k)].payload.activation for k in range(topo.depth)
-    ]
-
-
-def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
-    """Evaluate one input vector, storing every neuron's state as it goes."""
-    topo = net.arch.topology
-    if len(inputs) != topo.layer_sizes[0]:
-        raise ConfigurationError(
-            f"network takes {topo.layer_sizes[0]} inputs, got {len(inputs)}"
-        )
-    weights = _weights(net, topo)
-    biases = _biases(net, topo)
-    kinds = _layer_activations(net, topo)
-    a = np.array(inputs, dtype=float)
-    for j, value in enumerate(a):
-        node = net.nodes[j]
-        node.payload.pre_activation = float(value)
-        node.payload.output = float(value)
-    for k in range(topo.depth - 1):
-        z = weights[k] @ a + biases[k]
-        a = activate(kinds[k + 1], z)
-        base = topo.node_base(k + 1)
-        for j in range(topo.layer_sizes[k + 1]):
-            node = net.nodes[base + j]
-            if not math.isfinite(a[j]):
-                raise NumericDivergenceError(
-                    f"node {node.id} produced non-finite output {a[j]!r}"
-                )
-            node.payload.pre_activation = float(z[j])
-            node.payload.output = float(a[j])
-    return [float(v) for v in a]
-
-
-def _batch_forward(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    kinds: list[str],
-    x: np.ndarray,
-) -> list[np.ndarray]:
-    """All-sample forward pass; returns activations per layer (rows = samples)."""
-    activations = [x]
-    a = x
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        a = activate(kinds[k + 1], a @ w.T + b)
-        activations.append(a)
-    return activations
-
-
-def batch_mse(net: ComputingNetwork, dataset: Dataset) -> float:
-    """Mean squared error over every sample and output component."""
-    topo = net.arch.topology
-    activations = _batch_forward(
-        _weights(net, topo),
-        _biases(net, topo),
-        _layer_activations(net, topo),
-        dataset.input_matrix(),
-    )
-    diff = activations[-1] - dataset.target_matrix()
-    return float(np.mean(diff * diff))
-
-
-def gradients(
-    net: ComputingNetwork, dataset: Dataset
-) -> tuple[list[np.ndarray], list[np.ndarray], float]:
-    """Analytic batch-MSE gradients for every weight and bias.
-
-    Returns (weight gradients, bias gradients, pre-update mse); shapes
-    match the matrices _weights/_biases return.
-    """
-    topo = net.arch.topology
+def _check_arities(topo: LayeredTopology, dataset: Dataset) -> None:
     if dataset.input_arity != topo.layer_sizes[0]:
         raise ConfigurationError(
             f"dataset input arity {dataset.input_arity} does not match "
@@ -249,23 +104,73 @@ def gradients(
             f"dataset target arity {dataset.target_arity} does not match "
             f"output layer size {topo.layer_sizes[-1]}"
         )
-    weights = _weights(net, topo)
-    biases = _biases(net, topo)
-    kinds = _layer_activations(net, topo)
-    x = dataset.input_matrix()
-    t = dataset.target_matrix()
-    activations = _batch_forward(weights, biases, kinds, x)
-    diff = activations[-1] - t
+
+
+def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
+    """Evaluate one input vector, keeping every layer's values on the architecture."""
+    arch = net.arch
+    if len(inputs) != arch.input_arity:
+        raise ConfigurationError(
+            f"network takes {arch.input_arity} inputs, got {len(inputs)}"
+        )
+    a = np.array(inputs, dtype=float)
+    pre_activations, outputs = [a], [a]
+    for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
+        z = w @ a + b
+        a = activate(arch.activations[k + 1], z)
+        finite = np.isfinite(a)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise NumericDivergenceError(
+                f"node {arch.topology.node_base(k + 1) + j} produced "
+                f"non-finite output {a[j]!r}"
+            )
+        pre_activations.append(z)
+        outputs.append(a)
+    arch.pre_activations, arch.outputs = pre_activations, outputs
+    return a.tolist()
+
+
+def _batch_forward(arch: "AnnArchitecture", x: np.ndarray) -> list[np.ndarray]:
+    """All-sample forward pass; returns activations per layer (rows = samples)."""
+    activations = [x]
+    a = x
+    for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
+        a = activate(arch.activations[k + 1], a @ w.T + b)
+        activations.append(a)
+    return activations
+
+
+def batch_mse(net: ComputingNetwork, dataset: Dataset) -> float:
+    """Mean squared error over every sample and output component."""
+    diff = _batch_forward(net.arch, dataset.input_matrix())[-1] - dataset.target_matrix()
+    return float(np.mean(diff * diff))
+
+
+def gradients(
+    net: ComputingNetwork, dataset: Dataset
+) -> tuple[list[np.ndarray], list[np.ndarray], float]:
+    """Analytic batch-MSE gradients for every weight and bias.
+
+    Returns (weight gradients, bias gradients, pre-update mse); shapes
+    match the architecture's weights and biases.
+    """
+    arch = net.arch
+    _check_arities(arch.topology, dataset)
+    kinds = arch.activations
+    activations = _batch_forward(arch, dataset.input_matrix())
+    diff = activations[-1] - dataset.target_matrix()
     mse = float(np.mean(diff * diff))
     # d(mse)/d(output); mse averages over samples * components
     delta = (2.0 / diff.size) * diff * ACTIVATIONS[kinds[-1]][1](activations[-1])
-    grad_w: list[np.ndarray] = [np.empty(0)] * (topo.depth - 1)
-    grad_b: list[np.ndarray] = [np.empty(0)] * (topo.depth - 1)
-    for k in range(topo.depth - 2, -1, -1):
+    depth = arch.topology.depth
+    grad_w: list[np.ndarray] = [np.empty(0)] * (depth - 1)
+    grad_b: list[np.ndarray] = [np.empty(0)] * (depth - 1)
+    for k in range(depth - 2, -1, -1):
         grad_w[k] = delta.T @ activations[k]
         grad_b[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ weights[k]) * ACTIVATIONS[kinds[k]][1](activations[k])
+            delta = (delta @ arch.weights[k]) * ACTIVATIONS[kinds[k]][1](activations[k])
     return grad_w, grad_b, mse
 
 
@@ -273,55 +178,42 @@ def train_step(
     net: ComputingNetwork, dataset: Dataset, learning_rate: float
 ) -> float:
     """One full-batch gradient-descent update; returns the pre-update MSE."""
-    topo = net.arch.topology
     grad_w, grad_b, mse = gradients(net, dataset)
     for g in grad_w + grad_b:
         if not np.all(np.isfinite(g)):
             raise NumericDivergenceError("gradient became non-finite")
-    weights = _weights(net, topo)
-    biases = _biases(net, topo)
-    new_w = [w - learning_rate * g for w, g in zip(weights, grad_w)]
-    new_b = [b - learning_rate * g for b, g in zip(biases, grad_b)]
-    _store_weights(net, topo, new_w, new_b)
+    arch = net.arch
+    arch.weights = [w - learning_rate * g for w, g in zip(arch.weights, grad_w)]
+    arch.biases = [b - learning_rate * g for b, g in zip(arch.biases, grad_b)]
     return mse
 
 
 def weight_vector(net: ComputingNetwork) -> np.ndarray:
-    """Flatten all trainable parameters (edge weights, then biases)."""
-    topo = net.arch.topology
-    parts = [w.reshape(-1) for w in _weights(net, topo)]
-    parts.extend(_biases(net, topo))
-    return np.concatenate(parts)
+    """A copy of all trainable parameters (edge weights, then biases)."""
+    arch = net.arch
+    return np.concatenate([w.reshape(-1) for w in arch.weights] + arch.biases)
 
 
 def set_weight_vector(net: ComputingNetwork, vector: Sequence[float]) -> None:
-    """Write a flat parameter vector back into the payloads."""
+    """Install a copy of a flat parameter vector as the layer arrays."""
     topo = net.arch.topology
-    vector = np.asarray(vector, dtype=float)
+    vector = np.array(vector, dtype=float)
     if vector.shape != (topo.parameter_count,):
         raise ConfigurationError(
             f"expected {topo.parameter_count} parameters, got {vector.shape}"
         )
-    cursor = 0
-    weights = []
-    for k in range(topo.depth - 1):
-        size = topo.layer_sizes[k] * topo.layer_sizes[k + 1]
-        weights.append(
-            vector[cursor : cursor + size].reshape(
-                topo.layer_sizes[k + 1], topo.layer_sizes[k]
-            )
-        )
-        cursor += size
-    biases = []
-    for k in range(1, topo.depth):
-        size = topo.layer_sizes[k]
-        biases.append(vector[cursor : cursor + size])
-        cursor += size
-    _store_weights(net, topo, weights, biases)
+    net.arch.install(vector)
 
 
 class AnnArchitecture:
-    """Feedforward behaviour: fast = evaluate a sample, slow = batch descent."""
+    """Feedforward behaviour: fast = evaluate a sample, slow = batch descent.
+
+    weights[k] (shape: size of layer k+1 by size of layer k) and
+    biases[k] feed layer k+1, and activations[k] names layer k's
+    activation (the identity for inputs). These arrays are the only copy
+    of the adjustable state. pre_activations[k] and outputs[k] hold layer
+    k's values from the last forward pass, zeros before the first.
+    """
 
     kind = "ann"
     allow_hyperedges = False
@@ -331,6 +223,8 @@ class AnnArchitecture:
         topology: LayeredTopology,
         problem: Dataset,
         learning_rate: float,
+        activations: Sequence[str],
+        vector: np.ndarray,
     ):
         if learning_rate <= 0:
             raise ConfigurationError(
@@ -340,8 +234,44 @@ class AnnArchitecture:
         self.problem = problem
         self.learning_rate = learning_rate
         self.input_arity = topology.layer_sizes[0]
+        self.activations = tuple(activations)
+        self.install(vector)
+        self.pre_activations = [np.zeros(size) for size in topology.layer_sizes]
+        self.outputs = list(self.pre_activations)
         self._cursor = 0
         self._last_mse: float | None = None
+
+    def install(self, vector: np.ndarray) -> None:
+        """Take the layer arrays as views of a flat vector (weights, then biases)."""
+        sizes = self.topology.layer_sizes
+        cursor = 0
+        self.weights: list[np.ndarray] = []
+        for src, dst in zip(sizes, sizes[1:]):
+            self.weights.append(vector[cursor : cursor + src * dst].reshape(dst, src))
+            cursor += src * dst
+        self.biases: list[np.ndarray] = []
+        for size in sizes[1:]:
+            self.biases.append(vector[cursor : cursor + size])
+            cursor += size
+
+    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+        """Neurons in layer order and synapses in edge-id order."""
+        topo = self.topology
+        nodes = [NodeState(id=i, payload=None) for i in range(topo.node_count)]
+        edges = []
+        for k in range(topo.depth - 1):
+            src_base, dst_base = topo.node_base(k), topo.node_base(k + 1)
+            for j in range(topo.layer_sizes[k + 1]):
+                for i in range(topo.layer_sizes[k]):
+                    edges.append(
+                        EdgeState(
+                            id=len(edges),
+                            endpoints=(src_base + i, dst_base + j),
+                            directed=True,
+                            payload=None,
+                        )
+                    )
+        return nodes, edges
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:
@@ -356,11 +286,7 @@ class AnnArchitecture:
         forward(net, inputs)
 
     def readout(self, net) -> list[float]:
-        base = self.topology.node_base(self.topology.depth - 1)
-        return [
-            float(net.nodes[base + j].payload.output)
-            for j in range(self.topology.layer_sizes[-1])
-        ]
+        return self.outputs[-1].tolist()
 
     def collect(self, net, outputs):
         return outputs
@@ -396,54 +322,11 @@ def build_ann(
         if kind not in ACTIVATIONS:
             known = ", ".join(sorted(ACTIVATIONS))
             raise ConfigurationError(f"unknown activation {kind!r} (known: {known})")
-    if dataset.input_arity != topo.layer_sizes[0]:
-        raise ConfigurationError(
-            f"dataset input arity {dataset.input_arity} does not match "
-            f"input layer size {topo.layer_sizes[0]}"
-        )
-    if dataset.target_arity != topo.layer_sizes[-1]:
-        raise ConfigurationError(
-            f"dataset target arity {dataset.target_arity} does not match "
-            f"output layer size {topo.layer_sizes[-1]}"
-        )
-
-    nodes = []
-    for layer, size in enumerate(topo.layer_sizes):
-        if layer == 0:
-            kind = "identity"
-        elif layer == topo.depth - 1:
-            kind = output_activation
-        else:
-            kind = hidden_activation
-        for _ in range(size):
-            nodes.append(
-                NodeState(
-                    id=len(nodes),
-                    payload=NeuronPayload(activation=kind, bias=0.0),
-                )
-            )
-
-    edges = []
-    for k in range(topo.depth - 1):
-        src_base = topo.node_base(k)
-        dst_base = topo.node_base(k + 1)
-        for j in range(topo.layer_sizes[k + 1]):
-            for i in range(topo.layer_sizes[k]):
-                edges.append(
-                    EdgeState(
-                        id=len(edges),
-                        endpoints=(src_base + i, dst_base + j),
-                        directed=True,
-                        payload=SynapsePayload(weight=0.0),
-                    )
-                )
-
-    for edge in edges:
-        edge.payload.weight = float(rng.uniform(-0.5, 0.5))
-    for node in nodes[topo.layer_sizes[0] :]:
-        node.payload.bias = float(rng.uniform(-0.5, 0.5))
-
+    _check_arities(topo, dataset)
+    weights = rng.uniform(-0.5, 0.5, size=topo.edge_count)
+    biases = rng.uniform(-0.5, 0.5, size=topo.bias_count)
+    activations = ["identity"] + [hidden_activation] * (topo.depth - 2) + [output_activation]
     arch = AnnArchitecture(
-        topology=topo, problem=dataset, learning_rate=learning_rate
+        topo, dataset, learning_rate, activations, np.concatenate([weights, biases])
     )
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    return ComputingNetwork(arch=arch)

@@ -129,35 +129,66 @@ class Architecture(Protocol):
     def parameters(self, net: "ComputingNetwork") -> dict[str, float]: ...
 
 
-@dataclass
+def _validated(
+    arch: Architecture, nodes: list[NodeState], edges: list[EdgeState]
+) -> tuple[list[NodeState], list[EdgeState]]:
+    """The node and edge lists, checked against each other and the architecture."""
+    ids = [node.id for node in nodes]
+    if ids != list(range(len(ids))):
+        raise ConfigurationError("node ids must be 0..n-1 in order")
+    known = set(ids)
+    for edge in edges:
+        if len(edge.endpoints) < 2:
+            raise ConfigurationError(
+                f"edge {edge.id} has {len(edge.endpoints)} endpoints; need >= 2"
+            )
+        if len(edge.endpoints) > 2 and not arch.allow_hyperedges:
+            raise ConfigurationError(
+                f"edge {edge.id} is a hyperedge but architecture "
+                f"{arch.kind!r} does not allow them"
+            )
+        missing = [v for v in edge.endpoints if v not in known]
+        if missing:
+            raise ConfigurationError(
+                f"edge {edge.id} references unknown node ids {missing}"
+            )
+    return nodes, edges
+
+
 class ComputingNetwork:
-    """Node and edge state plus the architecture that animates it."""
+    """Node and edge state plus the architecture that animates it.
 
-    nodes: list[NodeState]
-    edges: list[EdgeState]
-    arch: Architecture
-    updating: UpdateMode = UpdateMode.SYNCHRONOUS
+    Explicit node and edge lists are validated at once. An architecture
+    that keeps its adjustable state in arrays passes neither and defines
+    ``substrate()``, returning the lists derived from its topology; they
+    are then built and validated on first read of ``nodes`` or ``edges``.
+    """
 
-    def __post_init__(self):
-        ids = [node.id for node in self.nodes]
-        if ids != list(range(len(ids))):
-            raise ConfigurationError("node ids must be 0..n-1 in order")
-        known = set(ids)
-        for edge in self.edges:
-            if len(edge.endpoints) < 2:
-                raise ConfigurationError(
-                    f"edge {edge.id} has {len(edge.endpoints)} endpoints; need >= 2"
-                )
-            if len(edge.endpoints) > 2 and not self.arch.allow_hyperedges:
-                raise ConfigurationError(
-                    f"edge {edge.id} is a hyperedge but architecture "
-                    f"{self.arch.kind!r} does not allow them"
-                )
-            missing = [v for v in edge.endpoints if v not in known]
-            if missing:
-                raise ConfigurationError(
-                    f"edge {edge.id} references unknown node ids {missing}"
-                )
+    def __init__(
+        self,
+        arch: Architecture,
+        nodes: list[NodeState] | None = None,
+        edges: list[EdgeState] | None = None,
+        updating: UpdateMode = UpdateMode.SYNCHRONOUS,
+    ):
+        self.arch = arch
+        self.updating = updating
+        self._graph: tuple[list[NodeState], list[EdgeState]] | None = None
+        if nodes is not None or edges is not None:
+            self._graph = _validated(arch, nodes or [], edges or [])
+
+    @property
+    def nodes(self) -> list[NodeState]:
+        return self._substrate()[0]
+
+    @property
+    def edges(self) -> list[EdgeState]:
+        return self._substrate()[1]
+
+    def _substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+        if self._graph is None:
+            self._graph = _validated(self.arch, *self.arch.substrate())
+        return self._graph
 
     @property
     def adaptation(self) -> Callable:

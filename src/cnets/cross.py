@@ -4,7 +4,7 @@ The swarm searches weight space directly: each particle's position is
 the network's flat parameter vector (every edge weight, then every
 non-input bias), and the objective is batch mean squared error with
 those parameters installed. The trained network is returned with the
-global-best vector written back into its payloads.
+global-best vector installed as its layer arrays.
 """
 from __future__ import annotations
 

@@ -151,20 +151,23 @@ class TourGraph:
         n = len(self.costs)
         if n < 3:
             raise MalformedInstanceError(f"tour graph needs >= 3 nodes, got {n}")
-        for i, row in enumerate(self.costs):
-            if len(row) != n:
-                raise MalformedInstanceError("cost matrix is not square")
-            for j, value in enumerate(row):
-                if not math.isfinite(value):
-                    raise MalformedInstanceError(f"cost[{i}][{j}] is not finite")
-                if i == j and value != 0.0:
-                    raise MalformedInstanceError(f"cost[{i}][{i}] must be 0")
-                if i != j and value <= 0.0:
-                    raise MalformedInstanceError(
-                        f"cost[{i}][{j}] must be positive, got {value}"
-                    )
-                if value != self.costs[j][i]:
-                    raise MalformedInstanceError("cost matrix is not symmetric")
+        if any(len(row) != n for row in self.costs):
+            raise MalformedInstanceError("cost matrix is not square")
+        c = self.cost_matrix
+        diagonal = np.eye(n, dtype=bool)
+        bad = ~np.isfinite(c) | np.where(diagonal, c != 0.0, c <= 0.0) | (c != c.T)
+        if not bad.any():
+            return
+        # the first defect in row-major order, named by its cell's first failing check
+        i, j = divmod(int(bad.argmax()), n)
+        value = self.costs[i][j]
+        if not math.isfinite(value):
+            raise MalformedInstanceError(f"cost[{i}][{j}] is not finite")
+        if i == j:
+            raise MalformedInstanceError(f"cost[{i}][{i}] must be 0")
+        if value <= 0.0:
+            raise MalformedInstanceError(f"cost[{i}][{j}] must be positive, got {value}")
+        raise MalformedInstanceError("cost matrix is not symmetric")
 
     @property
     def n(self) -> int:

@@ -13,12 +13,12 @@ from cnets.ann import (
     set_weight_vector,
     train_step,
     weight_vector,
-    weighted_sum,
 )
 from cnets.core import ScaleSchedule, run
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.problems import Dataset, xor_dataset
 from cnets.rng import RngStream
+from ann_oracle import weighted_sum
 
 
 def make_net(layer_sizes, dataset, seed=1, **kwargs):
@@ -82,16 +82,30 @@ class TestForward:
     def test_payloads_record_the_evaluation(self):
         ds = linear_dataset()
         net = make_net((1, 1), ds, output_activation="identity")
+        assert net.arch.readout(net) == [0.0]
         set_weight_vector(net, [3.0, 0.5])
         forward(net, [2.0])
-        assert net.nodes[0].payload.output == 2.0
-        assert net.nodes[1].payload.pre_activation == 6.5
-        assert net.nodes[1].payload.output == 6.5
+        assert net.arch.outputs[0].tolist() == [2.0]
+        assert net.arch.pre_activations[1].tolist() == [6.5]
+        assert net.arch.outputs[1].tolist() == [6.5]
+        assert net.arch.readout(net) == [6.5]
 
     def test_arity_mismatch_rejected(self):
         net = make_net((2, 1), Dataset.from_rows([((0.0, 0.0), (0.0,))]))
         with pytest.raises(ConfigurationError):
             forward(net, [1.0])
+
+    def test_divergence_names_the_first_non_finite_node(self):
+        ds = Dataset.from_rows([((1.0, 1.0), (0.0,))])
+        net = make_net((2, 3, 3, 1), ds, hidden_activation="identity")
+        # second hidden layer (node ids 5..7): units 1 and 2 overflow
+        vector = np.zeros(net.arch.topology.parameter_count)
+        vector[0:6] = 1.0
+        vector[6:15] = [1.0, 0.0, 0.0, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308]
+        set_weight_vector(net, vector)
+        with np.errstate(over="ignore"):
+            with pytest.raises(NumericDivergenceError, match=r"^node 6 produced non-finite"):
+                forward(net, [1.0, 1.0])
 
     def test_logistic_activation(self):
         ds = linear_dataset()
@@ -196,11 +210,21 @@ class TestWeightVector:
         assert np.array_equal(weight_vector(net), vec)
 
     def test_order_is_edges_then_biases(self):
-        ds = linear_dataset()
-        net = make_net((1, 1), ds)
-        set_weight_vector(net, [7.0, -3.0])
-        assert net.edges[0].payload.weight == 7.0
-        assert net.nodes[1].payload.bias == -3.0
+        net = make_net((2, 2, 1), xor_dataset())
+        set_weight_vector(net, np.arange(9.0))
+        # weights grouped by destination neuron, then by source, like the edge ids
+        assert net.arch.weights[0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert net.edges[1].endpoints == (1, 2)
+        assert net.arch.weights[1].tolist() == [[4.0, 5.0]]
+        assert [b.tolist() for b in net.arch.biases] == [[6.0, 7.0], [8.0]]
+
+    def test_vectors_are_copies(self):
+        net = make_net((2, 2, 1), xor_dataset())
+        given = np.arange(9.0)
+        set_weight_vector(net, given)
+        given[:] = -1.0
+        weight_vector(net)[:] = -1.0
+        assert weight_vector(net).tolist() == list(np.arange(9.0))
 
     def test_wrong_length_rejected(self):
         net = make_net((1, 1), linear_dataset())

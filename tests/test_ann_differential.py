@@ -1,0 +1,85 @@
+"""The array-resident feedforward network against its payload oracle.
+
+Equality here is exact: the same initial weights, the same random
+stream afterwards, the same outputs and per-layer values of every
+evaluation, and the same errors and weights after training, which is
+what keeps record files byte-identical.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import ann_oracle as oracle
+from cnets.ann import batch_mse, build_ann, forward, train_step, weight_vector
+from cnets.problems import Dataset
+from cnets.rng import RngStream
+
+KINDS = st.sampled_from(["tanh", "logistic", "identity"])
+SEEDS = st.integers(min_value=0, max_value=2**32)
+
+
+@st.composite
+def networks(draw):
+    hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    sizes = (draw(st.integers(1, 6)), *hidden, draw(st.integers(1, 4)))
+    samples = draw(st.integers(1, 8))
+    data = RngStream(draw(SEEDS)).uniform(-1.0, 1.0, size=(samples, sizes[0] + sizes[-1]))
+    dataset = Dataset.from_rows([(row[: sizes[0]], row[sizes[0] :]) for row in data])
+    return sizes, dataset, draw(KINDS), draw(KINDS), draw(SEEDS)
+
+
+def both(sizes, dataset, hidden, output, seed):
+    """The network and its oracle, built from equal streams; and those streams."""
+    rng, oracle_rng = RngStream(seed), RngStream(seed)
+    kinds = {"hidden_activation": hidden, "output_activation": output}
+    net = build_ann(sizes, dataset, rng, **kinds)
+    reference = oracle.build_ann(sizes, oracle_rng, **kinds)
+    return net, reference, rng, oracle_rng
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(case=networks())
+@settings(max_examples=60, deadline=None)
+def test_build_draws_the_same_weights_and_leaves_the_same_stream(case):
+    net, reference, rng, oracle_rng = both(*case)
+    assert same_bits(weight_vector(net), oracle.weight_vector(reference))
+    assert float(rng.uniform()) == float(oracle_rng.uniform())
+    assert int(rng.integers(0, 2**31)) == int(oracle_rng.integers(0, 2**31))
+
+
+@given(case=networks())
+@settings(max_examples=60, deadline=None)
+def test_forward_matches_every_layer(case):
+    net, reference, _, _ = both(*case)
+    dataset = case[1]
+    topo = net.arch.topology
+    for sample in dataset.inputs:
+        assert forward(net, sample) == oracle.forward(reference, sample)
+        for k in range(topo.depth):
+            payloads = [
+                reference.nodes[topo.node_base(k) + j].payload
+                for j in range(topo.layer_sizes[k])
+            ]
+            assert same_bits(net.arch.pre_activations[k], [p.pre_activation for p in payloads])
+            assert same_bits(net.arch.outputs[k], [p.output for p in payloads])
+    assert batch_mse(net, dataset) == oracle.batch_mse(reference, dataset)
+
+
+@given(
+    case=networks(),
+    learning_rate=st.floats(1e-3, 0.5),
+    steps=st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_training_matches(case, learning_rate, steps):
+    net, reference, _, _ = both(*case)
+    dataset = case[1]
+    for _ in range(steps):
+        assert train_step(net, dataset, learning_rate) == oracle.train_step(
+            reference, dataset, learning_rate
+        )
+        assert same_bits(weight_vector(net), oracle.weight_vector(reference))
+    assert batch_mse(net, dataset) == oracle.batch_mse(reference, dataset)

@@ -101,6 +101,12 @@ class TestTourGraph:
         with pytest.raises(MalformedInstanceError):
             TourGraph.from_matrix(matrix)
 
+    def test_first_defect_in_row_major_order_is_reported(self):
+        matrix = [[0, 1, 2, -1], [1, 5, 3, 4], [2, 3, 0, 5], [-1, 4, 5, 0]]
+        # column-major order would reach cost[3][0] first
+        with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[3\] must be positive, got -1.0$"):
+            TourGraph.from_matrix(matrix)
+
     def test_cost_matrix_is_built_once_and_read_only(self):
         graph = TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
         matrix = graph.cost_matrix
