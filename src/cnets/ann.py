@@ -9,10 +9,11 @@ squared error.
 
 Edge ids follow a fixed layout: all synapses into layer 1 first, then
 layer 2, and so on; within a layer, grouped by destination neuron, then
-by source. The flat weight-vector order used by weight_vector /
-set_weight_vector (and by the PSO cross-composition) is all edge weights
-in edge-id order followed by the biases of all non-input nodes in
-node-id order.
+by source. The flat weight-vector order used by weight_vector,
+set_weight_vector and population_mse (through which the PSO
+cross-composition evaluates a swarm) is all edge weights in edge-id
+order followed by the biases of all non-input nodes in node-id order;
+LayeredTopology.layer_views is its one definition.
 """
 from __future__ import annotations
 
@@ -92,6 +93,23 @@ class LayeredTopology:
     def parameter_count(self) -> int:
         return self.edge_count + self.bias_count
 
+    def layer_views(self, vectors: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weights and biases as views of flat parameter vectors.
+
+        The last axis is the flat layout; an (m, parameters) array gives m stacked networks.
+        """
+        lead = vectors.shape[:-1]
+        cursor = 0
+        weights = []
+        for src, dst in zip(self.layer_sizes, self.layer_sizes[1:]):
+            weights.append(vectors[..., cursor : cursor + src * dst].reshape(*lead, dst, src))
+            cursor += src * dst
+        biases = []
+        for size in self.layer_sizes[1:]:
+            biases.append(vectors[..., cursor : cursor + size])
+            cursor += size
+        return weights, biases
+
 
 def _check_arities(topo: LayeredTopology, dataset: Dataset) -> None:
     if dataset.input_arity != topo.layer_sizes[0]:
@@ -131,20 +149,39 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
     return a.tolist()
 
 
-def _batch_forward(arch: "AnnArchitecture", x: np.ndarray) -> list[np.ndarray]:
-    """All-sample forward pass; returns activations per layer (rows = samples)."""
+def _batch_forward(arch: "AnnArchitecture", weights, biases, x: np.ndarray) -> list[np.ndarray]:
+    """All-sample forward pass; returns activations per layer (rows = samples).
+
+    weights and biases are the architecture's own, or stacked layer_views.
+    """
     activations = [x]
     a = x
-    for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
-        a = activate(arch.activations[k + 1], a @ w.T + b)
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        a = activate(arch.activations[k + 1], a @ w.swapaxes(-1, -2) + b[..., None, :])
         activations.append(a)
     return activations
 
 
 def batch_mse(net: ComputingNetwork, dataset: Dataset) -> float:
     """Mean squared error over every sample and output component."""
-    diff = _batch_forward(net.arch, dataset.input_matrix())[-1] - dataset.target_matrix()
-    return float(np.mean(diff * diff))
+    return float(population_mse(net, dataset, weight_vector(net)[None])[0])
+
+
+def population_mse(net: ComputingNetwork, dataset: Dataset, vectors: np.ndarray) -> np.ndarray:
+    """batch_mse for each row of vectors (flat parameter vectors) in one stacked pass.
+
+    Row i has the bits of set_weight_vector(net, vectors[i]) then batch_mse;
+    the network's own weights are untouched.
+    """
+    arch = net.arch
+    vectors = np.ascontiguousarray(vectors, dtype=float)
+    count = arch.topology.parameter_count
+    if vectors.ndim != 2 or vectors.shape[1] != count:
+        raise ConfigurationError(f"expected rows of {count} parameters, got {vectors.shape}")
+    weights, biases = arch.topology.layer_views(vectors)
+    output = _batch_forward(arch, weights, biases, dataset.input_matrix())[-1]
+    diff = output - dataset.target_matrix()
+    return (diff * diff).reshape(len(vectors), -1).mean(axis=1)
 
 
 def gradients(
@@ -158,7 +195,7 @@ def gradients(
     arch = net.arch
     _check_arities(arch.topology, dataset)
     kinds = arch.activations
-    activations = _batch_forward(arch, dataset.input_matrix())
+    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.input_matrix())
     diff = activations[-1] - dataset.target_matrix()
     mse = float(np.mean(diff * diff))
     # d(mse)/d(output); mse averages over samples * components
@@ -202,7 +239,7 @@ def set_weight_vector(net: ComputingNetwork, vector: Sequence[float]) -> None:
         raise ConfigurationError(
             f"expected {topo.parameter_count} parameters, got {vector.shape}"
         )
-    net.arch.install(vector)
+    net.arch.weights, net.arch.biases = topo.layer_views(vector)
 
 
 class AnnArchitecture:
@@ -235,24 +272,11 @@ class AnnArchitecture:
         self.learning_rate = learning_rate
         self.input_arity = topology.layer_sizes[0]
         self.activations = tuple(activations)
-        self.install(vector)
+        self.weights, self.biases = topology.layer_views(vector)
         self.pre_activations = [np.zeros(size) for size in topology.layer_sizes]
         self.outputs = list(self.pre_activations)
         self._cursor = 0
         self._last_mse: float | None = None
-
-    def install(self, vector: np.ndarray) -> None:
-        """Take the layer arrays as views of a flat vector (weights, then biases)."""
-        sizes = self.topology.layer_sizes
-        cursor = 0
-        self.weights: list[np.ndarray] = []
-        for src, dst in zip(sizes, sizes[1:]):
-            self.weights.append(vector[cursor : cursor + src * dst].reshape(dst, src))
-            cursor += src * dst
-        self.biases: list[np.ndarray] = []
-        for size in sizes[1:]:
-            self.biases.append(vector[cursor : cursor + size])
-            cursor += size
 
     def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
         """Neurons in layer order and synapses in edge-id order."""

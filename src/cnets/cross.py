@@ -2,18 +2,23 @@
 
 The swarm searches weight space directly: each particle's position is
 the network's flat parameter vector (every edge weight, then every
-non-input bias), and the objective is batch mean squared error with
-those parameters installed. The trained network is returned with the
-global-best vector installed as its layer arrays.
+non-input bias), and the objective is batch mean squared error under
+those parameters. Each fast step evaluates the whole swarm in one
+stacked forward pass (ann.population_mse): the (particles, parameters)
+position array is viewed as one weight matrix and one bias vector per
+layer and particle, so no particle's vector is copied into the network.
+The trained network is returned with the global-best vector installed
+as its layer arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .ann import batch_mse, build_ann, set_weight_vector
+from .ann import build_ann, population_mse, set_weight_vector
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
 from .errors import ConfigurationError
 from .problems import Dataset, Objective
@@ -64,16 +69,12 @@ def cross_train(
     if not lo < hi:
         raise ConfigurationError(f"weight bounds need low < high, got [{lo}, {hi}]")
 
-    def mse_at(vector: np.ndarray) -> float:
-        set_weight_vector(template, vector)
-        return batch_mse(template, dataset)
-
     objective = Objective(
         name="ann-batch-mse",
         dimension=expected,
         lower=float(lo),
         upper=float(hi),
-        fn=mse_at,
+        fn=partial(population_mse, template, dataset),
     )
     swarm = build_pso_network(objective, rng, pso_params)
     schedule = ScaleSchedule(fast_steps_per_slow=1, slow_steps=iterations)

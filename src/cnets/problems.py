@@ -200,13 +200,12 @@ class TourGraph:
     def from_coordinates(cls, coords: Sequence[Sequence[float]]) -> "TourGraph":
         """Euclidean instance from planar points."""
         points = [tuple(float(v) for v in p) for p in coords]
-        n = len(points)
-        matrix = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = math.dist(points[i], points[j])
-                matrix[i][j] = matrix[j][i] = d
-        return cls.from_matrix(matrix)
+        rows: list[Row] = []
+        for i, p in enumerate(points):
+            # row i to the left of the diagonal is column i of the rows above
+            above = [row[i] for row in rows]
+            rows.append(tuple(above + [0.0] + [math.dist(p, q) for q in points[i + 1 :]]))
+        return cls(costs=tuple(rows))
 
     @classmethod
     def random_euclidean(cls, n: int, rng: RngStream, box: float = 100.0) -> "TourGraph":
@@ -249,7 +248,10 @@ def _is_float(text: str) -> bool:
 class Objective:
     """Box-bounded real function to be minimized.
 
-    The callable is excluded from equality; two objectives compare equal
+    fn maps an (m, dimension) array of points, one per row, to an (m,)
+    array of their values, so a whole swarm is evaluated in one call;
+    calling the objective on one point is a thin wrapper around it. The
+    callable is excluded from equality; two objectives compare equal
     when name, dimension, and box agree.
     """
 
@@ -257,7 +259,7 @@ class Objective:
     dimension: int
     lower: float
     upper: float
-    fn: Callable[[np.ndarray], float] = field(compare=False, repr=False)
+    fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -270,22 +272,23 @@ class Objective:
             )
 
     def __call__(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+        return float(self.fn(np.asarray(x, dtype=float)[None])[0])
 
 
-def _sphere(x: np.ndarray) -> float:
-    return float(np.sum(x * x))
+def _sphere(x: np.ndarray) -> np.ndarray:
+    return np.sum(x * x, axis=-1)
 
 
-def _rosenbrock(x: np.ndarray) -> float:
-    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+def _rosenbrock(x: np.ndarray) -> np.ndarray:
+    head, tail = x[..., :-1], x[..., 1:]
+    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
-def _rastrigin(x: np.ndarray) -> float:
-    return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x)))
+def _rastrigin(x: np.ndarray) -> np.ndarray:
+    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
 
 
-_NAMED_OBJECTIVES: dict[str, tuple[Callable[[np.ndarray], float], float, float]] = {
+_NAMED_OBJECTIVES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, float]] = {
     "sphere": (_sphere, -5.12, 5.12),
     "rosenbrock": (_rosenbrock, -2.048, 2.048),
     "rastrigin": (_rastrigin, -5.12, 5.12),

@@ -1,17 +1,18 @@
 """Particle-swarm optimization with inertia weight.
 
 Nodes are particles (position, velocity, personal best); every particle
-owns one hyperedge listing its whole neighborhood, and the edge payload
-caches that neighborhood's best. The fast scale evaluates the objective
-and updates personal bests; the slow scale refreshes neighborhood bests
-and applies the velocity and position update. Minimization throughout.
+belongs to one hyperedge listing its whole neighborhood, whose best
+personal best guides it. The state lives on the architecture as
+(particles, dimension) arrays, and the node and edge lists are derived
+only when read. The fast scale evaluates the whole swarm in one call of
+the objective and updates personal bests; the slow scale refreshes
+neighborhood bests and applies the velocity and position update to
+every particle at once. Minimization throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,14 +41,12 @@ class PsoParams:
     neighborhoods: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.inertia):
-            raise ConfigurationError(f"inertia must be finite, got {self.inertia}")
-        if self.cognitive < 0 or self.social < 0:
-            raise ConfigurationError("cognitive and social weights must be >= 0")
-        if self.velocity_clamp < 0:
-            raise ConfigurationError(
-                f"velocity_clamp must be >= 0, got {self.velocity_clamp}"
-            )
+        for name in ("inertia", "cognitive", "social", "velocity_clamp"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
+            if name != "inertia" and value < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.particles < 2:
             raise ConfigurationError(f"need >= 2 particles, got {self.particles}")
         if self.topology not in TOPOLOGIES:
@@ -82,39 +81,11 @@ class PsoParams:
             )
 
 
-@dataclass
-class ParticlePayload:
-    """One particle's kinematic state and personal best."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    value: float
-    best_position: np.ndarray
-    best_value: float
-
-
-@dataclass
-class NeighborhoodPayload:
-    """Cached best over the member particles' personal bests."""
-
-    best_position: np.ndarray
-    best_value: float
-
-
-def ring_distance(n: int, i: int, j: int) -> int:
-    """Hop count between two indices on a ring of n positions."""
-    if n < 1:
-        raise ConfigurationError(f"ring needs >= 1 position, got {n}")
-    forward = (j - i) % n
-    return min(forward, n - forward)
-
-
 def _neighborhood_members(params: PsoParams) -> list[tuple[int, ...]]:
+    """Each particle's neighborhood, ascending; on a ring, itself and its two neighbors."""
     n = params.particles
     if params.topology == "ring":
-        return [
-            tuple(j for j in range(n) if ring_distance(n, i, j) <= 1) for i in range(n)
-        ]
+        return [tuple(sorted({(i - 1) % n, i, (i + 1) % n})) for i in range(n)]
     if params.topology == "global":
         return [tuple(range(n))] * n
     assert params.neighborhoods is not None
@@ -123,75 +94,104 @@ def _neighborhood_members(params: PsoParams) -> list[tuple[int, ...]]:
 
 def evaluate(net: ComputingNetwork, objective: Objective) -> None:
     """Evaluate every particle and update personal bests (strict improvement)."""
-    for node in net.nodes:
-        p = node.payload
-        value = objective(p.position)
-        if not math.isfinite(value):
-            raise NumericDivergenceError(
-                f"particle {node.id} produced non-finite value {value!r}"
-            )
-        p.value = value
-        if value < p.best_value:
-            p.best_value = value
-            p.best_position = p.position.copy()
-
-
-def neighborhood_best(
-    net: ComputingNetwork, members: Sequence[int]
-) -> tuple[np.ndarray, float]:
-    """Best personal best among the members; ties go to the lowest id."""
-    best = min(members, key=lambda i: (net.nodes[i].payload.best_value, i))
-    p = net.nodes[best].payload
-    return p.best_position.copy(), p.best_value
+    arch = net.arch
+    values = np.asarray(objective.fn(arch.positions), dtype=float)
+    if values.shape != arch.best_values.shape:
+        raise ConfigurationError(
+            f"objective {objective.name!r} returned shape {values.shape} "
+            f"for {len(arch.positions)} particles"
+        )
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise NumericDivergenceError(
+            f"particle {i} produced non-finite value {float(values[i])!r}"
+        )
+    better = values < arch.best_values
+    arch.values = values
+    arch.best_values = np.where(better, values, arch.best_values)
+    arch.best_positions = np.where(better[:, None], arch.positions, arch.best_positions)
 
 
 def refresh_neighborhoods(net: ComputingNetwork) -> None:
-    for edge in net.edges:
-        position, value = neighborhood_best(net, edge.endpoints)
-        edge.payload.best_position = position
-        edge.payload.best_value = value
+    """Cache each hyperedge's best personal best; ties go to the lowest id."""
+    arch, members = net.arch, net.arch.members
+    winners = members[np.arange(len(members)), arch.best_values[members].argmin(axis=1)]
+    arch.neighborhood_bests = arch.best_positions[winners]
 
 
 def move(net: ComputingNetwork, params: PsoParams, rng: RngStream) -> None:
-    """One velocity-position update for every particle, in id order.
+    """One velocity-position update for every particle.
 
-    Each particle draws two fresh uniform vectors (cognitive then
-    social), one component per dimension.
+    The draws are those of a per-particle loop in id order, each
+    particle taking a cognitive and then a social uniform vector.
     """
-    for node in net.nodes:
-        p = node.payload
-        d = p.position.size
-        r_cognitive = rng.uniform(0.0, 1.0, size=d)
-        r_social = rng.uniform(0.0, 1.0, size=d)
-        local = net.edges[net.arch.edge_of_particle[node.id]].payload
-        velocity = (
-            params.inertia * p.velocity
-            + params.cognitive * r_cognitive * (p.best_position - p.position)
-            + params.social * r_social * (local.best_position - p.position)
-        )
-        if params.velocity_clamp > 0.0:
-            velocity = np.clip(velocity, -params.velocity_clamp, params.velocity_clamp)
-        p.velocity = velocity
-        p.position = p.position + velocity
+    arch = net.arch
+    r = rng.uniform(0.0, 1.0, size=(len(arch.positions), 2, arch.positions.shape[1]))
+    local = arch.neighborhood_bests[arch.edge_of_particle]
+    velocities = (
+        params.inertia * arch.velocities
+        + params.cognitive * r[:, 0] * (arch.best_positions - arch.positions)
+        + params.social * r[:, 1] * (local - arch.positions)
+    )
+    if params.velocity_clamp > 0.0:
+        velocities = np.clip(velocities, -params.velocity_clamp, params.velocity_clamp)
+    arch.velocities = velocities
+    arch.positions = arch.positions + velocities
 
 
 def global_best(net: ComputingNetwork) -> tuple[np.ndarray, float]:
     """Best personal best across the whole swarm; ties to the lowest id."""
-    return neighborhood_best(net, range(len(net.nodes)))
+    arch = net.arch
+    i = int(arch.best_values.argmin())
+    return arch.best_positions[i].copy(), float(arch.best_values[i])
 
 
 class PsoArchitecture:
-    """Swarm behaviour: fast = evaluate, slow = refresh neighborhoods and move."""
+    """Swarm behaviour: fast = evaluate, slow = refresh neighborhoods and move.
+
+    Row i of positions, velocities and best_positions, and entry i of
+    values and best_values, are particle i's: the only copy of its state.
+    Particles with identical neighborhoods share hyperedge k, whose
+    members (ascending) are hyperedges[k], padded with the last one in
+    members[k]; neighborhood_bests[k] caches its best position.
+    """
 
     kind = "pso"
     input_arity = 0
     allow_hyperedges = True
 
-    def __init__(self, objective: Objective, params: PsoParams):
+    def __init__(
+        self,
+        objective: Objective,
+        params: PsoParams,
+        positions: np.ndarray,
+        velocities: np.ndarray,
+    ):
         self.problem = objective
         self.params = params
-        # particle id -> id of the hyperedge holding its neighborhood
-        self.edge_of_particle: dict[int, int] = {}
+        edge_of: dict[tuple[int, ...], int] = {}
+        self.edge_of_particle = np.array(
+            [edge_of.setdefault(m, len(edge_of)) for m in _neighborhood_members(params)]
+        )
+        self.hyperedges = list(edge_of)
+        width = max(len(m) for m in self.hyperedges)
+        self.members = np.array([m + m[-1:] * (width - len(m)) for m in self.hyperedges])
+        self.positions = positions
+        self.velocities = velocities
+        self.values = np.full(len(positions), np.inf)
+        self.best_positions = positions.copy()
+        self.best_values = self.values.copy()
+        self.neighborhood_bests = np.zeros((len(self.hyperedges), positions.shape[1]))
+
+    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+        """Particles in id order and one hyperedge per distinct neighborhood."""
+        nodes = [NodeState(id=i, payload=None) for i in range(len(self.positions))]
+        edges = [
+            EdgeState(id=k, endpoints=members, directed=False, payload=None)
+            for k, members in enumerate(self.hyperedges)
+        ]
+        return nodes, edges
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:
@@ -205,7 +205,7 @@ class PsoArchitecture:
 
     def readout(self, net) -> list[float]:
         position, _ = global_best(net)
-        return [float(v) for v in position]
+        return position.tolist()
 
     def collect(self, net, outputs):
         return outputs
@@ -236,48 +236,18 @@ def build_pso_network(
 
     Draw order is fixed: for each particle in id order, one position
     vector uniform in the box, then one velocity vector uniform in
-    +/- (box width / 10) per dimension. Particles sharing an identical
-    neighborhood share one hyperedge, so the global topology yields a
-    single edge spanning the swarm.
+    +/- (box width / 10) per dimension; one call draws them all.
     """
     params = params or PsoParams()
-    d = objective.dimension
     lo, hi = objective.lower, objective.upper
     vspan = (hi - lo) / 10.0
-    nodes = []
-    for i in range(params.particles):
-        position = rng.uniform(lo, hi, size=d)
-        velocity = rng.uniform(-vspan, vspan, size=d)
-        nodes.append(
-            NodeState(
-                id=i,
-                payload=ParticlePayload(
-                    position=position,
-                    velocity=velocity,
-                    value=float("inf"),
-                    best_position=position.copy(),
-                    best_value=float("inf"),
-                ),
-            )
-        )
-    arch = PsoArchitecture(objective=objective, params=params)
-    edges = []
-    edge_by_members: dict[tuple[int, ...], int] = {}
-    for i, members in enumerate(_neighborhood_members(params)):
-        if members not in edge_by_members:
-            edge_by_members[members] = len(edges)
-            edges.append(
-                EdgeState(
-                    id=len(edges),
-                    endpoints=members,
-                    directed=False,
-                    payload=NeighborhoodPayload(
-                        best_position=np.zeros(d), best_value=float("inf")
-                    ),
-                )
-            )
-        arch.edge_of_particle[i] = edge_by_members[members]
-    net = ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    draws = rng.uniform(
+        [[lo], [-vspan]], [[hi], [vspan]], size=(params.particles, 2, objective.dimension)
+    )
+    arch = PsoArchitecture(
+        objective, params, np.ascontiguousarray(draws[:, 0]), np.ascontiguousarray(draws[:, 1])
+    )
+    net = ComputingNetwork(arch=arch)
     evaluate(net, objective)
     refresh_neighborhoods(net)
     return net

@@ -140,6 +140,15 @@ class TestValues:
         with pytest.raises(ConfigurationError, match="dimension"):
             load_config(write_json(workdir, data))
 
+    @pytest.mark.parametrize("field", ["inertia", "cognitive", "social", "velocity_clamp"])
+    def test_pso_non_finite_weight_rejected(self, field):
+        # Python's json reads NaN, so a config file can carry one
+        data = json.loads(
+            '{"pso": {"objective": "sphere", "dimension": 2, "%s": NaN}, "seed": 1}' % field
+        )
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            build_config(data)
+
     def test_pso_bounds_filled_from_objective(self, workdir):
         data = {"pso": {"objective": "rastrigin", "dimension": 3}, "seed": 1}
         config = load_config(write_json(workdir, data))

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cnets.errors import ConfigurationError, MalformedInstanceError
 from cnets.problems import (
@@ -107,6 +108,21 @@ class TestTourGraph:
         with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[3\] must be positive, got -1.0$"):
             TourGraph.from_matrix(matrix)
 
+    @given(
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32),
+        scale=st.sampled_from([1e-3, 1.0, 100.0, 1e6]),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_coordinates_give_the_matrix_of_their_distances(self, n, seed, scale):
+        points = RngStream(seed).uniform(-scale, scale, size=(n, 2)).tolist()
+        distances = [[math.dist(p, q) for q in points] for p in points]
+        assert TourGraph.from_coordinates(points) == TourGraph.from_matrix(distances)
+
+    def test_coincident_cities_are_rejected(self):
+        with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[2\] must be positive, got 0.0$"):
+            TourGraph.from_coordinates([(0, 0), (3, 4), (0, 0)])
+
     def test_cost_matrix_is_built_once_and_read_only(self):
         graph = TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
         matrix = graph.cost_matrix
@@ -166,8 +182,33 @@ class TestObjective:
 
     def test_equality_ignores_the_callable(self):
         a = named_objective("sphere", 2)
-        b = Objective(name="sphere", dimension=2, lower=-5.12, upper=5.12, fn=lambda x: 0.0)
+        b = Objective(
+            name="sphere", dimension=2, lower=-5.12, upper=5.12, fn=lambda x: np.zeros(len(x))
+        )
         assert a == b
+
+    def test_fn_evaluates_one_point_per_row(self):
+        obj = named_objective("sphere", 2)
+        assert obj.fn(np.array([[1.0, 2.0], [0.0, 3.0], [0.0, 0.0]])).tolist() == [5.0, 9.0, 0.0]
+
+    @given(
+        name=st.sampled_from(["sphere", "rosenbrock", "rastrigin"]),
+        dimension=st.integers(1, 299),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_give_the_bits_of_the_one_point_forms(self, name, dimension, rows, seed):
+        def one_point(x):
+            if name == "sphere":
+                return float(np.sum(x * x))
+            if name == "rosenbrock":
+                return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+            return float(10.0 * x.size + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x)))
+
+        obj = named_objective(name, dimension)
+        points = RngStream(seed).uniform(obj.lower, obj.upper, size=(rows, dimension))
+        assert obj.fn(points).tolist() == [one_point(x) for x in points]
 
     def test_custom_bounds(self):
         obj = named_objective("sphere", 2, bounds=(-1.0, 1.0))

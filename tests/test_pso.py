@@ -11,11 +11,10 @@ from cnets.pso import (
     evaluate,
     global_best,
     move,
-    neighborhood_best,
     refresh_neighborhoods,
-    ring_distance,
 )
 from cnets.rng import RngStream
+from pso_oracle import ring_distance
 
 
 def sphere_swarm(particles=6, dimension=2, seed=1, **kwargs):
@@ -39,11 +38,23 @@ class TestParams:
             {"topology": "custom", "particles": 3, "neighborhoods": ((0, 1), (1, 2), (2, 5))},
             {"topology": "custom", "particles": 3, "neighborhoods": ((0, 1), (0, 2), (2, 0))},
             {"topology": "ring", "neighborhoods": ((0, 1), (0, 1))},
+            {"inertia": float("inf")},
+            {"cognitive": float("nan")},
+            {"cognitive": float("inf")},
+            {"social": float("nan")},
+            {"social": float("inf")},
+            {"velocity_clamp": float("nan")},
+            {"velocity_clamp": float("inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             PsoParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["inertia", "cognitive", "social", "velocity_clamp"])
+    def test_non_finite_weight_is_named(self, name):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got nan$"):
+            PsoParams(**{name: float("nan")})
 
     def test_defaults_are_valid(self):
         PsoParams()
@@ -77,11 +88,18 @@ class TestTopologies:
         assert len(net.edges) == 5
         assert sorted(net.edges[0].endpoints) == [0, 1, 4]
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_ring_neighbors_are_within_one_hop(self, n):
+        net, _ = sphere_swarm(particles=n, topology="ring")
+        for i in range(n):
+            members = net.edges[net.arch.edge_of_particle[i]].endpoints
+            assert members == tuple(j for j in range(n) if ring_distance(n, i, j) <= 1)
+
     def test_global_collapses_to_one_hyperedge(self):
         net, _ = sphere_swarm(particles=5, topology="global")
         assert len(net.edges) == 1
         assert net.edges[0].endpoints == tuple(range(5))
-        assert set(net.arch.edge_of_particle.values()) == {0}
+        assert net.arch.edge_of_particle.tolist() == [0] * 5
 
     def test_custom_neighborhoods_are_honored(self):
         net, _ = sphere_swarm(
@@ -90,29 +108,31 @@ class TestTopologies:
             neighborhoods=((0, 1), (0, 1), (2, 3), (2, 3)),
         )
         assert len(net.edges) == 2
-        assert net.arch.edge_of_particle == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert net.arch.edge_of_particle.tolist() == [0, 0, 1, 1]
+        assert [e.endpoints for e in net.edges] == [(0, 1), (2, 3)]
+        assert all(node.payload is None for node in net.nodes)
 
 
 class TestEvaluation:
     def test_personal_bests_seeded_at_build(self):
         net, objective = sphere_swarm()
-        for node in net.nodes:
-            p = node.payload
-            assert p.best_value == objective(p.position)
-            assert np.array_equal(p.best_position, p.position)
+        arch = net.arch
+        for i, position in enumerate(arch.positions):
+            assert arch.values[i] == arch.best_values[i] == objective(position)
+        assert np.array_equal(arch.best_positions, arch.positions)
 
     def test_personal_best_only_improves_strictly(self):
         net, objective = sphere_swarm(particles=3, dimension=1)
-        p = net.nodes[0].payload
-        p.best_value = 1.0
-        p.best_position = np.array([1.0])
-        p.position = np.array([-1.0])  # same value: no update
+        arch = net.arch
+        arch.best_values[0] = 1.0
+        arch.best_positions[0] = [1.0]
+        arch.positions[0] = [-1.0]  # same value: no update
         evaluate(net, objective)
-        assert p.best_position[0] == 1.0
-        p.position = np.array([0.5])  # better: update
+        assert arch.best_positions[0, 0] == 1.0
+        arch.positions[0] = [0.5]  # better: update
         evaluate(net, objective)
-        assert p.best_value == 0.25
-        assert p.best_position[0] == 0.5
+        assert arch.best_values[0] == 0.25
+        assert arch.best_positions[0, 0] == 0.5
 
     def test_non_finite_value_raises(self):
         spike = Objective(
@@ -120,7 +140,7 @@ class TestEvaluation:
             dimension=1,
             lower=-1.0,
             upper=1.0,
-            fn=lambda x: float("nan"),
+            fn=lambda x: np.full(len(x), np.nan),
         )
         net = build_pso_network(
             named_objective("sphere", 1), RngStream(1), PsoParams(particles=2)
@@ -128,53 +148,79 @@ class TestEvaluation:
         with pytest.raises(NumericDivergenceError):
             evaluate(net, spike)
 
+    def test_divergence_names_the_lowest_non_finite_particle(self):
+        def spikes(x):
+            values = np.sum(x * x, axis=-1)
+            values[[3, 5]] = [np.inf, np.nan]
+            return values
+
+        net, _ = sphere_swarm(particles=7)
+        spike = Objective(name="spikes", dimension=2, lower=-1.0, upper=1.0, fn=spikes)
+        with pytest.raises(
+            NumericDivergenceError, match=r"^particle 3 produced non-finite value inf$"
+        ):
+            evaluate(net, spike)
+
+    def test_objective_must_return_one_value_per_particle(self):
+        net, _ = sphere_swarm(particles=4)
+        total = Objective(
+            name="total", dimension=2, lower=-1.0, upper=1.0, fn=lambda x: np.sum(x * x)
+        )
+        with pytest.raises(ConfigurationError, match="returned shape"):
+            evaluate(net, total)
+
     def test_neighborhood_best_ties_to_lowest_id(self):
-        net, _ = sphere_swarm(particles=3, dimension=1)
-        for node in net.nodes:
-            node.payload.best_value = 2.0
-            node.payload.best_position = np.array([float(node.id)])
-        position, value = neighborhood_best(net, [1, 2])
-        assert value == 2.0
-        assert position[0] == 1.0
+        # the second neighborhood, (1, 2), is padded to (1, 2, 2)
+        net, _ = sphere_swarm(
+            particles=3,
+            dimension=1,
+            topology="custom",
+            neighborhoods=((0, 1, 2), (2, 1), (1, 2, 2)),
+        )
+        arch = net.arch
+        arch.best_values[:] = [3.0, 2.0, 2.0]
+        arch.best_positions[:, 0] = [0.0, 1.0, 2.0]
+        refresh_neighborhoods(net)
+        assert arch.members.tolist() == [[0, 1, 2], [1, 2, 2]]
+        assert arch.neighborhood_bests[:, 0].tolist() == [1.0, 1.0]
 
 
 class TestMove:
     def test_pure_inertia_drift(self):
         net, _ = sphere_swarm(particles=2, dimension=1, cognitive=0.0, social=0.0, inertia=1.0)
-        p = net.nodes[0].payload
-        p.position = np.array([1.0])
-        p.velocity = np.array([0.25])
+        arch = net.arch
+        arch.positions[0] = [1.0]
+        arch.velocities[0] = [0.25]
         refresh_neighborhoods(net)
-        move(net, net.arch.params, RngStream(9))
-        assert p.position[0] == 1.25
-        assert p.velocity[0] == 0.25
+        move(net, arch.params, RngStream(9))
+        assert arch.positions[0, 0] == 1.25
+        assert arch.velocities[0, 0] == 0.25
 
     def test_attraction_points_toward_bests(self):
         net, _ = sphere_swarm(particles=2, dimension=1, inertia=0.0)
-        p = net.nodes[0].payload
-        p.position = np.array([3.0])
-        p.velocity = np.array([0.0])
-        p.best_position = np.array([0.0])
-        p.best_value = 0.0
+        arch = net.arch
+        arch.positions[0] = [3.0]
+        arch.velocities[0] = [0.0]
+        arch.best_positions[0] = [0.0]
+        arch.best_values[0] = 0.0
         refresh_neighborhoods(net)
-        move(net, net.arch.params, RngStream(9))
-        assert p.velocity[0] <= 0.0  # both pulls aim at the origin side
+        move(net, arch.params, RngStream(9))
+        assert arch.velocities[0, 0] <= 0.0  # both pulls aim at the origin side
 
     def test_velocity_clamp_bounds_components(self):
         net, _ = sphere_swarm(particles=4, dimension=3, velocity_clamp=0.05)
         for _ in range(5):
             refresh_neighborhoods(net)
             move(net, net.arch.params, RngStream(3))
-        for node in net.nodes:
-            assert np.all(np.abs(node.payload.velocity) <= 0.05)
+        assert np.all(np.abs(net.arch.velocities) <= 0.05)
 
     def test_draw_order_is_cognitive_then_social_per_particle(self):
         net, _ = sphere_swarm(particles=2, dimension=2, inertia=0.0)
-        for node in net.nodes:
-            node.payload.position = np.array([1.0, 1.0])
-            node.payload.velocity = np.array([0.0, 0.0])
-            node.payload.best_position = np.array([0.0, 0.0])
-            node.payload.best_value = 0.0
+        arch = net.arch
+        arch.positions[:] = 1.0
+        arch.velocities[:] = 0.0
+        arch.best_positions[:] = 0.0
+        arch.best_values[:] = 0.0
         refresh_neighborhoods(net)
         rng = RngStream(77)
         reference = []
@@ -183,9 +229,9 @@ class TestMove:
             r_cog = mirror.uniform(0.0, 1.0, size=2)
             r_soc = mirror.uniform(0.0, 1.0, size=2)
             reference.append(-(1.49 * r_cog + 1.49 * r_soc))
-        move(net, net.arch.params, rng)
-        for node, expected in zip(net.nodes, reference):
-            assert node.payload.velocity == pytest.approx(expected)
+        move(net, arch.params, rng)
+        for velocity, expected in zip(arch.velocities, reference):
+            assert velocity == pytest.approx(expected)
 
 
 class TestSwarmRuns:
