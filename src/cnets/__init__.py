@@ -15,11 +15,11 @@ from .core import (
     NodeState,
     RunRecord,
     ScaleSchedule,
-    UpdateMode,
     fast_step,
     run,
     slow_step,
 )
+from .eca import UpdateMode
 from .errors import (
     CnError,
     ConfigurationError,

@@ -16,6 +16,7 @@ IEEE operations, so the array forms give the same bits as a scalar walk.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -53,6 +54,10 @@ class AcoParams:
     demon: str = "off"
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "deposit", "initial_pheromone", "min_pheromone"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.alpha < 0 or self.beta < 0:
             raise ConfigurationError("alpha and beta must be >= 0")
         if not 0.0 <= self.evaporation <= 1.0:

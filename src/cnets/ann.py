@@ -17,6 +17,7 @@ LayeredTopology.layer_views is its one definition.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -263,9 +264,9 @@ class AnnArchitecture:
         activations: Sequence[str],
         vector: np.ndarray,
     ):
-        if learning_rate <= 0:
+        if not (math.isfinite(learning_rate) and learning_rate > 0):
             raise ConfigurationError(
-                f"learning_rate must be positive, got {learning_rate}"
+                f"learning_rate must be positive and finite, got {learning_rate}"
             )
         self.topology = topology
         self.problem = problem

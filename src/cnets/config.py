@@ -7,23 +7,35 @@ keys anywhere are hard errors, file references are checked at load
 time, and load_config fills every default so the config echoed into a
 record header is complete. Relative paths are resolved against the
 config file's directory.
+
+The aco, pso, cross.pso and meta sections hold the library's own params
+objects (AcoParams, PsoParams, MetaConfig): their keys, kinds and
+defaults are those dataclasses' fields, so each default is written once,
+and the objects are built at load, so their value errors surface there.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Mapping, Sequence
 
-from .core import ScaleSchedule, UpdateMode
+from .aco import AcoParams
+from .ann import ACTIVATIONS
+from .core import ScaleSchedule
+from .eca import UpdateMode
 from .errors import ConfigurationError
+from .meta import MetaConfig
+from .pso import PsoParams
 
 ARCHITECTURES = ("ann", "aco", "pso", "eca")
 
-# Real-valued parameters the meta scale may search over, per architecture.
+# Real-valued parameters the meta scale may search over: the float fields
+# of each architecture's params class.
 META_SEARCHABLE = {
-    "aco": ("alpha", "beta", "evaporation", "deposit", "initial_pheromone", "min_pheromone"),
-    "pso": ("inertia", "cognitive", "social", "velocity_clamp"),
+    arch: tuple(f.name for f in fields(cls) if isinstance(f.default, float))
+    for arch, cls in (("aco", AcoParams), ("pso", PsoParams))
 }
 
 UPDATE_MODES = {mode.value: mode for mode in UpdateMode}
@@ -82,6 +94,38 @@ def _resolve_path(path: str, base_dir: str, where: str) -> str:
     return resolved
 
 
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _read(cls, data: Mapping[str, Any], where: str, **parsed: Any):
+    """A params object built from data's keys, so its value errors surface at load.
+
+    Each scalar field of cls is read with its default's kind, and an
+    absent field keeps its default; parsed supplies the other fields.
+    """
+    kwargs = {
+        f.name: _get(data, f.name, where, type(f.default))
+        for f in fields(cls)
+        if isinstance(f.default, (float, int, str)) and data.get(f.name) is not None
+    }
+    return cls(**kwargs, **parsed)
+
+
+def _plain(value: Any) -> Any:
+    """value as JSON echoes it: a dataclass as a dict in field order, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _echo(params: Any) -> dict[str, Any]:
+    """A params object's keys in field order, leaving out optional fields left unset."""
+    return {key: value for key, value in _plain(params).items() if value is not None}
+
+
 @dataclass
 class AnnSection:
     layers: tuple[int, ...]
@@ -91,13 +135,7 @@ class AnnSection:
     output_activation: str = "tanh"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "layers": list(self.layers),
-            "dataset": self.dataset,
-            "learning_rate": self.learning_rate,
-            "hidden_activation": self.hidden_activation,
-            "output_activation": self.output_activation,
-        }
+        return _plain(self)
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "AnnSection":
@@ -113,10 +151,10 @@ class AnnSection:
             hidden_activation=_get(data, "hidden_activation", where, str, default="tanh"),
             output_activation=_get(data, "output_activation", where, str, default="tanh"),
         )
-        if section.learning_rate <= 0:
-            raise ConfigurationError(f"{where}.learning_rate: must be positive")
-        from .ann import ACTIVATIONS
-
+        if not (math.isfinite(section.learning_rate) and section.learning_rate > 0):
+            raise ConfigurationError(
+                f"{where}.learning_rate: must be positive and finite, got {section.learning_rate}"
+            )
         for key in ("hidden_activation", "output_activation"):
             kind = getattr(section, key)
             if kind not in ACTIVATIONS:
@@ -130,68 +168,22 @@ class AnnSection:
 @dataclass
 class AcoSection:
     graph: str
-    graph_format: str = "coords"
-    alpha: float = 1.0
-    beta: float = 2.0
-    evaporation: float = 0.1
-    deposit: float = 1.0
-    ants: int = 10
-    initial_pheromone: float = 1.0
-    min_pheromone: float = 1e-9
-    demon: str = "off"
+    graph_format: str
+    params: AcoParams
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "graph": self.graph,
-            "graph_format": self.graph_format,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "evaporation": self.evaporation,
-            "deposit": self.deposit,
-            "ants": self.ants,
-            "initial_pheromone": self.initial_pheromone,
-            "min_pheromone": self.min_pheromone,
-            "demon": self.demon,
-        }
+        return {"graph": self.graph, "graph_format": self.graph_format, **_echo(self.params)}
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "AcoSection":
-        _check_keys(
-            data,
-            ("graph", "graph_format", "alpha", "beta", "evaporation", "deposit",
-             "ants", "initial_pheromone", "min_pheromone", "demon"),
-            where,
-        )
+        _check_keys(data, ("graph", "graph_format") + _names(AcoParams), where)
         graph_format = _get(data, "graph_format", where, str, default="coords")
         if graph_format not in ("coords", "matrix"):
             raise ConfigurationError(f"{where}.graph_format: expected coords or matrix")
-        section = cls(
+        return cls(
             graph=_resolve_path(_get(data, "graph", where, str, required=True), base_dir, f"{where}.graph"),
             graph_format=graph_format,
-            alpha=_get(data, "alpha", where, float, default=1.0),
-            beta=_get(data, "beta", where, float, default=2.0),
-            evaporation=_get(data, "evaporation", where, float, default=0.1),
-            deposit=_get(data, "deposit", where, float, default=1.0),
-            ants=_get(data, "ants", where, int, default=10),
-            initial_pheromone=_get(data, "initial_pheromone", where, float, default=1.0),
-            min_pheromone=_get(data, "min_pheromone", where, float, default=1e-9),
-            demon=_get(data, "demon", where, str, default="off"),
-        )
-        section.to_params()  # surface value errors at load time
-        return section
-
-    def to_params(self):
-        from .aco import AcoParams
-
-        return AcoParams(
-            alpha=self.alpha,
-            beta=self.beta,
-            evaporation=self.evaporation,
-            deposit=self.deposit,
-            ants=self.ants,
-            initial_pheromone=self.initial_pheromone,
-            min_pheromone=self.min_pheromone,
-            demon=self.demon,
+            params=_read(AcoParams, data, where),
         )
 
 
@@ -199,39 +191,20 @@ class AcoSection:
 class PsoSection:
     objective: str
     dimension: int
-    bounds: tuple[float, float] | None = None
-    particles: int = 30
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    velocity_clamp: float = 0.0
-    topology: str = "ring"
-    neighborhoods: tuple[tuple[int, ...], ...] | None = None
+    bounds: tuple[float, float] | None
+    params: PsoParams
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
+        return {
             "objective": self.objective,
             "dimension": self.dimension,
-            "bounds": None if self.bounds is None else list(self.bounds),
-            "particles": self.particles,
-            "inertia": self.inertia,
-            "cognitive": self.cognitive,
-            "social": self.social,
-            "velocity_clamp": self.velocity_clamp,
-            "topology": self.topology,
+            "bounds": _plain(self.bounds),
+            **_echo(self.params),
         }
-        if self.neighborhoods is not None:
-            out["neighborhoods"] = [list(m) for m in self.neighborhoods]
-        return out
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "PsoSection":
-        _check_keys(
-            data,
-            ("objective", "dimension", "bounds", "particles", "inertia", "cognitive",
-             "social", "velocity_clamp", "topology", "neighborhoods"),
-            where,
-        )
+        _check_keys(data, ("objective", "dimension", "bounds") + _names(PsoParams), where)
         dimension = _get(data, "dimension", where, int, required=True)
         if dimension < 1:
             raise ConfigurationError(f"{where}.dimension: must be >= 1, got {dimension}")
@@ -249,32 +222,11 @@ class PsoSection:
                         f"{where}.neighborhoods[{i}]: expected a list of particle ids"
                     )
             neighborhoods = tuple(tuple(members) for members in raw)
-        section = cls(
+        return cls(
             objective=_get(data, "objective", where, str, default="sphere"),
             dimension=dimension,
             bounds=bounds,
-            particles=_get(data, "particles", where, int, default=30),
-            inertia=_get(data, "inertia", where, float, default=0.72),
-            cognitive=_get(data, "cognitive", where, float, default=1.49),
-            social=_get(data, "social", where, float, default=1.49),
-            velocity_clamp=_get(data, "velocity_clamp", where, float, default=0.0),
-            topology=_get(data, "topology", where, str, default="ring"),
-            neighborhoods=neighborhoods,
-        )
-        section.to_params()  # surface value errors at load time
-        return section
-
-    def to_params(self):
-        from .pso import PsoParams
-
-        return PsoParams(
-            inertia=self.inertia,
-            cognitive=self.cognitive,
-            social=self.social,
-            velocity_clamp=self.velocity_clamp,
-            particles=self.particles,
-            topology=self.topology,
-            neighborhoods=self.neighborhoods,
+            params=_read(PsoParams, data, where, neighborhoods=neighborhoods),
         )
 
 
@@ -288,14 +240,7 @@ class EcaSection:
     updating: str = "synchronous"
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "width": self.width,
-            "steps": self.steps,
-            "boundary": self.boundary,
-            "initial": self.initial if isinstance(self.initial, str) else list(self.initial),
-            "updating": self.updating,
-        }
+        return _plain(self)
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "EcaSection":
@@ -346,34 +291,17 @@ class EcaSection:
 @dataclass
 class MetaSection:
     parameters: dict[str, tuple[float, float]]
-    population_size: int = 10
-    generations: int = 10
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_stddev: float = 0.1
-    inner_slow_steps: int = 50
-    eval_seeds: tuple[int, ...] = ()
+    config: MetaConfig
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "parameters": {k: list(v) for k, v in self.parameters.items()},
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "tournament_size": self.tournament_size,
-            "crossover_rate": self.crossover_rate,
-            "mutation_stddev": self.mutation_stddev,
-            "inner_slow_steps": self.inner_slow_steps,
-            "eval_seeds": list(self.eval_seeds),
+            **_echo(self.config),
         }
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], where: str) -> "MetaSection":
-        _check_keys(
-            data,
-            ("parameters", "population_size", "generations", "tournament_size",
-             "crossover_rate", "mutation_stddev", "inner_slow_steps", "eval_seeds"),
-            where,
-        )
+        _check_keys(data, ("parameters",) + _names(MetaConfig), where)
         raw_params = _get(data, "parameters", where, dict, required=True)
         if not raw_params:
             raise ConfigurationError(f"{where}.parameters: need at least one search box")
@@ -386,13 +314,7 @@ class MetaSection:
             raise ConfigurationError(f"{where}.eval_seeds: expected a non-empty list of integers")
         return cls(
             parameters=parameters,
-            population_size=_get(data, "population_size", where, int, default=10),
-            generations=_get(data, "generations", where, int, default=10),
-            tournament_size=_get(data, "tournament_size", where, int, default=3),
-            crossover_rate=_get(data, "crossover_rate", where, float, default=0.9),
-            mutation_stddev=_get(data, "mutation_stddev", where, float, default=0.1),
-            inner_slow_steps=_get(data, "inner_slow_steps", where, int, default=50),
-            eval_seeds=tuple(raw_seeds),
+            config=_read(MetaConfig, data, where, eval_seeds=tuple(raw_seeds)),
         )
 
 
@@ -401,26 +323,14 @@ class CrossSection:
     """Outer swarm settings plus the inner network it trains."""
 
     ann: AnnSection
-    pso_particles: int = 30
-    pso_inertia: float = 0.72
-    pso_cognitive: float = 1.49
-    pso_social: float = 1.49
-    pso_velocity_clamp: float = 0.0
-    pso_topology: str = "ring"
-    weight_bounds: tuple[float, float] = (-2.0, 2.0)
-    dimension: int | None = None
+    pso: PsoParams
+    weight_bounds: tuple[float, float]
+    dimension: int | None
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "ann": self.ann.to_dict(),
-            "pso": {
-                "particles": self.pso_particles,
-                "inertia": self.pso_inertia,
-                "cognitive": self.pso_cognitive,
-                "social": self.pso_social,
-                "velocity_clamp": self.pso_velocity_clamp,
-                "topology": self.pso_topology,
-            },
+            "pso": _echo(self.pso),
             "weight_bounds": list(self.weight_bounds),
             "dimension": self.dimension,
         }
@@ -430,11 +340,7 @@ class CrossSection:
         _check_keys(data, ("ann", "pso", "weight_bounds", "dimension"), where)
         ann = AnnSection.parse(_get(data, "ann", where, dict, required=True), base_dir, f"{where}.ann")
         pso_raw = _get(data, "pso", where, dict, default={})
-        _check_keys(
-            pso_raw,
-            ("particles", "inertia", "cognitive", "social", "velocity_clamp", "topology"),
-            f"{where}.pso",
-        )
+        _check_keys(pso_raw, tuple(k for k in _names(PsoParams) if k != "neighborhoods"), f"{where}.pso")
         weight_bounds = (-2.0, 2.0)
         if data.get("weight_bounds") is not None:
             weight_bounds = _number_pair(data["weight_bounds"], f"{where}.weight_bounds")
@@ -443,19 +349,14 @@ class CrossSection:
         dimension = _get(data, "dimension", where, int)
         if dimension is not None and dimension < 1:
             raise ConfigurationError(f"{where}.dimension: must be >= 1, got {dimension}")
-        topology = _get(pso_raw, "topology", f"{where}.pso", str, default="ring")
-        if topology not in ("ring", "global"):
+        topology = _get(pso_raw, "topology", f"{where}.pso", str)
+        if topology not in (None, "ring", "global"):
             raise ConfigurationError(
                 f"{where}.pso.topology: cross runs support ring or global, got {topology!r}"
             )
         return cls(
             ann=ann,
-            pso_particles=_get(pso_raw, "particles", f"{where}.pso", int, default=30),
-            pso_inertia=_get(pso_raw, "inertia", f"{where}.pso", float, default=0.72),
-            pso_cognitive=_get(pso_raw, "cognitive", f"{where}.pso", float, default=1.49),
-            pso_social=_get(pso_raw, "social", f"{where}.pso", float, default=1.49),
-            pso_velocity_clamp=_get(pso_raw, "velocity_clamp", f"{where}.pso", float, default=0.0),
-            pso_topology=topology,
+            pso=_read(PsoParams, pso_raw, f"{where}.pso"),
             weight_bounds=weight_bounds,
             dimension=dimension,
         )
@@ -485,7 +386,7 @@ class RunConfig:
             "schedule": {
                 "fast_steps_per_slow": self.schedule.fast_steps_per_slow,
                 "slow_steps": self.schedule.slow_steps,
-                "meta_generations": self.schedule.meta_generations,
+                "meta_generations": 0 if self.meta is None else self.meta.config.generations,
             },
         }
         for name in ARCHITECTURES:
@@ -584,23 +485,17 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
                 f"(allowed: {list(allowed)})"
             )
         kwargs["meta"] = meta
-        if meta_gens is None:
-            meta_gens = meta.generations
-        elif meta_gens != meta.generations:
+        if meta_gens is not None and meta_gens != meta.config.generations:
             raise ConfigurationError(
                 f"config: schedule.meta_generations ({meta_gens}) disagrees with "
-                f"meta.generations ({meta.generations})"
+                f"meta.generations ({meta.config.generations})"
             )
     elif meta_gens:
         raise ConfigurationError(
             "config: schedule.meta_generations > 0 requires a meta section"
         )
 
-    schedule = ScaleSchedule(
-        fast_steps_per_slow=fast,
-        slow_steps=0 if slow is None else slow,
-        meta_generations=0 if meta_gens is None else meta_gens,
-    )
+    schedule = ScaleSchedule(fast_steps_per_slow=fast, slow_steps=0 if slow is None else slow)
     if architecture == "eca":
         kwargs["eca"].steps = schedule.slow_steps
     return RunConfig(

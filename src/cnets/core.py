@@ -17,20 +17,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from enum import Enum
-from functools import partial
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from typing import Any, Protocol, Sequence, runtime_checkable
 
 from .errors import CnError, ConfigurationError, NumericDivergenceError
 from .rng import RngStream
-
-
-class UpdateMode(Enum):
-    """How node updates within one fast step are ordered."""
-
-    SYNCHRONOUS = "synchronous"
-    ASYNC_FIXED = "asynchronous-fixed"
-    ASYNC_RANDOM = "asynchronous-random"
 
 
 @dataclass
@@ -57,15 +47,14 @@ class EdgeState:
 
 @dataclass(frozen=True)
 class ScaleSchedule:
-    """Step budget linking the fast, slow, and meta scales.
+    """Step budget linking the fast and slow scales.
 
     fast_steps_per_slow evaluations happen between consecutive slow
-    steps. meta_generations = 0 means a plain two-scale run.
+    steps.
     """
 
     fast_steps_per_slow: int = 1
     slow_steps: int = 0
-    meta_generations: int = 0
 
     def __post_init__(self):
         if self.fast_steps_per_slow < 1:
@@ -74,10 +63,6 @@ class ScaleSchedule:
             )
         if self.slow_steps < 0:
             raise ConfigurationError(f"slow_steps must be >= 0, got {self.slow_steps}")
-        if self.meta_generations < 0:
-            raise ConfigurationError(
-                f"meta_generations must be >= 0, got {self.meta_generations}"
-            )
 
 
 @dataclass
@@ -169,10 +154,8 @@ class ComputingNetwork:
         arch: Architecture,
         nodes: list[NodeState] | None = None,
         edges: list[EdgeState] | None = None,
-        updating: UpdateMode = UpdateMode.SYNCHRONOUS,
     ):
         self.arch = arch
-        self.updating = updating
         self._graph: tuple[list[NodeState], list[EdgeState]] | None = None
         if nodes is not None or edges is not None:
             self._graph = _validated(arch, nodes or [], edges or [])
@@ -189,33 +172,6 @@ class ComputingNetwork:
         if self._graph is None:
             self._graph = _validated(self.arch, *self.arch.substrate())
         return self._graph
-
-    @property
-    def adaptation(self) -> Callable:
-        """The slow-scale adaptation algorithm, bound to this network."""
-        return partial(self.arch.slow, self)
-
-    @property
-    def readout(self) -> Callable[[], list[float]]:
-        """The network function as a pure readout of current state."""
-        return partial(self.arch.readout, self)
-
-    def node(self, node_id: int) -> NodeState:
-        return self.nodes[node_id]
-
-
-def node_update_order(n: int, mode: UpdateMode, rng: RngStream | None) -> list[int]:
-    """Node visit order for one fast step under the given update mode.
-
-    Synchronous callers should read all pre-step state first and ignore
-    ordering; the order returned here matters only to the asynchronous
-    modes, where updates land in place.
-    """
-    if mode is UpdateMode.ASYNC_RANDOM:
-        if rng is None:
-            raise ConfigurationError("asynchronous-random updating needs an RngStream")
-        return [int(i) for i in rng.permutation(n)]
-    return list(range(n))
 
 
 def fast_step(net: ComputingNetwork, inputs: Sequence[float], rng: RngStream) -> list[float]:
@@ -257,27 +213,13 @@ def _annotate(exc: CnError, slow_index: int, fast_index: int | None) -> None:
 
 
 def run(
-    net: ComputingNetwork,
-    schedule: ScaleSchedule,
-    problem: Any,
-    rng: RngStream,
-    meta_search: Any = None,
+    net: ComputingNetwork, schedule: ScaleSchedule, problem: Any, rng: RngStream
 ) -> list[RunRecord]:
     """Drive the network through the whole schedule.
 
     Returns the initial snapshot record followed by one record per slow
-    step. When the schedule has meta generations the call is delegated
-    to the meta module and the records describe generations instead.
+    step.
     """
-    if schedule.meta_generations > 0:
-        from .meta import three_scale_run
-
-        if meta_search is None:
-            raise ConfigurationError(
-                "schedule has meta generations but no meta search was given"
-            )
-        return three_scale_run(schedule, meta_search, rng)
-
     net.arch.check_problem(problem)
     started = time.perf_counter()
     records = [_record(net, 0, (time.perf_counter() - started) * 1000.0)]

@@ -9,15 +9,10 @@ network whose nodes are cells and whose edges link neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Sequence
 
-from .core import (
-    ComputingNetwork,
-    EdgeState,
-    NodeState,
-    UpdateMode,
-    node_update_order,
-)
+from .core import ComputingNetwork, EdgeState, NodeState
 from .errors import ConfigurationError
 from .problems import BOUNDARIES, Tape
 from .rng import RngStream
@@ -25,6 +20,14 @@ from .rng import RngStream
 RuleTable = dict[tuple[int, int, int], int]
 
 Grid = list[list[int]]
+
+
+class UpdateMode(Enum):
+    """How cell updates within one fast step are ordered."""
+
+    SYNCHRONOUS = "synchronous"
+    ASYNC_FIXED = "asynchronous-fixed"
+    ASYNC_RANDOM = "asynchronous-random"
 
 
 def rule_table(rule_number: int) -> RuleTable:
@@ -76,6 +79,20 @@ def step_in_order(tape: Tape, table: RuleTable, order: Sequence[int]) -> Tape:
             )
         ]
     return Tape(cells=tuple(cells), boundary=tape.boundary)
+
+
+def node_update_order(n: int, mode: UpdateMode, rng: RngStream | None) -> list[int]:
+    """Cell visit order for one fast step under the given update mode.
+
+    Synchronous callers should read all pre-step state first and ignore
+    ordering; the order returned here matters only to the asynchronous
+    modes, where updates land in place.
+    """
+    if mode is UpdateMode.ASYNC_RANDOM:
+        if rng is None:
+            raise ConfigurationError("asynchronous-random updating needs an RngStream")
+        return [int(i) for i in rng.permutation(n)]
+    return list(range(n))
 
 
 def evolve(tape: Tape, rule_number: int, steps: int) -> Grid:
@@ -140,7 +157,13 @@ class EcaArchitecture:
     input_arity = 0
     allow_hyperedges = False
 
-    def __init__(self, rule_number: int, boundary: str, problem: Tape):
+    def __init__(
+        self,
+        rule_number: int,
+        boundary: str,
+        problem: Tape,
+        updating: UpdateMode,
+    ):
         self.rule_number = rule_number
         self.table = rule_table(rule_number)
         if boundary not in BOUNDARIES:
@@ -149,6 +172,7 @@ class EcaArchitecture:
             )
         self.boundary = boundary
         self.problem = problem
+        self.updating = updating
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:
@@ -165,10 +189,10 @@ class EcaArchitecture:
 
     def fast(self, net, inputs, rng: RngStream) -> None:
         tape = self._tape(net)
-        if net.updating is UpdateMode.SYNCHRONOUS:
+        if self.updating is UpdateMode.SYNCHRONOUS:
             stepped = step(tape, self.table)
         else:
-            order = node_update_order(len(net.nodes), net.updating, rng)
+            order = node_update_order(len(net.nodes), self.updating, rng)
             stepped = step_in_order(tape, self.table, order)
         for node, state in zip(net.nodes, stepped.cells):
             node.payload.state = state
@@ -216,5 +240,5 @@ def build_eca_network(
                 payload=NeighborLinkPayload(),
             )
         )
-    arch = EcaArchitecture(rule_number=rule_number, boundary=tape.boundary, problem=tape)
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch, updating=updating)
+    arch = EcaArchitecture(rule_number, tape.boundary, tape, updating)
+    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch)

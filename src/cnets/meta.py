@@ -4,6 +4,8 @@ Each genome is a key-to-value map over declared search boxes (a subset
 of AcoParams or PsoParams fields). Fitness is the mean final best value
 of full inner runs, one per evaluation seed, rebuilt from scratch so a
 genome's fitness is a pure function of the genome. Lower is better.
+Each inner run is a plain two-scale ``core.run``; the core knows
+nothing of this scale.
 
 The GA is deliberately minimal: tournament selection (k=3), uniform
 per-gene crossover (p=0.5), Gaussian mutation with stddev a fixed
@@ -14,7 +16,7 @@ its exact fitness and the generation-best trace is non-increasing.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
@@ -231,14 +233,6 @@ def meta_run(search: MetaSearch, rng: RngStream) -> MetaResult:
     )
 
 
-def three_scale_run(
-    schedule: ScaleSchedule, search: MetaSearch, rng: RngStream
-) -> list[RunRecord]:
-    """Adapter the two-scale driver delegates to for meta schedules.
-
-    The schedule's meta_generations overrides the GA config so a run's
-    step budget has one authority.
-    """
-    config = replace(search.config, generations=schedule.meta_generations)
-    result = meta_run(replace(search, config=config), rng)
-    return result.records
+def three_scale_run(search: MetaSearch, rng: RngStream) -> list[RunRecord]:
+    """A meta run's generation records: the harness's one entry into this scale."""
+    return meta_run(search, rng).records

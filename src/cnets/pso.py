@@ -32,11 +32,11 @@ class PsoParams:
     velocity component to [-clamp, clamp].
     """
 
+    particles: int = 30
     inertia: float = 0.72
     cognitive: float = 1.49
     social: float = 1.49
     velocity_clamp: float = 0.0
-    particles: int = 30
     topology: str = "ring"
     neighborhoods: tuple[tuple[int, ...], ...] | None = None
 

@@ -50,6 +50,16 @@ class TestParams:
             {"initial_pheromone": 0.0},
             {"min_pheromone": 0.0},
             {"demon": "three-opt"},
+            {"alpha": float("nan")},
+            {"alpha": float("inf")},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"deposit": float("nan")},
+            {"deposit": float("inf")},
+            {"initial_pheromone": float("nan")},
+            {"initial_pheromone": float("inf")},
+            {"min_pheromone": float("nan")},
+            {"min_pheromone": float("inf")},
         ],
     )
     def test_bad_values_rejected(self, kwargs):

@@ -265,5 +265,7 @@ class TestArchitecture:
         assert [r.best_value for r in records] == pytest.approx(replayed[:4])
 
     def test_learning_rate_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            make_net((2, 1), Dataset.from_rows([((0.0, 0.0), (0.0,))]), learning_rate=0.0)
+        dataset = Dataset.from_rows([((0.0, 0.0), (0.0,))])
+        for rate in (0.0, -0.5, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="learning_rate"):
+                make_net((2, 1), dataset, learning_rate=rate)

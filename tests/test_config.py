@@ -27,6 +27,15 @@ def minimal_eca(**extra):
     return data
 
 
+def minimal_cross(**pso):
+    return {"cross": {"ann": {"layers": [2, 2, 1], "dataset": "xor.csv"}, "pso": pso}, "seed": 1}
+
+
+def minimal_meta_aco(**meta):
+    meta = {"parameters": {"alpha": [0, 4]}, "eval_seeds": [1], **meta}
+    return {"aco": {"graph": "cities.csv"}, "meta": meta, "seed": 1}
+
+
 class TestArchitectureSelection:
     def test_minimal_eca_config(self, workdir):
         config = load_config(write_json(workdir, minimal_eca()))
@@ -140,6 +149,49 @@ class TestValues:
         with pytest.raises(ConfigurationError, match="dimension"):
             load_config(write_json(workdir, data))
 
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "deposit", "initial_pheromone", "min_pheromone"]
+    )
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_aco_non_finite_weight_rejected(self, workdir, field, value):
+        data = json.loads('{"aco": {"graph": "cities.csv", "%s": %s}, "seed": 1}' % (field, value))
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            build_config(data, base_dir=str(workdir))
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
+    def test_ann_learning_rate_must_be_positive_and_finite(self, workdir, value):
+        data = json.loads(
+            '{"ann": {"layers": [2, 1], "dataset": "xor.csv", "learning_rate": %s}, "seed": 1}'
+            % value
+        )
+        with pytest.raises(ConfigurationError, match="learning_rate: must be positive and finite"):
+            build_config(data, base_dir=str(workdir))
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            (minimal_cross(particles=1), "particles"),
+            (minimal_cross(cognitive=float("nan")), "cognitive must be finite"),
+            (minimal_meta_aco(population_size=1), "population"),
+            (minimal_meta_aco(crossover_rate=2.0), "crossover rate"),
+            (minimal_meta_aco(tournament_size=50), "tournament size"),
+            (minimal_meta_aco(inner_slow_steps=0), "inner run budget"),
+            (minimal_meta_aco(mutation_stddev=-1), "mutation stddev"),
+        ],
+        ids=[
+            "cross-particles",
+            "cross-cognitive-nan",
+            "meta-population",
+            "meta-crossover",
+            "meta-tournament",
+            "meta-inner-steps",
+            "meta-mutation",
+        ],
+    )
+    def test_params_value_errors_surface_at_load(self, workdir, data, match):
+        with pytest.raises(ConfigurationError, match=match):
+            build_config(data, base_dir=str(workdir))
+
     @pytest.mark.parametrize("field", ["inertia", "cognitive", "social", "velocity_clamp"])
     def test_pso_non_finite_weight_rejected(self, field):
         # Python's json reads NaN, so a config file can carry one
@@ -219,7 +271,7 @@ class TestMetaValidation:
     def test_meta_aco_accepted(self, workdir):
         config = load_config(write_json(workdir, self.meta_aco()))
         assert config.meta.parameters == {"alpha": (0.0, 4.0), "beta": (0.0, 6.0)}
-        assert config.schedule.meta_generations == 3
+        assert config.to_dict()["schedule"]["meta_generations"] == 3
 
     def test_meta_key_must_be_searchable(self, workdir):
         data = self.meta_aco(parameters={"ants": [1, 20]})
@@ -243,7 +295,7 @@ class TestMetaValidation:
         data = self.meta_aco()
         data["schedule"] = {"meta_generations": 3, "slow_steps": 1}
         config = load_config(write_json(workdir, data))
-        assert config.schedule.meta_generations == 3
+        assert config.to_dict()["schedule"]["meta_generations"] == 3
 
     def test_meta_generations_without_section_rejected(self, workdir):
         data = minimal_eca(schedule={"slow_steps": 5, "meta_generations": 4})
@@ -348,4 +400,4 @@ class TestRoundTrips:
                 "seed": 8,
             },
         )
-        assert config.pso.neighborhoods == ((0, 1), (0, 1), (2, 3), (2, 3))
+        assert config.pso.params.neighborhoods == ((0, 1), (0, 1), (2, 3), (2, 3))

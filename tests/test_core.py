@@ -7,12 +7,11 @@ from cnets.core import (
     NodeState,
     RunRecord,
     ScaleSchedule,
-    UpdateMode,
     fast_step,
-    node_update_order,
     run,
     slow_step,
 )
+from cnets.eca import UpdateMode, node_update_order
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.rng import RngStream
 
@@ -77,7 +76,6 @@ class TestScaleSchedule:
         schedule = ScaleSchedule()
         assert schedule.fast_steps_per_slow == 1
         assert schedule.slow_steps == 0
-        assert schedule.meta_generations == 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -85,7 +83,6 @@ class TestScaleSchedule:
             {"fast_steps_per_slow": 0},
             {"fast_steps_per_slow": -1},
             {"slow_steps": -1},
-            {"meta_generations": -1},
         ],
     )
     def test_invalid_schedules_rejected(self, kwargs):
@@ -149,12 +146,12 @@ class TestFastSlowSteps:
     def test_readout_is_pure(self):
         net = counter_net(n=2)
         fast_step(net, [2.0], RngStream(0))
-        assert net.readout() == net.readout()
+        assert net.arch.readout(net) == net.arch.readout(net)
 
-    def test_adaptation_property_applies_slow(self):
+    def test_slow_step_applies_adaptation(self):
         net = counter_net(n=1)
         net.nodes[0].payload["value"] = 4.0
-        net.adaptation([], RngStream(0))
+        slow_step(net, [], RngStream(0))
         assert net.nodes[0].payload["value"] == 2.0
 
 
@@ -190,11 +187,6 @@ class TestRun:
         net = counter_net(problem="expected")
         with pytest.raises(ConfigurationError):
             run(net, ScaleSchedule(1, 1), "other", RngStream(0))
-
-    def test_meta_schedule_requires_search(self):
-        net = counter_net()
-        with pytest.raises(ConfigurationError):
-            run(net, ScaleSchedule(1, 1, meta_generations=2), None, RngStream(0))
 
     def test_errors_carry_step_position(self):
         class Exploding(CounterArchitecture):

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnets.core import ScaleSchedule, UpdateMode, run
+from cnets.core import ScaleSchedule, run
 from cnets.eca import (
+    UpdateMode,
     build_eca_network,
     evolve,
     grid_from_text,

@@ -4,7 +4,8 @@ import pytest
 
 from cnets.config import load_config
 from cnets.errors import ConfigurationError
-from cnets.harness import execute
+from cnets.harness import _load_problem, _meta_search, execute
+from cnets.meta import evaluate_genome, three_scale_run
 from cnets.records import read_run_file
 from cnets.rng import RngStream
 
@@ -161,18 +162,47 @@ class TestExecute:
             "seed": 5,
         }
         result = run_config(workdir, data)
-        from cnets.harness import _build_two_scale, _meta_search
-        from cnets.meta import evaluate_genome
-
         path = workdir / "again.json"
         path.write_text(json.dumps(data))
         config = load_config(str(path))
-        _, graph = _build_two_scale(config, RngStream(0))
-        search = _meta_search(config, graph)
+        search = _meta_search(config, _load_problem(config))
         default_fitness = evaluate_genome(
             {"alpha": 1.0}, search.rebuild, 3, (1, 2)
         )
         assert result.records[-1].best_value <= default_fitness + 1e-12
+
+    @pytest.mark.parametrize(
+        "section, parameters",
+        [
+            ({"aco": {"graph": "cities.csv", "ants": 4}}, {"alpha": [0.5, 2.0]}),
+            (
+                {"pso": {"objective": "sphere", "dimension": 2, "particles": 5}},
+                {"inertia": [0.4, 0.9]},
+            ),
+        ],
+        ids=["meta-aco", "meta-pso"],
+    )
+    def test_meta_run_draws_nothing_before_the_search(self, workdir, section, parameters):
+        # the outer stream goes to the GA alone: no network is built first
+        data = {
+            **section,
+            "meta": {
+                "parameters": parameters,
+                "eval_seeds": [1],
+                "generations": 2,
+                "population_size": 3,
+                "inner_slow_steps": 3,
+            },
+            "seed": 5,
+        }
+        result = run_config(workdir, data)
+        config = load_config(str(workdir / "run.json"))
+        expected = three_scale_run(_meta_search(config, _load_problem(config)), RngStream(5))
+
+        def comparable(records):
+            return [(r.slow_step, r.best_value, r.parameter_snapshot) for r in records]
+
+        assert comparable(result.records) == comparable(expected)
 
     def test_execute_is_deterministic(self, workdir):
         data = {

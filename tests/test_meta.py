@@ -1,12 +1,6 @@
 import pytest
 
-from cnets.core import (
-    ComputingNetwork,
-    EdgeState,
-    NodeState,
-    ScaleSchedule,
-    run,
-)
+from cnets.core import ComputingNetwork, EdgeState, NodeState
 from cnets.eca import build_eca_network
 from cnets.errors import ConfigurationError
 from cnets.meta import (
@@ -236,25 +230,13 @@ class TestMetaRun:
 
 
 class TestThreeScaleRun:
-    def test_schedule_overrides_configured_generations(self):
-        schedule = ScaleSchedule(
-            fast_steps_per_slow=1, slow_steps=1, meta_generations=4
-        )
-        records = three_scale_run(schedule, probe_search(generations=99), RngStream(3))
-        assert len(records) == 5
+    def test_runs_the_configured_generations(self):
+        records = three_scale_run(probe_search(generations=4), RngStream(3))
+        assert [r.slow_step for r in records] == [0, 1, 2, 3, 4]
 
-    def test_core_run_delegates_meta_schedules(self):
-        schedule = ScaleSchedule(
-            fast_steps_per_slow=1, slow_steps=1, meta_generations=3
-        )
-        net, problem = probe_rebuild({"x": 0.0, "y": 0.0}, RngStream(0))
-        records = run(net, schedule, problem, RngStream(3), meta_search=probe_search())
-        assert [r.slow_step for r in records] == [0, 1, 2, 3]
-
-    def test_core_run_requires_a_search_for_meta_schedules(self):
-        schedule = ScaleSchedule(
-            fast_steps_per_slow=1, slow_steps=1, meta_generations=3
-        )
-        net, problem = probe_rebuild({"x": 0.0, "y": 0.0}, RngStream(0))
-        with pytest.raises(ConfigurationError):
-            run(net, schedule, problem, RngStream(3))
+    def test_records_are_the_meta_run_records(self):
+        records = three_scale_run(probe_search(generations=3), RngStream(3))
+        expected = meta_run(probe_search(generations=3), RngStream(3)).records
+        assert [(r.best_value, r.parameter_snapshot) for r in records] == [
+            (r.best_value, r.parameter_snapshot) for r in expected
+        ]
