@@ -10,6 +10,11 @@ cumulative sum over the locations it has not visited. The slow scale
 evaporates and deposits pheromone, optionally after a local-search
 demon (2-opt) improves the iteration's best tour.
 
+Colonies over one graph can also run stacked (ColonyStack): the walk,
+evaporation and deposit take a leading colony axis, and the colonies'
+ants share one set of draws, as in the matrix form of Ant System
+(Dorigo & Stuetzle 2004, ch. 3) extended from ants to colonies.
+
 Powers use Python's scalar ``**``: numpy's vectorised power rounds
 differently from it on some builds. Sums, products and maxima are exact
 IEEE operations, so the array forms give the same bits as a scalar walk.
@@ -18,8 +23,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +44,10 @@ from .rng import RngStream
 MAX_RESTARTS = 10
 
 DEMON_CHOICES = ("off", "two-opt")
+
+# Doubles a colony stack may hold in one of its (colonies, n, n) arrays or
+# (colonies * ants, n) walk arrays: 16 MB each.
+STACK_DOUBLES = 1 << 21
 
 
 @dataclass
@@ -87,6 +97,22 @@ def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _trail_weights(
+    pheromone: np.ndarray, alphas: Sequence[float], eta_beta: np.ndarray
+) -> np.ndarray:
+    """Each colony's pheromone**alpha * eta_beta per trail; symmetric, zero diagonal.
+
+    pheromone is (colonies, n, n), alphas holds one exponent per colony
+    and eta_beta one row of desirability**beta per colony.
+    """
+    rows, cols = _trail_indices(pheromone.shape[-1])
+    taus = pheromone[:, rows, cols].tolist()
+    powered = np.array([[tau**alpha for tau in row] for row, alpha in zip(taus, alphas)])
+    out = np.zeros(pheromone.shape)
+    out[:, rows, cols] = powered * eta_beta
+    return out + out.swapaxes(1, 2)
+
+
 class AcoArchitecture:
     """Colony behaviour: fast = construct tours, slow = pheromone update."""
 
@@ -99,23 +125,47 @@ class AcoArchitecture:
         self.params = params
         n = graph.n
         # pheromone[i, j] == pheromone[j, i] is trail (i, j); the diagonal is unused
-        self.pheromone = np.full((n, n), float(params.initial_pheromone))
-        self._upper = _trail_indices(n)
-        self._desirability = (1.0 / graph.cost_matrix[self._upper]).tolist()
-        self._eta_beta: tuple[float | None, np.ndarray] = (None, np.empty(0))
+        self.pheromone = np.empty((n, n))  # empty + fill: half np.full's cost
+        self.pheromone.fill(params.initial_pheromone)
+        self._eta_beta: tuple[float | None, np.ndarray | None] = (None, None)
         self.best_path_found: list[int] | None = None
         self.best_length: float | None = None
         self._iteration_solutions: list[tuple[list[int], float]] = []
 
+    @cached_property
+    def desirability(self) -> list[float]:
+        """1 / cost per trail, in edge-id order; built on first use."""
+        return (1.0 / self.problem.cost_matrix[_trail_indices(self.problem.n)]).tolist()
+
+    @property
+    def pheromone_floor(self) -> float:
+        return self.params.min_pheromone
+
     def choice_info(self, params: AcoParams) -> np.ndarray:
         """pheromone**alpha * desirability**beta per trail; zero diagonal."""
-        alpha, beta = params.alpha, params.beta
-        if self._eta_beta[0] != beta:  # computed once per network
-            self._eta_beta = (beta, np.array([eta**beta for eta in self._desirability]))
-        upper = np.array([tau**alpha for tau in self.pheromone[self._upper].tolist()])
-        out = np.zeros(self.pheromone.shape)
-        out[self._upper] = upper * self._eta_beta[1]
-        return out + out.T
+        if self._eta_beta[0] != params.beta:  # computed once per network
+            self._eta_beta = (params.beta, np.array([eta**params.beta for eta in self.desirability]))
+        return _trail_weights(self.pheromone[None], [params.alpha], self._eta_beta[1][None])[0]
+
+    @classmethod
+    def lockstep(cls, nets: Sequence[ComputingNetwork]) -> ComputingNetwork | None:
+        """One network running nets' colonies as a ColonyStack, or None unless
+        each is a plain colony over an equal graph with as many ants."""
+        first = nets[0].arch
+        for net in nets:
+            arch = net.arch
+            if (
+                type(arch) is not cls
+                or arch.params.ants != first.params.ants
+                or arch.problem != first.problem
+            ):
+                return None
+        return ComputingNetwork(arch=ColonyStack(nets))
+
+    def lockstep_limit(self) -> int:
+        """The most colonies like this one that one stack may hold."""
+        n = self.problem.n
+        return max(1, STACK_DOUBLES // (n * (n + self.params.ants)))
 
     def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
         """One node per location and one undirected edge per trail, in edge-id order."""
@@ -135,9 +185,14 @@ class AcoArchitecture:
         return []
 
     def fast(self, net, inputs, rng: RngStream) -> None:
-        self._iteration_solutions = construct_solutions(net, self.params, rng)
-        for path, length in self._iteration_solutions:
-            self._offer_best(path, length)
+        self._settle(construct_solutions(net, self.params, rng))
+
+    def _settle(self, solutions: list[tuple[list[int], float]]) -> None:
+        """Keep an iteration's solutions and offer the first shortest as the
+        best tour (offering each in turn would end on that same one)."""
+        self._iteration_solutions = solutions
+        if solutions:
+            self._offer_best(*min(solutions, key=itemgetter(1)))
 
     def _offer_best(self, path: list[int], length: float) -> None:
         if self.best_length is None or length < self.best_length:
@@ -181,6 +236,104 @@ class AcoArchitecture:
         }
 
 
+class ColonyStack:
+    """Colonies over one graph that run in lockstep on one stream's draws.
+
+    Every colony keeps its own parameters and best tour, and its
+    pheromone becomes a view of the stack's (colonies, n, n) array. A
+    fast step walks the ants of all colonies at once on one set of
+    starts and uniforms. Colonies built from one stream position thus
+    make, together, the very draws each would make alone, as long as
+    no ant dead-ends: a restart would draw for one colony only, so
+    construct_solutions raises instead. The slow step evaporates and
+    deposits for all colonies at once when each would do just that;
+    otherwise (2-opt, or a slow step replaced on the instance) it calls
+    each colony's own slow step.
+    """
+
+    kind = "aco"
+    input_arity = 0
+    allow_hyperedges = False
+
+    def __init__(self, nets: Sequence[ComputingNetwork]):
+        self.nets = list(nets)
+        self.colonies: list[AcoArchitecture] = [net.arch for net in self.nets]
+        self.problem = self.colonies[0].problem
+        # the ants every colony sends; trail weights use each colony's own exponents
+        self.params = self.colonies[0].params
+        self.pheromone = np.array([colony.pheromone for colony in self.colonies])
+        for colony, tau in zip(self.colonies, self.pheromone):
+            colony.pheromone = tau
+        self._eta_beta: np.ndarray | None = None
+        self._iteration_solutions: list[tuple[list[int], float]] = []
+
+    @cached_property
+    def _batched(self) -> bool:
+        """Whether every colony's slow step would just evaporate and deposit."""
+        return all(
+            "slow" not in vars(colony) and colony.params.demon == "off"
+            for colony in self.colonies
+        )
+
+    @cached_property
+    def _slow_params(self) -> np.ndarray:
+        """Evaporation rate, pheromone floor and deposit amount of each colony,
+        shaped (3, colonies, 1, 1); only a batched slow step needs them."""
+        return np.array(
+            [(c.params.evaporation, c.params.min_pheromone, c.params.deposit) for c in self.colonies]
+        ).T[:, :, None, None]
+
+    @property
+    def pheromone_floor(self) -> np.ndarray:
+        return self._slow_params[1]
+
+    def check_problem(self, problem) -> None:
+        if problem != self.problem:
+            raise ConfigurationError("network was built for a different graph")
+
+    def choice_info(self, params: AcoParams) -> np.ndarray:
+        """Every colony's choice_info, stacked; each uses its own alpha and beta."""
+        colonies = self.colonies
+        if self._eta_beta is None:  # computed once per stack
+            eta = colonies[0].desirability
+            self._eta_beta = np.array([[e**c.params.beta for e in eta] for c in colonies])
+        return _trail_weights(self.pheromone, [c.params.alpha for c in colonies], self._eta_beta)
+
+    def next_input(self, net, slow_index, fast_index) -> list[float]:
+        return []
+
+    def fast(self, net, inputs, rng: RngStream) -> None:
+        solutions = construct_solutions(net, self.params, rng)
+        ants = self.params.ants
+        for k, colony in enumerate(self.colonies):
+            colony._settle(solutions[k * ants : (k + 1) * ants])
+        self._iteration_solutions = solutions
+
+    def readout(self, net) -> list[float]:
+        return []  # each colony holds its own best tour
+
+    def collect(self, net, outputs):
+        return self._iteration_solutions
+
+    def slow(self, net, feedback, rng: RngStream) -> None:
+        if self._batched:
+            rates, _, amounts = self._slow_params
+            evaporate(net, rates)
+            deposit(net, feedback, amounts.ravel())
+            return
+        for colony_net in self.nets:
+            colony = colony_net.arch
+            colony.slow(colony_net, colony.collect(colony_net, []), rng)
+
+    def best_value(self, net) -> float | None:
+        """The best tour length over the colonies, None before any tour."""
+        lengths = [colony.best_length for colony in self.colonies]
+        return None if None in lengths else min(lengths)
+
+    def parameters(self, net) -> dict[str, float]:
+        return {}  # each colony holds its own
+
+
 def next_locations(
     weights: np.ndarray, visited: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,16 +364,28 @@ def _successors(tours: np.ndarray) -> np.ndarray:
 def _walk(
     choice: np.ndarray, cost: np.ndarray, starts: np.ndarray, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walk every ant from its start: (tours, lengths, dead-ended)."""
-    ants, n = uniforms.shape[0], uniforms.shape[1] + 1
-    rows = np.arange(ants)
-    tours = np.empty((ants, n), dtype=np.intp)
+    """Walk every ant of every colony from its start: (tours, lengths, dead-ended).
+
+    choice is (colonies, n, n); every colony's ants take the same starts
+    and uniforms. Rows come colony by colony.
+    """
+    colonies, n = choice.shape[:2]
+    # row c * n + i of the flattened weights is location i of colony c; a
+    # lone colony's rows need no offset, which saves an addition per move
+    weights = choice.reshape(-1, n)
+    offsets = None
+    if colonies > 1:
+        offsets = np.repeat(np.arange(0, colonies * n, n), len(starts))
+        starts, uniforms = np.tile(starts, colonies), np.tile(uniforms, (colonies, 1))
+    walkers = len(starts)
+    rows = np.arange(walkers)
+    tours = np.empty((walkers, n), dtype=np.intp)
     tours[:, 0] = here = starts
-    visited = np.zeros((ants, n), dtype=bool)
-    visited[rows, starts] = True
-    dead = np.zeros(ants, dtype=bool)
+    visited = np.zeros((walkers, n), dtype=bool)
+    visited[rows, here] = True
+    dead = np.zeros(walkers, dtype=bool)
     for step, u in enumerate(uniforms.T, start=1):
-        here, stuck = next_locations(choice[here], visited, u)
+        here, stuck = next_locations(weights[here if offsets is None else offsets + here], visited, u)
         dead |= stuck
         visited[rows, here] = True
         tours[:, step] = here
@@ -238,15 +403,20 @@ def construct_solutions(
     On a complete graph a walk dead-ends only when every remaining
     weight underflows to zero; such ants are re-walked from their start
     with fresh uniforms, at most MAX_RESTARTS times.
+
+    On a ColonyStack, params.ants ants of every colony walk on the one
+    set of draws, and the solutions come colony by colony. A dead end
+    there raises DeadEndError at once: its restart would draw for one
+    colony alone.
     """
-    arch: AcoArchitecture = net.arch
+    arch: AcoArchitecture | ColonyStack = net.arch
     cost = arch.problem.cost_matrix
     n = len(cost)
     try:
         with np.errstate(over="raise"):
-            choice = arch.choice_info(params)
+            choice = arch.choice_info(params).reshape(-1, n, n)
             # nonnegative terms: no partial sum of a row exceeds the whole row's
-            choice.cumsum(axis=1)
+            choice.cumsum(axis=2)
     except (OverflowError, FloatingPointError):
         raise NumericDivergenceError("transition weights overflow") from None
     starts = np.empty(params.ants, dtype=np.intp)
@@ -255,6 +425,8 @@ def construct_solutions(
         starts[ant] = rng.integers(0, n)
         uniforms[ant] = rng.uniform(size=n - 1)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
+    if len(choice) > 1 and dead.any():
+        raise DeadEndError("an ant of a stacked colony found no positive trail")
     for _ in range(MAX_RESTARTS):
         if not dead.any():
             break
@@ -268,21 +440,29 @@ def construct_solutions(
     return list(zip(tours.tolist(), lengths.tolist()))
 
 
-def evaporate(net: ComputingNetwork, rate: float) -> None:
-    """Decay every trail, clamped to the architecture's pheromone floor."""
-    if not 0.0 <= rate <= 1.0:
+def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
+    """Decay every trail, clamped to the architecture's pheromone floor.
+
+    A ColonyStack passes one rate per colony, shaped (colonies, 1, 1),
+    and each colony keeps its own floor.
+    """
+    if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ConfigurationError(f"evaporation rate must be in [0, 1], got {rate}")
     tau = net.arch.pheromone
-    np.maximum(net.arch.params.min_pheromone, (1.0 - rate) * tau, out=tau)
+    np.maximum(net.arch.pheromone_floor, (1.0 - rate) * tau, out=tau)
 
 
 def deposit(
-    net: ComputingNetwork, solutions: Sequence[tuple[Sequence[int], float]], amount: float
+    net: ComputingNetwork,
+    solutions: Sequence[tuple[Sequence[int], float]],
+    amount: float | np.ndarray,
 ) -> None:
     """Every solution reinforces its tour edges by amount / tour length.
 
     Trails shared by several tours take their shares in solution order,
-    one addition at a time, as a loop over the solutions would.
+    one addition at a time, as a loop over the solutions would. On a
+    ColonyStack the solutions come colony by colony, as many for each,
+    and amount holds one value per colony.
     """
     for _, length in solutions:
         if length <= 0.0:
@@ -291,14 +471,20 @@ def deposit(
             )
     if not solutions:
         return
-    here = np.array([path for path, _ in solutions], dtype=np.intp)
+    tau = net.arch.pheromone
+    paths, lengths = zip(*solutions)
+    here = np.array(paths, dtype=np.intp)
     after = _successors(here)
-    shares = np.repeat([amount / length for _, length in solutions], 2 * here.shape[1])
-    # both directions of every tour edge, solution by solution; add.at
-    # adds repeated indices in order, and one tour never repeats an index
-    rows = np.concatenate([here, after], axis=1).ravel()
-    cols = np.concatenate([after, here], axis=1).ravel()
-    np.add.at(net.arch.pheromone, (rows, cols), shares)
+    n = here.shape[1]
+    per_colony = len(paths) * n * n // tau.size
+    shares = np.repeat(amount, per_colony) / lengths
+    # both directions of every tour edge, solution by solution, as indices
+    # into the flattened pheromone (C-contiguous wherever it is made, so
+    # reshape gives a view); add.at adds repeated indices in order, and
+    # one tour never repeats an index
+    base = np.arange(0, tau.size, n * n).repeat(per_colony)[:, None]
+    index = np.concatenate([base + here * n + after, base + after * n + here], axis=1)
+    np.add.at(tau.reshape(-1), index.ravel(), shares.repeat(2 * n))
 
 
 def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from .aco import AcoParams
@@ -26,7 +26,7 @@ from .ann import ACTIVATIONS
 from .core import ScaleSchedule
 from .eca import UpdateMode
 from .errors import ConfigurationError
-from .meta import MetaConfig
+from .meta import MetaConfig, ParamBox
 from .pso import PsoParams
 
 ARCHITECTURES = ("ann", "aco", "pso", "eca")
@@ -300,15 +300,44 @@ class MetaSection:
         }
 
     @classmethod
-    def parse(cls, data: Mapping[str, Any], where: str) -> "MetaSection":
+    def parse(
+        cls, data: Mapping[str, Any], where: str, architecture: str, params: Any
+    ) -> "MetaSection":
+        """params is the searched section's params object: each box must be
+        a finite, nonempty interval whose ends it accepts."""
         _check_keys(data, ("parameters",) + _names(MetaConfig), where)
         raw_params = _get(data, "parameters", where, dict, required=True)
         if not raw_params:
             raise ConfigurationError(f"{where}.parameters: need at least one search box")
+        allowed = META_SEARCHABLE[architecture]
+        bad = sorted(set(raw_params) - set(allowed))
+        if bad:
+            raise ConfigurationError(
+                f"{where}.parameters: {bad} not searchable for {architecture} "
+                f"(allowed: {list(allowed)})"
+            )
         parameters = {
             key: _number_pair(box, f"{where}.parameters.{key}")
             for key, box in raw_params.items()
         }
+        for key, (low, high) in parameters.items():
+            try:
+                ParamBox(low, high)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}.parameters.{key}: {exc}") from None
+        # every end must be a value params accepts; it checks field by field,
+        # so one object holds all the lows and one all the highs
+        for end in (0, 1):
+            ends = {key: box[end] for key, box in parameters.items()}
+            try:
+                replace(params, **ends)
+            except ConfigurationError:
+                for key, value in ends.items():  # name the box at fault
+                    try:
+                        replace(params, **{key: value})
+                    except ConfigurationError as exc:
+                        raise ConfigurationError(f"{where}.parameters.{key}: {exc}") from None
+                raise
         raw_seeds = _get(data, "eval_seeds", where, list, required=True)
         if not raw_seeds or any(isinstance(s, bool) or not isinstance(s, int) for s in raw_seeds):
             raise ConfigurationError(f"{where}.eval_seeds: expected a non-empty list of integers")
@@ -476,14 +505,9 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
             raise ConfigurationError(
                 f"config.meta: meta search supports {sorted(META_SEARCHABLE)}, not {architecture!r}"
             )
-        meta = MetaSection.parse(data["meta"], "config.meta")
-        allowed = META_SEARCHABLE[architecture]
-        bad = sorted(set(meta.parameters) - set(allowed))
-        if bad:
-            raise ConfigurationError(
-                f"config.meta.parameters: {bad} not searchable for {architecture} "
-                f"(allowed: {list(allowed)})"
-            )
+        meta = MetaSection.parse(
+            data["meta"], "config.meta", architecture, kwargs[architecture].params
+        )
         kwargs["meta"] = meta
         if meta_gens is not None and meta_gens != meta.config.generations:
             raise ConfigurationError(

@@ -7,6 +7,12 @@ genome's fitness is a pure function of the genome. Lower is better.
 Each inner run is a plain two-scale ``core.run``; the core knows
 nothing of this scale.
 
+A generation's uncached genomes are evaluated together. An inner run's
+draws depend only on its seed wherever the rebuild draws alike for
+every genome, so when the architecture class offers a ``lockstep`` hook
+(aco's stacks colonies), one seed's inner runs go as one stacked
+network on that seed's single stream, instead of one run per genome.
+
 The GA is deliberately minimal: tournament selection (k=3), uniform
 per-gene crossover (p=0.5), Gaussian mutation with stddev a fixed
 fraction of the box width (clipped back to the box), and elitism of one.
@@ -15,12 +21,13 @@ its exact fitness and the generation-best trace is non-increasing.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
-from .errors import ConfigurationError
+from .errors import CnError, ConfigurationError
 from .rng import RngStream
 
 Genome = dict[str, float]
@@ -37,6 +44,10 @@ class ParamBox:
     high: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.low) and math.isfinite(self.high)):
+            raise ConfigurationError(
+                f"search box ends must be finite, got [{self.low}, {self.high}]"
+            )
         if self.low > self.high:
             raise ConfigurationError(
                 f"empty search box [{self.low}, {self.high}]"
@@ -112,25 +123,89 @@ class MetaResult:
 
 
 def evaluate_genome(
-    genome: Genome,
+    genomes: list[Genome],
     rebuild: Rebuild,
     inner_slow_steps: int,
     eval_seeds: tuple[int, ...],
-) -> float:
-    """Mean final best value over one full inner run per seed."""
+) -> list[float]:
+    """Each genome's mean final best value over one full inner run per seed.
+
+    Several genomes run in lockstep where their networks stack. If they
+    cannot, or the lockstep attempt raises a CnError anywhere (a dead
+    end, an overflow, a genome the params reject), every genome runs
+    alone, in order: fitness is a pure function of the genome, so each
+    then gives exactly the value, or raises exactly the error, it would
+    have on its own.
+    """
     schedule = ScaleSchedule(fast_steps_per_slow=1, slow_steps=inner_slow_steps)
+    if len(genomes) > 1:
+        try:
+            totals = _lockstep_totals(genomes, rebuild, schedule, eval_seeds)
+        except CnError:  # the plain path below reproduces the exact outcome
+            totals = None
+        if totals is not None:
+            return [total / len(eval_seeds) for total in totals]
+    return [_mean_final_best(genome, rebuild, schedule, eval_seeds) for genome in genomes]
+
+
+def _mean_final_best(
+    genome: Genome, rebuild: Rebuild, schedule: ScaleSchedule, eval_seeds: tuple[int, ...]
+) -> float:
     total = 0.0
     for seed in eval_seeds:
         rng = RngStream(seed)
         net, problem = rebuild(genome, rng)
-        records = run(net, schedule, problem, rng)
-        final = records[-1].best_value
-        if final is None:
-            raise ConfigurationError(
-                "inner run produced no objective value to score the genome with"
-            )
-        total += final
+        total += _final_best(run(net, schedule, problem, rng)[-1].best_value)
     return total / len(eval_seeds)
+
+
+def _final_best(value: float | None) -> float:
+    if value is None:
+        raise ConfigurationError(
+            "inner run produced no objective value to score the genome with"
+        )
+    return value
+
+
+def _lockstep_totals(
+    genomes: list[Genome], rebuild: Rebuild, schedule: ScaleSchedule, eval_seeds: tuple[int, ...]
+) -> list[float] | None:
+    """Each genome's final best values summed over the seeds, or None when
+    the networks do not stack.
+
+    Per seed, every member of a stack is rebuilt from the fresh stream's
+    position, each rebuild must leave the stream at one same position
+    and return an equal problem, and the stack then runs on that stream.
+    The architecture bounds a stack's size; larger batches run as
+    consecutive stacks.
+    """
+    totals = [0.0] * len(genomes)
+    for seed in eval_seeds:
+        rng = RngStream(seed)
+        start = rng.snapshot()
+        done = 0
+        while done < len(genomes):
+            rng.restore(start)
+            net, problem = rebuild(genomes[done], rng)
+            lockstep = getattr(type(net.arch), "lockstep", None)
+            if lockstep is None:
+                return None
+            built = rng.snapshot()
+            nets = [net]
+            for genome in genomes[done + 1 : done + net.arch.lockstep_limit()]:
+                rng.restore(start)
+                member, member_problem = rebuild(genome, rng)
+                if member_problem != problem or rng.snapshot() != built:
+                    return None
+                nets.append(member)
+            stack = lockstep(nets)
+            if stack is None:
+                return None
+            run(stack, schedule, problem, rng)
+            for index, member in enumerate(nets, start=done):
+                totals[index] += _final_best(member.arch.best_value(member))
+            done += len(nets)
+    return totals
 
 
 def _genome_key(keys: tuple[str, ...], genome: Genome) -> tuple[float, ...]:
@@ -150,9 +225,6 @@ def meta_run(search: MetaSearch, rng: RngStream) -> MetaResult:
     keys = tuple(search.boxes)
     boxes = search.boxes
 
-    def random_genome() -> Genome:
-        return {k: float(rng.uniform(boxes[k].low, boxes[k].high)) for k in keys}
-
     def clipped(genome: Genome) -> Genome:
         missing = [k for k in keys if k not in genome]
         if missing:
@@ -165,18 +237,29 @@ def meta_run(search: MetaSearch, rng: RngStream) -> MetaResult:
     population: list[Genome] = []
     if search.seed_genome is not None:
         population.append(clipped(search.seed_genome))
-    while len(population) < config.population_size:
-        population.append(random_genome())
+    # one draw per missing genome and key, genome by genome
+    draws = rng.uniform(
+        [boxes[k].low for k in keys],
+        [boxes[k].high for k in keys],
+        size=(config.population_size - len(population), len(keys)),
+    )
+    population.extend(dict(zip(keys, row)) for row in draws.tolist())
 
     cache: dict[tuple[float, ...], float] = {}
 
-    def fitness(genome: Genome) -> float:
-        key = _genome_key(keys, genome)
-        if key not in cache:
-            cache[key] = evaluate_genome(
-                genome, search.rebuild, config.inner_slow_steps, config.eval_seeds
+    def fitnesses(genomes: list[Genome]) -> list[float]:
+        """Every genome's fitness; the uncached ones are evaluated together, once each."""
+        lookup = [_genome_key(keys, genome) for genome in genomes]
+        fresh: dict[tuple[float, ...], Genome] = {}
+        for key, genome in zip(lookup, genomes):
+            if key not in cache:
+                fresh.setdefault(key, genome)
+        if fresh:
+            values = evaluate_genome(
+                list(fresh.values()), search.rebuild, config.inner_slow_steps, config.eval_seeds
             )
-        return cache[key]
+            cache.update(zip(fresh, values))
+        return [cache[key] for key in lookup]
 
     def tournament(fits: list[float]) -> int:
         contenders = [
@@ -191,7 +274,7 @@ def meta_run(search: MetaSearch, rng: RngStream) -> MetaResult:
     best_fitness = float("inf")
     for generation in range(config.generations + 1):
         if generation > 0:
-            fits = [fitness(g) for g in population]
+            fits = fitnesses(population)
             elite = min(range(len(population)), key=lambda i: (fits[i], i))
             offspring = [dict(population[elite])]
             while len(offspring) < config.population_size:
@@ -211,7 +294,7 @@ def meta_run(search: MetaSearch, rng: RngStream) -> MetaResult:
                     child[k] = boxes[k].clip(child[k] + shift)
                 offspring.append(child)
             population = offspring
-        gen_fits = [fitness(g) for g in population]
+        gen_fits = fitnesses(population)
         gen_best = min(range(len(population)), key=lambda i: (gen_fits[i], i))
         if gen_fits[gen_best] < best_fitness:
             best_fitness = gen_fits[gen_best]

@@ -214,8 +214,8 @@ def _meta_outcome():
         inner_slow_steps=30,
         eval_seeds=ACO_SEEDS,
     )
-    baseline = evaluate_genome(
-        DEFAULT_COLONY, rebuild, config.inner_slow_steps, config.eval_seeds
+    [baseline] = evaluate_genome(
+        [DEFAULT_COLONY], rebuild, config.inner_slow_steps, config.eval_seeds
     )
     search = MetaSearch(
         config=config,

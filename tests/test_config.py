@@ -302,6 +302,37 @@ class TestMetaValidation:
         with pytest.raises(ConfigurationError, match="requires a meta section"):
             load_config(write_json(workdir, data))
 
+    @pytest.mark.parametrize(
+        "architecture, key, box, match",
+        [
+            ("aco", "alpha", "[0.0, 1e400]", "finite"),
+            ("aco", "alpha", "[NaN, 4.0]", "finite"),
+            ("aco", "beta", "[-Infinity, 6.0]", "finite"),
+            ("aco", "alpha", "[-1, 4]", "alpha and beta must be >= 0"),
+            ("aco", "evaporation", "[0.5, 1.5]", "evaporation must be in"),
+            ("aco", "deposit", "[0, 2]", "deposit must be positive"),
+            ("aco", "alpha", "[4, 0]", "empty search box"),
+            ("pso", "cognitive", "[-1, 2]", "cognitive must be >= 0"),
+            ("pso", "inertia", "[0.4, Infinity]", "finite"),
+        ],
+    )
+    def test_search_boxes_checked_at_load(self, workdir, architecture, key, box, match):
+        section = (
+            '"aco": {"graph": "cities.csv"}'
+            if architecture == "aco"
+            else '"pso": {"objective": "sphere", "dimension": 2}'
+        )
+        data = json.loads(
+            '{%s, "meta": {"parameters": {"%s": %s}, "eval_seeds": [1]}, "seed": 1}'
+            % (section, key, box)
+        )
+        with pytest.raises(ConfigurationError, match=rf"config\.meta\.parameters\.{key}: .*{match}"):
+            build_config(data, base_dir=str(workdir))
+
+    def test_single_point_search_box_is_legal(self, workdir):
+        config = load_config(write_json(workdir, self.meta_aco(parameters={"alpha": [2.0, 2.0]})))
+        assert config.meta.parameters == {"alpha": (2.0, 2.0)}
+
     def test_empty_parameters_rejected(self, workdir):
         data = self.meta_aco(parameters={})
         with pytest.raises(ConfigurationError, match="parameters"):

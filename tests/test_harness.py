@@ -166,8 +166,8 @@ class TestExecute:
         path.write_text(json.dumps(data))
         config = load_config(str(path))
         search = _meta_search(config, _load_problem(config))
-        default_fitness = evaluate_genome(
-            {"alpha": 1.0}, search.rebuild, 3, (1, 2)
+        [default_fitness] = evaluate_genome(
+            [{"alpha": 1.0}], search.rebuild, 3, (1, 2)
         )
         assert result.records[-1].best_value <= default_fitness + 1e-12
 

@@ -105,6 +105,11 @@ class TestParamBox:
         with pytest.raises(ConfigurationError):
             ParamBox(1.0, 0.0)
 
+    @pytest.mark.parametrize("ends", [(0.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0)])
+    def test_non_finite_box_rejected(self, ends):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ParamBox(*ends)
+
 
 class TestMetaConfig:
     @pytest.mark.parametrize(
@@ -131,7 +136,7 @@ class TestMetaConfig:
 class TestEvaluateGenome:
     def test_fitness_is_the_mean_final_best(self):
         genome = {"x": 0.5, "y": 0.0}
-        fitness = evaluate_genome(genome, probe_rebuild, 3, (1, 2, 3))
+        [fitness] = evaluate_genome([genome], probe_rebuild, 3, (1, 2, 3))
         assert fitness == pytest.approx(probe_value(genome))
 
     def test_architecture_without_best_value_cannot_be_scored(self):
@@ -141,7 +146,7 @@ class TestEvaluateGenome:
             return build_eca_network(tape, 110), tape
 
         with pytest.raises(ConfigurationError):
-            evaluate_genome({"x": 0.0}, eca_rebuild, 1, (1,))
+            evaluate_genome([{"x": 0.0}], eca_rebuild, 1, (1,))
 
 
 class TestMetaRun:

@@ -1,0 +1,234 @@
+"""Stacked (lockstep) and one-at-a-time genome evaluation agree bit for bit.
+
+evaluate_genome runs several genomes as one ColonyStack per seed when
+their colonies stack, and one at a time otherwise. Fitness is a pure
+function of the genome, so both paths must give the same floats, or
+raise the same error, for every batch: extreme exponents that dead-end
+or overflow, 2-opt, a slow step replaced on the instance, and a rebuild
+that draws its graph from the stream included.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from test_meta import QuadraticProbe, probe_rebuild
+
+from cnets import aco, meta
+from cnets.aco import AcoArchitecture, AcoParams, ColonyStack, build_aco_network
+from cnets.errors import CnError, NumericDivergenceError
+from cnets.meta import evaluate_genome
+from cnets.problems import TourGraph
+from cnets.rng import RngStream
+
+SEEDS = st.integers(min_value=0, max_value=2**32)
+# ordinary exponents, and large ones that underflow trails to zero
+# (dead ends) or overflow them (divergence)
+EXPONENTS = st.one_of(st.floats(0.0, 6.0), st.sampled_from([0.0, 60.0, 150.0, 400.0]))
+GENOMES = st.fixed_dictionaries(
+    {
+        "alpha": EXPONENTS,
+        "beta": EXPONENTS,
+        "evaporation": st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.99, 1.0])),
+        "deposit": st.floats(0.01, 50.0),
+    }
+)
+
+
+def guard(net):
+    """Replace the colony's slow step on the instance, as an audit would."""
+    original = net.arch.slow
+
+    def guarded(inner_net, feedback, stream):
+        original(inner_net, feedback, stream)
+        assert (inner_net.arch.pheromone > 0.0).all()
+
+    net.arch.slow = guarded
+
+
+def colony_rebuild(n, ants, demon="off", guarded=False, draw_graph=False, graph_seed=0):
+    fixed = TourGraph.random_euclidean(n, RngStream(graph_seed, 1))
+
+    def rebuild(genome, rng):
+        graph = TourGraph.random_euclidean(n, rng) if draw_graph else fixed
+        net = build_aco_network(graph, AcoParams(ants=ants, demon=demon, **genome))
+        if guarded:
+            guard(net)
+        return net, graph
+
+    return rebuild
+
+
+def outcome(genomes, rebuild, steps, seeds):
+    """The batch's fitnesses, or the error it raises."""
+    try:
+        return evaluate_genome(genomes, rebuild, steps, seeds)
+    except CnError as exc:
+        return type(exc), str(exc), exc.step_position
+
+
+def one_at_a_time(genomes, rebuild, steps, seeds):
+    try:
+        return [evaluate_genome([genome], rebuild, steps, seeds)[0] for genome in genomes]
+    except CnError as exc:
+        return type(exc), str(exc), exc.step_position
+
+
+@pytest.fixture
+def inner_runs(monkeypatch):
+    """The architecture of every network meta hands to core.run."""
+    kinds = []
+    original = meta.run
+
+    def counting(net, *args):
+        kinds.append(type(net.arch))
+        return original(net, *args)
+
+    monkeypatch.setattr(meta, "run", counting)
+    return kinds
+
+
+@given(
+    genomes=st.lists(GENOMES, min_size=2, max_size=5),
+    seeds=st.lists(SEEDS, min_size=1, max_size=3, unique=True),
+    n=st.integers(3, 12),
+    ants=st.integers(1, 6),
+    steps=st.integers(1, 6),
+    demon=st.sampled_from(["off", "two-opt"]),
+    guarded=st.booleans(),
+    draw_graph=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_stacked_fitnesses_equal_one_at_a_time(
+    genomes, seeds, n, ants, steps, demon, guarded, draw_graph
+):
+    rebuild = colony_rebuild(n, ants, demon, guarded, draw_graph, graph_seed=seeds[0])
+    seeds = tuple(seeds)
+    assert outcome(genomes, rebuild, steps, seeds) == one_at_a_time(
+        genomes, rebuild, steps, seeds
+    )
+
+
+def test_a_batch_runs_one_stack_per_seed(inner_runs):
+    genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
+    rebuild = colony_rebuild(8, 5, draw_graph=True)
+    stacked = evaluate_genome(genomes, rebuild, 10, (1, 2))
+    assert inner_runs == [ColonyStack, ColonyStack]
+    assert stacked == one_at_a_time(genomes, rebuild, 10, (1, 2))
+
+
+def test_stacks_are_split_at_the_size_bound(inner_runs, monkeypatch):
+    genomes = [{"alpha": 0.25 * k} for k in range(1, 6)]
+    rebuild = colony_rebuild(6, 4)
+    # room for two colonies of 6 locations and 4 ants per stack
+    monkeypatch.setattr(aco, "STACK_DOUBLES", 2 * 6 * (6 + 4))
+    stacked = evaluate_genome(genomes, rebuild, 5, (3, 4))
+    assert inner_runs == [ColonyStack] * 6  # stacks of 2, 2 and 1, per seed
+    assert stacked == one_at_a_time(genomes, rebuild, 5, (3, 4))
+
+
+def test_a_failing_stack_gives_the_plain_error(inner_runs):
+    # 10**400 overflows: that genome diverges at its first fast step
+    genomes = [{"alpha": 1.0}, {"alpha": 400.0}, {"alpha": 2.0}]
+
+    def rebuild(genome, rng):
+        graph = TourGraph.random_euclidean(6, rng)
+        return build_aco_network(graph, AcoParams(initial_pheromone=10.0, **genome)), graph
+
+    with pytest.raises(NumericDivergenceError) as stacked:
+        evaluate_genome(genomes, rebuild, 3, (1,))
+    assert inner_runs[0] is ColonyStack  # tried, then one at a time
+    assert inner_runs[1:] == [AcoArchitecture, AcoArchitecture]
+    with pytest.raises(NumericDivergenceError) as alone:
+        evaluate_genome(genomes[1:2], rebuild, 3, (1,))
+    assert (str(stacked.value), stacked.value.step_position) == (
+        str(alone.value),
+        alone.value.step_position,
+    )
+
+
+def test_a_dead_end_in_the_stack_falls_back_to_restarts(inner_runs):
+    # only the square's sides and two spokes carry pheromone, and alpha = 100
+    # underflows the rest: some walks dead-end, and restarts (the colony's
+    # own draws) get them out
+    graph = TourGraph.from_coordinates([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, -0.5)])
+    trails = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
+
+    def rebuild(genome, rng):
+        params = AcoParams(alpha=100.0, ants=6, min_pheromone=1e-9, evaporation=0.0, **genome)
+        net = build_aco_network(graph, params)
+        net.arch.pheromone[...] = 1e-9
+        for a, b in trails:
+            net.arch.pheromone[a, b] = net.arch.pheromone[b, a] = 1.0
+        return net, graph
+
+    genomes = [{"beta": 1.0}, {"beta": 2.0}]
+    stacked = evaluate_genome(genomes, rebuild, 2, (3,))
+    assert inner_runs == [ColonyStack, AcoArchitecture, AcoArchitecture]
+    assert stacked == one_at_a_time(genomes, rebuild, 2, (3,))
+
+
+def test_genome_dependent_rebuild_draws_never_stack(inner_runs):
+    def rebuild(genome, rng):
+        graph = TourGraph.random_euclidean(5, RngStream(9))
+        if genome["alpha"] > 1.0:
+            rng.uniform()  # this genome's runs draw differently
+        return build_aco_network(graph, AcoParams(**genome)), graph
+
+    genomes = [{"alpha": 0.5}, {"alpha": 1.5}]
+    values = evaluate_genome(genomes, rebuild, 4, (1, 2))
+    assert ColonyStack not in inner_runs
+    assert values == one_at_a_time(genomes, rebuild, 4, (1, 2))
+
+
+def test_a_non_colony_rebuild_never_stacks(inner_runs):
+    genomes = [{"x": 0.1, "y": 0.2}, {"x": -0.5, "y": 0.0}, {"x": 0.3, "y": -0.1}]
+    values = evaluate_genome(genomes, probe_rebuild, 2, (1, 2))
+    assert set(inner_runs) == {QuadraticProbe}
+    assert values == one_at_a_time(genomes, probe_rebuild, 2, (1, 2))
+
+
+class TestLockstepHook:
+    def colony(self, graph, **params):
+        return build_aco_network(graph, AcoParams(**params))
+
+    def test_colonies_stack_over_equal_graphs(self):
+        graph = TourGraph.random_euclidean(5, RngStream(1))
+        equal = TourGraph.from_matrix(graph.costs)
+        nets = [self.colony(graph, alpha=1.0), self.colony(equal, alpha=2.0)]
+        stack = AcoArchitecture.lockstep(nets)
+        assert isinstance(stack.arch, ColonyStack)
+        # each colony's pheromone is a view of the stack's array
+        stack.arch.pheromone[1, 0, 1] = 7.0
+        assert nets[1].arch.pheromone[0, 1] == 7.0
+
+    @pytest.mark.parametrize("other", ["graph", "ants", "subclass"])
+    def test_unlike_colonies_do_not_stack(self, other):
+        graph = TourGraph.random_euclidean(5, RngStream(1))
+        nets = [self.colony(graph), self.colony(graph)]
+        if other == "graph":
+            nets[1] = self.colony(TourGraph.random_euclidean(5, RngStream(2)))
+        elif other == "ants":
+            nets[1] = self.colony(graph, ants=3)
+        else:
+
+            class Variant(AcoArchitecture):
+                pass
+
+            nets[1].arch.__class__ = Variant
+        assert AcoArchitecture.lockstep(nets) is None
+
+    def test_stack_bound_follows_the_problem_size(self):
+        small = self.colony(TourGraph.random_euclidean(8, RngStream(1)), ants=10)
+        assert small.arch.lockstep_limit() == aco.STACK_DOUBLES // (8 * 18)
+        assert small.arch.lockstep_limit() * 8 * 18 * 8 <= 16 * 2**20
+
+    def test_stacked_walk_matches_each_colony_walk(self):
+        graph = TourGraph.random_euclidean(9, RngStream(4))
+        params = [AcoParams(alpha=a, beta=b, ants=7) for a, b in [(1.0, 2.0), (3.0, 0.5), (0.0, 5.0)]]
+        nets = [build_aco_network(graph, p) for p in params]
+        for k, net in enumerate(nets):
+            upper = np.triu(RngStream(k, 2).uniform(0.1, 3.0, size=(9, 9)), 1)
+            net.arch.pheromone[...] = upper + upper.T
+        alone = [aco.construct_solutions(net, net.arch.params, RngStream(6)) for net in nets]
+        stack = AcoArchitecture.lockstep(nets)
+        together = aco.construct_solutions(stack, stack.arch.params, RngStream(6))
+        assert together == [solution for solutions in alone for solution in solutions]

@@ -64,3 +64,46 @@ def test_normal_matches_numpy_philox():
     key = np.array([5, 0], dtype=np.uint64)
     reference = np.random.Generator(np.random.Philox(key=key)).normal(size=4)
     assert list(ours) == list(reference)
+
+
+def draws(stream):
+    """One double, one 32-bit integer and one normal: they read the whole state."""
+    return float(stream.uniform()), int(stream.integers(0, 7)), float(stream.normal())
+
+
+@given(st.integers(0, 2**32), st.lists(st.sampled_from(["uniform", "integers", "normal"]), max_size=6))
+def test_restore_returns_to_a_snapshot(seed, moves):
+    stream = RngStream(seed, 3)
+    for move in moves:
+        getattr(stream, move)(*((0, 5) if move == "integers" else ()))
+    here = stream.snapshot()
+    expected = draws(stream)
+    moved = stream.snapshot()
+    assert moved != here
+    stream.restore(here)
+    assert stream.snapshot() == here
+    assert draws(stream) == expected
+    assert stream.snapshot() == moved
+
+
+def test_equal_positions_give_equal_snapshots():
+    a, b = RngStream(8), RngStream(8)
+    a.uniform(size=3)
+    b.uniform()
+    b.uniform(size=2)
+    assert a.snapshot() == b.snapshot()
+    b.integers(0, 2)  # a 32-bit draw: half a word, buffered
+    assert a.snapshot() != b.snapshot()
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 0), (2**64 - 1, 3), (17, 2**63)])
+def test_a_new_streams_snapshot_is_its_state(seed, stream):
+    fresh = RngStream(seed, stream)
+    state = fresh._gen.bit_generator.state  # what a snapshot after a draw reads
+    assert fresh.snapshot() == {
+        **state,
+        "state": {name: tuple(words.tolist()) for name, words in state["state"].items()},
+        "buffer": tuple(state["buffer"].tolist()),
+    }
+    fresh.restore(fresh.snapshot())
+    assert draws(fresh) == draws(RngStream(seed, stream))
