@@ -16,6 +16,12 @@ drifts in speed favours neither. Pair k of a workload uses seed
 nproc, then per workload and end-to-end metric the min, median and
 quartile spread of each side and the number of pairs the change won
 (strictly better, in the direction BENCHMARK.json gives).
+
+It then times every configs/*.json in process on both sides, alternating
+in the same way for CONFIG_ROUNDS rounds. A round is one Python process
+per side that runs each config once to warm up and once timed, from
+load_config to the written record file; the `configs` section holds each
+side's min and median seconds per config.
 """
 from __future__ import annotations
 
@@ -28,6 +34,23 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+CONFIG_ROUNDS = 5
+CONFIG_TIMER = """
+import dataclasses, glob, json, os, tempfile, time
+from cnets.config import load_config
+from cnets.harness import execute
+
+seconds = {}
+with tempfile.TemporaryDirectory() as out:
+    for timed in (False, True):
+        for path in sorted(glob.glob("configs/*.json")):
+            started = time.perf_counter()
+            config = dataclasses.replace(load_config(path), out=os.path.join(out, "run.jsonl"))
+            execute(config)
+            if timed:
+                seconds[os.path.basename(path)] = time.perf_counter() - started
+print(json.dumps(seconds))
+"""
 
 
 def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -39,6 +62,38 @@ def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> tuple[
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     info, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return info["perfbench"], result
+
+
+def time_configs(checkout: str) -> dict[str, float]:
+    """Seconds per example config, timed in one Python process in the checkout."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    command = [sys.executable, "-c", CONFIG_TIMER]
+    done = subprocess.run(
+        command, cwd=checkout, env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def compare_configs(checkouts: dict[str, str]) -> dict:
+    """Per config present on both sides: each side's min and median seconds."""
+    runs: dict[str, list[dict[str, float]]] = {side: [] for side in SIDES}
+    for k in range(CONFIG_ROUNDS):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            runs[side].append(time_configs(checkouts[side]))
+            print(f"configs round {k} {side}: " + json.dumps(runs[side][-1]),
+                  file=sys.stderr, flush=True)
+    names = sorted(set(runs["parent"][0]) & set(runs["change"][0]))
+    seconds = {
+        name: {
+            side: {
+                "min": min(r[name] for r in runs[side]),
+                "median": statistics.median(r[name] for r in runs[side]),
+            }
+            for side in SIDES
+        }
+        for name in names
+    }
+    return {"rounds": CONFIG_ROUNDS, "unit": "s", "seconds": seconds}
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -106,6 +161,7 @@ def main(argv=None) -> int:
             "all_correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
             "metrics": compare(runs, better),
         }
+    report["configs"] = compare_configs(checkouts)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

@@ -1,7 +1,7 @@
 """Multi-scale computing networks: one substrate, four architectures.
 
-Nodes and edges carry architecture-specific state; fast dynamics
-evaluate the network function, a slow adaptation algorithm rewrites the
+Each architecture keeps its state in arrays over a graph of nodes and
+edges; fast dynamics evaluate the network function, a slow adaptation algorithm rewrites the
 adjustable state, and an optional third scale searches over the
 adaptation's own parameters. Includes a feedforward neural network, an
 ant colony on tour problems, a particle swarm, elementary cellular
@@ -12,7 +12,6 @@ from .core import (
     Architecture,
     ComputingNetwork,
     EdgeState,
-    NodeState,
     RunRecord,
     ScaleSchedule,
     fast_step,
@@ -40,7 +39,6 @@ __all__ = [
     "DeadEndError",
     "EdgeState",
     "MalformedInstanceError",
-    "NodeState",
     "NumericDivergenceError",
     "RecordIoError",
     "RngStream",

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState, NodeState
+from .core import ComputingNetwork, EdgeState
 from .errors import (
     ConfigurationError,
     DeadEndError,
@@ -167,15 +167,14 @@ class AcoArchitecture:
         n = self.problem.n
         return max(1, STACK_DOUBLES // (n * (n + self.params.ants)))
 
-    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+    def substrate(self) -> tuple[int, list[EdgeState]]:
         """One node per location and one undirected edge per trail, in edge-id order."""
         n = self.problem.n
-        nodes = [NodeState(id=i, payload=None) for i in range(n)]
         edges = [
-            EdgeState(id=k, endpoints=pair, directed=False, payload=None)
+            EdgeState(id=k, endpoints=pair, directed=False)
             for k, pair in enumerate(combinations(range(n), 2))
         ]
-        return nodes, edges
+        return n, edges
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:

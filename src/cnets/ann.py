@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState, NodeState
+from .core import ComputingNetwork, EdgeState
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Dataset
 from .rng import RngStream
@@ -279,10 +279,9 @@ class AnnArchitecture:
         self._cursor = 0
         self._last_mse: float | None = None
 
-    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+    def substrate(self) -> tuple[int, list[EdgeState]]:
         """Neurons in layer order and synapses in edge-id order."""
         topo = self.topology
-        nodes = [NodeState(id=i, payload=None) for i in range(topo.node_count)]
         edges = []
         for k in range(topo.depth - 1):
             src_base, dst_base = topo.node_base(k), topo.node_base(k + 1)
@@ -293,10 +292,9 @@ class AnnArchitecture:
                             id=len(edges),
                             endpoints=(src_base + i, dst_base + j),
                             directed=True,
-                            payload=None,
                         )
                     )
-        return nodes, edges
+        return topo.node_count, edges
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:

@@ -27,6 +27,7 @@ from .core import ScaleSchedule
 from .eca import UpdateMode
 from .errors import ConfigurationError
 from .meta import MetaConfig, ParamBox
+from .problems import BOUNDARIES
 from .pso import PsoParams
 
 ARCHITECTURES = ("ann", "aco", "pso", "eca")
@@ -73,6 +74,8 @@ def _get(data: Mapping[str, Any], key: str, where: str, kind, default=None, requ
     if kind is dict:
         if not isinstance(value, dict):
             raise ConfigurationError(f"{where}.{key}: expected an object, got {value!r}")
+        return value
+    if kind is object:  # any JSON value; the caller checks its shape
         return value
     raise AssertionError(f"unhandled kind {kind}")
 
@@ -245,23 +248,20 @@ class EcaSection:
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "EcaSection":
         _check_keys(data, ("rule", "width", "steps", "boundary", "initial", "updating"), where)
-        initial: str | tuple[int, ...] = "single-one"
-        if "initial" in data:
-            raw = data["initial"]
-            if isinstance(raw, str):
-                if raw != "single-one":
-                    raise ConfigurationError(
-                        f"{where}.initial: expected \"single-one\" or a 0/1 list, got {raw!r}"
-                    )
-                initial = raw
-            elif isinstance(raw, list):
-                if any(isinstance(v, bool) or v not in (0, 1) for v in raw):
-                    raise ConfigurationError(f"{where}.initial: cells must all be 0 or 1")
-                initial = tuple(int(v) for v in raw)
-            else:
-                raise ConfigurationError(
-                    f"{where}.initial: expected \"single-one\" or a 0/1 list, got {raw!r}"
-                )
+        initial = _get(data, "initial", where, object, default="single-one")
+        if isinstance(initial, list):
+            if any(isinstance(v, bool) or v not in (0, 1) for v in initial):
+                raise ConfigurationError(f"{where}.initial: cells must all be 0 or 1")
+            initial = tuple(int(v) for v in initial)
+        elif initial != "single-one":
+            raise ConfigurationError(
+                f"{where}.initial: expected \"single-one\" or a 0/1 list, got {initial!r}"
+            )
+        boundary = _get(data, "boundary", where, str, default="fixed-zero")
+        if boundary not in BOUNDARIES:
+            raise ConfigurationError(
+                f"{where}.boundary: expected one of {list(BOUNDARIES)}, got {boundary!r}"
+            )
         updating = _get(data, "updating", where, str, default="synchronous")
         if updating not in UPDATE_MODES:
             raise ConfigurationError(
@@ -271,7 +271,7 @@ class EcaSection:
             rule=_get(data, "rule", where, int, required=True),
             width=_get(data, "width", where, int, required=True),
             steps=_get(data, "steps", where, int),
-            boundary=_get(data, "boundary", where, str, default="fixed-zero"),
+            boundary=boundary,
             initial=initial,
             updating=updating,
         )

@@ -1,9 +1,10 @@
 """Generic computing-network substrate.
 
-A computing network bundles node and edge state with two plug-in
-behaviours supplied by an architecture object: fast dynamics that
-evaluate the network function, and a slow adaptation algorithm that
-rewrites the adjustable state between evaluations. ``run`` drives both
+A computing network is an architecture object, which keeps its state in
+arrays and supplies two plug-in behaviours, over the graph that
+architecture describes: fast dynamics that evaluate the network
+function, and a slow adaptation algorithm that rewrites the adjustable
+state between evaluations. ``run`` drives both
 under an explicit ScaleSchedule and emits one RunRecord per slow step
 (plus an initial pre-adaptation snapshot), which is the only artifact
 the harness persists.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 from .errors import CnError, ConfigurationError, NumericDivergenceError
@@ -24,16 +26,8 @@ from .rng import RngStream
 
 
 @dataclass
-class NodeState:
-    """One node: an integer id plus an architecture-defined payload."""
-
-    id: int
-    payload: Any
-
-
-@dataclass
 class EdgeState:
-    """One (hyper)edge: ordered endpoint ids plus an architecture-defined payload.
+    """One (hyper)edge: ordered endpoint node indices.
 
     Plain edges have exactly two endpoints. Longer endpoint lists are
     only legal when the owning architecture declares hyperedge support.
@@ -42,7 +36,6 @@ class EdgeState:
     id: int
     endpoints: tuple[int, ...]
     directed: bool
-    payload: Any
 
 
 @dataclass(frozen=True)
@@ -85,11 +78,13 @@ class RunRecord:
 class Architecture(Protocol):
     """Behaviour bundle a ComputingNetwork delegates to.
 
-    ``fast`` implements the network function's dynamics (may mutate
-    payloads), ``readout`` is a pure function of current state, and
-    ``slow`` is the adaptation algorithm. ``next_input`` supplies the
-    input vector for each fast step of a driven run, and ``collect``
-    folds the fast-phase outputs into the feedback handed to ``slow``.
+    ``fast`` implements the network function's dynamics (may mutate the
+    architecture's state), ``readout`` is a pure function of current
+    state, and ``slow`` is the adaptation algorithm. ``next_input``
+    supplies the input vector for each fast step of a driven run, and
+    ``collect`` folds the fast-phase outputs into the feedback handed to
+    ``slow``. ``substrate()``, read only when the network's graph is,
+    returns the node count and the edge list.
     """
 
     kind: str
@@ -115,13 +110,10 @@ class Architecture(Protocol):
 
 
 def _validated(
-    arch: Architecture, nodes: list[NodeState], edges: list[EdgeState]
-) -> tuple[list[NodeState], list[EdgeState]]:
-    """The node and edge lists, checked against each other and the architecture."""
-    ids = [node.id for node in nodes]
-    if ids != list(range(len(ids))):
-        raise ConfigurationError("node ids must be 0..n-1 in order")
-    known = set(ids)
+    arch: Architecture, node_count: int, edges: list[EdgeState]
+) -> tuple[range, list[EdgeState]]:
+    """The node indices and the edge list, checked against each other and the architecture."""
+    nodes = range(node_count)
     for edge in edges:
         if len(edge.endpoints) < 2:
             raise ConfigurationError(
@@ -132,7 +124,7 @@ def _validated(
                 f"edge {edge.id} is a hyperedge but architecture "
                 f"{arch.kind!r} does not allow them"
             )
-        missing = [v for v in edge.endpoints if v not in known]
+        missing = [v for v in edge.endpoints if v not in nodes]
         if missing:
             raise ConfigurationError(
                 f"edge {edge.id} references unknown node ids {missing}"
@@ -141,37 +133,28 @@ def _validated(
 
 
 class ComputingNetwork:
-    """Node and edge state plus the architecture that animates it.
+    """An architecture plus the computing-network graph its state lives on.
 
-    Explicit node and edge lists are validated at once. An architecture
-    that keeps its adjustable state in arrays passes neither and defines
-    ``substrate()``, returning the lists derived from its topology; they
-    are then built and validated on first read of ``nodes`` or ``edges``.
+    The architecture keeps its state in arrays and describes its topology
+    with ``substrate()``, which returns the node count and the edge list.
+    A node is only its index; the graph is built and validated on first
+    read of ``nodes`` or ``edges``.
     """
 
-    def __init__(
-        self,
-        arch: Architecture,
-        nodes: list[NodeState] | None = None,
-        edges: list[EdgeState] | None = None,
-    ):
+    def __init__(self, arch: Architecture):
         self.arch = arch
-        self._graph: tuple[list[NodeState], list[EdgeState]] | None = None
-        if nodes is not None or edges is not None:
-            self._graph = _validated(arch, nodes or [], edges or [])
 
     @property
-    def nodes(self) -> list[NodeState]:
-        return self._substrate()[0]
+    def nodes(self) -> range:
+        return self._graph[0]
 
     @property
     def edges(self) -> list[EdgeState]:
-        return self._substrate()[1]
+        return self._graph[1]
 
-    def _substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
-        if self._graph is None:
-            self._graph = _validated(self.arch, *self.arch.substrate())
-        return self._graph
+    @cached_property
+    def _graph(self) -> tuple[range, list[EdgeState]]:
+        return _validated(self.arch, *self.arch.substrate())
 
 
 def fast_step(net: ComputingNetwork, inputs: Sequence[float], rng: RngStream) -> list[float]:

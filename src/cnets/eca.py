@@ -2,24 +2,28 @@
 
 A rule is one of the 256 Wolfram numberings: bit k of the rule number is
 the next state for the neighborhood whose (left, center, right) bits
-read as the binary number k. The stand-alone functions work on Tape
-values; build_eca_network wraps the same stepping inside a computing
-network whose nodes are cells and whose edges link neighbors.
+read as the binary number k. The cells are one uint8 vector. The
+stand-alone functions step Tape values through the same kernels that
+build_eca_network runs as a computing network whose nodes are cells and
+whose edges link neighbours.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .core import ComputingNetwork, EdgeState, NodeState
+import numpy as np
+
+from .core import ComputingNetwork, EdgeState
 from .errors import ConfigurationError
-from .problems import BOUNDARIES, Tape
+from .problems import Tape
 from .rng import RngStream
 
 RuleTable = dict[tuple[int, int, int], int]
 
 Grid = list[list[int]]
+
+_DEAD = np.zeros(1, dtype=np.uint8)
 
 
 class UpdateMode(Enum):
@@ -43,42 +47,49 @@ def rule_table(rule_number: int) -> RuleTable:
     return table
 
 
-def _neighbor(cells: Sequence[int], index: int, boundary: str) -> int:
-    if 0 <= index < len(cells):
-        return cells[index]
+def _lookup(table: RuleTable) -> np.ndarray:
+    """The rule table as an 8-entry array indexed by 4*left + 2*center + right."""
+    return np.array([table[(k >> 2) & 1, (k >> 1) & 1, k & 1] for k in range(8)], dtype=np.uint8)
+
+
+def _step_cells(cells: np.ndarray, lookup: np.ndarray, boundary: str) -> np.ndarray:
+    """One synchronous step: every cell reads the pre-step cells.
+
+    The tape is padded at each end with a dead cell (fixed-zero) or with
+    the cell at its other end (periodic).
+    """
     if boundary == "periodic":
-        return cells[index % len(cells)]
-    return 0
+        padded = np.concatenate((cells[-1:], cells, cells[:1]))
+    else:
+        padded = np.concatenate((_DEAD, cells, _DEAD))
+    return lookup[4 * padded[:-2] + 2 * cells + padded[2:]]
+
+
+def _step_cells_in_order(
+    cells: np.ndarray, lookup: np.ndarray, boundary: str, order: Iterable[int]
+) -> np.ndarray:
+    """One asynchronous step: updates land in place, in the given order."""
+    row, table = cells.tolist(), lookup.tolist()
+    n, periodic = len(row), boundary == "periodic"
+    for i in order:
+        left = row[i - 1] if i > 0 or periodic else 0
+        right = row[(i + 1) % n] if i < n - 1 or periodic else 0
+        row[i] = table[4 * left + 2 * row[i] + right]
+    return np.array(row, dtype=np.uint8)
 
 
 def step(tape: Tape, table: RuleTable) -> Tape:
     """One synchronous step: every cell reads the pre-step tape."""
-    cells = tape.cells
-    new = tuple(
-        table[
-            (
-                _neighbor(cells, i - 1, tape.boundary),
-                cells[i],
-                _neighbor(cells, i + 1, tape.boundary),
-            )
-        ]
-        for i in range(len(cells))
-    )
-    return Tape(cells=new, boundary=tape.boundary)
+    cells = _step_cells(np.array(tape.cells, dtype=np.uint8), _lookup(table), tape.boundary)
+    return Tape(cells=tuple(cells.tolist()), boundary=tape.boundary)
 
 
 def step_in_order(tape: Tape, table: RuleTable, order: Sequence[int]) -> Tape:
     """One asynchronous step: updates land in place, in the given order."""
-    cells = list(tape.cells)
-    for i in order:
-        cells[i] = table[
-            (
-                _neighbor(cells, i - 1, tape.boundary),
-                cells[i],
-                _neighbor(cells, i + 1, tape.boundary),
-            )
-        ]
-    return Tape(cells=tuple(cells), boundary=tape.boundary)
+    cells = _step_cells_in_order(
+        np.array(tape.cells, dtype=np.uint8), _lookup(table), tape.boundary, order
+    )
+    return Tape(cells=tuple(cells.tolist()), boundary=tape.boundary)
 
 
 def node_update_order(n: int, mode: UpdateMode, rng: RngStream | None) -> list[int]:
@@ -99,13 +110,12 @@ def evolve(tape: Tape, rule_number: int, steps: int) -> Grid:
     """Synchronous evolution; returns steps+1 rows, row 0 the initial tape."""
     if steps < 0:
         raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    table = rule_table(rule_number)
-    grid: Grid = [list(tape.cells)]
-    current = tape
-    for _ in range(steps):
-        current = step(current, table)
-        grid.append(list(current.cells))
-    return grid
+    lookup = _lookup(rule_table(rule_number))
+    grid = np.empty((steps + 1, len(tape)), dtype=np.uint8)
+    grid[0] = tape.cells
+    for t in range(steps):
+        grid[t + 1] = _step_cells(grid[t], lookup, tape.boundary)
+    return grid.tolist()
 
 
 def grid_to_text(grid: Grid) -> str:
@@ -134,45 +144,36 @@ def grid_to_pbm(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class CellPayload:
-    """State of one cell node."""
-
-    state: int
-
-
-@dataclass
-class NeighborLinkPayload:
-    """Adjacency marker; carries no adjustable state."""
-
-
 class EcaArchitecture:
     """Cellular-automaton behaviour: fast = one tape step, slow = nothing.
 
-    The rule table is part of the network function, not adjustable state,
-    so the adaptation algorithm is the identity.
+    The cells are one uint8 vector, the only copy of the state. The rule
+    table is part of the network function, not adjustable state, so the
+    adaptation algorithm is the identity.
     """
 
     kind = "eca"
     input_arity = 0
     allow_hyperedges = False
 
-    def __init__(
-        self,
-        rule_number: int,
-        boundary: str,
-        problem: Tape,
-        updating: UpdateMode,
-    ):
+    def __init__(self, rule_number: int, problem: Tape, updating: UpdateMode):
         self.rule_number = rule_number
-        self.table = rule_table(rule_number)
-        if boundary not in BOUNDARIES:
-            raise ConfigurationError(
-                f"boundary must be one of {BOUNDARIES}, got {boundary!r}"
-            )
-        self.boundary = boundary
+        self.lookup = _lookup(rule_table(rule_number))
         self.problem = problem
         self.updating = updating
+        self.cells = np.array(problem.cells, dtype=np.uint8)
+
+    def substrate(self) -> tuple[int, list[EdgeState]]:
+        """Cells in tape order and one undirected link per neighbouring pair.
+
+        A periodic tape adds the wrap link (n-1, 0); a tape has at least
+        3 cells, so that link never repeats a pair.
+        """
+        n = len(self.cells)
+        pairs = [(i, i + 1) for i in range(n - 1)]
+        if self.problem.boundary == "periodic":
+            pairs.append((n - 1, 0))
+        return n, [EdgeState(id=k, endpoints=pair, directed=False) for k, pair in enumerate(pairs)]
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:
@@ -181,24 +182,16 @@ class EcaArchitecture:
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
 
-    def _tape(self, net) -> Tape:
-        return Tape(
-            cells=tuple(node.payload.state for node in net.nodes),
-            boundary=self.boundary,
-        )
-
     def fast(self, net, inputs, rng: RngStream) -> None:
-        tape = self._tape(net)
+        boundary = self.problem.boundary
         if self.updating is UpdateMode.SYNCHRONOUS:
-            stepped = step(tape, self.table)
+            self.cells = _step_cells(self.cells, self.lookup, boundary)
         else:
-            order = node_update_order(len(net.nodes), self.updating, rng)
-            stepped = step_in_order(tape, self.table, order)
-        for node, state in zip(net.nodes, stepped.cells):
-            node.payload.state = state
+            order = node_update_order(len(self.cells), self.updating, rng)
+            self.cells = _step_cells_in_order(self.cells, self.lookup, boundary, order)
 
     def readout(self, net) -> list[float]:
-        return [float(node.payload.state) for node in net.nodes]
+        return self.cells.astype(float).tolist()
 
     def collect(self, net, outputs):
         return outputs
@@ -218,27 +211,5 @@ def build_eca_network(
     rule_number: int,
     updating: UpdateMode = UpdateMode.SYNCHRONOUS,
 ) -> ComputingNetwork:
-    """Wrap a tape as a computing network of cell nodes and neighbor edges."""
-    nodes = [NodeState(id=i, payload=CellPayload(state=c)) for i, c in enumerate(tape.cells)]
-    edges = []
-    n = len(tape.cells)
-    for i in range(n - 1):
-        edges.append(
-            EdgeState(
-                id=len(edges),
-                endpoints=(i, i + 1),
-                directed=False,
-                payload=NeighborLinkPayload(),
-            )
-        )
-    if tape.boundary == "periodic" and n > 2:
-        edges.append(
-            EdgeState(
-                id=len(edges),
-                endpoints=(n - 1, 0),
-                directed=False,
-                payload=NeighborLinkPayload(),
-            )
-        )
-    arch = EcaArchitecture(rule_number, tape.boundary, tape, updating)
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    """Wrap a tape as a computing network of cell nodes and neighbour links."""
+    return ComputingNetwork(EcaArchitecture(rule_number, tape, updating))

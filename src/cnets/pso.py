@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState, NodeState
+from .core import ComputingNetwork, EdgeState
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Objective
 from .rng import RngStream
@@ -184,14 +184,13 @@ class PsoArchitecture:
         self.best_values = self.values.copy()
         self.neighborhood_bests = np.zeros((len(self.hyperedges), positions.shape[1]))
 
-    def substrate(self) -> tuple[list[NodeState], list[EdgeState]]:
+    def substrate(self) -> tuple[int, list[EdgeState]]:
         """Particles in id order and one hyperedge per distinct neighborhood."""
-        nodes = [NodeState(id=i, payload=None) for i in range(len(self.positions))]
         edges = [
-            EdgeState(id=k, endpoints=members, directed=False, payload=None)
+            EdgeState(id=k, endpoints=members, directed=False)
             for k, members in enumerate(self.hyperedges)
         ]
-        return nodes, edges
+        return len(self.positions), edges
 
     def check_problem(self, problem) -> None:
         if problem != self.problem:

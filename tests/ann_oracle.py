@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from cnets.ann import ACTIVATIONS, LayeredTopology, activate
-from cnets.core import EdgeState, NodeState
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.problems import Dataset
 from cnets.rng import RngStream
@@ -56,10 +55,24 @@ class SynapsePayload:
 
 
 @dataclass
+class OracleNode:
+    id: int
+    payload: NeuronPayload
+
+
+@dataclass
+class OracleEdge:
+    id: int
+    endpoints: tuple[int, int]
+    directed: bool
+    payload: SynapsePayload
+
+
+@dataclass
 class OracleNet:
     topology: LayeredTopology
-    nodes: list[NodeState]
-    edges: list[EdgeState]
+    nodes: list[OracleNode]
+    edges: list[OracleEdge]
 
 
 def _weights(net: OracleNet) -> list[np.ndarray]:
@@ -198,7 +211,7 @@ def build_ann(
             kind = hidden_activation
         for _ in range(size):
             nodes.append(
-                NodeState(id=len(nodes), payload=NeuronPayload(activation=kind, bias=0.0))
+                OracleNode(id=len(nodes), payload=NeuronPayload(activation=kind, bias=0.0))
             )
     edges = []
     for k in range(topo.depth - 1):
@@ -206,7 +219,7 @@ def build_ann(
         for j in range(topo.layer_sizes[k + 1]):
             for i in range(topo.layer_sizes[k]):
                 edges.append(
-                    EdgeState(
+                    OracleEdge(
                         id=len(edges),
                         endpoints=(src_base + i, dst_base + j),
                         directed=True,

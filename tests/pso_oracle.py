@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from cnets.core import ComputingNetwork, EdgeState, NodeState
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.problems import Objective
 from cnets.pso import PsoParams
@@ -61,12 +60,22 @@ def neighborhood_members(params: PsoParams) -> list[tuple[int, ...]]:
     return [tuple(sorted(set(members))) for members in params.neighborhoods]
 
 
-class OracleSwarm:
-    """Just enough architecture for ComputingNetwork to hold the payloads."""
+@dataclass
+class OracleNode:
+    id: int
+    payload: ParticlePayload
 
-    kind = "pso"
-    input_arity = 0
-    allow_hyperedges = True
+
+@dataclass
+class OracleEdge:
+    id: int
+    endpoints: tuple[int, ...]
+    directed: bool
+    payload: NeighborhoodPayload
+
+
+class OracleSwarm:
+    """The swarm's parameters and the particle-to-hyperedge map."""
 
     def __init__(self, objective: Objective, params: PsoParams):
         self.problem = objective
@@ -75,7 +84,14 @@ class OracleSwarm:
         self.edge_of_particle: dict[int, int] = {}
 
 
-def evaluate(net: ComputingNetwork, objective: Objective) -> None:
+@dataclass
+class OracleNet:
+    arch: OracleSwarm
+    nodes: list[OracleNode]
+    edges: list[OracleEdge]
+
+
+def evaluate(net: OracleNet, objective: Objective) -> None:
     """Evaluate every particle and update personal bests (strict improvement)."""
     for node in net.nodes:
         p = node.payload
@@ -91,7 +107,7 @@ def evaluate(net: ComputingNetwork, objective: Objective) -> None:
 
 
 def neighborhood_best(
-    net: ComputingNetwork, members: Sequence[int]
+    net: OracleNet, members: Sequence[int]
 ) -> tuple[np.ndarray, float]:
     """Best personal best among the members; ties go to the lowest id."""
     best = min(members, key=lambda i: (net.nodes[i].payload.best_value, i))
@@ -99,14 +115,14 @@ def neighborhood_best(
     return p.best_position.copy(), p.best_value
 
 
-def refresh_neighborhoods(net: ComputingNetwork) -> None:
+def refresh_neighborhoods(net: OracleNet) -> None:
     for edge in net.edges:
         position, value = neighborhood_best(net, edge.endpoints)
         edge.payload.best_position = position
         edge.payload.best_value = value
 
 
-def move(net: ComputingNetwork, params: PsoParams, rng: RngStream) -> None:
+def move(net: OracleNet, params: PsoParams, rng: RngStream) -> None:
     """One velocity-position update for every particle, in id order.
 
     Each particle draws two fresh uniform vectors (cognitive then
@@ -129,14 +145,14 @@ def move(net: ComputingNetwork, params: PsoParams, rng: RngStream) -> None:
         p.position = p.position + velocity
 
 
-def global_best(net: ComputingNetwork) -> tuple[np.ndarray, float]:
+def global_best(net: OracleNet) -> tuple[np.ndarray, float]:
     """Best personal best across the whole swarm; ties to the lowest id."""
     return neighborhood_best(net, range(len(net.nodes)))
 
 
 def build_pso_network(
     objective: Objective, rng: RngStream, params: PsoParams
-) -> ComputingNetwork:
+) -> OracleNet:
     """Swarm over the objective's box, personal bests seeded by evaluation.
 
     For each particle in id order: one position vector uniform in the
@@ -151,7 +167,7 @@ def build_pso_network(
         position = rng.uniform(lo, hi, size=d)
         velocity = rng.uniform(-vspan, vspan, size=d)
         nodes.append(
-            NodeState(
+            OracleNode(
                 id=i,
                 payload=ParticlePayload(
                     position=position,
@@ -169,7 +185,7 @@ def build_pso_network(
         if members not in edge_by_members:
             edge_by_members[members] = len(edges)
             edges.append(
-                EdgeState(
+                OracleEdge(
                     id=len(edges),
                     endpoints=members,
                     directed=False,
@@ -179,7 +195,7 @@ def build_pso_network(
                 )
             )
         arch.edge_of_particle[i] = edge_by_members[members]
-    net = ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    net = OracleNet(arch=arch, nodes=nodes, edges=edges)
     evaluate(net, objective)
     refresh_neighborhoods(net)
     return net

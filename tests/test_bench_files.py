@@ -2,9 +2,12 @@
 
 Each file compares a change with its parent commit, run alternately on
 one machine: per workload and end-to-end metric of BENCHMARK.json, each
-side's min, median and quartiles, and the pairs the change won.
+side's min, median and quartiles, and the pairs the change won. From
+BENCH_9.json on, a `configs` section also holds each side's min and
+median seconds per example config, timed in process.
 """
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,20 @@ def test_bench_file_schema(path):
                 assert set(spread) == SPREAD
                 assert spread["min"] <= spread["q1"] <= spread["median"] <= spread["q3"]
                 assert spread["iqr"] == pytest.approx(spread["q3"] - spread["q1"])
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_configs_section(path):
+    bench = json.loads(path.read_text())
+    if int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1)) < 9:
+        assert "configs" not in bench
+        return
+    configs = bench["configs"]
+    assert configs["rounds"] >= 2 and configs["unit"] == "s"
+    assert configs["seconds"]
+    for name, sides in configs["seconds"].items():
+        assert name.endswith(".json")
+        assert set(sides) == {"parent", "change"}
+        for side in sides.values():
+            assert set(side) == {"min", "median"}
+            assert 0 < side["min"] <= side["median"]

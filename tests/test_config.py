@@ -115,6 +115,10 @@ class TestStrictKeys:
         assert config.out is None
         assert config.architecture == "eca"
 
+    def test_explicit_null_initial_reads_as_single_one(self, workdir):
+        data = {"eca": {"rule": 110, "width": 9, "initial": None}, "seed": 1}
+        assert load_config(write_json(workdir, data)).eca.initial == "single-one"
+
 
 class TestValues:
     def test_negative_seed_rejected(self, workdir):
@@ -128,6 +132,11 @@ class TestValues:
     def test_eca_rule_range(self, workdir):
         data = {"eca": {"rule": 300, "width": 9}, "seed": 1}
         with pytest.raises(ConfigurationError, match="rule"):
+            load_config(write_json(workdir, data))
+
+    def test_eca_boundary_checked_at_load(self, workdir):
+        data = {"eca": {"rule": 110, "width": 9, "boundary": "mirror"}, "seed": 1}
+        with pytest.raises(ConfigurationError, match=r"config\.eca\.boundary: .*'mirror'"):
             load_config(write_json(workdir, data))
 
     def test_eca_initial_cells_must_match_width(self, workdir):

@@ -1,10 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cnets.core import (
     ComputingNetwork,
     EdgeState,
-    NodeState,
     RunRecord,
     ScaleSchedule,
     fast_step,
@@ -19,17 +19,23 @@ from cnets.rng import RngStream
 class CounterArchitecture:
     """Minimal architecture for exercising the generic driver.
 
-    fast adds the input to every node, slow decays all nodes toward 0.
+    One value per node on a chain; fast adds the input to every value,
+    slow decays all values toward 0.
     """
 
     kind = "counter"
     input_arity = 1
     allow_hyperedges = False
 
-    def __init__(self, problem=None):
+    def __init__(self, n=3, problem=None):
         self.problem = problem
+        self.values = np.zeros(n)
         self.fast_calls = 0
         self.slow_calls = 0
+
+    def substrate(self):
+        n = len(self.values)
+        return n, [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
 
     def check_problem(self, problem):
         if problem != self.problem:
@@ -40,35 +46,39 @@ class CounterArchitecture:
 
     def fast(self, net, inputs, rng):
         self.fast_calls += 1
-        for node in net.nodes:
-            node.payload["value"] += inputs[0]
+        self.values += inputs[0]
 
     def readout(self, net):
-        return [node.payload["value"] for node in net.nodes]
+        return self.values.tolist()
 
     def collect(self, net, outputs):
         return outputs
 
     def slow(self, net, feedback, rng):
         self.slow_calls += 1
-        for node in net.nodes:
-            node.payload["value"] *= 0.5
+        self.values *= 0.5
 
     def best_value(self, net):
-        return sum(node.payload["value"] for node in net.nodes)
+        return float(self.values.sum())
 
     def parameters(self, net):
         return {"decay": 0.5}
 
 
 def counter_net(n=3, problem=None):
-    arch = CounterArchitecture(problem=problem)
-    nodes = [NodeState(id=i, payload={"value": 0.0}) for i in range(n)]
-    edges = [
-        EdgeState(id=i, endpoints=(i, i + 1), directed=False, payload=None)
-        for i in range(n - 1)
-    ]
-    return ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+    return ComputingNetwork(CounterArchitecture(n=n, problem=problem))
+
+
+class GraphArchitecture(CounterArchitecture):
+    """A counter whose substrate() returns the given edges over n nodes."""
+
+    def __init__(self, n, edges, allow_hyperedges=False):
+        super().__init__(n=n)
+        self.graph_edges = edges
+        self.allow_hyperedges = allow_hyperedges
+
+    def substrate(self):
+        return len(self.values), self.graph_edges
 
 
 class TestScaleSchedule:
@@ -91,35 +101,26 @@ class TestScaleSchedule:
 
 
 class TestNetworkValidation:
-    def test_node_ids_must_be_dense(self):
-        arch = CounterArchitecture()
-        nodes = [NodeState(id=1, payload={"value": 0.0})]
-        with pytest.raises(ConfigurationError):
-            ComputingNetwork(nodes=nodes, edges=[], arch=arch)
-
     def test_edge_needs_two_endpoints(self):
-        arch = CounterArchitecture()
-        nodes = [NodeState(id=0, payload={"value": 0.0})]
-        edges = [EdgeState(id=0, endpoints=(0,), directed=False, payload=None)]
+        edges = [EdgeState(id=0, endpoints=(0,), directed=False)]
+        net = ComputingNetwork(GraphArchitecture(1, edges))
         with pytest.raises(ConfigurationError):
-            ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+            net.edges
 
     def test_unknown_endpoint_rejected(self):
-        arch = CounterArchitecture()
-        nodes = [NodeState(id=0, payload={"value": 0.0})]
-        edges = [EdgeState(id=0, endpoints=(0, 5), directed=False, payload=None)]
+        edges = [EdgeState(id=0, endpoints=(0, 5), directed=False)]
+        net = ComputingNetwork(GraphArchitecture(1, edges))
         with pytest.raises(ConfigurationError):
-            ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+            net.edges
 
     def test_hyperedge_needs_permission(self):
-        arch = CounterArchitecture()
-        nodes = [NodeState(id=i, payload={"value": 0.0}) for i in range(3)]
-        edges = [EdgeState(id=0, endpoints=(0, 1, 2), directed=False, payload=None)]
+        edges = [EdgeState(id=0, endpoints=(0, 1, 2), directed=False)]
+        net = ComputingNetwork(GraphArchitecture(3, edges))
         with pytest.raises(ConfigurationError):
-            ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
-        arch.allow_hyperedges = True
-        net = ComputingNetwork(nodes=nodes, edges=edges, arch=arch)
+            net.edges
+        net = ComputingNetwork(GraphArchitecture(3, edges, allow_hyperedges=True))
         assert len(net.edges[0].endpoints) == 3
+        assert net.nodes == range(3)
 
 
 class TestFastSlowSteps:
@@ -135,7 +136,7 @@ class TestFastSlowSteps:
 
     def test_non_finite_readout_raises(self):
         net = counter_net(n=1)
-        net.nodes[0].payload["value"] = float("inf")
+        net.arch.values[0] = float("inf")
         with pytest.raises(NumericDivergenceError):
             fast_step(net, [1.0], RngStream(0))
 
@@ -150,9 +151,9 @@ class TestFastSlowSteps:
 
     def test_slow_step_applies_adaptation(self):
         net = counter_net(n=1)
-        net.nodes[0].payload["value"] = 4.0
+        net.arch.values[0] = 4.0
         slow_step(net, [], RngStream(0))
-        assert net.nodes[0].payload["value"] == 2.0
+        assert net.arch.values[0] == 2.0
 
 
 class TestRun:
@@ -195,9 +196,7 @@ class TestRun:
                 if self.fast_calls == 5:
                     raise NumericDivergenceError("boom")
 
-        arch = Exploding()
-        nodes = [NodeState(id=0, payload={"value": 0.0})]
-        net = ComputingNetwork(nodes=nodes, edges=[], arch=arch)
+        net = ComputingNetwork(Exploding(n=1))
         with pytest.raises(NumericDivergenceError) as excinfo:
             run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
         # 5th fast call = slow step 2, fast index 1

@@ -1,6 +1,6 @@
 import pytest
 
-from cnets.core import ComputingNetwork, EdgeState, NodeState
+from cnets.core import ComputingNetwork
 from cnets.eca import build_eca_network
 from cnets.errors import ConfigurationError
 from cnets.meta import (
@@ -65,13 +65,7 @@ def probe_value(genome):
 
 def probe_rebuild(genome, rng):
     rng.uniform()  # a builder always consumes its stream
-    nodes = [
-        NodeState(id=0, payload=None),
-        NodeState(id=1, payload=None),
-    ]
-    edges = [EdgeState(id=0, endpoints=(0, 1), directed=False, payload=None)]
-    net = ComputingNetwork(nodes=nodes, edges=edges, arch=QuadraticProbe(genome))
-    return net, PROBE_PROBLEM
+    return ComputingNetwork(QuadraticProbe(genome)), PROBE_PROBLEM
 
 
 def probe_boxes():

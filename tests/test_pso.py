@@ -110,7 +110,6 @@ class TestTopologies:
         assert len(net.edges) == 2
         assert net.arch.edge_of_particle.tolist() == [0, 0, 1, 1]
         assert [e.endpoints for e in net.edges] == [(0, 1), (2, 3)]
-        assert all(node.payload is None for node in net.nodes)
 
 
 class TestEvaluation:
