@@ -17,6 +17,11 @@ nproc, then per workload and end-to-end metric the min, median and
 quartile spread of each side and the number of pairs the change won
 (strictly better, in the direction BENCHMARK.json gives).
 
+After a workload's pairs, `perfbench/run.py --trace 1` runs once per side
+on the first pair's seed, parent first; the `per_layer` section holds,
+per workload, that seed and each side's per-layer metrics (the names
+BENCHMARK.json lists under per_layer) and whether its records were correct.
+
 It then times every configs/*.json in process on both sides, alternating
 in the same way for CONFIG_ROUNDS rounds. A round is one Python process
 per side that runs each config once to warm up and once timed, from
@@ -53,11 +58,13 @@ print(json.dumps(seconds))
 """
 
 
-def perfbench(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One `perfbench/run.py --trace 0` run: its info line and its result line."""
+def perfbench(
+    checkout: str, workload: str, seed: int, seconds: float, trace: int = 0
+) -> tuple[dict, dict]:
+    """One `perfbench/run.py` run: its info line and its result line."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
     info, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
@@ -137,7 +144,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
-    report: dict = {"seconds_per_run": args.seconds, "workloads": {}}
+    report: dict = {"seconds_per_run": args.seconds, "workloads": {}, "per_layer": {}}
     for spec in args.pairs:
         workload, count = spec.split("=")
         if int(count) < 2:
@@ -161,6 +168,16 @@ def main(argv=None) -> int:
             "all_correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
             "metrics": compare(runs, better),
         }
+        layers: dict = {"seed": seeds[0]}
+        for side in SIDES:
+            _, result = perfbench(checkouts[side], workload, seeds[0], args.seconds, trace=1)
+            layers[side] = {
+                "correct": result["correct"],
+                "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            }
+            print(f"{workload} seed {seeds[0]} {side} --trace 1: correct {result['correct']}",
+                  file=sys.stderr, flush=True)
+        report["per_layer"][workload] = layers
     report["configs"] = compare_configs(checkouts)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)

@@ -11,9 +11,10 @@ evaporates and deposits pheromone, optionally after a local-search
 demon (2-opt) improves the iteration's best tour.
 
 Colonies over one graph can also run stacked (ColonyStack): the walk,
-evaporation and deposit take a leading colony axis, and the colonies'
-ants share one set of draws, as in the matrix form of Ant System
-(Dorigo & Stuetzle 2004, ch. 3) extended from ants to colonies.
+evaporation and deposit take a leading colony axis, as in the matrix
+form of Ant System (Dorigo & Stuetzle 2004, ch. 3) extended from ants
+to colonies. The stack's colonies come stream by stream, and each
+stream's colonies share that stream's draws.
 
 Powers use Python's scalar ``**``: numpy's vectorised power rounds
 differently from it on some builds. Sums, products and maxima are exact
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     NumericDivergenceError,
 )
 from .problems import TourGraph
-from .rng import RngStream
+from .rng import RngStream, StreamGroup
 
 # Construction restarts allowed per ant per iteration before giving up.
 MAX_RESTARTS = 10
@@ -88,6 +89,13 @@ class AcoParams:
             )
 
 
+class Tours(NamedTuple):
+    """One iteration's walks as arrays: paths (walkers, n) and lengths (walkers,)."""
+
+    paths: np.ndarray
+    lengths: np.ndarray
+
+
 @lru_cache(maxsize=8)
 def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of every trail (i < j), in edge-id order; cached, as numpy
@@ -123,14 +131,20 @@ class AcoArchitecture:
     def __init__(self, graph: TourGraph, params: AcoParams):
         self.problem = graph
         self.params = params
-        n = graph.n
-        # pheromone[i, j] == pheromone[j, i] is trail (i, j); the diagonal is unused
-        self.pheromone = np.empty((n, n))  # empty + fill: half np.full's cost
-        self.pheromone.fill(params.initial_pheromone)
         self._eta_beta: tuple[float | None, np.ndarray | None] = (None, None)
         self.best_path_found: list[int] | None = None
         self.best_length: float | None = None
         self._iteration_solutions: list[tuple[list[int], float]] = []
+        self.walked: Tours | None = None  # as construct_solutions last left it
+
+    @cached_property
+    def pheromone(self) -> np.ndarray:
+        """pheromone[i, j] == pheromone[j, i] is trail (i, j); the diagonal is
+        unused. Built on first use: a colony stacked before then never builds its own."""
+        n = self.problem.n
+        tau = np.empty((n, n))  # empty + fill: half np.full's cost
+        tau.fill(self.params.initial_pheromone)
+        return tau
 
     @cached_property
     def desirability(self) -> list[float]:
@@ -157,7 +171,7 @@ class AcoArchitecture:
             if (
                 type(arch) is not cls
                 or arch.params.ants != first.params.ants
-                or arch.problem != first.problem
+                or (arch.problem is not first.problem and arch.problem != first.problem)
             ):
                 return None
         return ComputingNetwork(arch=ColonyStack(nets))
@@ -184,14 +198,10 @@ class AcoArchitecture:
         return []
 
     def fast(self, net, inputs, rng: RngStream) -> None:
-        self._settle(construct_solutions(net, self.params, rng))
-
-    def _settle(self, solutions: list[tuple[list[int], float]]) -> None:
-        """Keep an iteration's solutions and offer the first shortest as the
-        best tour (offering each in turn would end on that same one)."""
+        solutions = construct_solutions(net, self.params, rng)
         self._iteration_solutions = solutions
-        if solutions:
-            self._offer_best(*min(solutions, key=itemgetter(1)))
+        # the first shortest: offering each in turn would end on that same one
+        self._offer_best(*min(solutions, key=itemgetter(1)))
 
     def _offer_best(self, path: list[int], length: float) -> None:
         if self.best_length is None or length < self.best_length:
@@ -236,18 +246,21 @@ class AcoArchitecture:
 
 
 class ColonyStack:
-    """Colonies over one graph that run in lockstep on one stream's draws.
+    """Colonies over one graph that run in lockstep, stream by stream.
 
     Every colony keeps its own parameters and best tour, and its
-    pheromone becomes a view of the stack's (colonies, n, n) array. A
-    fast step walks the ants of all colonies at once on one set of
-    starts and uniforms. Colonies built from one stream position thus
-    make, together, the very draws each would make alone, as long as
-    no ant dead-ends: a restart would draw for one colony only, so
-    construct_solutions raises instead. The slow step evaporates and
-    deposits for all colonies at once when each would do just that;
-    otherwise (2-opt, or a slow step replaced on the instance) it calls
-    each colony's own slow step.
+    pheromone becomes a view of the stack's (colonies, n, n) array. The
+    stack runs on one stream or on a StreamGroup: the colonies come
+    stream by stream, as many for each, and a fast step walks the ants
+    of all colonies at once, each colony's ants on its own stream's
+    starts and uniforms. Colonies built from one position of their
+    stream thus make, together, the very draws each would make alone,
+    as long as no ant dead-ends: a restart would draw for one colony
+    only, so construct_solutions raises instead. The iteration's tours
+    stay arrays (walked) through the settle and the deposit. The slow
+    step evaporates and deposits for all colonies at once when each
+    would do just that; otherwise (2-opt, or a slow step replaced on the
+    instance) it calls each colony's own slow step on its own stream.
     """
 
     kind = "aco"
@@ -260,11 +273,15 @@ class ColonyStack:
         self.problem = self.colonies[0].problem
         # the ants every colony sends; trail weights use each colony's own exponents
         self.params = self.colonies[0].params
-        self.pheromone = np.array([colony.pheromone for colony in self.colonies])
+        n = self.problem.n
+        initial = np.array([colony.params.initial_pheromone for colony in self.colonies], dtype=float)
+        self.pheromone = np.repeat(initial, n * n).reshape(-1, n, n)
         for colony, tau in zip(self.colonies, self.pheromone):
+            if "pheromone" in vars(colony):  # built, and perhaps changed, before stacking
+                tau[...] = colony.pheromone
             colony.pheromone = tau
         self._eta_beta: np.ndarray | None = None
-        self._iteration_solutions: list[tuple[list[int], float]] = []
+        self.walked: Tours | None = None  # as construct_solutions last left it
 
     @cached_property
     def _batched(self) -> bool:
@@ -301,28 +318,37 @@ class ColonyStack:
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
 
-    def fast(self, net, inputs, rng: RngStream) -> None:
+    def fast(self, net, inputs, rng: RngStream | StreamGroup) -> None:
         solutions = construct_solutions(net, self.params, rng)
+        paths, lengths = self.walked
         ants = self.params.ants
-        for k, colony in enumerate(self.colonies):
-            colony._settle(solutions[k * ants : (k + 1) * ants])
-        self._iteration_solutions = solutions
+        # each colony's first shortest tour, as a lone colony's settle picks it
+        shortest = np.arange(0, len(lengths), ants) + lengths.reshape(-1, ants).argmin(axis=1)
+        for colony, path, length in zip(
+            self.colonies, paths[shortest].tolist(), lengths[shortest].tolist()
+        ):
+            colony._offer_best(path, length)
+        if not self._batched:  # each colony's own slow step reads its own solutions
+            for k, colony in enumerate(self.colonies):
+                colony._iteration_solutions = solutions[k * ants : (k + 1) * ants]
 
     def readout(self, net) -> list[float]:
         return []  # each colony holds its own best tour
 
-    def collect(self, net, outputs):
-        return self._iteration_solutions
+    def collect(self, net, outputs) -> Tours:
+        return self.walked
 
-    def slow(self, net, feedback, rng: RngStream) -> None:
+    def slow(self, net, feedback, rng: RngStream | StreamGroup) -> None:
         if self._batched:
             rates, _, amounts = self._slow_params
             evaporate(net, rates)
             deposit(net, feedback, amounts.ravel())
             return
-        for colony_net in self.nets:
+        streams = rng.streams
+        each = len(self.nets) // len(streams)
+        for k, colony_net in enumerate(self.nets):
             colony = colony_net.arch
-            colony.slow(colony_net, colony.collect(colony_net, []), rng)
+            colony.slow(colony_net, colony.collect(colony_net, []), streams[k // each])
 
     def best_value(self, net) -> float | None:
         """The best tour length over the colonies, None before any tour."""
@@ -365,17 +391,24 @@ def _walk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk every ant of every colony from its start: (tours, lengths, dead-ended).
 
-    choice is (colonies, n, n); every colony's ants take the same starts
-    and uniforms. Rows come colony by colony.
+    choice is (colonies, n, n). starts is (ants,) from one stream or
+    (streams, ants) from a StreamGroup, and uniforms is (..., ants, n - 1)
+    alike. The colonies come stream by stream, as many for each, and
+    every colony's ants take their stream's starts and uniforms. Rows
+    come colony by colony.
     """
     colonies, n = choice.shape[:2]
     # row c * n + i of the flattened weights is location i of colony c; a
     # lone colony's rows need no offset, which saves an addition per move
     weights = choice.reshape(-1, n)
+    ants = starts.shape[-1]
+    starts, uniforms = starts.reshape(-1, ants), uniforms.reshape(-1, ants, n - 1)
     offsets = None
     if colonies > 1:
-        offsets = np.repeat(np.arange(0, colonies * n, n), len(starts))
-        starts, uniforms = np.tile(starts, colonies), np.tile(uniforms, (colonies, 1))
+        offsets = np.repeat(np.arange(0, colonies * n, n), ants)
+        each = colonies // len(starts)
+        starts, uniforms = np.repeat(starts, each, axis=0), np.repeat(uniforms, each, axis=0)
+    starts, uniforms = starts.reshape(-1), uniforms.reshape(-1, n - 1)
     walkers = len(starts)
     rows = np.arange(walkers)
     tours = np.empty((walkers, n), dtype=np.intp)
@@ -394,7 +427,7 @@ def _walk(
 
 
 def construct_solutions(
-    net: ComputingNetwork, params: AcoParams, rng: RngStream
+    net: ComputingNetwork, params: AcoParams, rng: RngStream | StreamGroup
 ) -> list[tuple[list[int], float]]:
     """Send every ant on one complete closed tour, all ants in lockstep.
 
@@ -403,10 +436,13 @@ def construct_solutions(
     weight underflows to zero; such ants are re-walked from their start
     with fresh uniforms, at most MAX_RESTARTS times.
 
-    On a ColonyStack, params.ants ants of every colony walk on the one
-    set of draws, and the solutions come colony by colony. A dead end
-    there raises DeadEndError at once: its restart would draw for one
-    colony alone.
+    On a ColonyStack, params.ants ants of every colony walk at once and
+    the solutions come colony by colony. From a StreamGroup every draw
+    has one row per stream, the stack's colonies come stream by stream,
+    and each colony's ants walk on its stream's draws, made in the same
+    order as on a lone stream. A dead end in a stack, or on a group,
+    raises DeadEndError at once: its restart would draw for one colony
+    alone. The tours also stay on the architecture as arrays, in walked.
     """
     arch: AcoArchitecture | ColonyStack = net.arch
     cost = arch.problem.cost_matrix
@@ -418,13 +454,14 @@ def construct_solutions(
             choice.cumsum(axis=2)
     except (OverflowError, FloatingPointError):
         raise NumericDivergenceError("transition weights overflow") from None
-    starts = np.empty(params.ants, dtype=np.intp)
-    uniforms = np.empty((params.ants, n - 1))
+    lead = rng.shape
+    starts = np.empty((*lead, params.ants), dtype=np.intp)
+    uniforms = np.empty((*lead, params.ants, n - 1))
     for ant in range(params.ants):
-        starts[ant] = rng.integers(0, n)
-        uniforms[ant] = rng.uniform(size=n - 1)
+        starts[..., ant] = rng.integers(0, n)
+        uniforms[..., ant, :] = rng.uniform(size=n - 1)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
-    if len(choice) > 1 and dead.any():
+    if (len(choice) > 1 or lead) and dead.any():
         raise DeadEndError("an ant of a stacked colony found no positive trail")
     for _ in range(MAX_RESTARTS):
         if not dead.any():
@@ -436,6 +473,7 @@ def construct_solutions(
         raise DeadEndError(f"an ant still found no positive trail after {MAX_RESTARTS} restarts")
     if not (lengths < float("inf")).all():
         raise NumericDivergenceError("a tour length diverged")
+    arch.walked = Tours(tours, lengths)
     return list(zip(tours.tolist(), lengths.tolist()))
 
 
@@ -453,29 +491,32 @@ def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
 
 def deposit(
     net: ComputingNetwork,
-    solutions: Sequence[tuple[Sequence[int], float]],
+    solutions: Sequence[tuple[Sequence[int], float]] | Tours,
     amount: float | np.ndarray,
 ) -> None:
     """Every solution reinforces its tour edges by amount / tour length.
 
-    Trails shared by several tours take their shares in solution order,
-    one addition at a time, as a loop over the solutions would. On a
+    solutions are (path, length) pairs, or one iteration's Tours. Trails
+    shared by several tours take their shares in solution order, one
+    addition at a time, as a loop over the solutions would. On a
     ColonyStack the solutions come colony by colony, as many for each,
     and amount holds one value per colony.
     """
-    for _, length in solutions:
-        if length <= 0.0:
-            raise MalformedInstanceError(
-                f"tour length must be positive to deposit, got {length}"
-            )
-    if not solutions:
+    if isinstance(solutions, Tours):
+        here, lengths = solutions
+        short = lengths[lengths <= 0.0].tolist()
+    elif solutions:
+        paths, lengths = zip(*solutions)
+        short = [length for length in lengths if length <= 0.0]
+        here = np.array(paths, dtype=np.intp)
+    else:
         return
+    if short:
+        raise MalformedInstanceError(f"tour length must be positive to deposit, got {short[0]}")
     tau = net.arch.pheromone
-    paths, lengths = zip(*solutions)
-    here = np.array(paths, dtype=np.intp)
     after = _successors(here)
     n = here.shape[1]
-    per_colony = len(paths) * n * n // tau.size
+    per_colony = len(here) * n * n // tau.size
     shares = np.repeat(amount, per_colony) / lengths
     # both directions of every tour edge, solution by solution, as indices
     # into the flattened pheromone (C-contiguous wherever it is made, so

@@ -8,7 +8,7 @@ resolved config echoed as its header.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from . import aco, ann, eca, pso
@@ -67,7 +67,9 @@ def _build_network(
         return eca.build_eca_network(
             problem, section.rule, updating=eca.UpdateMode(section.updating)
         )
-    params = replace(section.params, **genome)
+    # constructed, so __post_init__ checks the genome; dataclasses.replace
+    # does the same at twice the cost, once per meta rebuild
+    params = type(section.params)(**vars(section.params) | genome)
     if config.architecture == "aco":
         return aco.build_aco_network(problem, params)
     return pso.build_pso_network(problem, rng, params)

@@ -10,8 +10,11 @@ nothing of this scale.
 A generation's uncached genomes are evaluated together. An inner run's
 draws depend only on its seed wherever the rebuild draws alike for
 every genome, so when the architecture class offers a ``lockstep`` hook
-(aco's stacks colonies), one seed's inner runs go as one stacked
-network on that seed's single stream, instead of one run per genome.
+(aco's stacks colonies), the inner runs of every seed that shares a
+problem go as one stacked network, instead of one run per genome and
+seed. Each seed keeps its own stream: the stack draws from a
+StreamGroup of them, one row per seed, and each seed's colonies walk
+on that seed's row.
 
 The GA is deliberately minimal: tournament selection (k=3), uniform
 per-gene crossover (p=0.5), Gaussian mutation with stddev a fixed
@@ -24,11 +27,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from itertools import product
+from typing import Any, Callable, Sequence
 
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
 from .errors import CnError, ConfigurationError
-from .rng import RngStream
+from .rng import RngStream, StreamGroup
 
 Genome = dict[str, float]
 # rebuild(genome, rng) -> (fresh network, its problem); consumes rng draws
@@ -167,44 +171,81 @@ def _final_best(value: float | None) -> float:
     return value
 
 
+def _chunks(items: Sequence, size: int) -> list[Sequence]:
+    return [items[k : k + size] for k in range(0, len(items), size)]
+
+
+def _same(a: Any, b: Any) -> bool:
+    """a == b, without comparing field by field when a is b."""
+    return a is b or a == b
+
+
 def _lockstep_totals(
     genomes: list[Genome], rebuild: Rebuild, schedule: ScaleSchedule, eval_seeds: tuple[int, ...]
 ) -> list[float] | None:
     """Each genome's final best values summed over the seeds, or None when
     the networks do not stack.
 
-    Per seed, every member of a stack is rebuilt from the fresh stream's
-    position, each rebuild must leave the stream at one same position
-    and return an equal problem, and the stack then runs on that stream.
-    The architecture bounds a stack's size; larger batches run as
-    consecutive stacks.
+    Every (seed, genome) network is rebuilt from its seed's fresh
+    position; each rebuild of a seed must leave that seed's stream at
+    one same position and return an equal problem. Seeds whose rebuilds
+    returned equal problems run together: their colonies, seed by seed,
+    form one stack that runs on a StreamGroup of their streams (a lone
+    seed's stack on its stream), so each colony draws from its own
+    seed's stream. The architecture bounds a stack's size, counted over
+    the colonies of all its seeds; larger batches run as consecutive
+    stacks, each over a block of seeds and a block of genomes. The
+    values are summed seed by seed, in the order the plain path adds
+    them.
     """
-    totals = [0.0] * len(genomes)
-    for seed in eval_seeds:
-        rng = RngStream(seed)
-        start = rng.snapshot()
-        done = 0
-        while done < len(genomes):
-            rng.restore(start)
-            net, problem = rebuild(genomes[done], rng)
-            lockstep = getattr(type(net.arch), "lockstep", None)
-            if lockstep is None:
-                return None
-            built = rng.snapshot()
-            nets = [net]
-            for genome in genomes[done + 1 : done + net.arch.lockstep_limit()]:
-                rng.restore(start)
-                member, member_problem = rebuild(genome, rng)
-                if member_problem != problem or rng.snapshot() != built:
-                    return None
-                nets.append(member)
+    streams = [RngStream(seed) for seed in eval_seeds]
+    starts = [stream.snapshot() for stream in streams]
+    # each seed's first rebuild: its network, its problem and where it left
+    # the stream; the network runs in its seed's first stack
+    firsts = []
+    for stream in streams:
+        net, problem = rebuild(genomes[0], stream)
+        lockstep = getattr(type(net.arch), "lockstep", None)
+        if lockstep is None:
+            return None
+        firsts.append((net, problem, stream.snapshot()))
+    groups: list[list[int]] = []  # seeds whose problems are equal
+    for seed, (_, problem, _) in enumerate(firsts):
+        group = next((g for g in groups if _same(firsts[g[0]][1], problem)), None)
+        if group is None:
+            groups.append([seed])
+        else:
+            group.append(seed)
+    values = [[0.0] * len(genomes) for _ in streams]
+    for group in groups:
+        limit = firsts[group[0]][0].arch.lockstep_limit()
+        seed_step = min(len(group), limit)
+        genome_step = max(1, limit // seed_step)
+        for block, indices in product(
+            _chunks(group, seed_step), _chunks(range(len(genomes)), genome_step)
+        ):
+            nets = []
+            for seed in block:
+                stream, start, (net, problem, built) = streams[seed], starts[seed], firsts[seed]
+                for index in indices:
+                    if index > 0:  # genome 0's network is the seed's first rebuild
+                        stream.restore(start)
+                        net, rebuilt = rebuild(genomes[index], stream)
+                        if not (_same(rebuilt, problem) and _same(stream.snapshot(), built)):
+                            return None
+                    nets.append(net)
             stack = lockstep(nets)
             if stack is None:
                 return None
-            run(stack, schedule, problem, rng)
-            for index, member in enumerate(nets, start=done):
-                totals[index] += _final_best(member.arch.best_value(member))
-            done += len(nets)
+            # a lone seed's stack draws from its stream, without a group's stream axis
+            rng = streams[block[0]] if len(block) == 1 else StreamGroup([streams[s] for s in block])
+            run(stack, schedule, firsts[block[0]][1], rng)
+            for net, (seed, index) in zip(nets, product(block, indices)):
+                values[seed][index] = _final_best(net.arch.best_value(net))
+    totals = [0.0] * len(genomes)
+    for row in values:
+        for index, value in enumerate(row):
+            totals[index] += value
     return totals
 
 

@@ -8,6 +8,9 @@ is what makes record files byte-reproducible.
 """
 from __future__ import annotations
 
+from functools import cache, cached_property
+from typing import Sequence
+
 import numpy as np
 
 from .errors import ConfigurationError
@@ -39,10 +42,26 @@ _FRESH = {
 }
 
 
+@cache
+def _unseeded():
+    """A seed sequence that reads no OS entropy: Philox(key=...) would read
+    some and throw it away, so a stream sets its keyed _FRESH state instead.
+    Made at first use: importing numpy.random along with this module raised
+    the benchmark's peak memory and slowed its backprop workload."""
+
+    class Unseeded(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+
+    return Unseeded()
+
+
 class RngStream:
     """A named, independently seeded source of random draws."""
 
     algorithm = "philox4x64"
+    # the leading shape of every draw: none here, one row per stream in a StreamGroup
+    shape = ()
 
     def __init__(self, seed: int, stream: int = 0):
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -51,12 +70,23 @@ class RngStream:
             raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
         self.seed = seed
         self.stream = stream % _WORD
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
         # snapshot() of the current position; every draw clears it
-        self._position: dict | None = {
-            **_FRESH, "state": {**_FRESH["state"], "key": (self.seed, self.stream)}
-        }
+        self._position: dict | None = self._fresh()
+
+    def _fresh(self) -> dict:
+        return {**_FRESH, "state": {**_FRESH["state"], "key": (self.seed, self.stream)}}
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        """The generator, built at the first draw or restore: a new stream's
+        snapshot() needs none."""
+        bits = np.random.Philox(_unseeded())
+        bits.state = self._fresh()
+        return np.random.Generator(bits)
+
+    @property
+    def streams(self) -> tuple["RngStream"]:
+        return (self,)
 
     def substream(self, index: int) -> "RngStream":
         """Derive a child stream that never collides with the parent's draws."""
@@ -96,3 +126,18 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
+
+
+class StreamGroup:
+    """Streams drawn as one: each draw returns one row per stream, in
+    stream order, and moves every stream exactly as its own draw would."""
+
+    def __init__(self, streams: Sequence[RngStream]):
+        self.streams = tuple(streams)
+        self.shape = (len(self.streams),)
+
+    def integers(self, low: int, high: int) -> list:
+        return [stream.integers(low, high) for stream in self.streams]
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> list:
+        return [stream.uniform(low, high, size) for stream in self.streams]

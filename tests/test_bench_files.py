@@ -4,9 +4,12 @@ Each file compares a change with its parent commit, run alternately on
 one machine: per workload and end-to-end metric of BENCHMARK.json, each
 side's min, median and quartiles, and the pairs the change won. From
 BENCH_9.json on, a `configs` section also holds each side's min and
-median seconds per example config, timed in process.
+median seconds per example config, timed in process. From BENCH_10.json
+on, a `per_layer` section holds each side's per-layer metrics from one
+traced run per workload.
 """
 import json
+import math
 import re
 from pathlib import Path
 
@@ -63,3 +66,21 @@ def test_bench_file_configs_section(path):
         for side in sides.values():
             assert set(side) == {"min", "median"}
             assert 0 < side["min"] <= side["median"]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_per_layer_section(path):
+    bench = json.loads(path.read_text())
+    if "per_layer" not in bench:
+        assert int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1)) < 10
+        return
+    layers = bench["per_layer"]
+    assert set(layers) == set(bench["workloads"])
+    names = {m["name"] for m in BENCHMARK["per_layer"]}
+    for name, workload in layers.items():
+        assert workload["seed"] in bench["workloads"][name]["seeds"]
+        for side in ("parent", "change"):
+            assert isinstance(workload[side]["correct"], bool)
+            metrics = workload[side]["metrics"]
+            assert set(metrics) == names
+            assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in metrics.values())

@@ -1,7 +1,8 @@
 """Stacked (lockstep) and one-at-a-time genome evaluation agree bit for bit.
 
-evaluate_genome runs several genomes as one ColonyStack per seed when
-their colonies stack, and one at a time otherwise. Fitness is a pure
+evaluate_genome runs several genomes as one ColonyStack over the seeds
+that share a problem when their colonies stack, and one at a time
+otherwise. Fitness is a pure
 function of the genome, so both paths must give the same floats, or
 raise the same error, for every batch: extreme exponents that dead-end
 or overflow, 2-opt, a slow step replaced on the instance, and a rebuild
@@ -17,7 +18,7 @@ from cnets.aco import AcoArchitecture, AcoParams, ColonyStack, build_aco_network
 from cnets.errors import CnError, NumericDivergenceError
 from cnets.meta import evaluate_genome
 from cnets.problems import TourGraph
-from cnets.rng import RngStream
+from cnets.rng import RngStream, StreamGroup
 
 SEEDS = st.integers(min_value=0, max_value=2**32)
 # ordinary exponents, and large ones that underflow trails to zero
@@ -107,12 +108,17 @@ def test_stacked_fitnesses_equal_one_at_a_time(
     )
 
 
-def test_a_batch_runs_one_stack_per_seed(inner_runs):
+def test_a_batch_runs_one_stack_per_shared_problem(inner_runs):
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
-    rebuild = colony_rebuild(8, 5, draw_graph=True)
-    stacked = evaluate_genome(genomes, rebuild, 10, (1, 2))
-    assert inner_runs == [ColonyStack, ColonyStack]
-    assert stacked == one_at_a_time(genomes, rebuild, 10, (1, 2))
+    shared = colony_rebuild(8, 5)
+    stacked = evaluate_genome(genomes, shared, 10, (1, 2))
+    assert inner_runs == [ColonyStack]  # the seeds share the graph, so one stack
+    assert stacked == one_at_a_time(genomes, shared, 10, (1, 2))
+    inner_runs.clear()
+    drawn = colony_rebuild(8, 5, draw_graph=True)
+    stacked = evaluate_genome(genomes, drawn, 10, (1, 2))
+    assert inner_runs == [ColonyStack, ColonyStack]  # a graph drawn per seed
+    assert stacked == one_at_a_time(genomes, drawn, 10, (1, 2))
 
 
 def test_stacks_are_split_at_the_size_bound(inner_runs, monkeypatch):
@@ -121,8 +127,69 @@ def test_stacks_are_split_at_the_size_bound(inner_runs, monkeypatch):
     # room for two colonies of 6 locations and 4 ants per stack
     monkeypatch.setattr(aco, "STACK_DOUBLES", 2 * 6 * (6 + 4))
     stacked = evaluate_genome(genomes, rebuild, 5, (3, 4))
-    assert inner_runs == [ColonyStack] * 6  # stacks of 2, 2 and 1, per seed
+    assert inner_runs == [ColonyStack] * 5  # one genome on both seeds per stack
     assert stacked == one_at_a_time(genomes, rebuild, 5, (3, 4))
+
+
+def test_seeds_that_share_a_graph_share_a_stack(inner_runs):
+    graphs = [TourGraph.random_euclidean(7, RngStream(k, 1)) for k in range(2)]
+
+    def rebuild(genome, rng):
+        graph = graphs[rng.seed % 2]
+        return build_aco_network(graph, AcoParams(ants=4, **genome)), graph
+
+    genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
+    seeds = (1, 2, 3, 5)
+    stacked = evaluate_genome(genomes, rebuild, 6, seeds)
+    assert inner_runs == [ColonyStack, ColonyStack]  # seeds 1, 3 and 5, then seed 2
+    assert stacked == one_at_a_time(genomes, rebuild, 6, seeds)
+
+
+@given(
+    genomes=st.lists(
+        st.fixed_dictionaries(
+            {"alpha": st.floats(0.0, 6.0), "beta": st.floats(0.0, 6.0), "evaporation": st.floats(0.0, 1.0)}
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seeds=st.lists(SEEDS, min_size=1, max_size=4, unique=True),
+    n=st.integers(3, 12),
+    ants=st.integers(1, 6),
+    steps=st.integers(1, 4),
+    demon=st.sampled_from(["off", "two-opt"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_stack_over_seeds_equals_one_stack_per_seed(genomes, seeds, n, ants, steps, demon):
+    graph = TourGraph.random_euclidean(n, RngStream(seeds[0], 1))
+
+    def colonies():
+        return [build_aco_network(graph, AcoParams(ants=ants, demon=demon, **g)) for g in genomes]
+
+    alone = [(AcoArchitecture.lockstep(colonies()), RngStream(seed)) for seed in seeds]
+    # every seed's colonies, seed by seed, each seed on its own stream
+    together = AcoArchitecture.lockstep([net for _ in seeds for net in colonies()])
+    group = StreamGroup([RngStream(seed) for seed in seeds])
+
+    def colony_state(stacks):
+        return [
+            (colony.best_path_found, colony.best_length, colony.pheromone.tobytes())
+            for stack in stacks
+            for colony in stack.arch.colonies
+        ]
+
+    for _ in range(steps):
+        together.arch.fast(together, [], group)
+        for stack, stream in alone:
+            stack.arch.fast(stack, [], stream)
+        walked = together.arch.walked
+        assert walked.paths.tolist() == [p for s, _ in alone for p in s.arch.walked.paths.tolist()]
+        assert walked.lengths.tobytes() == b"".join(s.arch.walked.lengths.tobytes() for s, _ in alone)
+        together.arch.slow(together, together.arch.collect(together, []), group)
+        for stack, stream in alone:
+            stack.arch.slow(stack, stack.arch.collect(stack, []), stream)
+        assert colony_state([together]) == colony_state([s for s, _ in alone])
+    assert [float(s.uniform()) for s in group.streams] == [float(s.uniform()) for _, s in alone]
 
 
 def test_a_failing_stack_gives_the_plain_error(inner_runs):
@@ -215,6 +282,19 @@ class TestLockstepHook:
 
             nets[1].arch.__class__ = Variant
         assert AcoArchitecture.lockstep(nets) is None
+
+    def test_stacked_pheromone_starts_where_each_colony_would(self):
+        graph = TourGraph.random_euclidean(5, RngStream(1))
+
+        def colonies():
+            nets = [self.colony(graph, initial_pheromone=2), self.colony(graph), self.colony(graph)]
+            nets[2].arch.pheromone[0, 1] = nets[2].arch.pheromone[1, 0] = 0.25  # before stacking
+            return nets
+
+        alone = [net.arch.pheromone for net in colonies()]
+        stack = AcoArchitecture.lockstep(colonies())
+        assert stack.arch.pheromone.dtype == float
+        assert stack.arch.pheromone.tolist() == [tau.tolist() for tau in alone]
 
     def test_stack_bound_follows_the_problem_size(self):
         small = self.colony(TourGraph.random_euclidean(8, RngStream(1)), ants=10)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cnets.errors import ConfigurationError
-from cnets.rng import RngStream
+from cnets.rng import RngStream, StreamGroup
 
 
 def test_same_seed_same_sequence():
@@ -107,3 +107,42 @@ def test_a_new_streams_snapshot_is_its_state(seed, stream):
     }
     fresh.restore(fresh.snapshot())
     assert draws(fresh) == draws(RngStream(seed, stream))
+
+
+def _plain(state):
+    return {
+        **state,
+        "state": {name: tuple(words.tolist()) for name, words in state["state"].items()},
+        "buffer": tuple(state["buffer"].tolist()),
+    }
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (5, 0), (2**64 - 1, 3), (17, 2**63), (123, 7)])
+def test_draws_and_snapshots_match_numpy_philox(seed, stream):
+    ours = RngStream(seed, stream)
+    reference = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    assert ours.snapshot() == _plain(reference.bit_generator.state)
+    moves = [
+        ("uniform", (), {}),
+        ("integers", (0, 7), {}),
+        ("normal", (), {}),
+        ("uniform", (0.0, 2.0, 5), {}),
+        ("integers", (0, 100), {"size": 3}),
+        ("permutation", (6,), {}),
+        ("normal", (1.0, 3.0, 2), {}),
+    ]
+    for name, args, kwargs in moves:
+        got = getattr(ours, name)(*args, **kwargs)
+        want = getattr(reference, name)(*args, **kwargs)
+        assert np.asarray(got).tolist() == np.asarray(want).tolist()
+        assert ours.snapshot() == _plain(reference.bit_generator.state)
+
+
+def test_a_group_draws_one_row_per_stream_as_each_stream_would():
+    group = StreamGroup([RngStream(3), RngStream(4, 2), RngStream(3, 1)])
+    alone = [RngStream(3), RngStream(4, 2), RngStream(3, 1)]
+    assert group.shape == (3,) and RngStream(3).shape == ()
+    for _ in range(3):
+        assert [int(v) for v in group.integers(0, 9)] == [int(s.integers(0, 9)) for s in alone]
+        assert np.array(group.uniform(size=4)).tolist() == [s.uniform(size=4).tolist() for s in alone]
+    assert [s.snapshot() for s in group.streams] == [s.snapshot() for s in alone]
