@@ -190,10 +190,6 @@ class AcoArchitecture:
         ]
         return n, edges
 
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different graph")
-
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
 
@@ -302,10 +298,6 @@ class ColonyStack:
     @property
     def pheromone_floor(self) -> np.ndarray:
         return self._slow_params[1]
-
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different graph")
 
     def choice_info(self, params: AcoParams) -> np.ndarray:
         """Every colony's choice_info, stacked; each uses its own alpha and beta."""

@@ -43,10 +43,28 @@ ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
 
 
 def activate(kind: str, value):
-    if kind not in ACTIVATIONS:
-        known = ", ".join(sorted(ACTIVATIONS))
-        raise ConfigurationError(f"unknown activation {kind!r} (known: {known})")
     return ACTIVATIONS[kind][0](value)
+
+
+@dataclass(frozen=True)
+class AnnParams:
+    """Gradient-descent step size and the activation of the hidden layers
+    and of the output layer."""
+
+    learning_rate: float = 0.1
+    hidden_activation: str = "tanh"
+    output_activation: str = "tanh"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"must be positive and finite, got {self.learning_rate}", key="learning_rate"
+            )
+        for key in ("hidden_activation", "output_activation"):
+            kind = getattr(self, key)
+            if kind not in ACTIVATIONS:
+                known = ", ".join(sorted(ACTIVATIONS))
+                raise ConfigurationError(f"unknown activation {kind!r} (known: {known})", key=key)
 
 
 @dataclass(frozen=True)
@@ -257,22 +275,14 @@ class AnnArchitecture:
     allow_hyperedges = False
 
     def __init__(
-        self,
-        topology: LayeredTopology,
-        problem: Dataset,
-        learning_rate: float,
-        activations: Sequence[str],
-        vector: np.ndarray,
+        self, topology: LayeredTopology, problem: Dataset, params: AnnParams, vector: np.ndarray
     ):
-        if not (math.isfinite(learning_rate) and learning_rate > 0):
-            raise ConfigurationError(
-                f"learning_rate must be positive and finite, got {learning_rate}"
-            )
         self.topology = topology
         self.problem = problem
-        self.learning_rate = learning_rate
+        self.params = params
         self.input_arity = topology.layer_sizes[0]
-        self.activations = tuple(activations)
+        hidden = (params.hidden_activation,) * (topology.depth - 2)
+        self.activations = ("identity", *hidden, params.output_activation)
         self.weights, self.biases = topology.layer_views(vector)
         self.pre_activations = [np.zeros(size) for size in topology.layer_sizes]
         self.outputs = list(self.pre_activations)
@@ -296,10 +306,6 @@ class AnnArchitecture:
                     )
         return topo.node_count, edges
 
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different dataset")
-
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         sample = self.problem.inputs[self._cursor % len(self.problem)]
         self._cursor += 1
@@ -315,7 +321,7 @@ class AnnArchitecture:
         return outputs
 
     def slow(self, net, feedback, rng: RngStream) -> None:
-        self._last_mse = train_step(net, self.problem, self.learning_rate)
+        self._last_mse = train_step(net, self.problem, self.params.learning_rate)
 
     def best_value(self, net) -> float | None:
         if self._last_mse is None:
@@ -323,17 +329,14 @@ class AnnArchitecture:
         return self._last_mse
 
     def parameters(self, net) -> dict[str, float]:
-        return {"learning_rate": float(self.learning_rate)}
+        return {"learning_rate": float(self.params.learning_rate)}
 
 
 def build_ann(
     layer_sizes: Sequence[int],
     dataset: Dataset,
     rng: RngStream,
-    *,
-    learning_rate: float = 0.1,
-    hidden_activation: str = "tanh",
-    output_activation: str = "tanh",
+    params: AnnParams | None = None,
 ) -> ComputingNetwork:
     """Fully connected feedforward network with uniform [-0.5, 0.5] init.
 
@@ -341,15 +344,8 @@ def build_ann(
     every non-input bias in node-id order.
     """
     topo = LayeredTopology(layer_sizes=tuple(int(s) for s in layer_sizes))
-    for kind in (hidden_activation, output_activation):
-        if kind not in ACTIVATIONS:
-            known = ", ".join(sorted(ACTIVATIONS))
-            raise ConfigurationError(f"unknown activation {kind!r} (known: {known})")
     _check_arities(topo, dataset)
     weights = rng.uniform(-0.5, 0.5, size=topo.edge_count)
     biases = rng.uniform(-0.5, 0.5, size=topo.bias_count)
-    activations = ["identity"] + [hidden_activation] * (topo.depth - 2) + [output_activation]
-    arch = AnnArchitecture(
-        topo, dataset, learning_rate, activations, np.concatenate([weights, biases])
-    )
-    return ComputingNetwork(arch=arch)
+    vector = np.concatenate([weights, biases])
+    return ComputingNetwork(arch=AnnArchitecture(topo, dataset, params or AnnParams(), vector))

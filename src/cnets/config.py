@@ -8,27 +8,27 @@ time, and load_config fills every default so the config echoed into a
 record header is complete. Relative paths are resolved against the
 config file's directory.
 
-The aco, pso, cross.pso and meta sections hold the library's own params
-objects (AcoParams, PsoParams, MetaConfig): their keys, kinds and
-defaults are those dataclasses' fields, so each default is written once,
-and the objects are built at load, so their value errors surface there.
+Every section holds the library's own params object (AnnParams,
+AcoParams, PsoParams, EcaParams, MetaConfig): its keys, kinds and
+defaults are that dataclass's fields, so each default is written once,
+and the objects are built at load, so their value errors surface there,
+named by config path.
 """
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
 
 from .aco import AcoParams
-from .ann import ACTIVATIONS
+from .ann import AnnParams
 from .core import ScaleSchedule
-from .eca import UpdateMode
+from .eca import EcaParams
 from .errors import ConfigurationError
 from .meta import MetaConfig, ParamBox
-from .problems import BOUNDARIES
 from .pso import PsoParams
+from .rng import check_seed
 
 ARCHITECTURES = ("ann", "aco", "pso", "eca")
 
@@ -38,8 +38,6 @@ META_SEARCHABLE = {
     arch: tuple(f.name for f in fields(cls) if isinstance(f.default, float))
     for arch, cls in (("aco", AcoParams), ("pso", PsoParams))
 }
-
-UPDATE_MODES = {mode.value: mode for mode in UpdateMode}
 
 
 def _check_keys(data: Mapping[str, Any], allowed: Sequence[str], where: str) -> None:
@@ -101,18 +99,29 @@ def _names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
+def _at(where: str, build, *args: Any, **kwargs: Any):
+    """build(*args, **kwargs), its ConfigurationError named by the config path
+    where: where.key when the error names the key at fault."""
+    try:
+        return build(*args, **kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}{'.' if exc.key else ': '}{exc}") from None
+
+
 def _read(cls, data: Mapping[str, Any], where: str, **parsed: Any):
     """A params object built from data's keys, so its value errors surface at load.
 
-    Each scalar field of cls is read with its default's kind, and an
-    absent field keeps its default; parsed supplies the other fields.
+    Each scalar field of cls that parsed does not supply is read with its
+    default's kind, and an absent field keeps its default.
     """
     kwargs = {
         f.name: _get(data, f.name, where, type(f.default))
         for f in fields(cls)
-        if isinstance(f.default, (float, int, str)) and data.get(f.name) is not None
+        if isinstance(f.default, (float, int, str))
+        and f.name not in parsed
+        and data.get(f.name) is not None
     }
-    return cls(**kwargs, **parsed)
+    return _at(where, cls, **kwargs, **parsed)
 
 
 def _plain(value: Any) -> Any:
@@ -133,39 +142,19 @@ def _echo(params: Any) -> dict[str, Any]:
 class AnnSection:
     layers: tuple[int, ...]
     dataset: str
-    learning_rate: float = 0.1
-    hidden_activation: str = "tanh"
-    output_activation: str = "tanh"
+    params: AnnParams
 
     def to_dict(self) -> dict[str, Any]:
-        return _plain(self)
+        return {"layers": list(self.layers), "dataset": self.dataset, **_echo(self.params)}
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "AnnSection":
-        _check_keys(data, ("layers", "dataset", "learning_rate", "hidden_activation", "output_activation"), where)
+        _check_keys(data, ("layers", "dataset") + _names(AnnParams), where)
         layers = _get(data, "layers", where, list, required=True)
         if len(layers) < 2 or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in layers):
             raise ConfigurationError(f"{where}.layers: expected >= 2 positive integers, got {layers!r}")
         dataset = _resolve_path(_get(data, "dataset", where, str, required=True), base_dir, f"{where}.dataset")
-        section = cls(
-            layers=tuple(layers),
-            dataset=dataset,
-            learning_rate=_get(data, "learning_rate", where, float, default=0.1),
-            hidden_activation=_get(data, "hidden_activation", where, str, default="tanh"),
-            output_activation=_get(data, "output_activation", where, str, default="tanh"),
-        )
-        if not (math.isfinite(section.learning_rate) and section.learning_rate > 0):
-            raise ConfigurationError(
-                f"{where}.learning_rate: must be positive and finite, got {section.learning_rate}"
-            )
-        for key in ("hidden_activation", "output_activation"):
-            kind = getattr(section, key)
-            if kind not in ACTIVATIONS:
-                raise ConfigurationError(
-                    f"{where}.{key}: unknown activation {kind!r} "
-                    f"(known: {', '.join(sorted(ACTIVATIONS))})"
-                )
-        return section
+        return cls(layers=tuple(layers), dataset=dataset, params=_read(AnnParams, data, where))
 
 
 @dataclass
@@ -235,57 +224,29 @@ class PsoSection:
 
 @dataclass
 class EcaSection:
-    rule: int
-    width: int
-    steps: int | None = None
-    boundary: str = "fixed-zero"
-    initial: str | tuple[int, ...] = "single-one"
-    updating: str = "synchronous"
+    steps: int | None
+    params: EcaParams
 
     def to_dict(self) -> dict[str, Any]:
-        return _plain(self)
+        echo = _plain(self.params)
+        # the header keeps steps between the tape's width and its boundary
+        return {"rule": echo.pop("rule"), "width": echo.pop("width"), "steps": self.steps, **echo}
 
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "EcaSection":
-        _check_keys(data, ("rule", "width", "steps", "boundary", "initial", "updating"), where)
-        initial = _get(data, "initial", where, object, default="single-one")
+        _check_keys(data, ("steps",) + _names(EcaParams), where)
+        initial = _get(data, "initial", where, object, default=EcaParams.initial)
         if isinstance(initial, list):
             if any(isinstance(v, bool) or v not in (0, 1) for v in initial):
                 raise ConfigurationError(f"{where}.initial: cells must all be 0 or 1")
-            initial = tuple(int(v) for v in initial)
-        elif initial != "single-one":
-            raise ConfigurationError(
-                f"{where}.initial: expected \"single-one\" or a 0/1 list, got {initial!r}"
-            )
-        boundary = _get(data, "boundary", where, str, default="fixed-zero")
-        if boundary not in BOUNDARIES:
-            raise ConfigurationError(
-                f"{where}.boundary: expected one of {list(BOUNDARIES)}, got {boundary!r}"
-            )
-        updating = _get(data, "updating", where, str, default="synchronous")
-        if updating not in UPDATE_MODES:
-            raise ConfigurationError(
-                f"{where}.updating: expected one of {sorted(UPDATE_MODES)}, got {updating!r}"
-            )
-        section = cls(
-            rule=_get(data, "rule", where, int, required=True),
-            width=_get(data, "width", where, int, required=True),
-            steps=_get(data, "steps", where, int),
-            boundary=boundary,
-            initial=initial,
-            updating=updating,
-        )
-        if not 0 <= section.rule <= 255:
-            raise ConfigurationError(f"{where}.rule: must be in [0, 255], got {section.rule}")
-        if section.width < 3:
-            raise ConfigurationError(f"{where}.width: must be >= 3, got {section.width}")
-        if isinstance(section.initial, tuple) and len(section.initial) != section.width:
-            raise ConfigurationError(
-                f"{where}.initial: got {len(section.initial)} cells for width {section.width}"
-            )
-        if section.steps is not None and section.steps < 0:
-            raise ConfigurationError(f"{where}.steps: must be >= 0, got {section.steps}")
-        return section
+            initial = tuple(initial)
+        steps = _get(data, "steps", where, int)
+        if steps is not None and steps < 0:
+            raise ConfigurationError(f"{where}.steps: must be >= 0, got {steps}")
+        rule = _get(data, "rule", where, int, required=True)
+        width = _get(data, "width", where, int, required=True)
+        params = _read(EcaParams, data, where, rule=rule, width=width, initial=initial)
+        return cls(steps=steps, params=params)
 
 
 @dataclass
@@ -338,12 +299,10 @@ class MetaSection:
                     except ConfigurationError as exc:
                         raise ConfigurationError(f"{where}.parameters.{key}: {exc}") from None
                 raise
-        raw_seeds = _get(data, "eval_seeds", where, list, required=True)
-        if not raw_seeds or any(isinstance(s, bool) or not isinstance(s, int) for s in raw_seeds):
-            raise ConfigurationError(f"{where}.eval_seeds: expected a non-empty list of integers")
+        eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
         return cls(
             parameters=parameters,
-            config=_read(MetaConfig, data, where, eval_seeds=tuple(raw_seeds)),
+            config=_read(MetaConfig, data, where, eval_seeds=eval_seeds),
         )
 
 
@@ -459,11 +418,9 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
             f"config.architecture: declared {declared!r} but the config describes {architecture!r}"
         )
 
-    seed = None
-    if data.get("seed") is not None:
-        seed = _get(data, "seed", "config", int)
-        if seed < 0:
-            raise ConfigurationError(f"config.seed: must be >= 0, got {seed}")
+    seed = _get(data, "seed", "config", int)
+    if seed is not None:
+        _at("config", check_seed, seed)
     out = _get(data, "out", "config", str)
     if out is not None and not os.path.isabs(out):
         # outputs resolve like inputs: against the config's directory

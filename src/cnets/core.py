@@ -84,15 +84,14 @@ class Architecture(Protocol):
     supplies the input vector for each fast step of a driven run, and
     ``collect`` folds the fast-phase outputs into the feedback handed to
     ``slow``. ``substrate()``, read only when the network's graph is,
-    returns the node count and the edge list.
+    returns the node count and the edge list. ``problem`` is the
+    instance the network was built for; a run is driven only on it.
     """
 
     kind: str
     input_arity: int
     allow_hyperedges: bool
     problem: Any
-
-    def check_problem(self, problem: Any) -> None: ...
 
     def next_input(self, net: "ComputingNetwork", slow_index: int, fast_index: int) -> list[float]: ...
 
@@ -203,7 +202,9 @@ def run(
     Returns the initial snapshot record followed by one record per slow
     step.
     """
-    net.arch.check_problem(problem)
+    arch = net.arch
+    if not (problem is arch.problem or problem == arch.problem):
+        raise ConfigurationError(f"{arch.kind} network was built for a different problem")
     started = time.perf_counter()
     records = [_record(net, 0, (time.perf_counter() - started) * 1000.0)]
     for slow_index in range(1, schedule.slow_steps + 1):

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ann import build_ann, population_mse, set_weight_vector
+from .ann import AnnParams, build_ann, population_mse, set_weight_vector
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
 from .errors import ConfigurationError
 from .problems import Dataset, Objective
@@ -42,23 +42,18 @@ def cross_train(
     iterations: int = 300,
     pso_params: PsoParams | None = None,
     weight_bounds: tuple[float, float] = (-2.0, 2.0),
-    hidden_activation: str = "tanh",
-    output_activation: str = "tanh",
+    ann_params: AnnParams | None = None,
     dimension: int | None = None,
 ) -> CrossResult:
     """Train the network's weights by swarm search over flat vectors.
 
-    dimension, when given, must equal the network's parameter count; it
-    exists so configs that state the dimension explicitly fail fast
-    instead of silently searching the wrong space.
+    ann_params gives the network's activations; the swarm, not gradient
+    descent, trains it, so its learning rate goes unused. dimension,
+    when given, must equal the network's parameter count; it exists so
+    configs that state the dimension explicitly fail fast instead of
+    silently searching the wrong space.
     """
-    template = build_ann(
-        layer_sizes,
-        dataset,
-        rng,
-        hidden_activation=hidden_activation,
-        output_activation=output_activation,
-    )
+    template = build_ann(layer_sizes, dataset, rng, ann_params)
     expected = template.arch.topology.parameter_count
     if dimension is not None and dimension != expected:
         raise ConfigurationError(

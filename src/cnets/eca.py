@@ -9,6 +9,7 @@ whose edges link neighbours.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -33,18 +34,59 @@ class UpdateMode(Enum):
     ASYNC_FIXED = "asynchronous-fixed"
     ASYNC_RANDOM = "asynchronous-random"
 
+    @classmethod
+    def _missing_(cls, value):
+        names = sorted(mode.value for mode in cls)
+        raise ConfigurationError(f"expected one of {names}, got {value!r}", key="updating")
+
 
 def rule_table(rule_number: int) -> RuleTable:
     """Expand a Wolfram rule number into its 8-entry neighborhood map."""
     if isinstance(rule_number, bool) or not isinstance(rule_number, int):
-        raise ConfigurationError(f"rule number must be an integer, got {rule_number!r}")
+        raise ConfigurationError(f"must be an integer, got {rule_number!r}", key="rule")
     if not 0 <= rule_number <= 255:
-        raise ConfigurationError(f"rule number must be in [0, 255], got {rule_number}")
+        raise ConfigurationError(f"must be in [0, 255], got {rule_number}", key="rule")
     table: RuleTable = {}
     for k in range(8):
         left, center, right = (k >> 2) & 1, (k >> 1) & 1, k & 1
         table[(left, center, right)] = (rule_number >> k) & 1
     return table
+
+
+@dataclass(frozen=True)
+class EcaParams:
+    """An automaton run's rule, starting tape and update order.
+
+    initial is "single-one" (one live cell at the centre) or the starting
+    cells, one per cell of the width. Construction builds the rule
+    table, the tape and the update mode, so rule_table, Tape and
+    UpdateMode check every value; none of them draws.
+    """
+
+    rule: int
+    width: int
+    boundary: str = Tape.boundary
+    initial: str | tuple[int, ...] = "single-one"
+    updating: str = UpdateMode.SYNCHRONOUS.value
+
+    def __post_init__(self):
+        rule_table(self.rule)
+        UpdateMode(self.updating)
+        self.tape()
+
+    def tape(self) -> Tape:
+        """The starting tape."""
+        if self.initial == "single-one":
+            return Tape.single_one(self.width, self.boundary)
+        if not isinstance(self.initial, tuple):
+            raise ConfigurationError(
+                f'expected "single-one" or a 0/1 list, got {self.initial!r}', key="initial"
+            )
+        if len(self.initial) != self.width:
+            raise ConfigurationError(
+                f"got {len(self.initial)} cells for width {self.width}", key="initial"
+            )
+        return Tape.from_cells(self.initial, self.boundary)
 
 
 def _lookup(table: RuleTable) -> np.ndarray:
@@ -174,10 +216,6 @@ class EcaArchitecture:
         if self.problem.boundary == "periodic":
             pairs.append((n - 1, 0))
         return n, [EdgeState(id=k, endpoints=pair, directed=False) for k, pair in enumerate(pairs)]
-
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different tape")
 
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []

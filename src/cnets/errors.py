@@ -19,9 +19,17 @@ class CnError(Exception):
 
 
 class ConfigurationError(CnError):
-    """Invalid configuration, arguments, or problem/network mismatch."""
+    """Invalid configuration, arguments, or problem/network mismatch.
+
+    key, when given, names the setting at fault: the message reads
+    "key: problem", and config prefixes the setting's section path.
+    """
 
     exit_code = EXIT_CONFIG
+
+    def __init__(self, message: str, key: str | None = None):
+        super().__init__(message if key is None else f"{key}: {message}")
+        self.key = key
 
 
 class MalformedInstanceError(ConfigurationError):

@@ -17,7 +17,7 @@ from .core import ComputingNetwork, RunRecord, run
 from .cross import cross_train
 from .errors import ConfigurationError
 from .meta import Genome, MetaSearch, ParamBox, three_scale_run
-from .problems import Dataset, Tape, TourGraph, named_objective
+from .problems import Dataset, TourGraph, named_objective
 from .records import write_run_file
 from .rng import RngStream
 
@@ -39,9 +39,7 @@ def _load_problem(config: RunConfig) -> Any:
     if config.architecture == "pso":
         return named_objective(section.objective, section.dimension, section.bounds)
     if config.architecture == "eca":
-        if isinstance(section.initial, str):
-            return Tape.single_one(section.width, boundary=section.boundary)
-        return Tape.from_cells(section.initial, boundary=section.boundary)
+        return section.params.tape()
     raise ConfigurationError(f"cannot build architecture {config.architecture!r}")
 
 
@@ -55,18 +53,10 @@ def _build_network(
     """
     section = config.section()
     if config.architecture == "ann":
-        return ann.build_ann(
-            section.layers,
-            problem,
-            rng,
-            learning_rate=section.learning_rate,
-            hidden_activation=section.hidden_activation,
-            output_activation=section.output_activation,
-        )
+        return ann.build_ann(section.layers, problem, rng, section.params)
     if config.architecture == "eca":
-        return eca.build_eca_network(
-            problem, section.rule, updating=eca.UpdateMode(section.updating)
-        )
+        params = section.params
+        return eca.build_eca_network(problem, params.rule, eca.UpdateMode(params.updating))
     # constructed, so __post_init__ checks the genome; dataclasses.replace
     # does the same at twice the cost, once per meta rebuild
     params = type(section.params)(**vars(section.params) | genome)
@@ -117,8 +107,7 @@ def execute(config: RunConfig) -> ExecuteResult:
             iterations=config.schedule.slow_steps,
             pso_params=section.pso,
             weight_bounds=section.weight_bounds,
-            hidden_activation=section.ann.hidden_activation,
-            output_activation=section.ann.output_activation,
+            ann_params=section.ann.params,
             dimension=section.dimension,
         ).records
     elif config.meta is not None:

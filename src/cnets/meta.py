@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
 from .errors import CnError, ConfigurationError
-from .rng import RngStream, StreamGroup
+from .rng import RngStream, StreamGroup, check_seed
 
 Genome = dict[str, float]
 # rebuild(genome, rng) -> (fresh network, its problem); consumes rng draws
@@ -102,7 +102,9 @@ class MetaConfig:
                 f"inner run budget must be >= 1 slow step, got {self.inner_slow_steps}"
             )
         if not self.eval_seeds:
-            raise ConfigurationError("need at least one evaluation seed")
+            raise ConfigurationError("need at least one evaluation seed", key="eval_seeds")
+        for seed in self.eval_seeds:
+            check_seed(seed, key="eval_seeds")
 
 
 @dataclass

@@ -320,19 +320,20 @@ class Tape:
 
     def __post_init__(self):
         if len(self.cells) < 3:
-            raise ConfigurationError(f"tape needs >= 3 cells, got {len(self.cells)}")
+            raise ConfigurationError(f"must be >= 3, got {len(self.cells)}", key="width")
         if any(c not in (0, 1) for c in self.cells):
             raise ConfigurationError("tape cells must all be 0 or 1")
         if self.boundary not in BOUNDARIES:
             raise ConfigurationError(
-                f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
+                f"expected one of {list(BOUNDARIES)}, got {self.boundary!r}", key="boundary"
             )
 
     def __len__(self) -> int:
         return len(self.cells)
 
+    # the boundary defaults below are the field's: the class body reads its value
     @classmethod
-    def single_one(cls, width: int, boundary: str = "fixed-zero") -> "Tape":
+    def single_one(cls, width: int, boundary: str = boundary) -> "Tape":
         """All zeros except a single 1 at the center cell."""
         cells = [0] * width
         if width > 0:
@@ -340,5 +341,5 @@ class Tape:
         return cls(cells=tuple(cells), boundary=boundary)
 
     @classmethod
-    def from_cells(cls, cells: Sequence[int], boundary: str = "fixed-zero") -> "Tape":
+    def from_cells(cls, cells: Sequence[int], boundary: str = boundary) -> "Tape":
         return cls(cells=tuple(int(c) for c in cells), boundary=boundary)

@@ -192,10 +192,6 @@ class PsoArchitecture:
         ]
         return len(self.positions), edges
 
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different objective")
-
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
 

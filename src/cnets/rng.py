@@ -42,6 +42,16 @@ _FRESH = {
 }
 
 
+def check_seed(seed: int, key: str = "seed") -> int:
+    """seed, if it is an integer in [0, 2**64), the seeds a stream takes;
+    else a ConfigurationError naming key."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ConfigurationError(f"must be an integer, got {seed!r}", key=key)
+    if not 0 <= seed < _WORD:
+        raise ConfigurationError(f"must be in [0, 2**64), got {seed}", key=key)
+    return seed
+
+
 @cache
 def _unseeded():
     """A seed sequence that reads no OS entropy: Philox(key=...) would read
@@ -64,11 +74,7 @@ class RngStream:
     shape = ()
 
     def __init__(self, seed: int, stream: int = 0):
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {seed!r}")
-        if not 0 <= seed < _WORD:
-            raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
-        self.seed = seed
+        self.seed = check_seed(seed)
         self.stream = stream % _WORD
         # snapshot() of the current position; every draw clears it
         self._position: dict | None = self._fresh()

@@ -105,10 +105,6 @@ class OracleEca:
             edges.append(EdgeState(id=len(edges), endpoints=(n - 1, 0), directed=False))
         return n, edges
 
-    def check_problem(self, problem) -> None:
-        if problem != self.problem:
-            raise ConfigurationError("network was built for a different tape")
-
     def next_input(self, net, slow_index, fast_index) -> list[float]:
         return []
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from cnets.aco import AcoParams, build_aco_network
 from cnets.analysis import interaction_excess, trace_from_discrete
-from cnets.ann import batch_mse, build_ann, gradients, set_weight_vector, weight_vector
+from cnets.ann import AnnParams, batch_mse, build_ann, gradients, set_weight_vector, weight_vector
 from cnets.core import ScaleSchedule, run
 from cnets.cross import cross_train
 from cnets.eca import build_eca_network, evolve, rule_table
@@ -115,7 +115,7 @@ def _xor_outcome():
     dataset = xor_dataset()
     start = time.perf_counter()
     rng = RngStream(1)
-    net = build_ann((2, 2, 1), dataset, rng, learning_rate=0.5)
+    net = build_ann((2, 2, 1), dataset, rng, AnnParams(learning_rate=0.5))
     records = run(
         net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5000), dataset, rng
     )
@@ -313,7 +313,7 @@ def test_criterion_03_analytic_gradients_match_finite_differences():
             inputs=tuple(map(tuple, inputs.tolist())),
             targets=tuple(map(tuple, targets.tolist())),
         )
-        net = build_ann(shape, dataset, rng, hidden_activation=hidden, output_activation=output)
+        net = build_ann(shape, dataset, rng, AnnParams(hidden_activation=hidden, output_activation=output))
         grad_w, grad_b, _ = gradients(net, dataset)
         analytic = np.concatenate(
             [g.reshape(-1) for g in grad_w] + [g.reshape(-1) for g in grad_b]

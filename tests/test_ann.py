@@ -5,6 +5,7 @@ import pytest
 
 from cnets.ann import (
     ACTIVATIONS,
+    AnnParams,
     LayeredTopology,
     batch_mse,
     build_ann,
@@ -22,7 +23,7 @@ from ann_oracle import weighted_sum
 
 
 def make_net(layer_sizes, dataset, seed=1, **kwargs):
-    return build_ann(layer_sizes, dataset, RngStream(seed), **kwargs)
+    return build_ann(layer_sizes, dataset, RngStream(seed), AnnParams(**kwargs))
 
 
 def linear_dataset():

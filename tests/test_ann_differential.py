@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import ann_oracle as oracle
-from cnets.ann import batch_mse, build_ann, forward, train_step, weight_vector
+from cnets.ann import AnnParams, batch_mse, build_ann, forward, train_step, weight_vector
 from cnets.problems import Dataset
 from cnets.rng import RngStream
 
@@ -30,9 +30,8 @@ def networks(draw):
 def both(sizes, dataset, hidden, output, seed):
     """The network and its oracle, built from equal streams; and those streams."""
     rng, oracle_rng = RngStream(seed), RngStream(seed)
-    kinds = {"hidden_activation": hidden, "output_activation": output}
-    net = build_ann(sizes, dataset, rng, **kinds)
-    reference = oracle.build_ann(sizes, oracle_rng, **kinds)
+    net = build_ann(sizes, dataset, rng, AnnParams(hidden_activation=hidden, output_activation=output))
+    reference = oracle.build_ann(sizes, oracle_rng, hidden_activation=hidden, output_activation=output)
     return net, reference, rng, oracle_rng
 
 

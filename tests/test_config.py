@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import MISSING, asdict, fields
 
 import pytest
 
+from cnets.ann import AnnParams
 from cnets.config import build_config, load_config, write_config
+from cnets.eca import EcaParams
 from cnets.errors import ConfigurationError
 
 
@@ -43,7 +47,7 @@ class TestArchitectureSelection:
         assert config.schedule.slow_steps == 5
         assert config.schedule.fast_steps_per_slow == 1
         assert config.seed == 1
-        assert config.eca.rule == 110
+        assert config.eca.params.rule == 110
 
     def test_architecture_field_is_optional_but_checked(self, workdir):
         config = load_config(write_json(workdir, minimal_eca(architecture="eca")))
@@ -117,7 +121,7 @@ class TestStrictKeys:
 
     def test_explicit_null_initial_reads_as_single_one(self, workdir):
         data = {"eca": {"rule": 110, "width": 9, "initial": None}, "seed": 1}
-        assert load_config(write_json(workdir, data)).eca.initial == "single-one"
+        assert load_config(write_json(workdir, data)).eca.params.initial == "single-one"
 
 
 class TestValues:
@@ -128,6 +132,19 @@ class TestValues:
     def test_boolean_is_not_an_integer(self, workdir):
         with pytest.raises(ConfigurationError, match="seed"):
             load_config(write_json(workdir, minimal_eca(seed=True)))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    @pytest.mark.parametrize(
+        "data, path",
+        [
+            (lambda seed: minimal_eca(seed=seed), r"config\.seed"),
+            (lambda seed: minimal_meta_aco(eval_seeds=[1, seed]), r"config\.meta\.eval_seeds"),
+        ],
+        ids=["seed", "eval_seeds"],
+    )
+    def test_seeds_checked_at_load(self, workdir, seed, data, path):
+        with pytest.raises(ConfigurationError, match=rf"^{path}: "):
+            build_config(data(seed), base_dir=str(workdir))
 
     def test_eca_rule_range(self, workdir):
         data = {"eca": {"rule": 300, "width": 9}, "seed": 1}
@@ -209,6 +226,41 @@ class TestValues:
         )
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             build_config(data)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("ann", "learning_rate", 0),
+            ("ann", "hidden_activation", "relu"),
+            ("cross.ann", "learning_rate", 0),
+            ("cross.ann", "output_activation", "relu"),
+            ("eca", "rule", 300),
+            ("eca", "boundary", "mirror"),
+            ("eca", "width", 2),
+        ],
+    )
+    def test_params_value_errors_name_their_config_path(self, workdir, section, key, value):
+        data = {
+            "ann": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "seed": 1},
+            "cross.ann": minimal_cross(),
+            "eca": minimal_eca(),
+        }[section]
+        target = data
+        for name in section.split("."):
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ConfigurationError, match=rf"^config\.{re.escape(section)}\.{key}: "):
+            build_config(data, base_dir=str(workdir))
+
+    def test_minimal_sections_echo_their_params_defaults(self, workdir):
+        data = {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "seed": 1}
+        ann = build_config(data, base_dir=str(workdir)).to_dict()["ann"]
+        assert ann == {"layers": [2, 1], "dataset": str(workdir / "xor.csv"), **asdict(AnnParams())}
+        data = {"eca": {"rule": 110, "width": 9}, "seed": 1}
+        eca = build_config(data, base_dir=str(workdir)).to_dict()["eca"]
+        defaults = {f.name: f.default for f in fields(EcaParams) if f.default is not MISSING}
+        assert eca == {"rule": 110, "width": 9, "steps": 0, **defaults}
+        assert list(eca) == ["rule", "width", "steps", "boundary", "initial", "updating"]
 
     def test_pso_bounds_filled_from_objective(self, workdir):
         data = {"pso": {"objective": "rastrigin", "dimension": 3}, "seed": 1}

@@ -37,10 +37,6 @@ class CounterArchitecture:
         n = len(self.values)
         return n, [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
 
-    def check_problem(self, problem):
-        if problem != self.problem:
-            raise ConfigurationError("wrong problem")
-
     def next_input(self, net, slow_index, fast_index):
         return [1.0]
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnets.ann import batch_mse, weight_vector
+from cnets.ann import AnnParams
 from cnets.cross import cross_train
 from cnets.errors import ConfigurationError
 from cnets.problems import Dataset, xor_dataset
@@ -19,7 +20,7 @@ class TestCrossTrain:
             (1, 1),
             RngStream(4),
             iterations=120,
-            output_activation="identity",
+            ann_params=AnnParams(output_activation="identity"),
             pso_params=PsoParams(particles=15),
         )
         assert result.mse < 1e-6

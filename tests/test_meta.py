@@ -32,10 +32,6 @@ class QuadraticProbe:
     def __init__(self, genome):
         self.genome = dict(genome)
 
-    def check_problem(self, problem):
-        if problem != self.problem:
-            raise ConfigurationError("wrong probe problem")
-
     def next_input(self, net, slow_index, fast_index):
         return []
 

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import pso_oracle as oracle
-from cnets.ann import batch_mse, build_ann, population_mse, set_weight_vector
+from cnets.ann import AnnParams, batch_mse, build_ann, population_mse, set_weight_vector
 from cnets.problems import Dataset, named_objective
 from cnets.pso import (
     PsoParams,
@@ -118,8 +118,7 @@ def test_population_mse_matches_installing_each_vector(
         (inputs, *hidden, outputs),
         dataset,
         rng,
-        hidden_activation=hidden_kind,
-        output_activation=output_kind,
+        AnnParams(hidden_activation=hidden_kind, output_activation=output_kind),
     )
     vectors = rng.uniform(-2.0, 2.0, size=(particles, net.arch.topology.parameter_count))
     values = population_mse(net, dataset, vectors)
