@@ -21,6 +21,8 @@ After a workload's pairs, `perfbench/run.py --trace 1` runs once per side
 on the first pair's seed, parent first; the `per_layer` section holds,
 per workload, that seed and each side's per-layer metrics (the names
 BENCHMARK.json lists under per_layer) and whether its records were correct.
+If any run, traced or not, reports incorrect records, the file is still
+written, and the script then names each such run and exits with status 1.
 
 It then times every configs/*.json in process on both sides, alternating
 in the same way for CONFIG_ROUNDS rounds. A round is one Python process
@@ -145,6 +147,7 @@ def main(argv=None) -> int:
         better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     report: dict = {"seconds_per_run": args.seconds, "workloads": {}, "per_layer": {}}
+    incorrect: list[str] = []  # the runs whose records failed perfbench's checks
     for spec in args.pairs:
         workload, count = spec.split("=")
         if int(count) < 2:
@@ -156,6 +159,8 @@ def main(argv=None) -> int:
             for side in order:
                 info, result = perfbench(checkouts[side], workload, seed, args.seconds)
                 runs[side].append(result)
+                if not result["correct"]:
+                    incorrect.append(f"{workload} {side} seed {seed}")
                 report.setdefault("python", info["python"])
                 report.setdefault("numpy", info["numpy"])
                 report.setdefault("nproc", info["nproc"])
@@ -171,6 +176,8 @@ def main(argv=None) -> int:
         layers: dict = {"seed": seeds[0]}
         for side in SIDES:
             _, result = perfbench(checkouts[side], workload, seeds[0], args.seconds, trace=1)
+            if not result["correct"]:
+                incorrect.append(f"{workload} {side} seed {seeds[0]} --trace 1")
             layers[side] = {
                 "correct": result["correct"],
                 "metrics": {name: m["value"] for name, m in result["metrics"].items()},
@@ -182,7 +189,9 @@ def main(argv=None) -> int:
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    return 0
+    for run in incorrect:
+        print(f"incorrect records: {run}", file=sys.stderr)
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":

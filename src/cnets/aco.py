@@ -6,7 +6,9 @@ fixed desirability is the reciprocal of its cost. Ants prefer trails by
 pheromone**alpha * desirability**beta (``choice_info``), computed once
 per iteration. The fast scale sends all ants on one complete tour in
 lockstep: each step picks every ant's next location from a row-wise
-cumulative sum over the locations it has not visited. The slow scale
+cumulative sum over the locations it has not visited. Every ant's start
+and uniforms come from one block of raw words per stream per fast step
+(rng.draw_walks), bit for bit the per-ant scalar draws. The slow scale
 evaporates and deposits pheromone, optionally after a local-search
 demon (2-opt) improves the iteration's best tour.
 
@@ -39,7 +41,7 @@ from .errors import (
     NumericDivergenceError,
 )
 from .problems import TourGraph
-from .rng import RngStream, StreamGroup
+from .rng import RngStream, StreamGroup, draw_walks
 
 # Construction restarts allowed per ant per iteration before giving up.
 MAX_RESTARTS = 10
@@ -316,10 +318,13 @@ class ColonyStack:
         ants = self.params.ants
         # each colony's first shortest tour, as a lone colony's settle picks it
         shortest = np.arange(0, len(lengths), ants) + lengths.reshape(-1, ants).argmin(axis=1)
-        for colony, path, length in zip(
-            self.colonies, paths[shortest].tolist(), lengths[shortest].tolist()
+        # offered only to the colonies it improves, as _offer_best would keep it
+        best = [np.inf if c.best_length is None else c.best_length for c in self.colonies]
+        shortest = shortest[lengths[shortest] < best]
+        for k, path, length in zip(
+            (shortest // ants).tolist(), paths[shortest].tolist(), lengths[shortest].tolist()
         ):
-            colony._offer_best(path, length)
+            self.colonies[k]._offer_best(path, length)
         if not self._batched:  # each colony's own slow step reads its own solutions
             for k, colony in enumerate(self.colonies):
                 colony._iteration_solutions = solutions[k * ants : (k + 1) * ants]
@@ -423,10 +428,11 @@ def construct_solutions(
 ) -> list[tuple[list[int], float]]:
     """Send every ant on one complete closed tour, all ants in lockstep.
 
-    Each ant draws its start, then one uniform per move, in ant order.
-    On a complete graph a walk dead-ends only when every remaining
-    weight underflows to zero; such ants are re-walked from their start
-    with fresh uniforms, at most MAX_RESTARTS times.
+    Each ant draws its start, then one uniform per move, in ant order
+    (draw_walks makes them from one block of raw words per stream). On a
+    complete graph a walk dead-ends only when every remaining weight
+    underflows to zero; such ants are re-walked from their start with
+    fresh uniforms, at most MAX_RESTARTS times.
 
     On a ColonyStack, params.ants ants of every colony walk at once and
     the solutions come colony by colony. From a StreamGroup every draw
@@ -446,14 +452,9 @@ def construct_solutions(
             choice.cumsum(axis=2)
     except (OverflowError, FloatingPointError):
         raise NumericDivergenceError("transition weights overflow") from None
-    lead = rng.shape
-    starts = np.empty((*lead, params.ants), dtype=np.intp)
-    uniforms = np.empty((*lead, params.ants, n - 1))
-    for ant in range(params.ants):
-        starts[..., ant] = rng.integers(0, n)
-        uniforms[..., ant, :] = rng.uniform(size=n - 1)
+    starts, uniforms = draw_walks(rng, params.ants, n)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
-    if (len(choice) > 1 or lead) and dead.any():
+    if (len(choice) > 1 or rng.shape) and dead.any():
         raise DeadEndError("an ant of a stacked colony found no positive trail")
     for _ in range(MAX_RESTARTS):
         if not dead.any():

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .harness import execute
 from .records import summarize, summary_csv
+from .rng import check_seed
 
 
 class _UsageError(ConfigurationError):
@@ -60,14 +61,15 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(config: RunConfig, cli_seed: int | None) -> int | None:
+    """The run's seed, checked here so that an error names where it came from."""
     if cli_seed is not None:
-        return cli_seed
+        return check_seed(cli_seed, key="--seed")
     if config.seed is not None:
         return config.seed
     env = os.environ.get("CN_SEED")
     if env is not None:
         try:
-            return int(env)
+            return check_seed(int(env), key="CN_SEED")
         except ValueError:
             raise ConfigurationError(f"CN_SEED must be an integer, got {env!r}") from None
     return None

@@ -165,11 +165,9 @@ def fast_step(net: ComputingNetwork, inputs: Sequence[float], rng: RngStream) ->
         )
     net.arch.fast(net, inputs, rng)
     out = net.arch.readout(net)
-    for value in out:
-        if not math.isfinite(value):
-            raise NumericDivergenceError(
-                f"{net.arch.kind} readout produced non-finite value {value!r}"
-            )
+    if not all(map(math.isfinite, out)):
+        value = next(v for v in out if not math.isfinite(v))
+        raise NumericDivergenceError(f"{net.arch.kind} readout produced non-finite value {value!r}")
     return out
 
 

@@ -342,4 +342,6 @@ class Tape:
 
     @classmethod
     def from_cells(cls, cells: Sequence[int], boundary: str = boundary) -> "Tape":
-        return cls(cells=tuple(int(c) for c in cells), boundary=boundary)
+        """A tape of cells equal to 0 or 1, stored as ints; any other cell is
+        passed on as it is, for the check to reject."""
+        return cls(cells=tuple(int(c) if c in (0, 1) else c for c in cells), boundary=boundary)

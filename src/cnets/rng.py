@@ -5,10 +5,13 @@ Every stochastic choice in the package draws from an RngStream, so a
 counter-based Philox generator keyed with (seed, stream); the same key
 produces the same draw sequence on every platform and numpy build, which
 is what makes record files byte-reproducible.
+
+draw_walks makes an ant colony's per-ant draws as one block of raw words per
+stream, decoded bit for bit as numpy's Generator makes the scalar draws.
 """
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -107,10 +110,10 @@ class RngStream:
         self._position = None
         return self._gen.normal(loc, scale, size)
 
-    def integers(self, low: int, high: int, size=None):
+    def integers(self, low: int, high: int, size=None, dtype=np.int64):
         """Draw from [low, high) like numpy's Generator.integers."""
         self._position = None
-        return self._gen.integers(low, high, size=size)
+        return self._gen.integers(low, high, size=size, dtype=dtype)
 
     def permutation(self, n: int) -> np.ndarray:
         self._position = None
@@ -135,15 +138,75 @@ class RngStream:
 
 
 class StreamGroup:
-    """Streams drawn as one: each draw returns one row per stream, in
-    stream order, and moves every stream exactly as its own draw would."""
+    """Streams drawn as one by draw_walks: one row per stream, in stream order."""
 
     def __init__(self, streams: Sequence[RngStream]):
         self.streams = tuple(streams)
         self.shape = (len(self.streams),)
 
-    def integers(self, low: int, high: int) -> list:
-        return [stream.integers(low, high) for stream in self.streams]
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None) -> list:
-        return [stream.uniform(low, high, size) for stream in self.streams]
+@lru_cache(maxsize=16)
+def _walk_layout(walkers: int, n: int, buffered: bool) -> tuple[np.ndarray, ...]:
+    """In a block of raw words: each start's word and whether it takes its high
+    half (the low half of a new word, else the half buffered since; walker 0's
+    word, 0, is unused if one was buffered before), and each walker's uniforms."""
+    walker = np.arange(walkers)
+    half = walker - buffered  # each start's half among the block's start words
+    high = half % 2 == 1
+    start_word = np.maximum(0, half // 2 + (walker - high) * (n - 1))
+    uniform_word = ((half + 2) // 2 + walker * (n - 1))[:, None] + np.arange(n - 1)
+    for shared in (high, start_word, uniform_word):  # cached: no caller may change one
+        shared.flags.writeable = False
+    return high, start_word, uniform_word
+
+
+def decode_walks(words: np.ndarray, walkers: int, n: int, buffered: np.ndarray | None = None):
+    """walkers pairs of draws integers(0, n), uniform(size=n - 1) as numpy's
+    Generator makes them from each row of raw Philox words and its buffered half
+    word (None: none buffered): (starts, uniforms, (whether a half is buffered
+    after, each row's half)), or None if numpy rejects a start. A uniform is
+    (word >> 11) * 2**-53; a start is Lemire's multiply-shift on a half word
+    ("Fast random integer generation in an interval", 2019)."""
+    high, start_word, uniform_word = _walk_layout(walkers, n, buffered is not None)
+    halves = words.take(start_word, axis=-1)
+    halves = np.where(high, halves >> 32, halves & 0xFFFFFFFF)
+    if buffered is not None:
+        halves[..., 0] = buffered
+    scaled = halves * n
+    threshold = (1 << 32) % n  # numpy rejects a product whose low 32 bits fall below it
+    if threshold and ((scaled & 0xFFFFFFFF) < threshold).any():
+        return None
+    uniforms = (words.take(uniform_word, axis=-1) >> 11) * 2.0**-53
+    # the last start word's high half stays, unless the only start took the buffered one
+    kept = buffered if buffered is not None and walkers == 1 else words[..., start_word[-1]] >> 32
+    return (scaled >> 32).astype(np.intp), uniforms, ((walkers - (buffered is not None)) % 2, kept)
+
+
+def draw_walks(rng: RngStream | StreamGroup, walkers: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """walkers pairs of draws integers(0, n), uniform(size=n - 1) from each
+    stream, as those calls make them and leaving each stream where they do:
+    starts (*rng.shape, walkers) and uniforms (*rng.shape, walkers, n - 1), from
+    one raw-word draw per stream; the streams go back and make the scalar calls
+    if numpy would reject a start, or if they differ in buffering a half word."""
+    streams = rng.streams
+    bits = [stream._gen.bit_generator for stream in streams]
+    before = [bit.state for bit in bits]
+    decoded = None
+    if len({state["has_uint32"] for state in before}) == 1 and n > 1:
+        buffered = before[0]["has_uint32"]
+        halves = np.array([state["uinteger"] for state in before], np.uint64) if buffered else None
+        count = walkers * n - (walkers + buffered) // 2
+        words = np.array([stream.integers(0, _WORD, count, np.uint64) for stream in streams])
+        decoded = decode_walks(words, walkers, n, halves)
+    if decoded is None:
+        for bit, state in zip(bits, before):
+            bit.state = state
+        draws = [(s.integers(0, n), s.uniform(size=n - 1)) for s in streams for _ in range(walkers)]
+        starts, uniforms = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
+    else:
+        starts, uniforms, (has, halves) = decoded
+        for bit, half in zip(bits, halves.tolist()):
+            state = bit.state
+            state["has_uint32"], state["uinteger"] = has, half
+            bit.state = state
+    return starts.reshape(*rng.shape, walkers), uniforms.reshape(*rng.shape, walkers, n - 1)

@@ -138,7 +138,8 @@ class TestTransitions:
 
 
 class CountingStream(RngStream):
-    """An RngStream that logs the name of every draw call."""
+    """An RngStream that logs every draw call: "words" for a block of raw
+    words, else the method's name."""
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -148,9 +149,9 @@ class CountingStream(RngStream):
         self.calls.append("uniform")
         return super().uniform(*args, **kwargs)
 
-    def integers(self, *args, **kwargs):
-        self.calls.append("integers")
-        return super().integers(*args, **kwargs)
+    def integers(self, low, high, size=None, dtype=np.int64):
+        self.calls.append("words" if dtype is np.uint64 else "integers")
+        return super().integers(low, high, size, dtype)
 
 
 class TestDeadEnds:
@@ -163,8 +164,8 @@ class TestDeadEnds:
         rng = CountingStream(7)
         with pytest.raises(DeadEndError):
             construct_solutions(net, params, rng)
-        # each ant draws a start and a walk, then the stuck ants are re-walked
-        assert rng.calls == ["integers", "uniform"] * 2 + ["uniform"] * MAX_RESTARTS
+        # one block holds every ant's start and walk, then the stuck ants are re-walked
+        assert rng.calls == ["words"] + ["uniform"] * MAX_RESTARTS
 
     def test_dead_ended_ants_restart_from_their_start(self):
         # a square with a fifth node below its bottom edge; only the trails
@@ -178,7 +179,9 @@ class TestDeadEnds:
             net.arch.pheromone[a, b] = net.arch.pheromone[b, a] = 1.0
         rng = CountingStream(3)
         solutions = construct_solutions(net, params, rng)
-        assert len(rng.calls) > 2 * params.ants  # some ant restarted
+        # the first block held every ant's walk: each draw after it is a restart
+        assert rng.calls[0] == "words" and rng.calls[1:]
+        assert set(rng.calls[1:]) == {"uniform"}
         for path, length in solutions:
             assert length == graph.tour_length(path)
             steps = {frozenset(pair) for pair in zip(path, path[1:])}

@@ -84,3 +84,12 @@ def test_bench_file_per_layer_section(path):
             metrics = workload[side]["metrics"]
             assert set(metrics) == names
             assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in metrics.values())
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_runs_were_correct(path):
+    bench = json.loads(path.read_text())
+    for workload in bench["workloads"].values():
+        assert workload["all_correct"] == {"parent": True, "change": True}
+    for workload in bench.get("per_layer", {}).values():
+        assert workload["parent"]["correct"] is True and workload["change"]["correct"] is True

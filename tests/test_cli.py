@@ -101,6 +101,26 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert "CN_SEED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, seed", [("--seed", "-1"), ("CN_SEED", "-1"), ("--seed", str(2**64))]
+    )
+    def test_out_of_range_seed_fails_before_the_run_naming_its_source(
+        self, workdir, monkeypatch, capsys, source, seed
+    ):
+        path = eca_config(workdir, seed=None, out="eca.jsonl")
+
+        def no_run(config):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("cnets.cli.execute", no_run)
+        args = ["run", path]
+        if source == "CN_SEED":
+            monkeypatch.setenv("CN_SEED", seed)
+        else:
+            args += ["--seed", seed]
+        assert main(args) == 1
+        assert f"{source}: must be in [0, 2**64)" in capsys.readouterr().err
+
     def test_no_seed_anywhere_is_a_config_error(self, workdir, capsys):
         path = eca_config(workdir, seed=None, out="eca.jsonl")
         assert main(["run", path]) == 1

@@ -136,6 +136,12 @@ class TestFastSlowSteps:
         with pytest.raises(NumericDivergenceError):
             fast_step(net, [1.0], RngStream(0))
 
+    def test_non_finite_readout_error_names_the_first_bad_value(self):
+        net = counter_net(n=3)
+        net.arch.values[1:] = [float("-inf"), float("nan")]
+        with pytest.raises(NumericDivergenceError, match=r"non-finite value -inf$"):
+            fast_step(net, [1.0], RngStream(0))
+
     def test_slow_step_returns_same_network(self):
         net = counter_net()
         assert slow_step(net, [], RngStream(0)) is net

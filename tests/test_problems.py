@@ -224,6 +224,15 @@ class TestTape:
         with pytest.raises(ConfigurationError):
             Tape.from_cells([0, 1, 2])
 
+    @pytest.mark.parametrize("cells", [[0.5, 1, 0.9], [0, 1, 1.5], [0, True, "1"], [0, 1, -1]])
+    def test_cells_are_never_truncated(self, cells):
+        with pytest.raises(ConfigurationError, match="0 or 1"):
+            Tape.from_cells(cells)
+
+    def test_cells_equal_to_0_or_1_become_ints(self):
+        tape = Tape.from_cells([1.0, 0, True, np.uint8(0)])
+        assert tape.cells == (1, 0, 1, 0) and all(type(c) is int for c in tape.cells)
+
     def test_minimum_width(self):
         with pytest.raises(ConfigurationError):
             Tape.from_cells([0, 1])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cnets.errors import ConfigurationError
-from cnets.rng import RngStream, StreamGroup
+from cnets.rng import RngStream, StreamGroup, decode_walks, draw_walks
 
 
 def test_same_seed_same_sequence():
@@ -142,7 +142,146 @@ def test_a_group_draws_one_row_per_stream_as_each_stream_would():
     group = StreamGroup([RngStream(3), RngStream(4, 2), RngStream(3, 1)])
     alone = [RngStream(3), RngStream(4, 2), RngStream(3, 1)]
     assert group.shape == (3,) and RngStream(3).shape == ()
-    for _ in range(3):
-        assert [int(v) for v in group.integers(0, 9)] == [int(s.integers(0, 9)) for s in alone]
-        assert np.array(group.uniform(size=4)).tolist() == [s.uniform(size=4).tolist() for s in alone]
+    for walkers in (3, 2, 5):  # an odd count leaves a half word buffered for the next
+        starts, uniforms = draw_walks(group, walkers, 9)
+        assert starts.shape == (3, walkers) and uniforms.shape == (3, walkers, 8)
+        want = [scalar_walks(stream, walkers, 9) for stream in alone]
+        assert starts.tolist() == [s for s, _ in want] and uniforms.tolist() == [u for _, u in want]
     assert [s.snapshot() for s in group.streams] == [s.snapshot() for s in alone]
+
+
+def test_raw_words_are_numpys_uint64_integers():
+    ours = RngStream(9, 4)
+    ours.integers(0, 3)  # a buffered half word: raw words leave it alone
+    reference = np.random.Generator(np.random.Philox(key=np.array([9, 4], dtype=np.uint64)))
+    reference.integers(0, 3)
+    for size in (1, 3, 9):
+        got = ours.integers(0, 2**64, size=size, dtype=np.uint64)
+        assert got.dtype == np.uint64
+        assert got.tolist() == reference.integers(0, 2**64, size=size, dtype=np.uint64).tolist()
+        assert ours.snapshot() == _plain(reference.bit_generator.state)
+
+
+class LoggedStream(RngStream):
+    """An RngStream that logs every draw call: "words" for a block of raw
+    words, else the method's name."""
+
+    def __init__(self, seed, stream=0):
+        super().__init__(seed, stream)
+        self.calls = []
+
+    def uniform(self, *args, **kwargs):
+        self.calls.append("uniform")
+        return super().uniform(*args, **kwargs)
+
+    def integers(self, low, high, size=None, dtype=np.int64):
+        self.calls.append("words" if dtype is np.uint64 else "integers")
+        return super().integers(low, high, size, dtype)
+
+
+def scalar_walks(stream, walkers, n):
+    """The per-walker calls the bulk draws stand for, made one by one."""
+    draws = [
+        (int(stream.integers(0, n)), stream.uniform(size=n - 1).tolist()) for _ in range(walkers)
+    ]
+    return [start for start, _ in draws], [walk for _, walk in draws]
+
+
+@given(
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    skips=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    n=st.integers(3, 130),
+    walkers=st.integers(1, 12),
+    buffered=st.booleans(),
+    grouped=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_decoded_walks_are_the_scalar_draws(seeds, skips, n, walkers, buffered, grouped):
+    def streams(kind):
+        made = [kind(seed, 5) for seed in (seeds if grouped else seeds[:1])]
+        for stream, skip in zip(made, skips):
+            stream.uniform(size=skip)  # any position within Philox's 4-word blocks
+            if buffered:
+                stream.integers(0, 7)  # leaves the word's high half buffered
+        return made
+
+    scalar, bulk = streams(RngStream), streams(LoggedStream)
+    for stream in bulk:
+        stream.calls.clear()
+    rng = StreamGroup(bulk) if grouped else bulk[0]
+    for _ in range(2):  # the second block starts from the half the first left
+        before = [stream.snapshot() for stream in scalar]
+        want = [scalar_walks(stream, walkers, n) for stream in scalar]
+        # the pure decoder, on raw words from numpy's own Philox at the same position
+        for state, (starts, uniforms), stream in zip(before, want, scalar):
+            bits = np.random.Philox()
+            bits.state = state
+            half = np.array(state["uinteger"], np.uint64) if state["has_uint32"] else None
+            count = walkers * n - (walkers + (half is not None)) // 2
+            got = decode_walks(bits.random_raw(count), walkers, n, half)
+            assert got[0].tolist() == starts and got[1].tolist() == uniforms
+            has, left = got[2]
+            after = stream.snapshot()
+            assert (has, int(left)) == (after["has_uint32"], after["uinteger"])
+            assert {**_plain(bits.state), "has_uint32": has, "uinteger": int(left)} == after
+        starts, uniforms = draw_walks(rng, walkers, n)
+        assert starts.shape == (*rng.shape, walkers)
+        assert starts.reshape(-1, walkers).tolist() == [s for s, _ in want]
+        assert uniforms.reshape(-1, walkers, n - 1).tolist() == [u for _, u in want]
+        assert [s.snapshot() for s in bulk] == [s.snapshot() for s in scalar]
+    # one raw-word draw per stream per block, and no other draw
+    assert all(stream.calls == ["words", "words"] for stream in bulk)
+
+
+def test_a_rejected_start_falls_back_to_the_scalar_draws():
+    # n = 3 rejects a 32-bit half h when 3 * h mod 2**32 < 2**32 mod 3 = 1, i.e. h = 0
+    n, walkers = 3, 4
+    words = RngStream(2).integers(0, 2**64, size=10, dtype=np.uint64)
+    assert decode_walks(words, walkers, n) is not None
+    words[0] &= np.uint64(0xFFFFFFFF_00000000)  # walker 0's start: the low half
+    assert decode_walks(words, walkers, n) is None
+    words[0] |= np.uint64(0xAAAAAAAB)  # 3 * h mod 2**32 == 1: the lowest kept product
+    assert decode_walks(words, walkers, n)[0][0] == 2
+
+    class Crafted(LoggedStream):
+        """Draws real raw words, then zeroes the first one's low half."""
+
+        def integers(self, low, high, size=None, dtype=np.int64):
+            got = super().integers(low, high, size, dtype)
+            if dtype is np.uint64:
+                got[0] &= np.uint64(0xFFFFFFFF_00000000)
+            return got
+
+    for rng, alone in (
+        (Crafted(6), [RngStream(6)]),
+        (StreamGroup([RngStream(5), Crafted(6)]), [RngStream(5), RngStream(6)]),
+    ):
+        want = [scalar_walks(stream, walkers, n) for stream in alone]
+        starts, uniforms = draw_walks(rng, walkers, n)
+        assert starts.reshape(-1, walkers).tolist() == [s for s, _ in want]
+        assert uniforms.reshape(-1, walkers, n - 1).tolist() == [u for _, u in want]
+        assert [s.snapshot() for s in rng.streams] == [s.snapshot() for s in alone]
+        crafted = rng.streams[-1]
+        assert crafted.calls == ["words"] + ["integers", "uniform"] * walkers
+
+
+def test_streams_that_differ_in_a_buffered_half_draw_one_by_one():
+    group = StreamGroup([LoggedStream(1), LoggedStream(2)])
+    alone = [RngStream(1), RngStream(2)]
+    group.streams[0].integers(0, 5)
+    alone[0].integers(0, 5)
+    want = [scalar_walks(stream, 3, 6) for stream in alone]
+    starts, uniforms = draw_walks(group, 3, 6)
+    assert starts.tolist() == [s for s, _ in want]
+    assert uniforms.tolist() == [u for _, u in want]
+    assert [s.snapshot() for s in group.streams] == [s.snapshot() for s in alone]
+    assert group.streams[1].calls == ["integers", "uniform"] * 3
+
+
+def test_a_cached_walk_layout_cannot_be_changed():
+    from cnets.rng import _walk_layout
+
+    for buffered in (False, True):
+        for shared in _walk_layout(4, 7, buffered):
+            with pytest.raises(ValueError):
+                shared[...] = 0
