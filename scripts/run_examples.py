@@ -1,11 +1,7 @@
 #!/usr/bin/env python3
 """Run every example config and tabulate the resulting record files.
 
-Usage: python3 scripts/run_examples.py [--skip-meta]
-
-The meta example runs a full genetic search (a few hundred inner colony
-runs) and dominates the total wall time; --skip-meta leaves it out when
-you just want a quick smoke pass over the other architectures.
+Usage: python3 scripts/run_examples.py
 """
 import argparse
 import pathlib
@@ -27,15 +23,8 @@ ORDER = (
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--skip-meta", action="store_true", help="leave out the slow GA example"
-    )
-    args = parser.parse_args(argv)
-
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     for name in ORDER:
-        if args.skip_meta and name.startswith("meta"):
-            continue
         print(f"== {name}", flush=True)
         code = cnets(["run", str(CONFIGS / name)])
         if code != 0:

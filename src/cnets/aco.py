@@ -16,7 +16,8 @@ Colonies over one graph can also run stacked (ColonyStack): the walk,
 evaporation and deposit take a leading colony axis, as in the matrix
 form of Ant System (Dorigo & Stuetzle 2004, ch. 3) extended from ants
 to colonies. The stack's colonies come stream by stream, and each
-stream's colonies share that stream's draws.
+stream's colonies share that stream's draws. A lone colony settles and
+updates through the stack's own helpers, as a stack of one.
 
 Powers use Python's scalar ``**``: numpy's vectorised power rounds
 differently from it on some builds. Sums, products and maxima are exact
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -136,7 +136,6 @@ class AcoArchitecture:
         self._eta_beta: tuple[float | None, np.ndarray | None] = (None, None)
         self.best_path_found: list[int] | None = None
         self.best_length: float | None = None
-        self._iteration_solutions: list[tuple[list[int], float]] = []
         self.walked: Tours | None = None  # as construct_solutions last left it
 
     @cached_property
@@ -166,12 +165,14 @@ class AcoArchitecture:
     @classmethod
     def lockstep(cls, nets: Sequence[ComputingNetwork]) -> ComputingNetwork | None:
         """One network running nets' colonies as a ColonyStack, or None unless
-        each is a plain colony over an equal graph with as many ants."""
+        each is a plain colony over an equal graph with as many ants; a colony
+        with slow replaced on the instance is refused, as the stack would skip it."""
         first = nets[0].arch
         for net in nets:
             arch = net.arch
             if (
                 type(arch) is not cls
+                or "slow" in vars(arch)
                 or arch.params.ants != first.params.ants
                 or (arch.problem is not first.problem and arch.problem != first.problem)
             ):
@@ -196,10 +197,8 @@ class AcoArchitecture:
         return []
 
     def fast(self, net, inputs, rng: RngStream) -> None:
-        solutions = construct_solutions(net, self.params, rng)
-        self._iteration_solutions = solutions
-        # the first shortest: offering each in turn would end on that same one
-        self._offer_best(*min(solutions, key=itemgetter(1)))
+        construct_solutions(net, self.params, rng)
+        _offer_shortest([self], self.walked)
 
     def _offer_best(self, path: list[int], length: float) -> None:
         if self.best_length is None or length < self.best_length:
@@ -211,20 +210,13 @@ class AcoArchitecture:
             return []
         return [float(v) for v in self.best_path_found]
 
-    def collect(self, net, outputs):
-        return self._iteration_solutions
+    def collect(self, net, outputs) -> Tours:
+        return self.walked
 
-    def slow(self, net, feedback, rng: RngStream) -> None:
-        solutions = list(feedback)
+    def slow(self, net, feedback: Tours, rng: RngStream) -> None:
         evaporate(net, self.params.evaporation)
-        if self.params.demon == "two-opt" and solutions:
-            index = min(range(len(solutions)), key=lambda k: solutions[k][1])
-            path, _ = solutions[index]
-            improved = demon_local_search(path, self.problem)
-            improved_length = self.problem.tour_length(improved)
-            solutions[index] = (improved, improved_length)
-            self._offer_best(improved, improved_length)
-        deposit(net, solutions, self.params.deposit)
+        _two_opt_shortest([self], feedback)
+        deposit(net, feedback, self.params.deposit)
 
     def best_value(self, net) -> float | None:
         return self.best_length
@@ -254,11 +246,11 @@ class ColonyStack:
     starts and uniforms. Colonies built from one position of their
     stream thus make, together, the very draws each would make alone,
     as long as no ant dead-ends: a restart would draw for one colony
-    only, so construct_solutions raises instead. The iteration's tours
-    stay arrays (walked) through the settle and the deposit. The slow
-    step evaporates and deposits for all colonies at once when each
-    would do just that; otherwise (2-opt, or a slow step replaced on the
-    instance) it calls each colony's own slow step on its own stream.
+    only, so construct_solutions raises instead. The slow step
+    evaporates, improves each 2-opt colony's shortest tour in walked, and
+    deposits for all colonies at once; it draws nothing. It never calls a
+    colony's own slow step, so colonies with a slow step replaced on the
+    instance are not stacked (AcoArchitecture.lockstep refuses them).
     """
 
     kind = "aco"
@@ -266,8 +258,7 @@ class ColonyStack:
     allow_hyperedges = False
 
     def __init__(self, nets: Sequence[ComputingNetwork]):
-        self.nets = list(nets)
-        self.colonies: list[AcoArchitecture] = [net.arch for net in self.nets]
+        self.colonies: list[AcoArchitecture] = [net.arch for net in nets]
         self.problem = self.colonies[0].problem
         # the ants every colony sends; trail weights use each colony's own exponents
         self.params = self.colonies[0].params
@@ -282,17 +273,9 @@ class ColonyStack:
         self.walked: Tours | None = None  # as construct_solutions last left it
 
     @cached_property
-    def _batched(self) -> bool:
-        """Whether every colony's slow step would just evaporate and deposit."""
-        return all(
-            "slow" not in vars(colony) and colony.params.demon == "off"
-            for colony in self.colonies
-        )
-
-    @cached_property
     def _slow_params(self) -> np.ndarray:
         """Evaporation rate, pheromone floor and deposit amount of each colony,
-        shaped (3, colonies, 1, 1); only a batched slow step needs them."""
+        shaped (3, colonies, 1, 1)."""
         return np.array(
             [(c.params.evaporation, c.params.min_pheromone, c.params.deposit) for c in self.colonies]
         ).T[:, :, None, None]
@@ -313,21 +296,8 @@ class ColonyStack:
         return []
 
     def fast(self, net, inputs, rng: RngStream | StreamGroup) -> None:
-        solutions = construct_solutions(net, self.params, rng)
-        paths, lengths = self.walked
-        ants = self.params.ants
-        # each colony's first shortest tour, as a lone colony's settle picks it
-        shortest = np.arange(0, len(lengths), ants) + lengths.reshape(-1, ants).argmin(axis=1)
-        # offered only to the colonies it improves, as _offer_best would keep it
-        best = [np.inf if c.best_length is None else c.best_length for c in self.colonies]
-        shortest = shortest[lengths[shortest] < best]
-        for k, path, length in zip(
-            (shortest // ants).tolist(), paths[shortest].tolist(), lengths[shortest].tolist()
-        ):
-            self.colonies[k]._offer_best(path, length)
-        if not self._batched:  # each colony's own slow step reads its own solutions
-            for k, colony in enumerate(self.colonies):
-                colony._iteration_solutions = solutions[k * ants : (k + 1) * ants]
+        construct_solutions(net, self.params, rng)
+        _offer_shortest(self.colonies, self.walked)
 
     def readout(self, net) -> list[float]:
         return []  # each colony holds its own best tour
@@ -335,17 +305,11 @@ class ColonyStack:
     def collect(self, net, outputs) -> Tours:
         return self.walked
 
-    def slow(self, net, feedback, rng: RngStream | StreamGroup) -> None:
-        if self._batched:
-            rates, _, amounts = self._slow_params
-            evaporate(net, rates)
-            deposit(net, feedback, amounts.ravel())
-            return
-        streams = rng.streams
-        each = len(self.nets) // len(streams)
-        for k, colony_net in enumerate(self.nets):
-            colony = colony_net.arch
-            colony.slow(colony_net, colony.collect(colony_net, []), streams[k // each])
+    def slow(self, net, feedback: Tours, rng: RngStream | StreamGroup) -> None:
+        rates, _, amounts = self._slow_params
+        evaporate(net, rates)
+        _two_opt_shortest(self.colonies, feedback)
+        deposit(net, feedback, amounts.ravel())
 
     def best_value(self, net) -> float | None:
         """The best tour length over the colonies, None before any tour."""
@@ -354,6 +318,30 @@ class ColonyStack:
 
     def parameters(self, net) -> dict[str, float]:
         return {}  # each colony holds its own
+
+
+def _offer_shortest(colonies: Sequence[AcoArchitecture], tours: Tours) -> None:
+    """Offer each colony its first shortest tour where it beats the colony's best;
+    the walks come colony by colony, as many for each."""
+    paths, lengths = tours
+    each = len(lengths) // len(colonies)
+    rows = np.arange(0, len(lengths), each) + lengths.reshape(-1, each).argmin(axis=1)
+    best = [np.inf if c.best_length is None else c.best_length for c in colonies]
+    for k in np.flatnonzero(lengths[rows] < best).tolist():
+        colonies[k]._offer_best(paths[rows[k]].tolist(), float(lengths[rows[k]]))
+
+
+def _two_opt_shortest(colonies: Sequence[AcoArchitecture], tours: Tours) -> None:
+    """2-opt, in place, the first shortest tour of every colony whose demon is
+    two-opt, and offer the improved tour to its colony."""
+    paths, lengths = tours
+    each = len(lengths) // len(colonies)
+    for k, colony in enumerate(colonies):
+        if colony.params.demon == "two-opt":
+            row = k * each + int(lengths[k * each : (k + 1) * each].argmin())
+            improved = demon_local_search(paths[row].tolist(), colony.problem)
+            paths[row], lengths[row] = improved, colony.problem.tour_length(improved)
+            colony._offer_best(improved, float(lengths[row]))
 
 
 def next_locations(
@@ -440,7 +428,9 @@ def construct_solutions(
     and each colony's ants walk on its stream's draws, made in the same
     order as on a lone stream. A dead end in a stack, or on a group,
     raises DeadEndError at once: its restart would draw for one colony
-    alone. The tours also stay on the architecture as arrays, in walked.
+    alone. The tours also stay on the architecture as arrays, in walked,
+    which is all the run loop reads: the returned (path, length) pairs
+    are read only outside it, by perfbench's tracer and by tests.
     """
     arch: AcoArchitecture | ColonyStack = net.arch
     cost = arch.problem.cost_matrix
@@ -482,28 +472,17 @@ def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
     np.maximum(net.arch.pheromone_floor, (1.0 - rate) * tau, out=tau)
 
 
-def deposit(
-    net: ComputingNetwork,
-    solutions: Sequence[tuple[Sequence[int], float]] | Tours,
-    amount: float | np.ndarray,
-) -> None:
-    """Every solution reinforces its tour edges by amount / tour length.
+def deposit(net: ComputingNetwork, tours: Tours, amount: float | np.ndarray) -> None:
+    """Every tour reinforces its edges by amount / tour length.
 
-    solutions are (path, length) pairs, or one iteration's Tours. Trails
-    shared by several tours take their shares in solution order, one
-    addition at a time, as a loop over the solutions would. On a
-    ColonyStack the solutions come colony by colony, as many for each,
-    and amount holds one value per colony.
+    tours is one iteration's Tours, and nothing else. Trails shared by
+    several tours take their shares in walk order, one addition at a
+    time, as a loop over the walks would. On a ColonyStack the walks
+    come colony by colony, as many for each, and amount holds one value
+    per colony.
     """
-    if isinstance(solutions, Tours):
-        here, lengths = solutions
-        short = lengths[lengths <= 0.0].tolist()
-    elif solutions:
-        paths, lengths = zip(*solutions)
-        short = [length for length in lengths if length <= 0.0]
-        here = np.array(paths, dtype=np.intp)
-    else:
-        return
+    here, lengths = tours
+    short = lengths[lengths <= 0.0].tolist()
     if short:
         raise MalformedInstanceError(f"tour length must be positive to deposit, got {short[0]}")
     tau = net.arch.pheromone
@@ -553,12 +532,6 @@ def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
                 improved = True
                 j += 1
     return ring[:n].tolist()
-
-
-def best_path(net: ComputingNetwork) -> list[int] | None:
-    """Best closed tour found so far, or None before any construction."""
-    found = net.arch.best_path_found
-    return None if found is None else list(found)
 
 
 def build_aco_network(

@@ -61,16 +61,19 @@ def _dump(data: dict[str, Any]) -> str:
 
 
 def write_run_file(path: str, config: dict[str, Any], records: Iterable[RunRecord]) -> None:
-    """Write the header line and one line per record."""
+    """Write the header line and one line per record to <path>.tmp, then move
+    it onto path: a failed write leaves any earlier file at path as it was."""
     lines = [_dump({"config": config})]
     lines.extend(_dump(record_to_dict(r)) for r in records)
+    temporary = f"{path}.tmp"
     try:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w") as handle:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(temporary, "w") as handle:
             handle.write("\n".join(lines) + "\n")
+        os.replace(temporary, path)
     except OSError as exc:
+        if os.path.exists(temporary):
+            os.remove(temporary)
         raise RecordIoError(f"cannot write record file {path}: {exc}") from None
 
 

@@ -8,12 +8,14 @@ own criterion and by the final determinism comparison, which re-executes
 every record-producing protocol from scratch and demands byte-identical
 trace files once wall-clock columns are dropped.
 """
+import contextlib
 import itertools
 import time
 
 import numpy as np
 
-from cnets.aco import AcoParams, build_aco_network
+from cnets import core
+from cnets.aco import AcoParams, ColonyStack, build_aco_network
 from cnets.analysis import interaction_excess, trace_from_discrete
 from cnets.ann import AnnParams, batch_mse, build_ann, gradients, set_weight_vector, weight_vector
 from cnets.core import ScaleSchedule, run
@@ -76,16 +78,30 @@ def _naive_rows(cells, rule_number, steps):
     return rows
 
 
-def _install_pheromone_guard(net, violations):
-    """Shadow the colony's slow step with one that audits every trail."""
-    original = net.arch.slow
+@contextlib.contextmanager
+def _pheromone_audit():
+    """Audit every trail after each slow step core.run takes inside the block.
 
-    def guarded(inner_net, feedback, stream):
-        original(inner_net, feedback, stream)
-        pheromone = inner_net.arch.pheromone
-        violations.extend(pheromone[pheromone < 0.0].tolist())
+    The audit wraps core.slow_step, not the colonies, so colonies still
+    stack: one check covers a lone colony's (n, n) pheromone or a whole
+    ColonyStack's (colonies, n, n) array. Yields the negative trails
+    found and the number of slow steps audited on stacks.
+    """
+    audit = {"violations": [], "stacked_steps": 0}
+    original = core.slow_step
 
-    net.arch.slow = guarded
+    def audited(net, feedback, rng):
+        original(net, feedback, rng)
+        pheromone = net.arch.pheromone
+        audit["violations"].extend(pheromone[pheromone < 0.0].tolist())
+        audit["stacked_steps"] += isinstance(net.arch, ColonyStack)
+        return net
+
+    core.slow_step = audited
+    try:
+        yield audit
+    finally:
+        core.slow_step = original
 
 
 def _eca_outcome():
@@ -145,10 +161,11 @@ def _tours_outcome():
             for rest in itertools.permutations(range(1, graph.n))
         )
         net = build_aco_network(graph)
-        _install_pheromone_guard(net, violations)
-        records = run(
-            net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=50), graph, rng
-        )
+        with _pheromone_audit() as audit:
+            records = run(
+                net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=50), graph, rng
+            )
+        violations += audit["violations"]
         values = [r.best_value for r in records[1:]]
         monotone = monotone and all(
             later <= earlier for earlier, later in zip(values, values[1:])
@@ -195,7 +212,6 @@ def _sphere_outcome():
 
 def _meta_outcome():
     start = time.perf_counter()
-    violations = []
 
     def rebuild(genome, rng):
         graph = TourGraph.random_euclidean(5, rng)
@@ -204,9 +220,7 @@ def _meta_outcome():
             beta=genome["beta"],
             evaporation=genome["evaporation"],
         )
-        net = build_aco_network(graph, params)
-        _install_pheromone_guard(net, violations)
-        return net, graph
+        return build_aco_network(graph, params), graph
 
     config = MetaConfig(
         population_size=10,
@@ -214,20 +228,21 @@ def _meta_outcome():
         inner_slow_steps=30,
         eval_seeds=ACO_SEEDS,
     )
-    [baseline] = evaluate_genome(
-        [DEFAULT_COLONY], rebuild, config.inner_slow_steps, config.eval_seeds
-    )
-    search = MetaSearch(
-        config=config,
-        boxes={
-            "alpha": ParamBox(0.0, 4.0),
-            "beta": ParamBox(0.0, 6.0),
-            "evaporation": ParamBox(0.01, 0.99),
-        },
-        rebuild=rebuild,
-        seed_genome=dict(DEFAULT_COLONY),
-    )
-    result = meta_run(search, RngStream(123))
+    with _pheromone_audit() as audit:
+        [baseline] = evaluate_genome(
+            [DEFAULT_COLONY], rebuild, config.inner_slow_steps, config.eval_seeds
+        )
+        search = MetaSearch(
+            config=config,
+            boxes={
+                "alpha": ParamBox(0.0, 4.0),
+                "beta": ParamBox(0.0, 6.0),
+                "evaporation": ParamBox(0.01, 0.99),
+            },
+            rebuild=rebuild,
+            seed_genome=dict(DEFAULT_COLONY),
+        )
+        result = meta_run(search, RngStream(123))
     elapsed = time.perf_counter() - start
     header = {
         "architecture": "meta",
@@ -240,7 +255,8 @@ def _meta_outcome():
         "baseline": baseline,
         "best": result.best_fitness,
         "genome": result.best_genome,
-        "violations": violations,
+        "violations": audit["violations"],
+        "stacked_steps": audit["stacked_steps"],
         "elapsed": elapsed,
         "runs": [(header, result.records)],
     }
@@ -379,6 +395,17 @@ def test_criterion_06_colony_invariants_hold_everywhere():
         ok,
         f"{negatives} negative trails audited across every slow step, "
         f"best tours monotone={tours['monotone']}",
+    )
+
+
+def test_criterion_06_audit_reaches_stacked_colonies():
+    tuned = _outcome("meta")
+    stacked = tuned["stacked_steps"]
+    _verdict(
+        6,
+        "pheromone audit on stacked colonies",
+        stacked > 0,
+        f"{stacked} slow steps audited on whole colony stacks",
     )
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cnets.aco import (
     MAX_RESTARTS,
     AcoParams,
-    best_path,
+    Tours,
     build_aco_network,
     construct_solutions,
     demon_local_search,
@@ -28,6 +28,12 @@ from cnets.rng import RngStream
 
 def square_graph():
     return TourGraph.from_coordinates([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
+def tours(*solutions):
+    """(path, length) pairs as one iteration's Tours."""
+    paths, lengths = zip(*solutions)
+    return Tours(np.array(paths, dtype=np.intp), np.array(lengths, dtype=float))
 
 
 def brute_force_optimum(graph):
@@ -229,7 +235,7 @@ class TestPheromoneUpdates:
     def test_deposit_adds_amount_over_length(self):
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(initial_pheromone=1.0))
-        deposit(net, [([0, 1, 2, 3], 4.0)], amount=1.0)
+        deposit(net, tours(([0, 1, 2, 3], 4.0)), amount=1.0)
         tau = net.arch.pheromone
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             assert tau[i, j] == tau[j, i] == pytest.approx(1.25)
@@ -240,12 +246,12 @@ class TestPheromoneUpdates:
     def test_deposit_rejects_degenerate_length(self):
         net = build_aco_network(square_graph())
         with pytest.raises(MalformedInstanceError):
-            deposit(net, [([0, 1, 2, 3], 0.0)], amount=1.0)
+            deposit(net, tours(([0, 1, 2, 3], 0.0)), amount=1.0)
 
     def test_trail_lookup_is_symmetric(self):
         net = build_aco_network(square_graph())
         arch = net.arch
-        deposit(net, [([0, 2, 1, 3], 5.0), ([3, 1, 0, 2], 4.0)], amount=1.0)
+        deposit(net, tours(([0, 2, 1, 3], 5.0), ([3, 1, 0, 2], 4.0)), amount=1.0)
         assert arch.pheromone[0, 2] == arch.pheromone[2, 0]
         assert (arch.pheromone == arch.pheromone.T).all()
         # there is no trail from a node to itself
@@ -318,9 +324,10 @@ class TestColonyRuns:
         graph = TourGraph.random_euclidean(5, RngStream(41))
         net = build_aco_network(graph, AcoParams(ants=5))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), graph, RngStream(42))
-        path = best_path(net)
+        path = net.arch.best_path_found
         assert sorted(path) == list(range(5))
         assert net.arch.best_length == pytest.approx(graph.tour_length(path))
+        assert net.arch.readout(net) == [float(v) for v in path]
 
     def test_finds_square_optimum(self):
         graph = square_graph()

@@ -92,10 +92,10 @@ def test_colony_iterations_match_scalar_updates(n, seed, alpha, beta, ants, evap
     lockstep, scalar = RngStream(seed, 3), RngStream(seed, 3)
     for _ in range(3):
         net.arch.fast(net, [], lockstep)
-        solutions = net.arch.collect(net, [])
+        walked = net.arch.collect(net, [])
         want = oracle.construct_solutions(pheromone, graph, params, scalar)
-        assert solutions == want
-        net.arch.slow(net, solutions, lockstep)
+        assert list(zip(walked.paths.tolist(), walked.lengths.tolist())) == want
+        net.arch.slow(net, walked, lockstep)
         oracle.evaporate(pheromone, evaporation, params.min_pheromone)
         if demon == "two-opt":
             index = min(range(len(want)), key=lambda k: want[k][1])

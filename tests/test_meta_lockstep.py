@@ -2,12 +2,16 @@
 
 evaluate_genome runs several genomes as one ColonyStack over the seeds
 that share a problem when their colonies stack, and one at a time
-otherwise. Fitness is a pure
-function of the genome, so both paths must give the same floats, or
-raise the same error, for every batch: extreme exponents that dead-end
-or overflow, 2-opt, a slow step replaced on the instance, and a rebuild
-that draws its graph from the stream included.
+otherwise. Fitness is a pure function of the genome, so both paths must
+give the same floats, or raise the same error, for every batch: extreme
+exponents that dead-end or overflow, 2-opt, and a rebuild that draws its
+graph from the stream included. Colonies with a slow step replaced on
+the instance (guarded) never stack: the stack never calls a colony's
+own slow step, so AcoArchitecture.lockstep refuses them and they run one
+at a time, replaced step and all.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,13 +38,17 @@ GENOMES = st.fixed_dictionaries(
 )
 
 
-def guard(net):
-    """Replace the colony's slow step on the instance, as an audit would."""
+def guard(net, calls=None):
+    """Replace the colony's slow step on the instance with one that checks its
+    pheromone, and logs the network in calls. A guarded colony never stacks,
+    so every guarded step runs on that colony alone."""
     original = net.arch.slow
 
     def guarded(inner_net, feedback, stream):
         original(inner_net, feedback, stream)
         assert (inner_net.arch.pheromone > 0.0).all()
+        if calls is not None:
+            calls.append(inner_net)
 
     net.arch.slow = guarded
 
@@ -233,6 +241,25 @@ def test_a_dead_end_in_the_stack_falls_back_to_restarts(inner_runs):
     assert stacked == one_at_a_time(genomes, rebuild, 2, (3,))
 
 
+def test_a_replaced_slow_step_never_stacks(inner_runs):
+    calls = []
+    graph = TourGraph.random_euclidean(6, RngStream(5, 1))
+
+    def rebuild(genome, rng):
+        net = build_aco_network(graph, AcoParams(ants=4, **genome))
+        guard(net, calls)
+        return net, graph
+
+    genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
+    seeds, steps = (1, 2), 5
+    values = evaluate_genome(genomes, rebuild, steps, seeds)
+    assert inner_runs == [AcoArchitecture] * (len(genomes) * len(seeds))
+    # the replaced step ran on every slow step of every inner run, on its own colony
+    assert all(type(net.arch) is AcoArchitecture for net in calls)
+    assert list(Counter(map(id, calls)).values()) == [steps] * len(inner_runs)
+    assert values == one_at_a_time(genomes, rebuild, steps, seeds)
+
+
 def test_genome_dependent_rebuild_draws_never_stack(inner_runs):
     def rebuild(genome, rng):
         graph = TourGraph.random_euclidean(5, RngStream(9))
@@ -267,7 +294,7 @@ class TestLockstepHook:
         stack.arch.pheromone[1, 0, 1] = 7.0
         assert nets[1].arch.pheromone[0, 1] == 7.0
 
-    @pytest.mark.parametrize("other", ["graph", "ants", "subclass"])
+    @pytest.mark.parametrize("other", ["graph", "ants", "subclass", "slow"])
     def test_unlike_colonies_do_not_stack(self, other):
         graph = TourGraph.random_euclidean(5, RngStream(1))
         nets = [self.colony(graph), self.colony(graph)]
@@ -275,6 +302,8 @@ class TestLockstepHook:
             nets[1] = self.colony(TourGraph.random_euclidean(5, RngStream(2)))
         elif other == "ants":
             nets[1] = self.colony(graph, ants=3)
+        elif other == "slow":  # the stack would skip the replaced step
+            guard(nets[1])
         else:
 
             class Variant(AcoArchitecture):

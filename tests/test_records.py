@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -83,6 +84,27 @@ class TestRoundTrip:
         )
         with pytest.raises(RecordIoError):
             write_run_file(str(tmp_path / "run.jsonl"), sample_config(), bad)
+
+    def test_a_rewrite_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        write_run_file(path, {"architecture": "eca"}, [])
+        write_run_file(path, sample_config(), sample_records())
+        assert read_run_file(path) == (sample_config(), sample_records())
+        assert os.listdir(tmp_path) == ["run.jsonl"]
+
+    def test_a_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "run.jsonl")
+        write_run_file(path, sample_config(), sample_records())
+        earlier = (tmp_path / "run.jsonl").read_bytes()
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(RecordIoError, match="disk full"):
+            write_run_file(path, {"architecture": "eca"}, sample_records()[:1])
+        assert (tmp_path / "run.jsonl").read_bytes() == earlier
+        assert os.listdir(tmp_path) == ["run.jsonl"]  # no run.jsonl.tmp left behind
 
 
 class TestRecordDicts:
