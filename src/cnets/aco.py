@@ -127,7 +127,6 @@ class AcoArchitecture:
     """Colony behaviour: fast = construct tours, slow = pheromone update."""
 
     kind = "aco"
-    input_arity = 0
     allow_hyperedges = False
 
     def __init__(self, graph: TourGraph, params: AcoParams):
@@ -193,10 +192,7 @@ class AcoArchitecture:
         ]
         return n, edges
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        return []
-
-    def fast(self, net, inputs, rng: RngStream) -> None:
+    def fast(self, net, rng: RngStream) -> None:
         construct_solutions(net, self.params, rng)
         _offer_shortest([self], self.walked)
 
@@ -210,13 +206,10 @@ class AcoArchitecture:
             return []
         return [float(v) for v in self.best_path_found]
 
-    def collect(self, net, outputs) -> Tours:
-        return self.walked
-
-    def slow(self, net, feedback: Tours, rng: RngStream) -> None:
+    def slow(self, net, rng: RngStream) -> None:
         evaporate(net, self.params.evaporation)
-        _two_opt_shortest([self], feedback)
-        deposit(net, feedback, self.params.deposit)
+        _two_opt_shortest([self], self.walked)
+        deposit(net, self.walked, self.params.deposit)
 
     def best_value(self, net) -> float | None:
         return self.best_length
@@ -254,7 +247,6 @@ class ColonyStack:
     """
 
     kind = "aco"
-    input_arity = 0
     allow_hyperedges = False
 
     def __init__(self, nets: Sequence[ComputingNetwork]):
@@ -292,24 +284,18 @@ class ColonyStack:
             self._eta_beta = np.array([[e**c.params.beta for e in eta] for c in colonies])
         return _trail_weights(self.pheromone, [c.params.alpha for c in colonies], self._eta_beta)
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        return []
-
-    def fast(self, net, inputs, rng: RngStream | StreamGroup) -> None:
+    def fast(self, net, rng: RngStream | StreamGroup) -> None:
         construct_solutions(net, self.params, rng)
         _offer_shortest(self.colonies, self.walked)
 
     def readout(self, net) -> list[float]:
         return []  # each colony holds its own best tour
 
-    def collect(self, net, outputs) -> Tours:
-        return self.walked
-
-    def slow(self, net, feedback: Tours, rng: RngStream | StreamGroup) -> None:
+    def slow(self, net, rng: RngStream | StreamGroup) -> None:
         rates, _, amounts = self._slow_params
         evaporate(net, rates)
-        _two_opt_shortest(self.colonies, feedback)
-        deposit(net, feedback, amounts.ravel())
+        _two_opt_shortest(self.colonies, self.walked)
+        deposit(net, self.walked, amounts.ravel())
 
     def best_value(self, net) -> float | None:
         """The best tour length over the colonies, None before any tour."""

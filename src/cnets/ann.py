@@ -146,10 +146,9 @@ def _check_arities(topo: LayeredTopology, dataset: Dataset) -> None:
 def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
     """Evaluate one input vector, keeping every layer's values on the architecture."""
     arch = net.arch
-    if len(inputs) != arch.input_arity:
-        raise ConfigurationError(
-            f"network takes {arch.input_arity} inputs, got {len(inputs)}"
-        )
+    arity = arch.topology.layer_sizes[0]
+    if len(inputs) != arity:
+        raise ConfigurationError(f"network takes {arity} inputs, got {len(inputs)}")
     a = np.array(inputs, dtype=float)
     pre_activations, outputs = [a], [a]
     for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
@@ -262,7 +261,7 @@ def set_weight_vector(net: ComputingNetwork, vector: Sequence[float]) -> None:
 
 
 class AnnArchitecture:
-    """Feedforward behaviour: fast = evaluate a sample, slow = batch descent.
+    """Feedforward behaviour: fast = evaluate the next sample, slow = batch descent.
 
     weights[k] (shape: size of layer k+1 by size of layer k) and
     biases[k] feed layer k+1, and activations[k] names layer k's
@@ -280,7 +279,6 @@ class AnnArchitecture:
         self.topology = topology
         self.problem = problem
         self.params = params
-        self.input_arity = topology.layer_sizes[0]
         hidden = (params.hidden_activation,) * (topology.depth - 2)
         self.activations = ("identity", *hidden, params.output_activation)
         self.weights, self.biases = topology.layer_views(vector)
@@ -306,21 +304,14 @@ class AnnArchitecture:
                     )
         return topo.node_count, edges
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        sample = self.problem.inputs[self._cursor % len(self.problem)]
+    def fast(self, net, rng: RngStream) -> None:
+        forward(net, self.problem.inputs[self._cursor % len(self.problem)])
         self._cursor += 1
-        return list(sample)
-
-    def fast(self, net, inputs, rng: RngStream) -> None:
-        forward(net, inputs)
 
     def readout(self, net) -> list[float]:
         return self.outputs[-1].tolist()
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng: RngStream) -> None:
+    def slow(self, net, rng: RngStream) -> None:
         self._last_mse = train_step(net, self.problem, self.params.learning_rate)
 
     def best_value(self, net) -> float | None:

@@ -17,6 +17,7 @@ named by config path.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
@@ -83,8 +84,9 @@ def _number_pair(value: Any, where: str) -> tuple[float, float]:
         not isinstance(value, list)
         or len(value) != 2
         or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
+        or not all(map(math.isfinite, value))
     ):
-        raise ConfigurationError(f"{where}: expected a [low, high] number pair, got {value!r}")
+        raise ConfigurationError(f"{where}: expected a [low, high] pair of finite numbers, got {value!r}")
     return float(value[0]), float(value[1])
 
 

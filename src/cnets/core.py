@@ -4,10 +4,11 @@ A computing network is an architecture object, which keeps its state in
 arrays and supplies two plug-in behaviours, over the graph that
 architecture describes: fast dynamics that evaluate the network
 function, and a slow adaptation algorithm that rewrites the adjustable
-state between evaluations. ``run`` drives both
-under an explicit ScaleSchedule and emits one RunRecord per slow step
-(plus an initial pre-adaptation snapshot), which is the only artifact
-the harness persists.
+state between evaluations. Each architecture keeps whatever its fast
+steps leave for its slow step, so the loop hands it only the network
+and the stream. ``run`` drives both under an explicit ScaleSchedule and
+emits one RunRecord per slow step (plus an initial pre-adaptation
+snapshot), which is the only artifact the harness persists.
 
 Network topology is immutable for the lifetime of a run: nothing in
 this module (or in the architectures) adds or removes nodes or edges
@@ -19,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Protocol, Sequence, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 from .errors import CnError, ConfigurationError, NumericDivergenceError
 from .rng import RngStream
@@ -80,28 +81,23 @@ class Architecture(Protocol):
 
     ``fast`` implements the network function's dynamics (may mutate the
     architecture's state), ``readout`` is a pure function of current
-    state, and ``slow`` is the adaptation algorithm. ``next_input``
-    supplies the input vector for each fast step of a driven run, and
-    ``collect`` folds the fast-phase outputs into the feedback handed to
-    ``slow``. ``substrate()``, read only when the network's graph is,
-    returns the node count and the edge list. ``problem`` is the
-    instance the network was built for; a run is driven only on it.
+    state, and ``slow`` is the adaptation algorithm. Each architecture
+    keeps whatever its fast steps leave for its slow step: an ann its
+    next sample's place in the dataset, a colony the tours it walked.
+    ``substrate()``, read only when the network's graph is, returns the
+    node count and the edge list. ``problem`` is the instance the
+    network was built for; a run is driven only on it.
     """
 
     kind: str
-    input_arity: int
     allow_hyperedges: bool
     problem: Any
 
-    def next_input(self, net: "ComputingNetwork", slow_index: int, fast_index: int) -> list[float]: ...
-
-    def fast(self, net: "ComputingNetwork", inputs: Sequence[float], rng: RngStream) -> None: ...
+    def fast(self, net: "ComputingNetwork", rng: RngStream) -> None: ...
 
     def readout(self, net: "ComputingNetwork") -> list[float]: ...
 
-    def collect(self, net: "ComputingNetwork", outputs: list[list[float]]) -> Any: ...
-
-    def slow(self, net: "ComputingNetwork", feedback: Any, rng: RngStream) -> None: ...
+    def slow(self, net: "ComputingNetwork", rng: RngStream) -> None: ...
 
     def best_value(self, net: "ComputingNetwork") -> float | None: ...
 
@@ -156,14 +152,9 @@ class ComputingNetwork:
         return _validated(self.arch, *self.arch.substrate())
 
 
-def fast_step(net: ComputingNetwork, inputs: Sequence[float], rng: RngStream) -> list[float]:
+def fast_step(net: ComputingNetwork, rng: RngStream) -> list[float]:
     """Run one fast-scale evaluation and return the readout."""
-    arity = net.arch.input_arity
-    if len(inputs) != arity:
-        raise ConfigurationError(
-            f"{net.arch.kind} network takes {arity} inputs, got {len(inputs)}"
-        )
-    net.arch.fast(net, inputs, rng)
+    net.arch.fast(net, rng)
     out = net.arch.readout(net)
     if not all(map(math.isfinite, out)):
         value = next(v for v in out if not math.isfinite(v))
@@ -171,9 +162,9 @@ def fast_step(net: ComputingNetwork, inputs: Sequence[float], rng: RngStream) ->
     return out
 
 
-def slow_step(net: ComputingNetwork, feedback: Any, rng: RngStream) -> ComputingNetwork:
+def slow_step(net: ComputingNetwork, rng: RngStream) -> ComputingNetwork:
     """Apply the adaptation algorithm once and return the same network."""
-    net.arch.slow(net, feedback, rng)
+    net.arch.slow(net, rng)
     return net
 
 
@@ -187,44 +178,31 @@ def _record(net: ComputingNetwork, slow_index: int, elapsed_ms: float) -> RunRec
     )
 
 
-def _annotate(exc: CnError, slow_index: int, fast_index: int | None) -> None:
-    if exc.step_position is None:
-        exc.step_position = (slow_index, fast_index)
-
-
 def run(
     net: ComputingNetwork, schedule: ScaleSchedule, problem: Any, rng: RngStream
 ) -> list[RunRecord]:
     """Drive the network through the whole schedule.
 
     Returns the initial snapshot record followed by one record per slow
-    step.
+    step. A CnError raised inside carries (slow step, fast index) as its
+    step_position; the fast index is None outside the fast phase.
     """
     arch = net.arch
     if not (problem is arch.problem or problem == arch.problem):
         raise ConfigurationError(f"{arch.kind} network was built for a different problem")
-    started = time.perf_counter()
-    records = [_record(net, 0, (time.perf_counter() - started) * 1000.0)]
-    for slow_index in range(1, schedule.slow_steps + 1):
-        step_started = time.perf_counter()
-        outputs: list[list[float]] = []
-        for fast_index in range(schedule.fast_steps_per_slow):
-            inputs = net.arch.next_input(net, slow_index - 1, fast_index)
-            try:
-                outputs.append(fast_step(net, inputs, rng))
-            except CnError as exc:
-                _annotate(exc, slow_index, fast_index)
-                raise
-        feedback = net.arch.collect(net, outputs)
-        try:
-            slow_step(net, feedback, rng)
-        except CnError as exc:
-            _annotate(exc, slow_index, None)
-            raise
-        elapsed_ms = (time.perf_counter() - step_started) * 1000.0
-        try:
-            records.append(_record(net, slow_index, elapsed_ms))
-        except CnError as exc:
-            _annotate(exc, slow_index, None)
-            raise
+    slow_index, fast_index = 0, None
+    try:
+        started = time.perf_counter()
+        records = [_record(net, 0, (time.perf_counter() - started) * 1000.0)]
+        for slow_index in range(1, schedule.slow_steps + 1):
+            step_started = time.perf_counter()
+            for fast_index in range(schedule.fast_steps_per_slow):
+                fast_step(net, rng)
+            fast_index = None
+            slow_step(net, rng)
+            records.append(_record(net, slow_index, (time.perf_counter() - step_started) * 1000.0))
+    except CnError as exc:
+        if exc.step_position is None:
+            exc.step_position = (slow_index, fast_index)
+        raise
     return records

@@ -195,7 +195,6 @@ class EcaArchitecture:
     """
 
     kind = "eca"
-    input_arity = 0
     allow_hyperedges = False
 
     def __init__(self, rule_number: int, problem: Tape, updating: UpdateMode):
@@ -217,10 +216,7 @@ class EcaArchitecture:
             pairs.append((n - 1, 0))
         return n, [EdgeState(id=k, endpoints=pair, directed=False) for k, pair in enumerate(pairs)]
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        return []
-
-    def fast(self, net, inputs, rng: RngStream) -> None:
+    def fast(self, net, rng: RngStream) -> None:
         boundary = self.problem.boundary
         if self.updating is UpdateMode.SYNCHRONOUS:
             self.cells = _step_cells(self.cells, self.lookup, boundary)
@@ -231,10 +227,7 @@ class EcaArchitecture:
     def readout(self, net) -> list[float]:
         return self.cells.astype(float).tolist()
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng: RngStream) -> None:
+    def slow(self, net, rng: RngStream) -> None:
         pass
 
     def best_value(self, net) -> float | None:

@@ -11,7 +11,7 @@ class CnError(Exception):
 
     Errors raised while a run is in flight carry a ``step_position``
     attribute, a ``(slow_step, fast_step)`` pair locating the failure
-    (``fast_step`` is None when the slow phase itself failed).
+    (``fast_step`` is None outside the fast phase, as in the initial snapshot).
     """
 
     exit_code = EXIT_CONFIG

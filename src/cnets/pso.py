@@ -158,7 +158,6 @@ class PsoArchitecture:
     """
 
     kind = "pso"
-    input_arity = 0
     allow_hyperedges = True
 
     def __init__(
@@ -192,20 +191,14 @@ class PsoArchitecture:
         ]
         return len(self.positions), edges
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        return []
-
-    def fast(self, net, inputs, rng: RngStream) -> None:
+    def fast(self, net, rng: RngStream) -> None:
         evaluate(net, self.problem)
 
     def readout(self, net) -> list[float]:
         position, _ = global_best(net)
         return position.tolist()
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng: RngStream) -> None:
+    def slow(self, net, rng: RngStream) -> None:
         refresh_neighborhoods(net)
         move(net, self.params, rng)
 

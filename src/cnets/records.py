@@ -18,13 +18,19 @@ from typing import Any, Iterable, Sequence
 from .core import RunRecord
 from .errors import RecordIoError
 
-_RECORD_KEYS = (
-    "slow_step",
-    "best_value",
-    "network_output",
-    "parameter_snapshot",
-    "wall_clock_ms",
-)
+
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each record key and whether a value is of its kind
+_RECORD_KINDS = {
+    "slow_step": lambda v: type(v) is int,
+    "best_value": lambda v: v is None or _number(v),
+    "network_output": lambda v: isinstance(v, list) and all(map(_number, v)),
+    "parameter_snapshot": lambda v: isinstance(v, dict) and all(map(_number, v.values())),
+    "wall_clock_ms": _number,
+}
 
 
 def record_to_dict(record: RunRecord) -> dict[str, Any]:
@@ -37,13 +43,18 @@ def record_to_dict(record: RunRecord) -> dict[str, Any]:
     }
 
 
-def record_from_dict(data: dict[str, Any]) -> RunRecord:
-    missing = [k for k in _RECORD_KEYS if k not in data]
+def record_from_dict(data: Any, where: str = "record line") -> RunRecord:
+    if not isinstance(data, dict):
+        raise RecordIoError(f"{where} is not an object: {data!r}")
+    missing = [k for k in _RECORD_KINDS if k not in data]
     if missing:
-        raise RecordIoError(f"record line is missing keys {missing}")
-    extra = [k for k in data if k not in _RECORD_KEYS]
+        raise RecordIoError(f"{where} is missing keys {missing}")
+    extra = [k for k in data if k not in _RECORD_KINDS]
     if extra:
-        raise RecordIoError(f"record line has unknown keys {extra}")
+        raise RecordIoError(f"{where} has unknown keys {extra}")
+    wrong = [k for k, is_kind in _RECORD_KINDS.items() if not is_kind(data[k])]
+    if wrong:
+        raise RecordIoError(f"{where} has values of the wrong kind for {wrong}")
     return RunRecord(
         slow_step=int(data["slow_step"]),
         best_value=None if data["best_value"] is None else float(data["best_value"]),
@@ -92,9 +103,12 @@ def read_run_file(path: str) -> tuple[dict[str, Any], list[RunRecord]]:
         except json.JSONDecodeError as exc:
             raise RecordIoError(f"{path}:{number}: invalid JSON: {exc}") from None
     header = parsed[0]
-    if not isinstance(header, dict) or "config" not in header:
-        raise RecordIoError(f"{path}:1: expected a header line with a config")
-    return header["config"], [record_from_dict(d) for d in parsed[1:]]
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise RecordIoError(f"{path}:1: expected a header line with a config object")
+    return header["config"], [
+        record_from_dict(data, f"{path}:{number}: record line")
+        for number, data in enumerate(parsed[1:], start=2)
+    ]
 
 
 def comparable_bytes(path: str) -> bytes:

@@ -86,7 +86,6 @@ class OracleEca:
     """Cellular-automaton architecture over one payload object per cell."""
 
     kind = "eca"
-    input_arity = 0
     allow_hyperedges = False
 
     def __init__(self, rule_number: int, problem: Tape, updating: UpdateMode):
@@ -105,16 +104,13 @@ class OracleEca:
             edges.append(EdgeState(id=len(edges), endpoints=(n - 1, 0), directed=False))
         return n, edges
 
-    def next_input(self, net, slow_index, fast_index) -> list[float]:
-        return []
-
     def _tape(self) -> Tape:
         return Tape(
             cells=tuple(node.payload.state for node in self.nodes),
             boundary=self.problem.boundary,
         )
 
-    def fast(self, net, inputs, rng: RngStream) -> None:
+    def fast(self, net, rng: RngStream) -> None:
         tape = self._tape()
         if self.updating is UpdateMode.SYNCHRONOUS:
             stepped = step(tape, self.table)
@@ -129,10 +125,7 @@ class OracleEca:
     def readout(self, net) -> list[float]:
         return [float(node.payload.state) for node in self.nodes]
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng: RngStream) -> None:
+    def slow(self, net, rng: RngStream) -> None:
         pass
 
     def best_value(self, net) -> float | None:

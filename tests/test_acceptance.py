@@ -90,8 +90,8 @@ def _pheromone_audit():
     audit = {"violations": [], "stacked_steps": 0}
     original = core.slow_step
 
-    def audited(net, feedback, rng):
-        original(net, feedback, rng)
+    def audited(net, rng):
+        original(net, rng)
         pheromone = net.arch.pheromone
         audit["violations"].extend(pheromone[pheromone < 0.0].tolist())
         audit["stacked_steps"] += isinstance(net.arch, ColonyStack)

@@ -91,11 +91,11 @@ def test_colony_iterations_match_scalar_updates(n, seed, alpha, beta, ants, evap
     pheromone = net.arch.pheromone.tolist()
     lockstep, scalar = RngStream(seed, 3), RngStream(seed, 3)
     for _ in range(3):
-        net.arch.fast(net, [], lockstep)
-        walked = net.arch.collect(net, [])
+        net.arch.fast(net, lockstep)
+        walked = net.arch.walked
         want = oracle.construct_solutions(pheromone, graph, params, scalar)
         assert list(zip(walked.paths.tolist(), walked.lengths.tolist())) == want
-        net.arch.slow(net, walked, lockstep)
+        net.arch.slow(net, lockstep)
         oracle.evaporate(pheromone, evaporation, params.min_pheromone)
         if demon == "two-opt":
             index = min(range(len(want)), key=lambda k: want[k][1])

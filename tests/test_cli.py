@@ -202,6 +202,14 @@ class TestSummarizeCommand:
         assert main(["summarize", str(workdir / "nothing-*.jsonl")]) == 1
         assert "no record files" in capsys.readouterr().err
 
+    def test_malformed_record_line_exits_3(self, workdir, capsys):
+        self.make_runs(workdir)
+        capsys.readouterr()
+        with open(workdir / "run1.jsonl", "a") as handle:
+            handle.write("5\n")
+        assert main(["summarize", str(workdir / "run1.jsonl")]) == 3
+        assert "io error" in capsys.readouterr().err
+
     def test_summary_write_failure_exits_3(self, workdir, capsys):
         self.make_runs(workdir)
         capsys.readouterr()

@@ -275,6 +275,17 @@ class TestValues:
         config = load_config(write_json(workdir, data))
         assert config.pso.bounds == (-1.0, 1.0)
 
+    @pytest.mark.parametrize("end", [float("-inf"), float("nan")], ids=["-Infinity", "NaN"])
+    @pytest.mark.parametrize("path", ["pso.bounds", "cross.weight_bounds"])
+    def test_non_finite_pair_end_rejected_at_load(self, workdir, path, end):
+        # json.dumps writes -Infinity and NaN, and Python's json reads them back
+        swarm = {"pso": {"objective": "sphere", "dimension": 2}, "seed": 1}
+        data = minimal_cross() if path == "cross.weight_bounds" else swarm
+        section, key = path.split(".")
+        data[section][key] = [end, 1.0]
+        with pytest.raises(ConfigurationError, match=rf"^config\.{re.escape(path)}: .*finite"):
+            load_config(write_json(workdir, data))
+
     def test_ann_missing_dataset_file(self, workdir):
         data = {"ann": {"layers": [2, 1], "dataset": "absent.csv"}, "seed": 1}
         with pytest.raises(ConfigurationError, match="does not exist"):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cnets.aco import AcoArchitecture, build_aco_network
+from cnets.ann import build_ann
 from cnets.core import (
+    Architecture,
     ComputingNetwork,
     EdgeState,
     RunRecord,
@@ -11,20 +14,22 @@ from cnets.core import (
     run,
     slow_step,
 )
-from cnets.eca import UpdateMode, node_update_order
+from cnets.eca import UpdateMode, build_eca_network, node_update_order
 from cnets.errors import ConfigurationError, NumericDivergenceError
+from cnets.problems import Tape, TourGraph, named_objective, xor_dataset
+from cnets.pso import build_pso_network
 from cnets.rng import RngStream
 
 
 class CounterArchitecture:
     """Minimal architecture for exercising the generic driver.
 
-    One value per node on a chain; fast adds the input to every value,
-    slow decays all values toward 0.
+    One value per node; fast adds 1.0 to every value, slow decays all
+    values toward 0. It defines only the Architecture protocol's
+    members, so core.run needs nothing more.
     """
 
     kind = "counter"
-    input_arity = 1
     allow_hyperedges = False
 
     def __init__(self, n=3, problem=None):
@@ -33,24 +38,14 @@ class CounterArchitecture:
         self.fast_calls = 0
         self.slow_calls = 0
 
-    def substrate(self):
-        n = len(self.values)
-        return n, [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
-
-    def next_input(self, net, slow_index, fast_index):
-        return [1.0]
-
-    def fast(self, net, inputs, rng):
+    def fast(self, net, rng):
         self.fast_calls += 1
-        self.values += inputs[0]
+        self.values += 1.0
 
     def readout(self, net):
         return self.values.tolist()
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng):
+    def slow(self, net, rng):
         self.slow_calls += 1
         self.values *= 0.5
 
@@ -63,6 +58,10 @@ class CounterArchitecture:
 
 def counter_net(n=3, problem=None):
     return ComputingNetwork(CounterArchitecture(n=n, problem=problem))
+
+
+def chain(n):
+    return [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
 
 
 class GraphArchitecture(CounterArchitecture):
@@ -119,42 +118,57 @@ class TestNetworkValidation:
         assert net.nodes == range(3)
 
 
-class TestFastSlowSteps:
-    def test_fast_step_checks_arity(self):
-        net = counter_net()
-        with pytest.raises(ConfigurationError):
-            fast_step(net, [1.0, 2.0], RngStream(0))
+class TestProtocol:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_ann((2, 2, 1), xor_dataset(), RngStream(0)),
+            lambda: build_aco_network(TourGraph.random_euclidean(5, RngStream(0))),
+            lambda: AcoArchitecture.lockstep(
+                [build_aco_network(TourGraph.random_euclidean(5, RngStream(0))) for _ in range(2)]
+            ),
+            lambda: build_pso_network(named_objective("sphere", 2), RngStream(0)),
+            lambda: build_eca_network(Tape.single_one(5), 110),
+            counter_net,
+        ],
+        ids=["ann", "aco", "colony-stack", "pso", "eca", "counter"],
+    )
+    def test_every_architecture_is_one(self, build):
+        assert isinstance(build().arch, Architecture)
 
+
+class TestFastSlowSteps:
     def test_fast_step_returns_readout(self):
         net = counter_net(n=2)
-        out = fast_step(net, [3.0], RngStream(0))
-        assert out == [3.0, 3.0]
+        fast_step(net, RngStream(0))
+        out = fast_step(net, RngStream(0))
+        assert out == [2.0, 2.0]
 
     def test_non_finite_readout_raises(self):
         net = counter_net(n=1)
         net.arch.values[0] = float("inf")
         with pytest.raises(NumericDivergenceError):
-            fast_step(net, [1.0], RngStream(0))
+            fast_step(net, RngStream(0))
 
     def test_non_finite_readout_error_names_the_first_bad_value(self):
         net = counter_net(n=3)
         net.arch.values[1:] = [float("-inf"), float("nan")]
         with pytest.raises(NumericDivergenceError, match=r"non-finite value -inf$"):
-            fast_step(net, [1.0], RngStream(0))
+            fast_step(net, RngStream(0))
 
     def test_slow_step_returns_same_network(self):
         net = counter_net()
-        assert slow_step(net, [], RngStream(0)) is net
+        assert slow_step(net, RngStream(0)) is net
 
     def test_readout_is_pure(self):
         net = counter_net(n=2)
-        fast_step(net, [2.0], RngStream(0))
+        fast_step(net, RngStream(0))
         assert net.arch.readout(net) == net.arch.readout(net)
 
     def test_slow_step_applies_adaptation(self):
         net = counter_net(n=1)
         net.arch.values[0] = 4.0
-        slow_step(net, [], RngStream(0))
+        slow_step(net, RngStream(0))
         assert net.arch.values[0] == 2.0
 
 
@@ -175,7 +189,7 @@ class TestRun:
         assert net.arch.slow_calls == 5
 
     def test_topology_conserved_across_run(self):
-        net = counter_net(n=4)
+        net = ComputingNetwork(GraphArchitecture(4, chain(4)))
         before = (len(net.nodes), len(net.edges), [e.endpoints for e in net.edges])
         run(net, ScaleSchedule(1, 10), None, RngStream(0))
         after = (len(net.nodes), len(net.edges), [e.endpoints for e in net.edges])
@@ -193,8 +207,8 @@ class TestRun:
 
     def test_errors_carry_step_position(self):
         class Exploding(CounterArchitecture):
-            def fast(self, net, inputs, rng):
-                super().fast(net, inputs, rng)
+            def fast(self, net, rng):
+                super().fast(net, rng)
                 if self.fast_calls == 5:
                     raise NumericDivergenceError("boom")
 
@@ -203,6 +217,28 @@ class TestRun:
             run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
         # 5th fast call = slow step 2, fast index 1
         assert excinfo.value.step_position == (2, 1)
+
+        class ExplodingSlow(CounterArchitecture):
+            def slow(self, net, rng):
+                super().slow(net, rng)
+                if self.slow_calls == 3:
+                    raise NumericDivergenceError("boom")
+
+        net = ComputingNetwork(ExplodingSlow(n=1))
+        with pytest.raises(NumericDivergenceError) as excinfo:
+            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
+        assert excinfo.value.step_position == (3, None)
+
+        class ExplodingSnapshot(CounterArchitecture):
+            def best_value(self, net):
+                raise NumericDivergenceError("boom")
+
+        net = ComputingNetwork(ExplodingSnapshot(n=1))
+        with pytest.raises(NumericDivergenceError) as excinfo:
+            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
+        # the initial record is made before any step
+        assert excinfo.value.step_position == (0, None)
+        assert net.arch.fast_calls == 0
 
     def test_wall_clock_is_nonnegative(self):
         net = counter_net()

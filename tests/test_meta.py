@@ -25,26 +25,19 @@ class QuadraticProbe:
     """
 
     kind = "quadratic-probe"
-    input_arity = 0
     allow_hyperedges = False
     problem = PROBE_PROBLEM
 
     def __init__(self, genome):
         self.genome = dict(genome)
 
-    def next_input(self, net, slow_index, fast_index):
-        return []
-
-    def fast(self, net, inputs, rng):
+    def fast(self, net, rng):
         pass
 
     def readout(self, net):
         return []
 
-    def collect(self, net, outputs):
-        return outputs
-
-    def slow(self, net, feedback, rng):
+    def slow(self, net, rng):
         pass
 
     def best_value(self, net):

@@ -44,8 +44,8 @@ def guard(net, calls=None):
     so every guarded step runs on that colony alone."""
     original = net.arch.slow
 
-    def guarded(inner_net, feedback, stream):
-        original(inner_net, feedback, stream)
+    def guarded(inner_net, stream):
+        original(inner_net, stream)
         assert (inner_net.arch.pheromone > 0.0).all()
         if calls is not None:
             calls.append(inner_net)
@@ -187,15 +187,15 @@ def test_one_stack_over_seeds_equals_one_stack_per_seed(genomes, seeds, n, ants,
         ]
 
     for _ in range(steps):
-        together.arch.fast(together, [], group)
+        together.arch.fast(together, group)
         for stack, stream in alone:
-            stack.arch.fast(stack, [], stream)
+            stack.arch.fast(stack, stream)
         walked = together.arch.walked
         assert walked.paths.tolist() == [p for s, _ in alone for p in s.arch.walked.paths.tolist()]
         assert walked.lengths.tobytes() == b"".join(s.arch.walked.lengths.tobytes() for s, _ in alone)
-        together.arch.slow(together, together.arch.collect(together, []), group)
+        together.arch.slow(together, group)
         for stack, stream in alone:
-            stack.arch.slow(stack, stack.arch.collect(stack, []), stream)
+            stack.arch.slow(stack, stream)
         assert colony_state([together]) == colony_state([s for s, _ in alone])
     assert [float(s.uniform()) for s in group.streams] == [float(s.uniform()) for _, s in alone]
 

@@ -149,6 +149,28 @@ class TestReadErrors:
         with pytest.raises(RecordIoError, match="header"):
             read_run_file(str(path))
 
+    @pytest.mark.parametrize(
+        "header, change, where",
+        [
+            ({"config": {}}, 5, ":3: record line is not an object"),
+            ({"config": {}}, {"slow_step": "x"}, r":3: .*wrong kind for \['slow_step'\]"),
+            ({"config": {}}, {"network_output": 5}, r":3: .*wrong kind for \['network_output'\]"),
+            ({"config": {}}, {"best_value": True}, r":3: .*wrong kind for \['best_value'\]"),
+            ({"config": {}}, {"parameter_snapshot": {"a": "1"}}, r":3: .*wrong kind"),
+            ({"config": 5}, {}, ":1: expected a header line with a config object"),
+        ],
+        ids=["number-line", "string-slow-step", "number-output", "bool-best", "string-param", "number-config"],
+    )
+    def test_malformed_line_names_its_place(self, tmp_path, header, change, where):
+        """A record line that is not an object, a field of the wrong kind, or a
+        header whose config is not an object is a RecordIoError at path:line."""
+        good = record_to_dict(sample_records()[1])
+        bad = {**good, **change} if isinstance(change, dict) else change
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in (header, good, bad)))
+        with pytest.raises(RecordIoError, match=f"malformed.jsonl{where}"):
+            read_run_file(str(path))
+
 
 class TestComparableBytes:
     def test_strips_wall_clock_and_out(self, tmp_path):
