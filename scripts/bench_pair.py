@@ -15,7 +15,10 @@ drifts in speed favours neither. Pair k of a workload uses seed
 --first-seed + k. The file records the Python and numpy versions and
 nproc, then per workload and end-to-end metric the min, median and
 quartile spread of each side and the number of pairs the change won
-(strictly better, in the direction BENCHMARK.json gives).
+(strictly better, in the direction BENCHMARK.json gives). It also records,
+per workload and side, each untraced run's minor page faults per
+operation: the growth of this process's RUSAGE_CHILDREN ru_minflt across
+the run, divided by the operations perfbench reports.
 
 After a workload's pairs, `perfbench/run.py --trace 1` runs once per side
 on the first pair's seed, parent first; the `per_layer` section holds,
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -62,15 +66,18 @@ print(json.dumps(seconds))
 
 def perfbench(
     checkout: str, workload: str, seed: int, seconds: float, trace: int = 0
-) -> tuple[dict, dict]:
-    """One `perfbench/run.py` run: its info line and its result line."""
+) -> tuple[dict, dict, float]:
+    """One `perfbench/run.py` run: its info line, its result line and the
+    minor page faults it took."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     info, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
-    return info["perfbench"], result
+    return info["perfbench"], result, faults
 
 
 def time_configs(checkout: str) -> dict[str, float]:
@@ -153,29 +160,34 @@ def main(argv=None) -> int:
         if int(count) < 2:
             parser.error(f"--pairs {spec}: quartiles need at least 2 pairs")
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        faults: dict[str, list[float]] = {side: [] for side in SIDES}
         seeds = [args.first_seed + k for k in range(int(count))]
         for k, seed in enumerate(seeds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for side in order:
-                info, result = perfbench(checkouts[side], workload, seed, args.seconds)
+                info, result, minor_faults = perfbench(checkouts[side], workload, seed, args.seconds)
+                per_operation = minor_faults / info["operations"]
                 runs[side].append(result)
+                faults[side].append(per_operation)
                 if not result["correct"]:
                     incorrect.append(f"{workload} {side} seed {seed}")
                 report.setdefault("python", info["python"])
                 report.setdefault("numpy", info["numpy"])
                 report.setdefault("nproc", info["nproc"])
                 print(f"{workload} seed {seed} {side}: "
-                      + json.dumps({m: round(v["value"], 6) for m, v in result["metrics"].items()}),
+                      + json.dumps({m: round(v["value"], 6) for m, v in result["metrics"].items()})
+                      + f" minor faults/operation {per_operation:.1f}",
                       file=sys.stderr, flush=True)
         report["workloads"][workload] = {
             "pairs": len(seeds),
             "seeds": seeds,
             "all_correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
             "metrics": compare(runs, better),
+            "minor_faults_per_operation": faults,
         }
         layers: dict = {"seed": seeds[0]}
         for side in SIDES:
-            _, result = perfbench(checkouts[side], workload, seeds[0], args.seconds, trace=1)
+            _, result, _ = perfbench(checkouts[side], workload, seeds[0], args.seconds, trace=1)
             if not result["correct"]:
                 incorrect.append(f"{workload} {side} seed {seeds[0]} --trace 1")
             layers[side] = {

@@ -208,7 +208,7 @@ class AcoArchitecture:
 
     def slow(self, net, rng: RngStream) -> None:
         evaporate(net, self.params.evaporation)
-        _two_opt_shortest([self], self.walked)
+        _two_opt_shortest([self], self.walked, [0] if self.params.demon == "two-opt" else [])
         deposit(net, self.walked, self.params.deposit)
 
     def best_value(self, net) -> float | None:
@@ -276,6 +276,11 @@ class ColonyStack:
     def pheromone_floor(self) -> np.ndarray:
         return self._slow_params[1]
 
+    @cached_property
+    def _two_opt(self) -> list[int]:
+        """The positions of the colonies whose demon is two-opt."""
+        return [k for k, c in enumerate(self.colonies) if c.params.demon == "two-opt"]
+
     def choice_info(self, params: AcoParams) -> np.ndarray:
         """Every colony's choice_info, stacked; each uses its own alpha and beta."""
         colonies = self.colonies
@@ -294,7 +299,7 @@ class ColonyStack:
     def slow(self, net, rng: RngStream | StreamGroup) -> None:
         rates, _, amounts = self._slow_params
         evaporate(net, rates)
-        _two_opt_shortest(self.colonies, self.walked)
+        _two_opt_shortest(self.colonies, self.walked, self._two_opt)
         deposit(net, self.walked, amounts.ravel())
 
     def best_value(self, net) -> float | None:
@@ -317,17 +322,19 @@ def _offer_shortest(colonies: Sequence[AcoArchitecture], tours: Tours) -> None:
         colonies[k]._offer_best(paths[rows[k]].tolist(), float(lengths[rows[k]]))
 
 
-def _two_opt_shortest(colonies: Sequence[AcoArchitecture], tours: Tours) -> None:
-    """2-opt, in place, the first shortest tour of every colony whose demon is
-    two-opt, and offer the improved tour to its colony."""
+def _two_opt_shortest(
+    colonies: Sequence[AcoArchitecture], tours: Tours, two_opt: Sequence[int]
+) -> None:
+    """2-opt, in place, the first shortest tour of each colony colonies[k], k in
+    two_opt, and offer the improved tour to its colony."""
     paths, lengths = tours
     each = len(lengths) // len(colonies)
-    for k, colony in enumerate(colonies):
-        if colony.params.demon == "two-opt":
-            row = k * each + int(lengths[k * each : (k + 1) * each].argmin())
-            improved = demon_local_search(paths[row].tolist(), colony.problem)
-            paths[row], lengths[row] = improved, colony.problem.tour_length(improved)
-            colony._offer_best(improved, float(lengths[row]))
+    for k in two_opt:
+        colony = colonies[k]
+        row = k * each + int(lengths[k * each : (k + 1) * each].argmin())
+        improved = demon_local_search(paths[row].tolist(), colony.problem)
+        paths[row], lengths[row] = improved, colony.problem.tour_length(improved)
+        colony._offer_best(improved, float(lengths[row]))
 
 
 def next_locations(

@@ -14,6 +14,14 @@ set_weight_vector and population_mse (through which the PSO
 cross-composition evaluates a swarm) is all edge weights in edge-id
 order followed by the biases of all non-input nodes in node-id order;
 LayeredTopology.layer_views is its one definition.
+
+The batch pass of gradients writes each non-input layer's activations,
+deltas and derivatives into a workspace the network holds
+(AnnArchitecture.workspace), with out= and in the order of the plain
+formulas, so its bits are those of an allocating pass and a training
+step allocates only small arrays: the gradients, the squared output
+errors and the new weights. What gradients and train_step return never
+aliases the workspace, so no later call overwrites it.
 """
 from __future__ import annotations
 
@@ -29,21 +37,28 @@ from .problems import Dataset
 from .rng import RngStream
 
 
-def _logistic(x):
+def _logistic(x, out=None):
     # 0.5*(1+tanh(x/2)) is the overflow-safe form of 1/(1+exp(-x))
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
+    np.add(y, 1.0, out=y)
+    return np.multiply(y, 0.5, out=y)
 
 
-# name -> (function, derivative expressed in terms of the output)
+def _ones(y, out):
+    out.fill(1.0)
+    return out
+
+
+# name -> (function, derivative from the output y). Like a ufunc, the function
+# writes into out when given one (out may be x itself); the derivative always
+# writes into out. Each keeps the operation order of its plain formula, so in
+# place or not the bits are the same.
 ACTIVATIONS: dict[str, tuple[Callable, Callable]] = {
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "logistic": (_logistic, lambda y: y * (1.0 - y)),
-    "identity": (lambda x: x, lambda y: np.ones_like(y)),
+    "tanh": (np.tanh, lambda y, out: np.subtract(1.0, np.multiply(y, y, out=out), out=out)),
+    "logistic": (_logistic, lambda y, out: np.multiply(y, np.subtract(1.0, y, out=out), out=out)),
+    "identity": (lambda x, out=None: x, _ones),
 }
-
-
-def activate(kind: str, value):
-    return ACTIVATIONS[kind][0](value)
 
 
 @dataclass(frozen=True)
@@ -153,7 +168,7 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
     pre_activations, outputs = [a], [a]
     for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
         z = w @ a + b
-        a = activate(arch.activations[k + 1], z)
+        a = ACTIVATIONS[arch.activations[k + 1]][0](z)
         finite = np.isfinite(a)
         if not finite.all():
             j = int(finite.argmin())
@@ -167,17 +182,20 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
     return a.tolist()
 
 
-def _batch_forward(arch: "AnnArchitecture", weights, biases, x: np.ndarray) -> list[np.ndarray]:
-    """All-sample forward pass; returns activations per layer (rows = samples).
+def _batch_forward(
+    arch: "AnnArchitecture", weights, biases, x: np.ndarray, layers: list[np.ndarray]
+) -> list[np.ndarray]:
+    """All-sample forward pass written into layers, one array per non-input
+    layer (rows = samples); returns x followed by layers.
 
     weights and biases are the architecture's own, or stacked layer_views.
     """
-    activations = [x]
     a = x
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        a = activate(arch.activations[k + 1], a @ w.swapaxes(-1, -2) + b[..., None, :])
-        activations.append(a)
-    return activations
+    for k, (w, b, out) in enumerate(zip(weights, biases, layers)):
+        np.matmul(a, w.swapaxes(-1, -2), out=out)
+        out += b[..., None, :]
+        a = ACTIVATIONS[arch.activations[k + 1]][0](out, out=out)
+    return [x, *layers]
 
 
 def batch_mse(net: ComputingNetwork, dataset: Dataset) -> float:
@@ -197,7 +215,9 @@ def population_mse(net: ComputingNetwork, dataset: Dataset, vectors: np.ndarray)
     if vectors.ndim != 2 or vectors.shape[1] != count:
         raise ConfigurationError(f"expected rows of {count} parameters, got {vectors.shape}")
     weights, biases = arch.topology.layer_views(vectors)
-    output = _batch_forward(arch, weights, biases, dataset.input_matrix())[-1]
+    x = dataset.input_matrix()
+    layers = [np.empty((len(vectors), len(x), size)) for size in arch.topology.layer_sizes[1:]]
+    output = _batch_forward(arch, weights, biases, x, layers)[-1]
     diff = output - dataset.target_matrix()
     return (diff * diff).reshape(len(vectors), -1).mean(axis=1)
 
@@ -208,16 +228,19 @@ def gradients(
     """Analytic batch-MSE gradients for every weight and bias.
 
     Returns (weight gradients, bias gradients, pre-update mse); shapes
-    match the architecture's weights and biases.
+    match the architecture's weights and biases. The batch pass runs in
+    the architecture's workspace, and the returned arrays are new ones.
     """
     arch = net.arch
     _check_arities(arch.topology, dataset)
     kinds = arch.activations
-    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.input_matrix())
-    diff = activations[-1] - dataset.target_matrix()
+    outputs, deltas, slopes = arch.workspace(len(dataset))
+    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.input_matrix(), outputs)
+    diff = np.subtract(activations[-1], dataset.target_matrix(), out=deltas[-1])
     mse = float(np.mean(diff * diff))
     # d(mse)/d(output); mse averages over samples * components
-    delta = (2.0 / diff.size) * diff * ACTIVATIONS[kinds[-1]][1](activations[-1])
+    delta = np.multiply(2.0 / diff.size, diff, out=diff)
+    delta *= ACTIVATIONS[kinds[-1]][1](activations[-1], slopes[-1])
     depth = arch.topology.depth
     grad_w: list[np.ndarray] = [np.empty(0)] * (depth - 1)
     grad_b: list[np.ndarray] = [np.empty(0)] * (depth - 1)
@@ -225,7 +248,8 @@ def gradients(
         grad_w[k] = delta.T @ activations[k]
         grad_b[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ arch.weights[k]) * ACTIVATIONS[kinds[k]][1](activations[k])
+            delta = np.matmul(delta, arch.weights[k], out=deltas[k - 1])
+            delta *= ACTIVATIONS[kinds[k]][1](activations[k], slopes[k - 1])
     return grad_w, grad_b, mse
 
 
@@ -268,6 +292,7 @@ class AnnArchitecture:
     activation (the identity for inputs). These arrays are the only copy
     of the adjustable state. pre_activations[k] and outputs[k] hold layer
     k's values from the last forward pass, zeros before the first.
+    workspace gives the buffers the batch pass of gradients writes into.
     """
 
     kind = "ann"
@@ -286,6 +311,16 @@ class AnnArchitecture:
         self.outputs = list(self.pre_activations)
         self._cursor = 0
         self._last_mse: float | None = None
+        self._workspace: tuple[list[np.ndarray], ...] | None = None
+
+    def workspace(self, samples: int) -> tuple[list[np.ndarray], ...]:
+        """Activation, delta and derivative buffers, one (samples, size) array
+        per non-input layer each; built on first use and again whenever the
+        sample count changes."""
+        if self._workspace is None or len(self._workspace[0][0]) != samples:
+            sizes = self.topology.layer_sizes[1:]
+            self._workspace = tuple([np.empty((samples, size)) for size in sizes] for _ in range(3))
+        return self._workspace
 
     def substrate(self) -> tuple[int, list[EdgeState]]:
         """Neurons in layer order and synapses in edge-id order."""

@@ -57,7 +57,10 @@ def _get(data: Mapping[str, Any], key: str, where: str, kind, default=None, requ
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(f"{where}.{key}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigurationError(f"{where}.{key}: integer too large for a float") from None
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(f"{where}.{key}: expected an integer, got {value!r}")
@@ -79,13 +82,18 @@ def _get(data: Mapping[str, Any], key: str, where: str, kind, default=None, requ
     raise AssertionError(f"unhandled kind {kind}")
 
 
+def _finite_number(value: Any) -> bool:
+    """Whether value is a JSON number, not a bool, whose float is finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _number_pair(value: Any, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
-        or not all(map(math.isfinite, value))
-    ):
+    if not isinstance(value, list) or len(value) != 2 or not all(map(_finite_number, value)):
         raise ConfigurationError(f"{where}: expected a [low, high] pair of finite numbers, got {value!r}")
     return float(value[0]), float(value[1])
 
@@ -503,6 +511,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigurationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal with more digits than Python converts
+        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     return build_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

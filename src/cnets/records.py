@@ -88,6 +88,15 @@ def write_run_file(path: str, config: dict[str, Any], records: Iterable[RunRecor
         raise RecordIoError(f"cannot write record file {path}: {exc}") from None
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a strict-JSON number")
+
+
+# write_run_file writes strict JSON, so a line holding NaN, Infinity or -Infinity is refused;
+# one shared decoder, as json.loads with a keyword builds a new one per call
+_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def read_run_file(path: str) -> tuple[dict[str, Any], list[RunRecord]]:
     try:
         with open(path) as handle:
@@ -99,8 +108,8 @@ def read_run_file(path: str) -> tuple[dict[str, Any], list[RunRecord]]:
     parsed = []
     for number, line in enumerate(lines, start=1):
         try:
-            parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
+            parsed.append(_STRICT_JSON.decode(line))
+        except ValueError as exc:  # a JSONDecodeError, too, is a ValueError
             raise RecordIoError(f"{path}:{number}: invalid JSON: {exc}") from None
     header = parsed[0]
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):

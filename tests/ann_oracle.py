@@ -5,7 +5,8 @@ last evaluation) and one per synapse (its weight). Every call rebuilds
 the layer matrices from those objects and writes updates back, and the
 build draws one weight or bias at a time. The array-resident network
 must give the same weights, outputs, errors and random draws, bit for
-bit.
+bit. The activations are the oracle's own allocating formulas, not the
+in-place forms cnets.ann writes into its workspace.
 """
 from __future__ import annotations
 
@@ -15,10 +16,26 @@ from typing import Sequence
 
 import numpy as np
 
-from cnets.ann import ACTIVATIONS, LayeredTopology, activate
+from cnets.ann import LayeredTopology
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.problems import Dataset
 from cnets.rng import RngStream
+
+
+def _logistic(x):
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+# the plain allocating formulas: name -> (function, derivative in terms of the output)
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "logistic": (_logistic, lambda y: y * (1.0 - y)),
+    "identity": (lambda x: x, lambda y: np.ones_like(y)),
+}
+
+
+def activate(kind: str, value):
+    return ACTIVATIONS[kind][0](value)
 
 
 def weighted_sum(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,22 @@ class TestTrainStep:
             with np.errstate(over="ignore", invalid="ignore"):
                 for _ in range(200):
                     train_step(net, ds, 1e12)
+
+    def test_a_step_allocates_no_sample_by_width_array(self):
+        """The batch pass writes into the network's workspace: after a warm-up
+        step, a step's peak allocation is below one (samples, 64) array."""
+        samples, sizes = 1024, (16, 64, 64, 4)
+        data = RngStream(3).uniform(-1.0, 1.0, size=(samples, sizes[0] + sizes[-1]))
+        ds = Dataset.from_rows([(row[: sizes[0]], row[sizes[0] :]) for row in data])
+        net = make_net(sizes, ds, seed=4)
+        train_step(net, ds, 0.1)
+        tracemalloc.start()
+        try:
+            train_step(net, ds, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * 64 * 8
 
 
 class TestWeightVector:

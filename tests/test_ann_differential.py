@@ -6,10 +6,13 @@ evaluation, and the same errors and weights after training, which is
 what keeps record files byte-identical.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ann_oracle as oracle
-from cnets.ann import AnnParams, batch_mse, build_ann, forward, train_step, weight_vector
+from cnets.ann import (
+    AnnParams, batch_mse, build_ann, forward, gradients, train_step, weight_vector,
+)
 from cnets.problems import Dataset
 from cnets.rng import RngStream
 
@@ -17,13 +20,16 @@ KINDS = st.sampled_from(["tanh", "logistic", "identity"])
 SEEDS = st.integers(min_value=0, max_value=2**32)
 
 
+def random_dataset(sizes, samples, seed) -> Dataset:
+    data = RngStream(seed).uniform(-1.0, 1.0, size=(samples, sizes[0] + sizes[-1]))
+    return Dataset.from_rows([(row[: sizes[0]], row[sizes[0] :]) for row in data])
+
+
 @st.composite
 def networks(draw):
     hidden = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
     sizes = (draw(st.integers(1, 6)), *hidden, draw(st.integers(1, 4)))
-    samples = draw(st.integers(1, 8))
-    data = RngStream(draw(SEEDS)).uniform(-1.0, 1.0, size=(samples, sizes[0] + sizes[-1]))
-    dataset = Dataset.from_rows([(row[: sizes[0]], row[sizes[0] :]) for row in data])
+    dataset = random_dataset(sizes, draw(st.integers(1, 8)), draw(SEEDS))
     return sizes, dataset, draw(KINDS), draw(KINDS), draw(SEEDS)
 
 
@@ -82,3 +88,22 @@ def test_training_matches(case, learning_rate, steps):
         )
         assert same_bits(weight_vector(net), oracle.weight_vector(reference))
     assert batch_mse(net, dataset) == oracle.batch_mse(reference, dataset)
+
+
+@pytest.mark.parametrize("hidden", ["tanh", "logistic", "identity"])
+@pytest.mark.parametrize("output", ["tanh", "logistic", "identity"])
+def test_benchmark_shape_trains_like_the_oracle_through_its_workspace(hidden, output):
+    """The backprop workload's shape, on 256 samples and then on 100, which
+    rebuilds the workspace; gradients returned by one call are not changed
+    by the next call, which reuses the workspace on other data."""
+    sizes = (16, 64, 64, 4)
+    net, reference, _, _ = both(sizes, random_dataset(sizes, 256, 1), hidden, output, 7)
+    for dataset in (random_dataset(sizes, 256, 1), random_dataset(sizes, 100, 2)):
+        for _ in range(3):
+            assert train_step(net, dataset, 0.1) == oracle.train_step(reference, dataset, 0.1)
+            assert same_bits(weight_vector(net), oracle.weight_vector(reference))
+    grad_w, grad_b, mse = gradients(net, dataset)
+    gradients(net, random_dataset(sizes, 100, 3))
+    expected_w, expected_b, expected_mse = oracle.gradients(reference, dataset)
+    assert mse == expected_mse
+    assert all(same_bits(g, e) for g, e in zip(grad_w + grad_b, expected_w + expected_b))

@@ -6,7 +6,9 @@ side's min, median and quartiles, and the pairs the change won. From
 BENCH_9.json on, a `configs` section also holds each side's min and
 median seconds per example config, timed in process. From BENCH_10.json
 on, a `per_layer` section holds each side's per-layer metrics from one
-traced run per workload.
+traced run per workload. From BENCH_15.json on, each workload also
+holds each side's minor page faults per operation, one per untraced run
+in seed order; earlier files may hold them.
 """
 import json
 import math
@@ -84,6 +86,21 @@ def test_bench_file_per_layer_section(path):
             metrics = workload[side]["metrics"]
             assert set(metrics) == names
             assert all(isinstance(v, (int, float)) and math.isfinite(v) for v in metrics.values())
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_minor_faults(path):
+    bench = json.loads(path.read_text())
+    number = int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+    for workload in bench["workloads"].values():
+        if "minor_faults_per_operation" not in workload:
+            assert number < 15
+            continue
+        faults = workload["minor_faults_per_operation"]
+        assert set(faults) == {"parent", "change"}
+        for values in faults.values():
+            assert len(values) == workload["pairs"]
+            assert all(isinstance(v, (int, float)) and 0 <= v < math.inf for v in values)
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)

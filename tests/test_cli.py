@@ -210,6 +210,17 @@ class TestSummarizeCommand:
         assert main(["summarize", str(workdir / "run1.jsonl")]) == 3
         assert "io error" in capsys.readouterr().err
 
+    def test_non_finite_best_value_exits_3(self, workdir, capsys):
+        self.make_runs(workdir)
+        capsys.readouterr()
+        path = workdir / "run1.jsonl"
+        header, *records = path.read_text().splitlines()
+        record = json.loads(records[-1])
+        record["best_value"] = "MARK"
+        path.write_text("\n".join([header, *records, json.dumps(record).replace('"MARK"', "NaN")]) + "\n")
+        assert main(["summarize", str(path)]) == 3
+        assert "io error" in capsys.readouterr().err
+
     def test_summary_write_failure_exits_3(self, workdir, capsys):
         self.make_runs(workdir)
         capsys.readouterr()

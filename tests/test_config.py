@@ -286,6 +286,20 @@ class TestValues:
         with pytest.raises(ConfigurationError, match=rf"^config\.{re.escape(path)}: .*finite"):
             load_config(write_json(workdir, data))
 
+    @pytest.mark.parametrize("path", ["pso.inertia", "pso.bounds"])
+    def test_integer_too_large_for_a_float_rejected_at_load(self, workdir, path):
+        huge = 10**400  # json.dumps writes all 401 digits, and json reads them back as an int
+        data = {"pso": {"objective": "sphere", "dimension": 2}, "seed": 1}
+        data["pso"][path.split(".")[1]] = [huge, 1.0] if path == "pso.bounds" else huge
+        with pytest.raises(ConfigurationError, match=rf"^config\.{re.escape(path)}: "):
+            load_config(write_json(workdir, data))
+
+    def test_integer_with_too_many_digits_to_read_rejected_at_load(self, workdir):
+        path = workdir / "run.json"
+        path.write_text('{"seed": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigurationError, match="invalid JSON"):
+            load_config(str(path))
+
     def test_ann_missing_dataset_file(self, workdir):
         data = {"ann": {"layers": [2, 1], "dataset": "absent.csv"}, "seed": 1}
         with pytest.raises(ConfigurationError, match="does not exist"):

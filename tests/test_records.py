@@ -171,6 +171,25 @@ class TestReadErrors:
         with pytest.raises(RecordIoError, match=f"malformed.jsonl{where}"):
             read_run_file(str(path))
 
+    @pytest.mark.parametrize("line", [1, 2])
+    @pytest.mark.parametrize(
+        "constant", ["NaN", "Infinity", "-Infinity", "1" + "0" * 5000],
+        ids=["NaN", "Infinity", "-Infinity", "5001-digits"],
+    )
+    def test_non_strict_number_names_its_line(self, tmp_path, line, constant):
+        """Python's json reads NaN, Infinity and -Infinity, which write_run_file
+        refuses to write; they, and an integer too long to convert, are a
+        RecordIoError at path:line, in the header as in a record."""
+        lines = [{"config": {"seed": 1}}, record_to_dict(sample_records()[1])]
+        if line == 1:
+            lines[0]["config"]["seed"] = "MARK"
+        else:
+            lines[1]["best_value"] = "MARK"
+        path = tmp_path / "constant.jsonl"
+        path.write_text("".join(json.dumps(data) + "\n" for data in lines).replace('"MARK"', constant))
+        with pytest.raises(RecordIoError, match=f"constant.jsonl:{line}: invalid JSON"):
+            read_run_file(str(path))
+
 
 class TestComparableBytes:
     def test_strips_wall_clock_and_out(self, tmp_path):
