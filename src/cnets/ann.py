@@ -159,12 +159,13 @@ def _check_arities(topo: LayeredTopology, dataset: Dataset) -> None:
 
 
 def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
-    """Evaluate one input vector, keeping every layer's values on the architecture."""
+    """Evaluate one input vector, keeping every layer's values on the architecture
+    (a float64 array input, such as a row of the dataset, is kept uncopied)."""
     arch = net.arch
     arity = arch.topology.layer_sizes[0]
     if len(inputs) != arity:
         raise ConfigurationError(f"network takes {arity} inputs, got {len(inputs)}")
-    a = np.array(inputs, dtype=float)
+    a = np.asarray(inputs, dtype=float)
     pre_activations, outputs = [a], [a]
     for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
         z = w @ a + b
@@ -174,7 +175,7 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
             j = int(finite.argmin())
             raise NumericDivergenceError(
                 f"node {arch.topology.node_base(k + 1) + j} produced "
-                f"non-finite output {a[j]!r}"
+                f"non-finite output {float(a[j])}"
             )
         pre_activations.append(z)
         outputs.append(a)
@@ -215,10 +216,10 @@ def population_mse(net: ComputingNetwork, dataset: Dataset, vectors: np.ndarray)
     if vectors.ndim != 2 or vectors.shape[1] != count:
         raise ConfigurationError(f"expected rows of {count} parameters, got {vectors.shape}")
     weights, biases = arch.topology.layer_views(vectors)
-    x = dataset.input_matrix()
+    x = dataset.inputs
     layers = [np.empty((len(vectors), len(x), size)) for size in arch.topology.layer_sizes[1:]]
     output = _batch_forward(arch, weights, biases, x, layers)[-1]
-    diff = output - dataset.target_matrix()
+    diff = output - dataset.targets
     return (diff * diff).reshape(len(vectors), -1).mean(axis=1)
 
 
@@ -235,8 +236,8 @@ def gradients(
     _check_arities(arch.topology, dataset)
     kinds = arch.activations
     outputs, deltas, slopes = arch.workspace(len(dataset))
-    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.input_matrix(), outputs)
-    diff = np.subtract(activations[-1], dataset.target_matrix(), out=deltas[-1])
+    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.inputs, outputs)
+    diff = np.subtract(activations[-1], dataset.targets, out=deltas[-1])
     mse = float(np.mean(diff * diff))
     # d(mse)/d(output); mse averages over samples * components
     delta = np.multiply(2.0 / diff.size, diff, out=diff)

@@ -17,7 +17,6 @@ from .config import RunConfig, load_config
 from .errors import (
     CnError,
     ConfigurationError,
-    NumericDivergenceError,
     RecordIoError,
     EXIT_IO,
     EXIT_OK,
@@ -146,13 +145,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "summarize":
             return _cmd_summarize(args)
         return _cmd_render(args)
-    except NumericDivergenceError as exc:
-        where = f" at (slow, fast)={exc.step_position}" if exc.step_position else ""
-        print(f"numeric error: {exc}{where}", file=sys.stderr)
-        return exc.exit_code
     except CnError as exc:
-        category = "io" if isinstance(exc, RecordIoError) else "config"
-        print(f"{category} error: {exc}", file=sys.stderr)
+        where = f" at (slow, fast)={exc.step_position}" if exc.step_position else ""
+        print(f"{exc.category} error: {exc}{where}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -95,7 +95,10 @@ def _finite_number(value: Any) -> bool:
 def _number_pair(value: Any, where: str) -> tuple[float, float]:
     if not isinstance(value, list) or len(value) != 2 or not all(map(_finite_number, value)):
         raise ConfigurationError(f"{where}: expected a [low, high] pair of finite numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+    low, high = float(value[0]), float(value[1])
+    if not math.isfinite(high - low):  # a random draw inside the box needs its width
+        raise ConfigurationError(f"{where}: high - low must be finite, got {value!r}")
+    return low, high
 
 
 def _resolve_path(path: str, base_dir: str, where: str) -> str:

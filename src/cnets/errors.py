@@ -9,12 +9,14 @@ EXIT_IO = 3
 class CnError(Exception):
     """Base class for all errors raised by this package.
 
-    Errors raised while a run is in flight carry a ``step_position``
-    attribute, a ``(slow_step, fast_step)`` pair locating the failure
-    (``fast_step`` is None outside the fast phase, as in the initial snapshot).
+    ``category`` names the kind of failure in the CLI's message. Errors
+    raised while a run is in flight carry a ``step_position`` attribute, a
+    ``(slow_step, fast_step)`` pair locating the failure (``fast_step`` is
+    None outside the fast phase, as in the initial snapshot).
     """
 
     exit_code = EXIT_CONFIG
+    category = "config"
     step_position: "tuple[int, int | None] | None" = None
 
 
@@ -44,9 +46,11 @@ class NumericDivergenceError(CnError):
     """A state or readout value became non-finite."""
 
     exit_code = EXIT_NUMERIC
+    category = "numeric"
 
 
 class RecordIoError(CnError):
     """A record file could not be read, parsed, or written."""
 
     exit_code = EXIT_IO
+    category = "io"

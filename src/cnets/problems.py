@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -21,80 +22,111 @@ from .rng import RngStream
 Row = tuple[float, ...]
 
 
-def _read_only(rows: tuple[Row, ...]) -> np.ndarray:
+def _read_only(rows) -> np.ndarray:
     matrix = np.array(rows, dtype=float)
     matrix.flags.writeable = False
     return matrix
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Supervised samples: paired input and target rows of fixed arity."""
+def _parse_numbers(lines) -> np.ndarray:
+    """Comma-separated numbers, quotes allowed, one row per non-blank line.
 
-    inputs: tuple[Row, ...]
-    targets: tuple[Row, ...]
+    numpy's C parser gives each value the bits float() gives its text.
+    """
+    with warnings.catch_warnings():
+        # a table with no rows warns; the caller says what it lacks
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        value = _parse_numbers([text])
+    except ValueError:
+        return False
+    return value.shape == (1, 1) and bool(np.isfinite(value[0, 0]))
+
+
+def _refused_line(path: str, width: int) -> str:
+    """'path:line: why' for the first data line of path that is not width
+    finite numbers; read only once _parse_numbers has refused the file."""
+    with open(path, newline="") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            line = line.rstrip("\r\n")
+            if line_no == 1 or not line:
+                continue
+            fields = next(csv.reader([line]))
+            if len(fields) != width:
+                return f"{path}:{line_no}: expected {width} fields, got {len(fields)}"
+            for field in fields:
+                if not _finite_number(field):
+                    return f"{path}:{line_no}: not a finite number: {field!r}"
+    return f"{path}: cannot read its data rows"
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Supervised samples: read-only float64 arrays of finite input and
+    target rows, samples by arity. Any table of numbers converts; two
+    datasets are equal when their arrays have the same shapes and bytes."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
 
     def __post_init__(self):
-        if not self.inputs:
-            raise ConfigurationError("dataset has no samples")
+        for name in ("inputs", "targets"):
+            try:
+                matrix = _read_only(getattr(self, name))
+            except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+                matrix = None
+            if matrix is None or matrix.ndim != 2 or not matrix.size:
+                raise ConfigurationError(
+                    f"dataset {name} must be a non-empty table of numbers, one row per sample"
+                )
+            if not np.isfinite(matrix).all():
+                raise ConfigurationError(f"dataset {name} must be finite")
+            object.__setattr__(self, name, matrix)
         if len(self.inputs) != len(self.targets):
             raise ConfigurationError(
                 f"dataset has {len(self.inputs)} inputs but {len(self.targets)} targets"
             )
-        in_arity = len(self.inputs[0])
-        out_arity = len(self.targets[0])
-        if in_arity == 0 or out_arity == 0:
-            raise ConfigurationError("dataset rows must be non-empty")
-        for row in self.inputs:
-            if len(row) != in_arity:
-                raise ConfigurationError("ragged dataset input rows")
-        for row in self.targets:
-            if len(row) != out_arity:
-                raise ConfigurationError("ragged dataset target rows")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        return tuple((m.shape, m.tobytes()) for m in (self.inputs, self.targets))
 
     def __len__(self) -> int:
         return len(self.inputs)
 
     @property
     def input_arity(self) -> int:
-        return len(self.inputs[0])
+        return self.inputs.shape[1]
 
     @property
     def target_arity(self) -> int:
-        return len(self.targets[0])
-
-    def input_matrix(self) -> np.ndarray:
-        """Inputs as a read-only (samples, input arity) array, built once."""
-        return self._input_matrix
-
-    def target_matrix(self) -> np.ndarray:
-        """Targets as a read-only (samples, target arity) array, built once."""
-        return self._target_matrix
-
-    @cached_property
-    def _input_matrix(self) -> np.ndarray:
-        return _read_only(self.inputs)
-
-    @cached_property
-    def _target_matrix(self) -> np.ndarray:
-        return _read_only(self.targets)
+        return self.targets.shape[1]
 
     @classmethod
     def from_rows(cls, rows: Sequence[tuple[Sequence[float], Sequence[float]]]) -> "Dataset":
-        return cls(
-            inputs=tuple(tuple(float(v) for v in x) for x, _ in rows),
-            targets=tuple(tuple(float(v) for v in t) for _, t in rows),
-        )
+        return cls(inputs=[x for x, _ in rows], targets=[t for _, t in rows])
 
     @classmethod
     def from_csv(cls, path: str) -> "Dataset":
-        """Load a dataset whose header names columns in0,in1,...,out0,...."""
+        """Load a dataset whose header names columns in0,in1,...,out0,....
+
+        Each further non-blank line holds one finite number per column.
+        """
         with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ConfigurationError(f"dataset file {path} is empty") from None
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise ConfigurationError(f"dataset file {path} is empty")
             header = [h.strip() for h in header]
             in_cols = [i for i, h in enumerate(header) if h.startswith("in")]
             out_cols = [i for i, h in enumerate(header) if h.startswith("out")]
@@ -102,27 +134,15 @@ class Dataset:
                 raise ConfigurationError(
                     f"dataset header must name every column in* or out*, got {header}"
                 )
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ConfigurationError(
-                        f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    values = [float(v) for v in row]
-                except ValueError as exc:
-                    raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
-                rows.append(
-                    (
-                        [values[i] for i in in_cols],
-                        [values[i] for i in out_cols],
-                    )
-                )
-        if not rows:
+            try:
+                table = _parse_numbers(handle)
+            except ValueError:
+                table = None
+        if table is not None and not table.size:
             raise ConfigurationError(f"dataset file {path} has no data rows")
-        return cls.from_rows(rows)
+        if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
+            raise ConfigurationError(_refused_line(path, len(header)))
+        return cls(inputs=table[:, in_cols], targets=table[:, out_cols])
 
 
 def xor_dataset() -> Dataset:
@@ -275,17 +295,22 @@ class Objective:
         return float(self.fn(np.asarray(x, dtype=float)[None])[0])
 
 
+# The named objectives leave overflow to the caller: pso.evaluate checks their
+# values for finiteness and names the particle, so numpy need not warn first.
 def _sphere(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(x * x, axis=-1)
 
 
 def _rosenbrock(x: np.ndarray) -> np.ndarray:
     head, tail = x[..., :-1], x[..., 1:]
-    return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum(100.0 * (tail - head**2) ** 2 + (1.0 - head) ** 2, axis=-1)
 
 
 def _rastrigin(x: np.ndarray) -> np.ndarray:
-    return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 10.0 * x.shape[-1] + np.sum(x * x - 10.0 * np.cos(2.0 * math.pi * x), axis=-1)
 
 
 _NAMED_OBJECTIVES: dict[str, tuple[Callable[[np.ndarray], np.ndarray], float, float]] = {

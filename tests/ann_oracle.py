@@ -153,7 +153,7 @@ def forward(net: OracleNet, inputs: Sequence[float]) -> list[float]:
             node = net.nodes[base + j]
             if not math.isfinite(a[j]):
                 raise NumericDivergenceError(
-                    f"node {node.id} produced non-finite output {a[j]!r}"
+                    f"node {node.id} produced non-finite output {float(a[j])}"
                 )
             node.payload.pre_activation = float(z[j])
             node.payload.output = float(a[j])
@@ -171,7 +171,7 @@ def _batch_forward(net: OracleNet, x: np.ndarray) -> list[np.ndarray]:
 
 
 def batch_mse(net: OracleNet, dataset: Dataset) -> float:
-    diff = _batch_forward(net, dataset.input_matrix())[-1] - dataset.target_matrix()
+    diff = _batch_forward(net, dataset.inputs)[-1] - dataset.targets
     return float(np.mean(diff * diff))
 
 
@@ -180,8 +180,8 @@ def gradients(
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     topo = net.topology
     weights, kinds = _weights(net), _layer_activations(net)
-    activations = _batch_forward(net, dataset.input_matrix())
-    diff = activations[-1] - dataset.target_matrix()
+    activations = _batch_forward(net, dataset.inputs)
+    diff = activations[-1] - dataset.targets
     mse = float(np.mean(diff * diff))
     delta = (2.0 / diff.size) * diff * ACTIVATIONS[kinds[-1]][1](activations[-1])
     grad_w: list[np.ndarray] = [np.empty(0)] * (topo.depth - 1)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,10 @@ class TestRunCommand:
         assert "invalid JSON" in capsys.readouterr().err
 
 
+# each end is finite, but high - low overflows to inf
+WIDE = [-1e308, 1e308]
+
+
 class TestExitCodes:
     def test_numeric_divergence_exits_2(self, workdir, capsys):
         path = write_json(
@@ -159,6 +164,78 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numeric error" in err
         assert "(slow, fast)=" in err
+
+    def test_position_is_printed_for_every_error_raised_mid_run(self, workdir, capsys):
+        # trails of 1/cost**400 underflow to zero, so an ant finds no move
+        path = write_json(
+            workdir,
+            {
+                "aco": {"graph": "cities.csv", "alpha": 400, "beta": 400},
+                "schedule": {"slow_steps": 3},
+                "seed": 1,
+                "out": "dead.jsonl",
+            },
+        )
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == (
+            "config error: an ant still found no positive trail after 10 restarts"
+            " at (slow, fast)=(1, 0)\n"
+        )
+
+    @pytest.mark.parametrize("objective", ["sphere", "rosenbrock", "rastrigin"])
+    def test_overflowing_objective_prints_only_the_error_line(self, workdir, capsys, objective):
+        path = write_json(
+            workdir,
+            {
+                "pso": {"objective": objective, "dimension": 2, "inertia": 1e300},
+                "schedule": {"slow_steps": 5},
+                "seed": 1,
+                "out": "pso.jsonl",
+            },
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", path]) == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "numeric error: particle 0 produced non-finite value inf at (slow, fast)=(2, 0)\n"
+        )
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_dataset_value_is_a_config_error(self, workdir, capsys, value):
+        (workdir / "xor.csv").write_text(f"in0,in1,out0\n0,0,0\n{value},1,1\n1,0,1\n1,1,0\n")
+        path = write_json(
+            workdir,
+            {"ann": {"layers": [2, 2, 1], "dataset": "xor.csv"}, "seed": 1, "out": "ann.jsonl"},
+        )
+        assert main(["run", path]) == 1
+        csv_path = workdir / "xor.csv"
+        assert capsys.readouterr().err == (
+            f"config error: {csv_path}:3: not a finite number: '{value}'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ({"pso": {"objective": "sphere", "dimension": 2, "bounds": WIDE}}, "pso.bounds"),
+            (
+                {"cross": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "weight_bounds": WIDE}},
+                "cross.weight_bounds",
+            ),
+            (
+                {
+                    "pso": {"objective": "sphere", "dimension": 2},
+                    "meta": {"parameters": {"inertia": WIDE}, "eval_seeds": [1]},
+                },
+                "meta.parameters.inertia",
+            ),
+        ],
+        ids=["pso.bounds", "cross.weight_bounds", "meta.parameters.inertia"],
+    )
+    def test_box_too_wide_to_draw_in_is_a_config_error(self, workdir, capsys, config, where):
+        path = write_json(workdir, {**config, "seed": 1, "out": "wide.jsonl"})
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config.{where}: high - low must be finite")
 
     def test_record_io_error_exits_3(self, workdir, capsys):
         blocker = workdir / "blocker.txt"

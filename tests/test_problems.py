@@ -1,8 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cnets.errors import ConfigurationError, MalformedInstanceError
 from cnets.problems import (
@@ -16,20 +18,67 @@ from cnets.problems import (
 from cnets.rng import RngStream
 
 
+CELL_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    # subnormals, signed zeros and the extremes, drawn often rather than by chance
+    st.sampled_from([5e-324, -1e-310, 2.2250738585072014e-308, 0.0, -0.0, 1.7976931348623157e308]).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(repr),
+    st.builds(
+        "{:.{}{}}".format,
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.integers(0, 6),
+        st.sampled_from("efgE"),
+    ),
+    st.from_regex(r"[+-]?([0-9]{1,3}(\.[0-9]{0,3})?|\.[0-9]{1,3})([eE][+-]?[0-9]{1,3})?", fullmatch=True).filter(
+        lambda text: math.isfinite(float(text))
+    ),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """(in arity, rows of cell texts, whether to quote each cell)."""
+    width = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(CELL_TEXTS, min_size=width, max_size=width), min_size=1, max_size=8))
+    quotes = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    return draw(st.integers(1, width - 1)), rows, quotes
+
+
 class TestDataset:
     def test_xor_table(self):
         ds = xor_dataset()
         assert len(ds) == 4
         assert ds.input_arity == 2
         assert ds.target_arity == 1
-        assert ds.targets == ((0.0,), (1.0,), (1.0,), (0.0,))
+        assert ds.targets.tolist() == [[0.0], [1.0], [1.0], [0.0]]
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("in0,in1,out0\n0,1,1\n1,1,0\n")
         ds = Dataset.from_csv(str(path))
-        assert ds.inputs == ((0.0, 1.0), (1.0, 1.0))
-        assert ds.targets == ((1.0,), (0.0,))
+        assert ds.inputs.tolist() == [[0.0, 1.0], [1.0, 1.0]]
+        assert ds.targets.tolist() == [[1.0], [0.0]]
+
+    @given(table=csv_tables())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_csv_gives_the_bits_of_float(self, tmp_path, table):
+        arity, rows, quotes = table
+        width = len(rows[0])
+        header = [f"in{i}" for i in range(arity)] + [f"out{i}" for i in range(width - arity)]
+        lines = [",".join(f'"{t}"' if q else t for t, q in zip(row, quotes)) for row in rows]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([",".join(header), *lines]) + "\n")
+        ds = Dataset.from_csv(str(path))
+        values = np.array([[float(t) for t in row] for row in rows])
+        assert ds.inputs.tobytes() == np.ascontiguousarray(values[:, :arity]).tobytes()
+        assert ds.targets.tobytes() == np.ascontiguousarray(values[:, arity:]).tobytes()
+
+    def test_csv_columns_follow_the_header(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("out0,in0,in1\n1,2,3\n")
+        ds = Dataset.from_csv(str(path))
+        assert ds.inputs.tolist() == [[2.0, 3.0]]
+        assert ds.targets.tolist() == [[1.0]]
 
     def test_csv_header_must_partition_columns(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -43,6 +92,44 @@ class TestDataset:
         with pytest.raises(ConfigurationError, match=":3"):
             Dataset.from_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("x,1", r":4: not a finite number: 'x'$"),
+            ("1", r":4: expected 2 fields, got 1$"),
+            ("1,2,3", r":4: expected 2 fields, got 3$"),
+            ("1_000,1", r":4: not a finite number: '1_000'$"),
+            ("nan,1", r":4: not a finite number: 'nan'$"),
+            ("1,-inf", r":4: not a finite number: '-inf'$"),
+            ("1e999,1", r":4: not a finite number: '1e999'$"),
+        ],
+    )
+    def test_refused_row_names_its_file_line_after_a_blank_line(self, tmp_path, line, match):
+        path = tmp_path / "data.csv"
+        path.write_text(f"in0,out0\n0,1\n\n{line}\n1,1\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + match):
+            Dataset.from_csv(str(path))
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_file_has_no_data_rows_and_warns_nothing(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text("in0,out0\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="has no data rows$"):
+                Dataset.from_csv(str(path))
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(ConfigurationError, match="is empty$"):
+            Dataset.from_csv(str(path))
+
+    def test_quoted_number_loads(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('in0,out0\n"0.5",1\n')
+        assert Dataset.from_csv(str(path)).inputs.tolist() == [[0.5]]
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ConfigurationError):
             Dataset(inputs=((1.0,), (1.0, 2.0)), targets=((0.0,), (0.0,)))
@@ -51,22 +138,43 @@ class TestDataset:
         with pytest.raises(ConfigurationError):
             Dataset(inputs=((1.0,),), targets=())
 
-    def test_matrices_are_built_once_and_read_only(self):
-        ds = xor_dataset()
-        x, t = ds.input_matrix(), ds.target_matrix()
-        assert x is ds.input_matrix() and t is ds.target_matrix()
-        assert x.tolist() == [list(row) for row in ds.inputs]
-        assert t.tolist() == [list(row) for row in ds.targets]
-        for matrix in (x, t):
+    @pytest.mark.parametrize(
+        "inputs, targets, match",
+        [
+            ((), (), "non-empty table"),
+            (((), ()), ((0.0,), (0.0,)), "non-empty table"),
+            ((1.0, 2.0), ((0.0,), (0.0,)), "table of numbers"),
+            (((1.0,), ("x",)), ((0.0,), (0.0,)), "table of numbers"),
+            ((((1.0,),),), ((0.0,),), "table of numbers"),
+            (((1.0,), (None,)), ((0.0,), (0.0,)), "inputs must be finite"),
+            (((1.0,),), ((math.inf,),), "targets must be finite"),
+        ],
+    )
+    def test_malformed_tables_rejected(self, inputs, targets, match):
+        with pytest.raises(ConfigurationError, match=match):
+            Dataset(inputs=inputs, targets=targets)
+
+    def test_arrays_are_read_only_float64_copies(self):
+        inputs = np.array([[1, 2], [3, 4]])
+        ds = Dataset(inputs=inputs, targets=[[0.5], [1.5]])
+        assert ds.inputs.dtype == ds.targets.dtype == np.float64
+        assert ds.inputs.shape == (2, 2) and ds.targets.shape == (2, 1)
+        inputs[0, 0] = 9
+        assert ds.inputs.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        for matrix in (ds.inputs, ds.targets):
             with pytest.raises(ValueError):
                 matrix[0, 0] = 5.0
 
-    def test_cached_matrices_leave_equality_and_hash_alone(self):
-        used, fresh = xor_dataset(), xor_dataset()
-        used.input_matrix()
-        used.target_matrix()
-        assert used == fresh
-        assert hash(used) == hash(fresh)
+    def test_equality_and_hash_follow_shape_and_bytes(self, tmp_path):
+        path = tmp_path / "xor.csv"
+        path.write_text("in0,in1,out0\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n")
+        loaded, built = Dataset.from_csv(str(path)), xor_dataset()
+        assert loaded == built
+        assert hash(loaded) == hash(built)
+        # the same bytes in other shapes make another dataset
+        wide = Dataset(inputs=[[1.0, 2.0]], targets=[[0.0, 0.0]])
+        tall = Dataset(inputs=[[1.0], [2.0]], targets=[[0.0], [0.0]])
+        assert wide != tall
 
 
 class TestTourGraph:
