@@ -11,7 +11,6 @@ automata, trace-information analysis, and a config-driven CLI harness.
 from .core import (
     Architecture,
     ComputingNetwork,
-    EdgeState,
     RunRecord,
     ScaleSchedule,
     fast_step,
@@ -37,7 +36,6 @@ __all__ = [
     "ComputingNetwork",
     "ConfigurationError",
     "DeadEndError",
-    "EdgeState",
     "MalformedInstanceError",
     "NumericDivergenceError",
     "RecordIoError",

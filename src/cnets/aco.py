@@ -28,12 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState
+from .core import ComputingNetwork
 from .errors import (
     ConfigurationError,
     DeadEndError,
@@ -128,6 +127,7 @@ class AcoArchitecture:
 
     kind = "aco"
     allow_hyperedges = False
+    directed = False
 
     def __init__(self, graph: TourGraph, params: AcoParams):
         self.problem = graph
@@ -183,14 +183,10 @@ class AcoArchitecture:
         n = self.problem.n
         return max(1, STACK_DOUBLES // (n * (n + self.params.ants)))
 
-    def substrate(self) -> tuple[int, list[EdgeState]]:
-        """One node per location and one undirected edge per trail, in edge-id order."""
+    def substrate(self) -> tuple[int, np.ndarray]:
+        """One node per location and one undirected edge (i < j) per trail, in edge-id order."""
         n = self.problem.n
-        edges = [
-            EdgeState(id=k, endpoints=pair, directed=False)
-            for k, pair in enumerate(combinations(range(n), 2))
-        ]
-        return n, edges
+        return n, np.stack(_trail_indices(n), axis=1)
 
     def fast(self, net, rng: RngStream) -> None:
         construct_solutions(net, self.params, rng)
@@ -248,6 +244,7 @@ class ColonyStack:
 
     kind = "aco"
     allow_hyperedges = False
+    directed = False
 
     def __init__(self, nets: Sequence[ComputingNetwork]):
         self.colonies: list[AcoArchitecture] = [net.arch for net in nets]

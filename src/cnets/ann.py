@@ -2,10 +2,10 @@
 
 Nodes are neurons and edges are directed synapses carrying one weight
 each. The adjustable state lives on the architecture as per-layer
-arrays, and the node and edge lists are derived from the topology only
-when read. The fast scale computes the network function by layer-wise
-composition; the slow scale is plain gradient descent on batch mean
-squared error.
+arrays, and the node count and endpoint array are derived from the
+topology only when read. The fast scale computes the network function
+by layer-wise composition; the slow scale is plain gradient descent on
+batch mean squared error.
 
 Edge ids follow a fixed layout: all synapses into layer 1 first, then
 layer 2, and so on; within a layer, grouped by destination neuron, then
@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState
+from .core import ComputingNetwork
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Dataset
 from .rng import RngStream
@@ -298,6 +298,7 @@ class AnnArchitecture:
 
     kind = "ann"
     allow_hyperedges = False
+    directed = True
 
     def __init__(
         self, topology: LayeredTopology, problem: Dataset, params: AnnParams, vector: np.ndarray
@@ -323,22 +324,17 @@ class AnnArchitecture:
             self._workspace = tuple([np.empty((samples, size)) for size in sizes] for _ in range(3))
         return self._workspace
 
-    def substrate(self) -> tuple[int, list[EdgeState]]:
-        """Neurons in layer order and synapses in edge-id order."""
-        topo = self.topology
-        edges = []
+    def substrate(self) -> tuple[int, np.ndarray]:
+        """Neurons in layer order and (source, destination) synapses in edge-id
+        order: the synapses into each layer in turn, by destination, then by source."""
+        topo, sizes = self.topology, self.topology.layer_sizes
+        ends = np.empty((topo.edge_count, 2), dtype=int)
         for k in range(topo.depth - 1):
-            src_base, dst_base = topo.node_base(k), topo.node_base(k + 1)
-            for j in range(topo.layer_sizes[k + 1]):
-                for i in range(topo.layer_sizes[k]):
-                    edges.append(
-                        EdgeState(
-                            id=len(edges),
-                            endpoints=(src_base + i, dst_base + j),
-                            directed=True,
-                        )
-                    )
-        return topo.node_count, edges
+            block = ends[topo.edge_base(k) : topo.edge_base(k + 1)]
+            block = block.reshape(sizes[k + 1], sizes[k], 2)
+            block[..., 0] = topo.node_base(k) + np.arange(sizes[k])
+            block[..., 1] = topo.node_base(k + 1) + np.arange(sizes[k + 1])[:, None]
+        return topo.node_count, ends
 
     def fast(self, net, rng: RngStream) -> None:
         forward(net, self.problem.inputs[self._cursor % len(self.problem)])

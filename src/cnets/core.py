@@ -10,9 +10,14 @@ and the stream. ``run`` drives both under an explicit ScaleSchedule and
 emits one RunRecord per slow step (plus an initial pre-adaptation
 snapshot), which is the only artifact the harness persists.
 
-Network topology is immutable for the lifetime of a run: nothing in
-this module (or in the architectures) adds or removes nodes or edges
-after construction.
+The graph is arrays too. A node is its index in ``range(node_count)``,
+and the edges are one read-only integer array of shape (edges, width):
+row k lists edge k's endpoints, in (source, destination) order when the
+architecture is ``directed``. A hyperedge row with fewer members than the
+width repeats its last member, so row k's member set is
+``set(edges[k])``. Network topology is immutable for the lifetime of a
+run: nothing in this module (or in the architectures) adds or removes
+nodes or edges after construction.
 """
 from __future__ import annotations
 
@@ -22,21 +27,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
+import numpy as np
+
 from .errors import CnError, ConfigurationError, NumericDivergenceError
 from .rng import RngStream
-
-
-@dataclass
-class EdgeState:
-    """One (hyper)edge: ordered endpoint node indices.
-
-    Plain edges have exactly two endpoints. Longer endpoint lists are
-    only legal when the owning architecture declares hyperedge support.
-    """
-
-    id: int
-    endpoints: tuple[int, ...]
-    directed: bool
 
 
 @dataclass(frozen=True)
@@ -85,12 +79,16 @@ class Architecture(Protocol):
     keeps whatever its fast steps leave for its slow step: an ann its
     next sample's place in the dataset, a colony the tours it walked.
     ``substrate()``, read only when the network's graph is, returns the
-    node count and the edge list. ``problem`` is the instance the
-    network was built for; a run is driven only on it.
+    node count and the (edges, width) endpoint array. Edges with more
+    than two members are legal only when ``allow_hyperedges`` is set, and
+    ``directed`` says whether each row reads (source, destination).
+    ``problem`` is the instance the network was built for; a run is
+    driven only on it.
     """
 
     kind: str
     allow_hyperedges: bool
+    directed: bool
     problem: Any
 
     def fast(self, net: "ComputingNetwork", rng: RngStream) -> None: ...
@@ -104,36 +102,39 @@ class Architecture(Protocol):
     def parameters(self, net: "ComputingNetwork") -> dict[str, float]: ...
 
 
-def _validated(
-    arch: Architecture, node_count: int, edges: list[EdgeState]
-) -> tuple[range, list[EdgeState]]:
-    """The node indices and the edge list, checked against each other and the architecture."""
-    nodes = range(node_count)
-    for edge in edges:
-        if len(edge.endpoints) < 2:
+def _validated(arch: Architecture, node_count: int, edges: np.ndarray) -> tuple[range, np.ndarray]:
+    """The node indices and a read-only view of the endpoint array, checked
+    against each other and the architecture; errors name the first bad edge."""
+    edges = np.asarray(edges).view()
+    edges.flags.writeable = False
+    # one contiguous row per endpoint position, since numpy reduces across such
+    # rows far faster than along each short edge row; sorted if wider than a pair
+    ends = np.ascontiguousarray(np.sort(edges, axis=1).T if edges.shape[1] > 2 else edges.T)
+    members = len(ends) - (ends[1:] == ends[:-1]).sum(axis=0)
+    widest = len(ends) if arch.allow_hyperedges else 2
+    bad = (members < 2) | (members > widest) | ((ends < 0) | (ends >= node_count)).any(axis=0)
+    if bad.any():
+        k = int(bad.argmax())
+        if members[k] < 2:
+            raise ConfigurationError(f"edge {k} has {members[k]} endpoints; need >= 2")
+        if members[k] > 2 and not arch.allow_hyperedges:
             raise ConfigurationError(
-                f"edge {edge.id} has {len(edge.endpoints)} endpoints; need >= 2"
+                f"edge {k} is a hyperedge but architecture {arch.kind!r} does not allow them"
             )
-        if len(edge.endpoints) > 2 and not arch.allow_hyperedges:
-            raise ConfigurationError(
-                f"edge {edge.id} is a hyperedge but architecture "
-                f"{arch.kind!r} does not allow them"
-            )
-        missing = [v for v in edge.endpoints if v not in nodes]
-        if missing:
-            raise ConfigurationError(
-                f"edge {edge.id} references unknown node ids {missing}"
-            )
-    return nodes, edges
+        missing = [v for v in dict.fromkeys(edges[k].tolist()) if not 0 <= v < node_count]
+        raise ConfigurationError(f"edge {k} references unknown node ids {missing}")
+    return range(node_count), edges
 
 
 class ComputingNetwork:
     """An architecture plus the computing-network graph its state lives on.
 
     The architecture keeps its state in arrays and describes its topology
-    with ``substrate()``, which returns the node count and the edge list.
-    A node is only its index; the graph is built and validated on first
-    read of ``nodes`` or ``edges``.
+    with ``substrate()``, which returns the node count and the endpoint
+    array. ``nodes`` is ``range(node_count)``; ``edges`` is the endpoint
+    array, read-only, its rows in edge-id order and (source, destination)
+    order when ``arch.directed``. Both are built and validated on first
+    read of either.
     """
 
     def __init__(self, arch: Architecture):
@@ -144,11 +145,11 @@ class ComputingNetwork:
         return self._graph[0]
 
     @property
-    def edges(self) -> list[EdgeState]:
+    def edges(self) -> np.ndarray:
         return self._graph[1]
 
     @cached_property
-    def _graph(self) -> tuple[range, list[EdgeState]]:
+    def _graph(self) -> tuple[range, np.ndarray]:
         return _validated(self.arch, *self.arch.substrate())
 
 

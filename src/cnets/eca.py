@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState
+from .core import ComputingNetwork
 from .errors import ConfigurationError
 from .problems import Tape
 from .rng import RngStream
@@ -196,6 +196,7 @@ class EcaArchitecture:
 
     kind = "eca"
     allow_hyperedges = False
+    directed = False
 
     def __init__(self, rule_number: int, problem: Tape, updating: UpdateMode):
         self.rule_number = rule_number
@@ -204,17 +205,15 @@ class EcaArchitecture:
         self.updating = updating
         self.cells = np.array(problem.cells, dtype=np.uint8)
 
-    def substrate(self) -> tuple[int, list[EdgeState]]:
-        """Cells in tape order and one undirected link per neighbouring pair.
+    def substrate(self) -> tuple[int, np.ndarray]:
+        """Cells in tape order and one undirected link (i, i+1) per neighbouring pair.
 
         A periodic tape adds the wrap link (n-1, 0); a tape has at least
         3 cells, so that link never repeats a pair.
         """
         n = len(self.cells)
-        pairs = [(i, i + 1) for i in range(n - 1)]
-        if self.problem.boundary == "periodic":
-            pairs.append((n - 1, 0))
-        return n, [EdgeState(id=k, endpoints=pair, directed=False) for k, pair in enumerate(pairs)]
+        links = np.stack([np.arange(n), np.arange(1, n + 1) % n], axis=1)
+        return n, links if self.problem.boundary == "periodic" else links[:-1]
 
     def fast(self, net, rng: RngStream) -> None:
         boundary = self.problem.boundary

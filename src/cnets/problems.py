@@ -39,27 +39,33 @@ def _parse_numbers(lines) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
-def _finite_number(text: str) -> bool:
+def _number(text: str) -> float | None:
+    """The one number text holds, read as _parse_numbers reads it, or None."""
     try:
         value = _parse_numbers([text])
     except ValueError:
-        return False
-    return value.shape == (1, 1) and bool(np.isfinite(value[0, 0]))
+        return None
+    return float(value[0, 0]) if value.shape == (1, 1) else None
 
 
-def _refused_line(path: str, width: int) -> str:
+def _refused_line(path: str, width: int, skip_header: bool = True) -> str:
     """'path:line: why' for the first data line of path that is not width
-    finite numbers; read only once _parse_numbers has refused the file."""
+    finite numbers, the first non-blank line being a header if skip_header;
+    read only once _parse_numbers has refused the file."""
     with open(path, newline="") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
-            if line_no == 1 or not line:
+            if not line:
+                continue
+            if skip_header:
+                skip_header = False
                 continue
             fields = next(csv.reader([line]))
             if len(fields) != width:
                 return f"{path}:{line_no}: expected {width} fields, got {len(fields)}"
             for field in fields:
-                if not _finite_number(field):
+                value = _number(field)
+                if value is None or not math.isfinite(value):
                     return f"{path}:{line_no}: not a finite number: {field!r}"
     return f"{path}: cannot read its data rows"
 
@@ -234,34 +240,33 @@ class TourGraph:
 
     @classmethod
     def from_csv(cls, path: str, fmt: str = "coords") -> "TourGraph":
-        """Load either x,y coordinate rows or a full cost matrix."""
+        """Load x,y coordinate rows or the rows of a full cost matrix.
+
+        Each non-blank line holds one row of finite numbers. The first may
+        instead be a header, a line in which no field is a number.
+        """
+        if fmt not in ("coords", "matrix"):
+            raise ConfigurationError(f"unknown graph format {fmt!r}")
         with open(path, newline="") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-        if not rows:
+            lines = [line for line in handle if line.rstrip("\r\n")]
+        if not lines:
             raise ConfigurationError(f"graph file {path} is empty")
-        if rows and not _is_float(rows[0][0]):
-            rows = rows[1:]  # tolerate a header line
+        header = all(_number(field) is None for field in next(csv.reader(lines[:1])))
+        rows = lines[1:] if header else lines
+        if not rows:
+            raise ConfigurationError(f"graph file {path} has no data rows")
+        width = 2 if fmt == "coords" else len(rows)
         try:
-            values = [[float(v) for v in row] for row in rows]
-        except ValueError as exc:
-            raise ConfigurationError(f"graph file {path}: {exc}") from None
-        if fmt == "coords":
-            if any(len(row) != 2 for row in values):
-                raise ConfigurationError(
-                    f"graph file {path}: coordinate rows must have 2 fields"
-                )
-            return cls.from_coordinates(values)
-        if fmt == "matrix":
-            return cls.from_matrix(values)
-        raise ConfigurationError(f"unknown graph format {fmt!r}")
-
-
-def _is_float(text: str) -> bool:
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False
+            table = _parse_numbers(rows)
+        except ValueError:
+            table = None
+        if table is None or table.shape[1] != width or not np.isfinite(table).all():
+            raise ConfigurationError(_refused_line(path, width, skip_header=header))
+        build = cls.from_coordinates if fmt == "coords" else cls.from_matrix
+        try:
+            return build(table.tolist())
+        except MalformedInstanceError as exc:
+            raise MalformedInstanceError(f"graph file {path}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Nodes are particles (position, velocity, personal best); every particle
 belongs to one hyperedge listing its whole neighborhood, whose best
 personal best guides it. The state lives on the architecture as
-(particles, dimension) arrays, and the node and edge lists are derived
-only when read. The fast scale evaluates the whole swarm in one call of
-the objective and updates personal bests; the slow scale refreshes
-neighborhood bests and applies the velocity and position update to
-every particle at once. Minimization throughout.
+(particles, dimension) arrays, and the hyperedges are one padded array
+of member ids, which is also the substrate's endpoint array. The fast
+scale evaluates the whole swarm in one call of the objective and
+updates personal bests; the slow scale refreshes neighborhood bests and
+applies the velocity and position update to every particle at once.
+Minimization throughout.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComputingNetwork, EdgeState
+from .core import ComputingNetwork
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Objective
 from .rng import RngStream
@@ -153,12 +154,13 @@ class PsoArchitecture:
     Row i of positions, velocities and best_positions, and entry i of
     values and best_values, are particle i's: the only copy of its state.
     Particles with identical neighborhoods share hyperedge k, whose
-    members (ascending) are hyperedges[k], padded with the last one in
-    members[k]; neighborhood_bests[k] caches its best position.
+    members are members[k], ascending, padded by repeating the last one;
+    neighborhood_bests[k] caches its best position.
     """
 
     kind = "pso"
     allow_hyperedges = True
+    directed = False
 
     def __init__(
         self,
@@ -173,23 +175,18 @@ class PsoArchitecture:
         self.edge_of_particle = np.array(
             [edge_of.setdefault(m, len(edge_of)) for m in _neighborhood_members(params)]
         )
-        self.hyperedges = list(edge_of)
-        width = max(len(m) for m in self.hyperedges)
-        self.members = np.array([m + m[-1:] * (width - len(m)) for m in self.hyperedges])
+        width = max(map(len, edge_of))
+        self.members = np.array([m + m[-1:] * (width - len(m)) for m in edge_of])
         self.positions = positions
         self.velocities = velocities
         self.values = np.full(len(positions), np.inf)
         self.best_positions = positions.copy()
         self.best_values = self.values.copy()
-        self.neighborhood_bests = np.zeros((len(self.hyperedges), positions.shape[1]))
+        self.neighborhood_bests = np.zeros((len(self.members), positions.shape[1]))
 
-    def substrate(self) -> tuple[int, list[EdgeState]]:
+    def substrate(self) -> tuple[int, np.ndarray]:
         """Particles in id order and one hyperedge per distinct neighborhood."""
-        edges = [
-            EdgeState(id=k, endpoints=members, directed=False)
-            for k, members in enumerate(self.hyperedges)
-        ]
-        return len(self.positions), edges
+        return len(self.positions), self.members
 
     def fast(self, net, rng: RngStream) -> None:
         evaluate(net, self.problem)

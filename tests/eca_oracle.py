@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from cnets.core import EdgeState
+import numpy as np
+
 from cnets.eca import RuleTable, UpdateMode, rule_table
 from cnets.errors import ConfigurationError
 from cnets.problems import Tape
@@ -87,6 +88,7 @@ class OracleEca:
 
     kind = "eca"
     allow_hyperedges = False
+    directed = False
 
     def __init__(self, rule_number: int, problem: Tape, updating: UpdateMode):
         self.rule_number = rule_number
@@ -97,12 +99,12 @@ class OracleEca:
             OracleNode(id=i, payload=CellPayload(state=c)) for i, c in enumerate(problem.cells)
         ]
 
-    def substrate(self) -> tuple[int, list[EdgeState]]:
+    def substrate(self) -> tuple[int, np.ndarray]:
         n = len(self.nodes)
-        edges = [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
+        edges = [(i, i + 1) for i in range(n - 1)]
         if self.problem.boundary == "periodic" and n > 2:
-            edges.append(EdgeState(id=len(edges), endpoints=(n - 1, 0), directed=False))
-        return n, edges
+            edges.append((n - 1, 0))
+        return n, np.array(edges, dtype=int).reshape(-1, 2)
 
     def _tape(self) -> Tape:
         return Tape(

@@ -223,7 +223,7 @@ class TestPheromoneUpdates:
         net = build_aco_network(square_graph(), AcoParams(initial_pheromone=2.0))
         evaporate(net, 0.1)
         tau = net.arch.pheromone
-        assert all(tau[e.endpoints] == pytest.approx(1.8) for e in net.edges)
+        assert tau[tuple(net.edges.T)].tolist() == pytest.approx([1.8] * len(net.edges))
 
     def test_evaporation_respects_the_floor(self):
         net = build_aco_network(

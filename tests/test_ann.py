@@ -232,7 +232,7 @@ class TestWeightVector:
         set_weight_vector(net, np.arange(9.0))
         # weights grouped by destination neuron, then by source, like the edge ids
         assert net.arch.weights[0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
-        assert net.edges[1].endpoints == (1, 2)
+        assert net.edges[1].tolist() == [1, 2]
         assert net.arch.weights[1].tolist() == [[4.0, 5.0]]
         assert [b.tolist() for b in net.arch.biases] == [[6.0, 7.0], [8.0]]
 
@@ -255,7 +255,7 @@ class TestArchitecture:
         net = make_net((2, 2, 1), xor_dataset())
         assert len(net.nodes) == 5
         assert len(net.edges) == 6
-        assert all(edge.directed for edge in net.edges)
+        assert net.arch.directed
 
     def test_build_rejects_mismatched_dataset(self):
         with pytest.raises(ConfigurationError):

@@ -215,6 +215,22 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("10,nan", "{path}:3: not a finite number: 'nan'"),
+            ("10", "{path}:3: expected 2 fields, got 1"),
+            ("1_0,0", "{path}:3: not a finite number: '1_0'"),
+            ("0,0", "graph file {path}: cost[0][1] must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_city_file_is_a_config_error_naming_the_file(self, workdir, capsys, row, message):
+        (workdir / "cities.csv").write_text(f"x,y\n0,0\n{row}\n10,10\n0,10\n")
+        path = write_json(workdir, {"aco": {"graph": "cities.csv"}, "seed": 1, "out": "aco.jsonl"})
+        assert main(["run", path]) == 1
+        expected = message.format(path=workdir / "cities.csv")
+        assert capsys.readouterr().err == f"config error: {expected}\n"
+
+    @pytest.mark.parametrize(
         "config, where",
         [
             ({"pso": {"objective": "sphere", "dimension": 2, "bounds": WIDE}}, "pso.bounds"),

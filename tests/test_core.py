@@ -1,13 +1,15 @@
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cnets.aco import AcoArchitecture, build_aco_network
-from cnets.ann import build_ann
+from cnets.ann import build_ann, weight_vector
 from cnets.core import (
     Architecture,
     ComputingNetwork,
-    EdgeState,
     RunRecord,
     ScaleSchedule,
     fast_step,
@@ -16,8 +18,8 @@ from cnets.core import (
 )
 from cnets.eca import UpdateMode, build_eca_network, node_update_order
 from cnets.errors import ConfigurationError, NumericDivergenceError
-from cnets.problems import Tape, TourGraph, named_objective, xor_dataset
-from cnets.pso import build_pso_network
+from cnets.problems import Dataset, Tape, TourGraph, named_objective, xor_dataset
+from cnets.pso import PsoParams, build_pso_network
 from cnets.rng import RngStream
 
 
@@ -31,6 +33,7 @@ class CounterArchitecture:
 
     kind = "counter"
     allow_hyperedges = False
+    directed = False
 
     def __init__(self, n=3, problem=None):
         self.problem = problem
@@ -61,11 +64,11 @@ def counter_net(n=3, problem=None):
 
 
 def chain(n):
-    return [EdgeState(id=i, endpoints=(i, i + 1), directed=False) for i in range(n - 1)]
+    return np.stack([np.arange(n - 1), np.arange(1, n)], axis=1)
 
 
 class GraphArchitecture(CounterArchitecture):
-    """A counter whose substrate() returns the given edges over n nodes."""
+    """A counter whose substrate() returns the given endpoint array over n nodes."""
 
     def __init__(self, n, edges, allow_hyperedges=False):
         super().__init__(n=n)
@@ -97,25 +100,152 @@ class TestScaleSchedule:
 
 class TestNetworkValidation:
     def test_edge_needs_two_endpoints(self):
-        edges = [EdgeState(id=0, endpoints=(0,), directed=False)]
-        net = ComputingNetwork(GraphArchitecture(1, edges))
-        with pytest.raises(ConfigurationError):
+        net = ComputingNetwork(GraphArchitecture(1, np.array([[0]])))
+        with pytest.raises(ConfigurationError, match=r"^edge 0 has 1 endpoints; need >= 2$"):
             net.edges
 
     def test_unknown_endpoint_rejected(self):
-        edges = [EdgeState(id=0, endpoints=(0, 5), directed=False)]
-        net = ComputingNetwork(GraphArchitecture(1, edges))
-        with pytest.raises(ConfigurationError):
+        net = ComputingNetwork(GraphArchitecture(1, np.array([[0, 5]])))
+        with pytest.raises(ConfigurationError, match=r"^edge 0 references unknown node ids \[5\]$"):
+            net.edges
+
+    @pytest.mark.parametrize(
+        "nodes, edges, message",
+        [
+            (3, [[0, 1], [-1, 2]], "edge 1 references unknown node ids [-1]"),
+            (3, [[0, 1], [1, 1]], "edge 1 has 1 endpoints; need >= 2"),
+            (3, [[0, 1, 1], [2, 2, 2]], "edge 1 has 1 endpoints; need >= 2"),
+            (3, [[0, 1, 1], [0, 9, 9], [1, 1, 1]], "edge 1 references unknown node ids [9]"),
+            (
+                3,
+                [[0, 1, 1], [0, 1, 7], [0, 1, 2]],
+                "edge 1 is a hyperedge but architecture 'counter' does not allow them",
+            ),
+        ],
+        ids=["negative", "loop", "padded-loop", "first-bad-edge", "first-failed-check"],
+    )
+    def test_refusal_names_the_first_bad_edge(self, nodes, edges, message):
+        net = ComputingNetwork(GraphArchitecture(nodes, np.array(edges)))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             net.edges
 
     def test_hyperedge_needs_permission(self):
-        edges = [EdgeState(id=0, endpoints=(0, 1, 2), directed=False)]
+        edges = np.array([[0, 1, 2]])
         net = ComputingNetwork(GraphArchitecture(3, edges))
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="does not allow them"):
             net.edges
         net = ComputingNetwork(GraphArchitecture(3, edges, allow_hyperedges=True))
-        assert len(net.edges[0].endpoints) == 3
+        assert len(set(net.edges[0].tolist())) == 3
         assert net.nodes == range(3)
+
+    def test_a_padded_pair_is_a_plain_edge(self):
+        net = ComputingNetwork(GraphArchitecture(3, np.array([[0, 1, 1], [1, 2, 2]])))
+        assert [set(row) for row in net.edges.tolist()] == [{0, 1}, {1, 2}]
+
+    def test_no_edges_is_a_graph(self):
+        net = ComputingNetwork(GraphArchitecture(2, np.empty((0, 2), dtype=int)))
+        assert net.edges.shape == (0, 2)
+        assert net.nodes == range(2)
+
+    def test_edges_are_built_once_and_read_only(self):
+        net = ComputingNetwork(GraphArchitecture(4, chain(4)))
+        assert net.edges is net.edges
+        with pytest.raises(ValueError):
+            net.edges[0, 0] = 3
+
+
+def ann_edges(sizes):
+    """Every synapse in edge-id order, as the per-edge loop built them."""
+    edges, base = [], 0
+    for k in range(len(sizes) - 1):
+        for j in range(sizes[k + 1]):
+            for i in range(sizes[k]):
+                edges.append((base + i, base + sizes[k] + j))
+        base += sizes[k]
+    return edges
+
+
+def eca_edges(n, periodic):
+    return [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if periodic else [])
+
+
+def pso_edges(neighborhoods):
+    """One row per distinct neighborhood, ascending, padded by its last member."""
+    distinct = list(dict.fromkeys(tuple(sorted(set(m))) for m in neighborhoods))
+    width = max(map(len, distinct))
+    return [m + m[-1:] * (width - len(m)) for m in distinct]
+
+
+def swarm(particles, topology, neighborhoods=None):
+    params = PsoParams(particles=particles, topology=topology, neighborhoods=neighborhoods)
+    return build_pso_network(named_objective("sphere", 2), RngStream(0), params)
+
+
+def blank_dataset(inputs, targets):
+    return Dataset(inputs=np.zeros((2, inputs)), targets=np.zeros((2, targets)))
+
+
+MIXED = ((0, 1), (0, 1, 2), (3, 1, 2), (2, 3), (4, 0, 2, 3))
+
+
+class TestSubstrateArrays:
+    """Each architecture's endpoint array against the scalar per-edge loop."""
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (
+                lambda: build_aco_network(TourGraph.random_euclidean(7, RngStream(0))),
+                list(combinations(range(7), 2)),
+            ),
+            (
+                lambda: build_ann((3, 5, 4, 2), blank_dataset(3, 2), RngStream(0)),
+                ann_edges((3, 5, 4, 2)),
+            ),
+            (
+                lambda: build_ann((2, 1), blank_dataset(2, 1), RngStream(0)),
+                ann_edges((2, 1)),
+            ),
+            (lambda: build_eca_network(Tape.single_one(6), 30), eca_edges(6, False)),
+            (
+                lambda: build_eca_network(Tape.single_one(6, boundary="periodic"), 30),
+                eca_edges(6, True),
+            ),
+            (
+                lambda: swarm(6, "ring"),
+                pso_edges([((i - 1) % 6, i, (i + 1) % 6) for i in range(6)]),
+            ),
+            (lambda: swarm(2, "ring"), pso_edges([(0, 1), (0, 1)])),
+            (lambda: swarm(5, "global"), pso_edges([range(5)] * 5)),
+            (lambda: swarm(5, "custom", MIXED), pso_edges(MIXED)),
+        ],
+        ids=[
+            "aco",
+            "ann-deep",
+            "ann-single",
+            "eca-fixed",
+            "eca-periodic",
+            "pso-ring",
+            "pso-ring-of-two",
+            "pso-global",
+            "pso-custom-mixed",
+        ],
+    )
+    def test_endpoints_match_the_scalar_loops(self, build, expected):
+        net = build()
+        assert net.edges.dtype.kind == "i"
+        assert net.edges.tolist() == [list(edge) for edge in expected]
+        assert net.arch.directed == (net.arch.kind == "ann")
+
+    def test_ann_edge_ids_index_the_weight_vector(self):
+        sizes = (3, 5, 4, 2)
+        net = build_ann(sizes, blank_dataset(3, 2), RngStream(0))
+        weights = weight_vector(net)
+        flat = {(src, dst): w for (src, dst), w in zip(net.edges.tolist(), weights)}
+        for k, block in enumerate(net.arch.weights):
+            base = sum(sizes[:k])
+            for j, i in np.ndindex(block.shape):
+                assert flat[(base + i, base + sizes[k] + j)] == block[j, i]
 
 
 class TestProtocol:
@@ -190,9 +320,9 @@ class TestRun:
 
     def test_topology_conserved_across_run(self):
         net = ComputingNetwork(GraphArchitecture(4, chain(4)))
-        before = (len(net.nodes), len(net.edges), [e.endpoints for e in net.edges])
+        before = (len(net.nodes), len(net.edges), net.edges.tolist())
         run(net, ScaleSchedule(1, 10), None, RngStream(0))
-        after = (len(net.nodes), len(net.edges), [e.endpoints for e in net.edges])
+        after = (len(net.nodes), len(net.edges), net.edges.tolist())
         assert before == after
 
     def test_records_carry_parameter_snapshot(self):

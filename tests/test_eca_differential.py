@@ -42,7 +42,7 @@ def test_network_run_matches_oracle(tape, rule, updating, steps, seed):
     ]
     assert rng.uniform() == reference_rng.uniform()
     assert net.nodes == range(len(tape))
-    assert net.edges == reference.edges
+    assert net.edges.tolist() == reference.edges.tolist()
 
 
 @given(tapes(), RULES, st.data())

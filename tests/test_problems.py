@@ -262,6 +262,66 @@ class TestTourGraph:
         graph = TourGraph.from_csv(str(path), fmt="matrix")
         assert graph.cost(1, 2) == 4.0
 
+    @pytest.mark.parametrize("header", ["", "x,y\n", "\n\"x\",\"y\"\n"], ids=["none", "plain", "quoted"])
+    def test_csv_coords_load_the_bits_of_from_coordinates(self, tmp_path, header):
+        path = tmp_path / "cities.csv"
+        points = [(0.1, 0.7), (3.0, -4.25), (1e-3, 6.02e23), (2.5, 0.3333333333333333)]
+        path.write_text(header + "".join(f"{x!r},{y!r}\n\n" for x, y in points))
+        assert TourGraph.from_csv(str(path)) == TourGraph.from_coordinates(points)
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("10,nan", r":4: not a finite number: 'nan'$"),
+            ("10", r":4: expected 2 fields, got 1$"),
+            ("1_0,0", r":4: not a finite number: '1_0'$"),
+            ("x,0", r":4: not a finite number: 'x'$"),
+            ("1e999,0", r":4: not a finite number: '1e999'$"),
+        ],
+    )
+    def test_refused_city_names_its_file_line(self, tmp_path, line, match):
+        path = tmp_path / "cities.csv"
+        path.write_text(f"x,y\n0,0\n\n{line}\n10,10\n0,10\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + match):
+            TourGraph.from_csv(str(path))
+
+    def test_a_first_line_with_a_number_is_data(self, tmp_path):
+        path = tmp_path / "cities.csv"
+        path.write_text("1_0,0\n10,10\n0,10\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + r":1: not a finite"):
+            TourGraph.from_csv(str(path))
+
+    def test_refused_matrix_row_names_its_file_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("0,2,3\n2,0\n3,4,0\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + r":2: expected 3 fields, got 2$"):
+            TourGraph.from_csv(str(path), fmt="matrix")
+        path.write_text("0,2,3,1\n2,0,4,1\n3,4,0,1\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(path)) + r":1: expected 3 fields, got 4$"):
+            TourGraph.from_csv(str(path), fmt="matrix")
+
+    def test_instance_error_names_the_graph_file(self, tmp_path):
+        path = tmp_path / "cities.csv"
+        path.write_text("x,y\n0,0\n10,0\n10,10\n0,0\n")
+        expected = f"graph file {path}: cost[0][3] must be positive, got 0.0"
+        with pytest.raises(MalformedInstanceError, match=f"^{re.escape(expected)}$"):
+            TourGraph.from_csv(str(path))
+
+    @pytest.mark.parametrize("text, match", [("", "is empty$"), ("\nx,y\n\n", "has no data rows$")])
+    def test_graph_file_without_rows_rejected(self, tmp_path, text, match):
+        path = tmp_path / "cities.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=match):
+                TourGraph.from_csv(str(path))
+
+    def test_unknown_graph_format_rejected(self, tmp_path):
+        path = tmp_path / "cities.csv"
+        path.write_text("0,0\n1,0\n0,1\n")
+        with pytest.raises(ConfigurationError, match="unknown graph format 'polar'"):
+            TourGraph.from_csv(str(path), fmt="polar")
+
 
 class TestObjective:
     def test_sphere_value(self):

@@ -86,19 +86,19 @@ class TestTopologies:
     def test_ring_makes_one_edge_per_particle(self):
         net, _ = sphere_swarm(particles=5, topology="ring")
         assert len(net.edges) == 5
-        assert sorted(net.edges[0].endpoints) == [0, 1, 4]
+        assert sorted(net.edges[0].tolist()) == [0, 1, 4]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_ring_neighbors_are_within_one_hop(self, n):
         net, _ = sphere_swarm(particles=n, topology="ring")
         for i in range(n):
-            members = net.edges[net.arch.edge_of_particle[i]].endpoints
-            assert members == tuple(j for j in range(n) if ring_distance(n, i, j) <= 1)
+            members = net.edges[net.arch.edge_of_particle[i]].tolist()
+            assert members == [j for j in range(n) if ring_distance(n, i, j) <= 1]
 
     def test_global_collapses_to_one_hyperedge(self):
         net, _ = sphere_swarm(particles=5, topology="global")
         assert len(net.edges) == 1
-        assert net.edges[0].endpoints == tuple(range(5))
+        assert net.edges[0].tolist() == list(range(5))
         assert net.arch.edge_of_particle.tolist() == [0] * 5
 
     def test_custom_neighborhoods_are_honored(self):
@@ -109,7 +109,7 @@ class TestTopologies:
         )
         assert len(net.edges) == 2
         assert net.arch.edge_of_particle.tolist() == [0, 0, 1, 1]
-        assert [e.endpoints for e in net.edges] == [(0, 1), (2, 3)]
+        assert net.edges.tolist() == [[0, 1], [2, 3]]
 
 
 class TestEvaluation:
