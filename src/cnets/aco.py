@@ -149,7 +149,7 @@ class AcoArchitecture:
     @cached_property
     def desirability(self) -> list[float]:
         """1 / cost per trail, in edge-id order; built on first use."""
-        return (1.0 / self.problem.cost_matrix[_trail_indices(self.problem.n)]).tolist()
+        return (1.0 / self.problem.costs[_trail_indices(self.problem.n)]).tolist()
 
     @property
     def pheromone_floor(self) -> float:
@@ -423,7 +423,7 @@ def construct_solutions(
     are read only outside it, by perfbench's tracer and by tests.
     """
     arch: AcoArchitecture | ColonyStack = net.arch
-    cost = arch.problem.cost_matrix
+    cost = arch.problem.costs
     n = len(cost)
     try:
         with np.errstate(over="raise"):
@@ -497,7 +497,7 @@ def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
     once, the first improving reversal is applied, and the scan goes on
     from j + 1 on the updated tour.
     """
-    cost = graph.cost_matrix
+    cost = graph.costs
     n = len(path)
     # ring[n] repeats ring[0]; no reversal touches either end
     ring = np.array([*path, path[0]], dtype=np.intp)

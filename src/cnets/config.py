@@ -506,7 +506,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     try:
         data = json.loads(text)

@@ -167,13 +167,11 @@ def grid_to_text(grid: Grid) -> str:
 
 def grid_from_text(text: str) -> Grid:
     rows = [line for line in text.splitlines() if line]
-    grid = [[int(ch) for ch in line] for line in rows]
-    widths = {len(row) for row in grid}
-    if len(widths) > 1:
+    if len({len(row) for row in rows}) > 1:
         raise ConfigurationError("grid rows have unequal widths")
-    if any(c not in (0, 1) for row in grid for c in row):
+    if any(ch not in "01" for row in rows for ch in row):
         raise ConfigurationError("grid characters must be 0 or 1")
-    return grid
+    return [[int(ch) for ch in row] for row in rows]
 
 
 def grid_to_pbm(grid: Grid) -> str:

@@ -3,7 +3,9 @@
 Four instance kinds: supervised Dataset (ANN), TourGraph (ACO),
 Objective (PSO and cross-composition), and binary Tape (ECA). All are
 value types with structural equality so a driven run can verify it was
-handed the same problem its network was built for.
+handed the same problem its network was built for. Dataset and
+TourGraph hold read-only float64 arrays and compare by their shapes
+and bytes.
 """
 from __future__ import annotations
 
@@ -11,7 +13,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,11 +20,12 @@ import numpy as np
 from .errors import ConfigurationError, MalformedInstanceError
 from .rng import RngStream
 
-Row = tuple[float, ...]
-
-
-def _read_only(rows) -> np.ndarray:
-    matrix = np.array(rows, dtype=float)
+def _read_only(rows) -> np.ndarray | None:
+    """rows as a read-only float64 array, or None if they are not numbers."""
+    try:
+        matrix = np.array(rows, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or values that are not numbers
+        return None
     matrix.flags.writeable = False
     return matrix
 
@@ -48,43 +50,63 @@ def _number(text: str) -> float | None:
     return float(value[0, 0]) if value.shape == (1, 1) else None
 
 
-def _refused_line(path: str, width: int, skip_header: bool = True) -> str:
-    """'path:line: why' for the first data line of path that is not width
-    finite numbers, the first non-blank line being a header if skip_header;
+def _lines(path: str, kind: str) -> list[str]:
+    """The file's lines, line ends kept; a file that does not decode is refused."""
+    try:
+        with open(path, newline="") as handle:
+            return handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"cannot read {kind} file {path}: {exc}") from None
+
+
+def _refused_line(path: str, lines: list[str], width: int, skip_header: bool = True) -> str:
+    """'path:line: why' for the first data line of the file's lines that is not
+    width finite numbers, the first non-blank line being a header if skip_header;
     read only once _parse_numbers has refused the file."""
-    with open(path, newline="") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            if skip_header:
-                skip_header = False
-                continue
-            fields = next(csv.reader([line]))
-            if len(fields) != width:
-                return f"{path}:{line_no}: expected {width} fields, got {len(fields)}"
-            for field in fields:
-                value = _number(field)
-                if value is None or not math.isfinite(value):
-                    return f"{path}:{line_no}: not a finite number: {field!r}"
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        if skip_header:
+            skip_header = False
+            continue
+        fields = next(csv.reader([line]))
+        if len(fields) != width:
+            return f"{path}:{line_no}: expected {width} fields, got {len(fields)}"
+        for field in fields:
+            value = _number(field)
+            if value is None or not math.isfinite(value):
+                return f"{path}:{line_no}: not a finite number: {field!r}"
     return f"{path}: cannot read its data rows"
 
 
+class _ArrayValue:
+    """A value type whose attributes are all arrays, equal to one of its
+    class whose arrays have the same shapes and bytes."""
+
+    def _key(self) -> tuple:
+        return tuple((a.shape, a.tobytes()) for a in vars(self).values())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(_ArrayValue):
     """Supervised samples: read-only float64 arrays of finite input and
-    target rows, samples by arity. Any table of numbers converts; two
-    datasets are equal when their arrays have the same shapes and bytes."""
+    target rows, samples by arity. Any table of numbers converts."""
 
     inputs: np.ndarray
     targets: np.ndarray
 
     def __post_init__(self):
         for name in ("inputs", "targets"):
-            try:
-                matrix = _read_only(getattr(self, name))
-            except (TypeError, ValueError):  # ragged rows, or values that are not numbers
-                matrix = None
+            matrix = _read_only(getattr(self, name))
             if matrix is None or matrix.ndim != 2 or not matrix.size:
                 raise ConfigurationError(
                     f"dataset {name} must be a non-empty table of numbers, one row per sample"
@@ -96,17 +118,6 @@ class Dataset:
             raise ConfigurationError(
                 f"dataset has {len(self.inputs)} inputs but {len(self.targets)} targets"
             )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        return tuple((m.shape, m.tobytes()) for m in (self.inputs, self.targets))
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -129,25 +140,26 @@ class Dataset:
 
         Each further non-blank line holds one finite number per column.
         """
-        with open(path, newline="") as handle:
-            header = next(csv.reader(handle), None)
-            if header is None:
-                raise ConfigurationError(f"dataset file {path} is empty")
-            header = [h.strip() for h in header]
-            in_cols = [i for i, h in enumerate(header) if h.startswith("in")]
-            out_cols = [i for i, h in enumerate(header) if h.startswith("out")]
-            if not in_cols or not out_cols or len(in_cols) + len(out_cols) != len(header):
-                raise ConfigurationError(
-                    f"dataset header must name every column in* or out*, got {header}"
-                )
-            try:
-                table = _parse_numbers(handle)
-            except ValueError:
-                table = None
+        lines = _lines(path, "dataset")
+        rows = iter(lines)
+        header = next(csv.reader(rows), None)
+        if header is None:
+            raise ConfigurationError(f"dataset file {path} is empty")
+        header = [h.strip() for h in header]
+        in_cols = [i for i, h in enumerate(header) if h.startswith("in")]
+        out_cols = [i for i, h in enumerate(header) if h.startswith("out")]
+        if not in_cols or not out_cols or len(in_cols) + len(out_cols) != len(header):
+            raise ConfigurationError(
+                f"dataset header must name every column in* or out*, got {header}"
+            )
+        try:
+            table = _parse_numbers(rows)
+        except ValueError:
+            table = None
         if table is not None and not table.size:
             raise ConfigurationError(f"dataset file {path} has no data rows")
         if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
-            raise ConfigurationError(_refused_line(path, len(header)))
+            raise ConfigurationError(_refused_line(path, lines, len(header)))
         return cls(inputs=table[:, in_cols], targets=table[:, out_cols])
 
 
@@ -163,30 +175,32 @@ def xor_dataset() -> Dataset:
     )
 
 
-@dataclass(frozen=True)
-class TourGraph:
+@dataclass(frozen=True, eq=False)
+class TourGraph(_ArrayValue):
     """Complete weighted graph for closed-tour problems.
 
-    costs is a full square matrix: symmetric, zero diagonal, strictly
-    positive elsewhere (desirability 1/cost must be finite).
+    costs is a read-only float64 (n, n) array: symmetric, zero diagonal,
+    strictly positive elsewhere (desirability 1/cost must be finite). Any
+    square table of numbers converts.
     """
 
-    costs: tuple[Row, ...]
+    costs: np.ndarray
 
     def __post_init__(self):
         n = len(self.costs)
         if n < 3:
             raise MalformedInstanceError(f"tour graph needs >= 3 nodes, got {n}")
-        if any(len(row) != n for row in self.costs):
-            raise MalformedInstanceError("cost matrix is not square")
-        c = self.cost_matrix
+        c = _read_only(self.costs)
+        if c is None or c.shape != (n, n):
+            raise MalformedInstanceError("cost matrix is not a square table of numbers")
+        object.__setattr__(self, "costs", c)
         diagonal = np.eye(n, dtype=bool)
         bad = ~np.isfinite(c) | np.where(diagonal, c != 0.0, c <= 0.0) | (c != c.T)
         if not bad.any():
             return
         # the first defect in row-major order, named by its cell's first failing check
         i, j = divmod(int(bad.argmax()), n)
-        value = self.costs[i][j]
+        value = c.item(i, j)
         if not math.isfinite(value):
             raise MalformedInstanceError(f"cost[{i}][{j}] is not finite")
         if i == j:
@@ -200,12 +214,7 @@ class TourGraph:
         return len(self.costs)
 
     def cost(self, i: int, j: int) -> float:
-        return self.costs[i][j]
-
-    @cached_property
-    def cost_matrix(self) -> np.ndarray:
-        """costs as a read-only float array, built once."""
-        return _read_only(self.costs)
+        return self.costs.item(i, j)
 
     def tour_length(self, tour: Sequence[int]) -> float:
         """Length of the closed tour visiting every node exactly once."""
@@ -213,25 +222,23 @@ class TourGraph:
             raise ConfigurationError(
                 f"tour must visit all {self.n} nodes exactly once, got {list(tour)}"
             )
-        total = 0.0
-        for k, node in enumerate(tour):
-            total += self.costs[node][tour[(k + 1) % len(tour)]]
-        return total
+        ring = list(tour)
+        # cumsum adds left to right, as summing cost(i, j) along the tour does
+        return self.costs[ring, ring[1:] + ring[:1]].cumsum()[-1].item()
 
     @classmethod
     def from_matrix(cls, matrix: Sequence[Sequence[float]]) -> "TourGraph":
-        return cls(costs=tuple(tuple(float(v) for v in row) for row in matrix))
+        return cls(costs=matrix)
 
     @classmethod
     def from_coordinates(cls, coords: Sequence[Sequence[float]]) -> "TourGraph":
         """Euclidean instance from planar points."""
-        points = [tuple(float(v) for v in p) for p in coords]
-        rows: list[Row] = []
+        points = np.asarray(coords, dtype=float).tolist()
+        costs = np.zeros((len(points), len(points)))
         for i, p in enumerate(points):
-            # row i to the left of the diagonal is column i of the rows above
-            above = [row[i] for row in rows]
-            rows.append(tuple(above + [0.0] + [math.dist(p, q) for q in points[i + 1 :]]))
-        return cls(costs=tuple(rows))
+            costs[i, i + 1 :] = [math.dist(p, q) for q in points[i + 1 :]]
+        costs += costs.T  # the lower triangle is zero: the sum copies the upper one
+        return cls(costs=costs)
 
     @classmethod
     def random_euclidean(cls, n: int, rng: RngStream, box: float = 100.0) -> "TourGraph":
@@ -247,12 +254,12 @@ class TourGraph:
         """
         if fmt not in ("coords", "matrix"):
             raise ConfigurationError(f"unknown graph format {fmt!r}")
-        with open(path, newline="") as handle:
-            lines = [line for line in handle if line.rstrip("\r\n")]
-        if not lines:
+        lines = _lines(path, "graph")
+        filled = [line for line in lines if line.rstrip("\r\n")]
+        if not filled:
             raise ConfigurationError(f"graph file {path} is empty")
-        header = all(_number(field) is None for field in next(csv.reader(lines[:1])))
-        rows = lines[1:] if header else lines
+        header = all(_number(field) is None for field in next(csv.reader(filled[:1])))
+        rows = filled[1:] if header else filled
         if not rows:
             raise ConfigurationError(f"graph file {path} has no data rows")
         width = 2 if fmt == "coords" else len(rows)
@@ -261,10 +268,10 @@ class TourGraph:
         except ValueError:
             table = None
         if table is None or table.shape[1] != width or not np.isfinite(table).all():
-            raise ConfigurationError(_refused_line(path, width, skip_header=header))
+            raise ConfigurationError(_refused_line(path, lines, width, skip_header=header))
         build = cls.from_coordinates if fmt == "coords" else cls.from_matrix
         try:
-            return build(table.tolist())
+            return build(table)
         except MalformedInstanceError as exc:
             raise MalformedInstanceError(f"graph file {path}: {exc}") from None
 

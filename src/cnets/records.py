@@ -101,7 +101,7 @@ def read_run_file(path: str) -> tuple[dict[str, Any], list[RunRecord]]:
     try:
         with open(path) as handle:
             lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise RecordIoError(f"cannot read record file {path}: {exc}") from None
     if not lines:
         raise RecordIoError(f"record file {path} is empty")

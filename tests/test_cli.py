@@ -231,6 +231,44 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {expected}\n"
 
     @pytest.mark.parametrize(
+        "command, name, content, message, code",
+        [
+            ("run", "run.json", b'{"seed": 1\xff}', "config error: cannot read config {path}: ", 1),
+            (
+                "run",
+                "cities.csv",
+                b"x,y\n0,0\n\xff\xfe,1\n10,10\n",
+                "config error: cannot read graph file {path}: ",
+                1,
+            ),
+            ("run", "xor.csv", b"in0,out0\n\xff,1\n", "config error: cannot read dataset file {path}: ", 1),
+            (
+                "summarize",
+                "runs.jsonl",
+                b'{"config": {}}\n{"slow_step": 0\xff}\n',
+                "io error: cannot read record file {path}: ",
+                3,
+            ),
+        ],
+        ids=["config", "graph", "dataset", "record"],
+    )
+    def test_a_file_that_is_not_utf8_is_refused_naming_it(
+        self, workdir, capsys, command, name, content, message, code
+    ):
+        configs = {
+            "cities.csv": {"aco": {"graph": "cities.csv"}, "seed": 1, "out": "aco.jsonl"},
+            "xor.csv": {"ann": {"layers": [1, 1], "dataset": "xor.csv"}, "seed": 1, "out": "a.jsonl"},
+        }
+        if name in configs:
+            write_json(workdir, configs[name])
+        (workdir / name).write_bytes(content)
+        target = workdir / ("run.json" if command == "run" else name)
+        assert main([command, str(target)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(path=workdir / name))
+        assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
         "config, where",
         [
             ({"pso": {"objective": "sphere", "dimension": 2, "bounds": WIDE}}, "pso.bounds"),

@@ -136,6 +136,11 @@ class TestRendering:
         with pytest.raises(ConfigurationError):
             grid_from_text("010\n01\n")
 
+    @pytest.mark.parametrize("text", ["01a\n", "010\n0 1\n", "012\n"])
+    def test_from_text_rejects_other_characters(self, text):
+        with pytest.raises(ConfigurationError, match="^grid characters must be 0 or 1$"):
+            grid_from_text(text)
+
     def test_pbm_header_and_payload(self):
         pbm = grid_to_pbm([[0, 1], [1, 0]])
         lines = pbm.strip().splitlines()

@@ -231,15 +231,41 @@ class TestTourGraph:
         with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[2\] must be positive, got 0.0$"):
             TourGraph.from_coordinates([(0, 0), (3, 4), (0, 0)])
 
-    def test_cost_matrix_is_built_once_and_read_only(self):
+    def test_costs_are_read_only_and_compare_by_value(self):
         graph = TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
-        matrix = graph.cost_matrix
-        assert matrix is graph.cost_matrix
-        assert matrix.tolist() == [list(row) for row in graph.costs]
+        matrix = graph.costs
+        assert matrix.dtype == np.float64
+        assert matrix.tolist() == [[0.0, 5.0, 8.0], [5.0, 0.0, 5.0], [8.0, 5.0, 0.0]]
         with pytest.raises(ValueError):
             matrix[0, 1] = 1.0
         assert graph == TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
         assert hash(graph) == hash(TourGraph(graph.costs))
+        assert graph != TourGraph.from_coordinates([(0, 0), (3, 4), (0, 9)])
+
+    def test_costs_are_a_copy_of_the_matrix_given(self):
+        matrix = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        graph = TourGraph.from_matrix(matrix)
+        matrix[0, 1] = 9.0
+        assert graph.cost(0, 1) == 1.0
+
+    @given(
+        n=st.integers(3, 40),
+        seed=st.integers(0, 2**32),
+        scale=st.sampled_from([1e-3, 1.0, 100.0, 1e6]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tour_length_is_the_plain_loop_over_cost(self, n, seed, scale, data):
+        graph = TourGraph.from_coordinates(RngStream(seed).uniform(-scale, scale, size=(n, 2)))
+        tour = data.draw(st.permutations(range(n)))
+        total = 0.0
+        for k, node in enumerate(tour):
+            cost = graph.cost(node, tour[(k + 1) % n])
+            assert type(cost) is float  # not numpy's float64, whose ** differs from Python's
+            total += cost
+        length = graph.tour_length(tour)
+        assert type(length) is float
+        assert length.hex() == total.hex()
 
     def test_random_instances_are_reproducible(self):
         a = TourGraph.random_euclidean(5, RngStream(1))
