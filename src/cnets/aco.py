@@ -1,23 +1,27 @@
 """Ant-colony optimization on closed-tour problems.
 
-Nodes are locations and edges are trails. The colony's adjustable state
-is one symmetric n x n pheromone array on the architecture; each trail's
+Nodes are locations and edges are trails. A network holds one or more
+colonies over one graph, each with its own params, and every array on
+the architecture has a leading colony axis. The adjustable state is one
+(colonies, n, n) pheromone array, symmetric per colony; each trail's
 fixed desirability is the reciprocal of its cost. Ants prefer trails by
 pheromone**alpha * desirability**beta (``choice_info``), computed once
-per iteration. The fast scale sends all ants on one complete tour in
-lockstep: each step picks every ant's next location from a row-wise
-cumulative sum over the locations it has not visited. Every ant's start
-and uniforms come from one block of raw words per stream per fast step
-(rng.draw_walks), bit for bit the per-ant scalar draws. The slow scale
-evaporates and deposits pheromone, optionally after a local-search
-demon (2-opt) improves the iteration's best tour.
+per iteration. The fast scale sends all ants of all colonies on one
+complete tour in lockstep: each step picks every ant's next location
+from a row-wise cumulative sum over the locations it has not visited.
+Every ant's start and uniforms come from one block of raw words per
+stream per fast step (rng.draw_walks), bit for bit the per-ant scalar
+draws. The slow scale evaporates and deposits pheromone, optionally
+after a local-search demon (2-opt) improves each colony's shortest
+tour of the iteration.
 
-Colonies over one graph can also run stacked (ColonyStack): the walk,
-evaporation and deposit take a leading colony axis, as in the matrix
-form of Ant System (Dorigo & Stuetzle 2004, ch. 3) extended from ants
-to colonies. The stack's colonies come stream by stream, and each
-stream's colonies share that stream's draws. A lone colony settles and
-updates through the stack's own helpers, as a stack of one.
+build_aco_network builds a network of one colony; AcoArchitecture.lockstep
+stacks the colonies of several into a new network, as in the matrix form
+of Ant System (Dorigo & Stuetzle 2004, ch. 3) extended from ants to
+colonies. A network runs on one stream or on a StreamGroup: its colonies
+come stream by stream, as many for each, and each stream's colonies walk
+on that stream's draws. Colonies stacked from one position of their
+stream thus make, together, the very draws each would make alone.
 
 Powers use Python's scalar ``**``: numpy's vectorised power rounds
 differently from it on some builds. Sums, products and maxima are exact
@@ -106,112 +110,160 @@ def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _trail_weights(
-    pheromone: np.ndarray, alphas: Sequence[float], eta_beta: np.ndarray
-) -> np.ndarray:
-    """Each colony's pheromone**alpha * eta_beta per trail; symmetric, zero diagonal.
-
-    pheromone is (colonies, n, n), alphas holds one exponent per colony
-    and eta_beta one row of desirability**beta per colony.
-    """
-    rows, cols = _trail_indices(pheromone.shape[-1])
-    taus = pheromone[:, rows, cols].tolist()
-    powered = np.array([[tau**alpha for tau in row] for row, alpha in zip(taus, alphas)])
-    out = np.zeros(pheromone.shape)
-    out[:, rows, cols] = powered * eta_beta
-    return out + out.swapaxes(1, 2)
-
-
 class AcoArchitecture:
-    """Colony behaviour: fast = construct tours, slow = pheromone update."""
+    """Colonies over one graph: fast = construct tours, slow = pheromone update.
+
+    colonies[k] is colony k's params, and every colony sends as many
+    ants. walked holds one iteration's tours, colony by colony, and best
+    each colony's best tour so far, row k for colony k.
+    """
 
     kind = "aco"
     allow_hyperedges = False
     directed = False
 
-    def __init__(self, graph: TourGraph, params: AcoParams):
+    def __init__(self, graph: TourGraph, colonies: Sequence[AcoParams]):
         self.problem = graph
-        self.params = params
-        self._eta_beta: tuple[float | None, np.ndarray | None] = (None, None)
-        self.best_path_found: list[int] | None = None
-        self.best_length: float | None = None
+        self.colonies = tuple(colonies)
         self.walked: Tours | None = None  # as construct_solutions last left it
+        self.best: Tours | None = None  # built by the first walk
 
     @cached_property
     def pheromone(self) -> np.ndarray:
-        """pheromone[i, j] == pheromone[j, i] is trail (i, j); the diagonal is
-        unused. Built on first use: a colony stacked before then never builds its own."""
+        """pheromone[k, i, j] == pheromone[k, j, i] is colony k's trail (i, j);
+        the diagonals are unused. Built on first use."""
         n = self.problem.n
-        tau = np.empty((n, n))  # empty + fill: half np.full's cost
-        tau.fill(self.params.initial_pheromone)
-        return tau
+        initial = np.array([c.initial_pheromone for c in self.colonies], dtype=float)
+        return np.repeat(initial, n * n).reshape(-1, n, n)
 
     @cached_property
-    def desirability(self) -> list[float]:
-        """1 / cost per trail, in edge-id order; built on first use."""
-        return (1.0 / self.problem.costs[_trail_indices(self.problem.n)]).tolist()
+    def _eta_beta(self) -> np.ndarray:
+        """desirability**beta per trail (i < j), in edge-id order, one row per colony."""
+        eta = (1.0 / self.problem.costs[_trail_indices(self.problem.n)]).tolist()
+        return np.array([[e**c.beta for e in eta] for c in self.colonies])
+
+    @cached_property
+    def _slow_params(self) -> np.ndarray:
+        """Evaporation rate, pheromone floor and deposit amount of each colony,
+        shaped (3, colonies, 1, 1)."""
+        return np.array(
+            [(c.evaporation, c.min_pheromone, c.deposit) for c in self.colonies]
+        ).T[:, :, None, None]
 
     @property
-    def pheromone_floor(self) -> float:
-        return self.params.min_pheromone
+    def pheromone_floor(self) -> np.ndarray:
+        return self._slow_params[1]
 
-    def choice_info(self, params: AcoParams) -> np.ndarray:
-        """pheromone**alpha * desirability**beta per trail; zero diagonal."""
-        if self._eta_beta[0] != params.beta:  # computed once per network
-            self._eta_beta = (params.beta, np.array([eta**params.beta for eta in self.desirability]))
-        return _trail_weights(self.pheromone[None], [params.alpha], self._eta_beta[1][None])[0]
+    @cached_property
+    def _two_opt(self) -> np.ndarray:
+        """The colonies whose demon is two-opt."""
+        return np.array([k for k, c in enumerate(self.colonies) if c.demon == "two-opt"], dtype=np.intp)
+
+    def choice_info(self) -> np.ndarray:
+        """Each colony's pheromone**alpha * desirability**beta per trail, with its
+        own alpha and beta: (colonies, n, n), symmetric, zero diagonals."""
+        tau = self.pheromone
+        rows, cols = _trail_indices(tau.shape[-1])
+        taus = tau[:, rows, cols].tolist()
+        powered = np.array([[t**c.alpha for t in row] for row, c in zip(taus, self.colonies)])
+        out = np.zeros(tau.shape)
+        out[:, rows, cols] = powered * self._eta_beta
+        return out + out.swapaxes(1, 2)
 
     @classmethod
     def lockstep(cls, nets: Sequence[ComputingNetwork]) -> ComputingNetwork | None:
-        """One network running nets' colonies as a ColonyStack, or None unless
-        each is a plain colony over an equal graph with as many ants; a colony
-        with slow replaced on the instance is refused, as the stack would skip it."""
+        """A new network stacking every colony of nets, in order, or None unless
+        each is a plain colony network over an equal graph with as many ants; one
+        with slow replaced on the instance is refused, as the stack would skip
+        it. Each colony starts from its network's pheromone if that was built,
+        and with no best tour; the networks themselves are left as they were."""
         first = nets[0].arch
         for net in nets:
             arch = net.arch
             if (
                 type(arch) is not cls
                 or "slow" in vars(arch)
-                or arch.params.ants != first.params.ants
+                or arch.colonies[0].ants != first.colonies[0].ants
                 or (arch.problem is not first.problem and arch.problem != first.problem)
             ):
                 return None
-        return ComputingNetwork(arch=ColonyStack(nets))
+        stack = cls(first.problem, [c for net in nets for c in net.arch.colonies])
+        start = 0
+        for net in nets:
+            end = start + len(net.arch.colonies)
+            if "pheromone" in vars(net.arch):  # built, and perhaps changed, before stacking
+                stack.pheromone[start:end] = net.arch.pheromone
+            start = end
+        return ComputingNetwork(arch=stack)
 
     def lockstep_limit(self) -> int:
         """The most colonies like this one that one stack may hold."""
         n = self.problem.n
-        return max(1, STACK_DOUBLES // (n * (n + self.params.ants)))
+        return max(1, STACK_DOUBLES // (n * (n + self.colonies[0].ants)))
 
     def substrate(self) -> tuple[int, np.ndarray]:
         """One node per location and one undirected edge (i < j) per trail, in edge-id order."""
         n = self.problem.n
         return n, np.stack(_trail_indices(n), axis=1)
 
-    def fast(self, net, rng: RngStream) -> None:
-        construct_solutions(net, self.params, rng)
-        _offer_shortest([self], self.walked)
+    def _shortest(self, colonies: np.ndarray) -> np.ndarray:
+        """The walked row of the first shortest tour of each of colonies."""
+        each = self.colonies[0].ants
+        return colonies * each + self.walked.lengths.reshape(-1, each)[colonies].argmin(axis=1)
 
-    def _offer_best(self, path: list[int], length: float) -> None:
-        if self.best_length is None or length < self.best_length:
-            self.best_length = length
-            self.best_path_found = list(path)
+    def _offer(self, colonies: np.ndarray, rows: np.ndarray) -> None:
+        """Make walked row rows[i] colony colonies[i]'s best tour where it is shorter."""
+        paths, lengths = self.walked
+        if self.best is None:
+            count = len(self.colonies)
+            self.best = Tours(np.empty((count, paths.shape[1]), dtype=np.intp), np.full(count, np.inf))
+        better = lengths[rows] < self.best.lengths[colonies]
+        colonies, rows = colonies[better], rows[better]
+        self.best.paths[colonies] = paths[rows]
+        self.best.lengths[colonies] = lengths[rows]
+
+    def fast(self, net, rng: RngStream | StreamGroup) -> None:
+        construct_solutions(net, rng)
+        every = np.arange(len(self.colonies))
+        self._offer(every, self._shortest(every))
 
     def readout(self, net) -> list[float]:
-        if self.best_path_found is None:
+        """The best tour of a lone colony; [] before its first walk, and always
+        for several colonies, each of which holds its own."""
+        if self.best is None or len(self.colonies) > 1:
             return []
-        return [float(v) for v in self.best_path_found]
+        return self.best.paths[0].astype(float).tolist()
 
-    def slow(self, net, rng: RngStream) -> None:
-        evaporate(net, self.params.evaporation)
-        _two_opt_shortest([self], self.walked, [0] if self.params.demon == "two-opt" else [])
-        deposit(net, self.walked, self.params.deposit)
+    def slow(self, net, rng: RngStream | StreamGroup) -> None:
+        """Evaporate, 2-opt each two-opt colony's first shortest tour in walked,
+        in place, and deposit, for all colonies at once; draws nothing."""
+        rates, _, amounts = self._slow_params
+        evaporate(net, rates)
+        two_opt = self._two_opt
+        if two_opt.size:
+            paths, lengths = self.walked
+            rows = self._shortest(two_opt)
+            for row in rows.tolist():
+                improved = demon_local_search(paths[row].tolist(), self.problem)
+                paths[row], lengths[row] = improved, self.problem.tour_length(improved)
+            self._offer(two_opt, rows)
+        deposit(net, self.walked, amounts.ravel())
+
+    def best_values(self, net) -> list[float | None]:
+        """Each colony's best tour length, in colony order; None before its first walk."""
+        if self.best is None:
+            return [None] * len(self.colonies)
+        return self.best.lengths.tolist()
 
     def best_value(self, net) -> float | None:
-        return self.best_length
+        """The shortest tour over the colonies, None before any walk."""
+        return None if self.best is None else min(self.best.lengths.tolist())
 
     def parameters(self, net) -> dict[str, float]:
-        p = self.params
+        """A lone colony's params; {} for several colonies, each of which holds its own."""
+        if len(self.colonies) > 1:
+            return {}
+        p = self.colonies[0]
         return {
             "alpha": float(p.alpha),
             "beta": float(p.beta),
@@ -222,116 +274,6 @@ class AcoArchitecture:
             "min_pheromone": float(p.min_pheromone),
             "demon": 1.0 if p.demon == "two-opt" else 0.0,
         }
-
-
-class ColonyStack:
-    """Colonies over one graph that run in lockstep, stream by stream.
-
-    Every colony keeps its own parameters and best tour, and its
-    pheromone becomes a view of the stack's (colonies, n, n) array. The
-    stack runs on one stream or on a StreamGroup: the colonies come
-    stream by stream, as many for each, and a fast step walks the ants
-    of all colonies at once, each colony's ants on its own stream's
-    starts and uniforms. Colonies built from one position of their
-    stream thus make, together, the very draws each would make alone,
-    as long as no ant dead-ends: a restart would draw for one colony
-    only, so construct_solutions raises instead. The slow step
-    evaporates, improves each 2-opt colony's shortest tour in walked, and
-    deposits for all colonies at once; it draws nothing. It never calls a
-    colony's own slow step, so colonies with a slow step replaced on the
-    instance are not stacked (AcoArchitecture.lockstep refuses them).
-    """
-
-    kind = "aco"
-    allow_hyperedges = False
-    directed = False
-
-    def __init__(self, nets: Sequence[ComputingNetwork]):
-        self.colonies: list[AcoArchitecture] = [net.arch for net in nets]
-        self.problem = self.colonies[0].problem
-        # the ants every colony sends; trail weights use each colony's own exponents
-        self.params = self.colonies[0].params
-        n = self.problem.n
-        initial = np.array([colony.params.initial_pheromone for colony in self.colonies], dtype=float)
-        self.pheromone = np.repeat(initial, n * n).reshape(-1, n, n)
-        for colony, tau in zip(self.colonies, self.pheromone):
-            if "pheromone" in vars(colony):  # built, and perhaps changed, before stacking
-                tau[...] = colony.pheromone
-            colony.pheromone = tau
-        self._eta_beta: np.ndarray | None = None
-        self.walked: Tours | None = None  # as construct_solutions last left it
-
-    @cached_property
-    def _slow_params(self) -> np.ndarray:
-        """Evaporation rate, pheromone floor and deposit amount of each colony,
-        shaped (3, colonies, 1, 1)."""
-        return np.array(
-            [(c.params.evaporation, c.params.min_pheromone, c.params.deposit) for c in self.colonies]
-        ).T[:, :, None, None]
-
-    @property
-    def pheromone_floor(self) -> np.ndarray:
-        return self._slow_params[1]
-
-    @cached_property
-    def _two_opt(self) -> list[int]:
-        """The positions of the colonies whose demon is two-opt."""
-        return [k for k, c in enumerate(self.colonies) if c.params.demon == "two-opt"]
-
-    def choice_info(self, params: AcoParams) -> np.ndarray:
-        """Every colony's choice_info, stacked; each uses its own alpha and beta."""
-        colonies = self.colonies
-        if self._eta_beta is None:  # computed once per stack
-            eta = colonies[0].desirability
-            self._eta_beta = np.array([[e**c.params.beta for e in eta] for c in colonies])
-        return _trail_weights(self.pheromone, [c.params.alpha for c in colonies], self._eta_beta)
-
-    def fast(self, net, rng: RngStream | StreamGroup) -> None:
-        construct_solutions(net, self.params, rng)
-        _offer_shortest(self.colonies, self.walked)
-
-    def readout(self, net) -> list[float]:
-        return []  # each colony holds its own best tour
-
-    def slow(self, net, rng: RngStream | StreamGroup) -> None:
-        rates, _, amounts = self._slow_params
-        evaporate(net, rates)
-        _two_opt_shortest(self.colonies, self.walked, self._two_opt)
-        deposit(net, self.walked, amounts.ravel())
-
-    def best_value(self, net) -> float | None:
-        """The best tour length over the colonies, None before any tour."""
-        lengths = [colony.best_length for colony in self.colonies]
-        return None if None in lengths else min(lengths)
-
-    def parameters(self, net) -> dict[str, float]:
-        return {}  # each colony holds its own
-
-
-def _offer_shortest(colonies: Sequence[AcoArchitecture], tours: Tours) -> None:
-    """Offer each colony its first shortest tour where it beats the colony's best;
-    the walks come colony by colony, as many for each."""
-    paths, lengths = tours
-    each = len(lengths) // len(colonies)
-    rows = np.arange(0, len(lengths), each) + lengths.reshape(-1, each).argmin(axis=1)
-    best = [np.inf if c.best_length is None else c.best_length for c in colonies]
-    for k in np.flatnonzero(lengths[rows] < best).tolist():
-        colonies[k]._offer_best(paths[rows[k]].tolist(), float(lengths[rows[k]]))
-
-
-def _two_opt_shortest(
-    colonies: Sequence[AcoArchitecture], tours: Tours, two_opt: Sequence[int]
-) -> None:
-    """2-opt, in place, the first shortest tour of each colony colonies[k], k in
-    two_opt, and offer the improved tour to its colony."""
-    paths, lengths = tours
-    each = len(lengths) // len(colonies)
-    for k in two_opt:
-        colony = colonies[k]
-        row = k * each + int(lengths[k * each : (k + 1) * each].argmin())
-        improved = demon_local_search(paths[row].tolist(), colony.problem)
-        paths[row], lengths[row] = improved, colony.problem.tour_length(improved)
-        colony._offer_best(improved, float(lengths[row]))
 
 
 def next_locations(
@@ -402,7 +344,7 @@ def _walk(
 
 
 def construct_solutions(
-    net: ComputingNetwork, params: AcoParams, rng: RngStream | StreamGroup
+    net: ComputingNetwork, rng: RngStream | StreamGroup
 ) -> list[tuple[list[int], float]]:
     """Send every ant on one complete closed tour, all ants in lockstep.
 
@@ -412,27 +354,27 @@ def construct_solutions(
     underflows to zero; such ants are re-walked from their start with
     fresh uniforms, at most MAX_RESTARTS times.
 
-    On a ColonyStack, params.ants ants of every colony walk at once and
-    the solutions come colony by colony. From a StreamGroup every draw
-    has one row per stream, the stack's colonies come stream by stream,
-    and each colony's ants walk on its stream's draws, made in the same
-    order as on a lone stream. A dead end in a stack, or on a group,
-    raises DeadEndError at once: its restart would draw for one colony
-    alone. The tours also stay on the architecture as arrays, in walked,
-    which is all the run loop reads: the returned (path, length) pairs
-    are read only outside it, by perfbench's tracer and by tests.
+    The ants of every colony walk at once, and the solutions come colony
+    by colony. From a StreamGroup every draw has one row per stream, the
+    colonies come stream by stream, and each colony's ants walk on its
+    stream's draws, made in the same order as on a lone stream. A dead
+    end among several colonies, or on a group, raises DeadEndError at
+    once: its restart would draw for one colony alone. The tours also
+    stay on the architecture as arrays, in walked, which is all the run
+    loop reads: the returned (path, length) pairs are read only outside
+    it, by perfbench's tracer and by tests.
     """
-    arch: AcoArchitecture | ColonyStack = net.arch
+    arch: AcoArchitecture = net.arch
     cost = arch.problem.costs
     n = len(cost)
     try:
         with np.errstate(over="raise"):
-            choice = arch.choice_info(params).reshape(-1, n, n)
+            choice = arch.choice_info()
             # nonnegative terms: no partial sum of a row exceeds the whole row's
             choice.cumsum(axis=2)
     except (OverflowError, FloatingPointError):
         raise NumericDivergenceError("transition weights overflow") from None
-    starts, uniforms = draw_walks(rng, params.ants, n)
+    starts, uniforms = draw_walks(rng, arch.colonies[0].ants, n)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
     if (len(choice) > 1 or rng.shape) and dead.any():
         raise DeadEndError("an ant of a stacked colony found no positive trail")
@@ -451,10 +393,10 @@ def construct_solutions(
 
 
 def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
-    """Decay every trail, clamped to the architecture's pheromone floor.
+    """Decay every trail, clamped to each colony's pheromone floor.
 
-    A ColonyStack passes one rate per colony, shaped (colonies, 1, 1),
-    and each colony keeps its own floor.
+    rate is one rate for every colony, or one per colony shaped
+    (colonies, 1, 1), as the slow step passes it.
     """
     if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ConfigurationError(f"evaporation rate must be in [0, 1], got {rate}")
@@ -465,10 +407,10 @@ def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
 def deposit(net: ComputingNetwork, tours: Tours, amount: float | np.ndarray) -> None:
     """Every tour reinforces its edges by amount / tour length.
 
-    tours is one iteration's Tours, and nothing else. Trails shared by
-    several tours take their shares in walk order, one addition at a
-    time, as a loop over the walks would. On a ColonyStack the walks
-    come colony by colony, as many for each, and amount holds one value
+    tours is one iteration's Tours, and nothing else: the walks come
+    colony by colony, as many for each. Trails shared by several tours
+    take their shares in walk order, one addition at a time, as a loop
+    over the walks would. amount is one value for every colony, or one
     per colony.
     """
     here, lengths = tours
@@ -527,6 +469,6 @@ def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
 def build_aco_network(
     graph: TourGraph, params: AcoParams | None = None
 ) -> ComputingNetwork:
-    """Complete trail network; the pheromone lives on the architecture, and
-    nodes and edges are derived from the graph only when read."""
-    return ComputingNetwork(arch=AcoArchitecture(graph, params or AcoParams()))
+    """One colony's complete trail network; the pheromone lives on the
+    architecture, and nodes and edges are derived from the graph only when read."""
+    return ComputingNetwork(arch=AcoArchitecture(graph, (params or AcoParams(),)))

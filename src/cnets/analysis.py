@@ -86,13 +86,18 @@ def trace_from_continuous(
 ) -> StateTrace:
     """Discretize each node into equal-width bins over its observed range.
 
-    A node whose value never changes gets the single symbol 0.
+    A node whose value never changes gets the single symbol 0, and one
+    whose range is wider than the largest float is refused.
     """
     matrix = _table(rows)
     if not np.all(np.isfinite(matrix)):
         raise ConfigurationError("trace contains non-finite values")
-    lo = matrix.min(axis=0)
-    span = matrix.max(axis=0) - lo
+    lo, hi = matrix.min(axis=0), matrix.max(axis=0)
+    with np.errstate(over="ignore"):  # an overflowing span is refused just below
+        span = hi - lo
+    if not np.all(np.isfinite(span)):
+        k = int(np.isinf(span).argmax())
+        raise ConfigurationError(f"node {k}'s range {lo[k]} to {hi[k]} is wider than the largest float")
     # a constant node divides its zeros by 1, not by its span of 0
     scaled = (matrix - lo) / np.where(span > 0, span, 1.0)
     # the top of the range falls in the last bin; StateTrace checks bins first

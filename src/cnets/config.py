@@ -25,6 +25,7 @@ from typing import Any, Mapping, Sequence
 from .aco import AcoParams
 from .ann import AnnParams
 from .core import ScaleSchedule
+from .cross import WEIGHT_BOUNDS
 from .eca import EcaParams
 from .errors import ConfigurationError
 from .meta import MetaConfig, ParamBox
@@ -342,7 +343,7 @@ class CrossSection:
         ann = AnnSection.parse(_get(data, "ann", where, dict, required=True), base_dir, f"{where}.ann")
         pso_raw = _get(data, "pso", where, dict, default={})
         _check_keys(pso_raw, tuple(k for k in _names(PsoParams) if k != "neighborhoods"), f"{where}.pso")
-        weight_bounds = (-2.0, 2.0)
+        weight_bounds = WEIGHT_BOUNDS
         if data.get("weight_bounds") is not None:
             weight_bounds = _number_pair(data["weight_bounds"], f"{where}.weight_bounds")
         if not weight_bounds[0] < weight_bounds[1]:

@@ -25,6 +25,9 @@ from .problems import Dataset, Objective
 from .pso import PsoParams, build_pso_network, global_best
 from .rng import RngStream
 
+# the box every weight of the swarm's particles starts in and stays in
+WEIGHT_BOUNDS = (-2.0, 2.0)
+
 
 @dataclass
 class CrossResult:
@@ -41,7 +44,7 @@ def cross_train(
     *,
     iterations: int = 300,
     pso_params: PsoParams | None = None,
-    weight_bounds: tuple[float, float] = (-2.0, 2.0),
+    weight_bounds: tuple[float, float] = WEIGHT_BOUNDS,
     ann_params: AnnParams | None = None,
     dimension: int | None = None,
 ) -> CrossResult:

@@ -9,12 +9,16 @@ nothing of this scale.
 
 A generation's uncached genomes are evaluated together. An inner run's
 draws depend only on its seed wherever the rebuild draws alike for
-every genome, so when the architecture class offers a ``lockstep`` hook
-(aco's stacks colonies), the inner runs of every seed that shares a
-problem go as one stacked network, instead of one run per genome and
-seed. Each seed keeps its own stream: the stack draws from a
-StreamGroup of them, one row per seed, and each seed's colonies walk
-on that seed's row.
+every genome, so when the architecture class offers a lockstep hook,
+the inner runs of every seed that shares a problem go as one stacked
+network, instead of one run per genome and seed. The hook is the
+class's ``lockstep(nets)``, a new network over all of nets or None when
+they do not stack; the architecture's ``lockstep_limit()``, the most
+members one stack may hold; and the stack's ``best_values(net)``, each
+member's best value in member order (aco's colonies stack this way).
+Each seed keeps its own stream: the stack draws from a StreamGroup of
+them, one row per seed, and each seed's colonies walk on that seed's
+row.
 
 The GA is deliberately minimal: tournament selection (k=3), uniform
 per-gene crossover (p=0.5), Gaussian mutation with stddev a fixed
@@ -242,8 +246,8 @@ def _lockstep_totals(
             # a lone seed's stack draws from its stream, without a group's stream axis
             rng = streams[block[0]] if len(block) == 1 else StreamGroup([streams[s] for s in block])
             run(stack, schedule, firsts[block[0]][1], rng)
-            for net, (seed, index) in zip(nets, product(block, indices)):
-                values[seed][index] = _final_best(net.arch.best_value(net))
+            for value, (seed, index) in zip(stack.arch.best_values(stack), product(block, indices)):
+                values[seed][index] = _final_best(value)
     totals = [0.0] * len(genomes)
     for row in values:
         for index, value in enumerate(row):

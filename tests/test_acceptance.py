@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from cnets import core
-from cnets.aco import AcoParams, ColonyStack, build_aco_network
+from cnets.aco import AcoParams, build_aco_network
 from cnets.analysis import interaction_excess, trace_from_discrete
 from cnets.ann import AnnParams, batch_mse, build_ann, gradients, set_weight_vector, weight_vector
 from cnets.core import ScaleSchedule, run
@@ -83,9 +83,9 @@ def _pheromone_audit():
     """Audit every trail after each slow step core.run takes inside the block.
 
     The audit wraps core.slow_step, not the colonies, so colonies still
-    stack: one check covers a lone colony's (n, n) pheromone or a whole
-    ColonyStack's (colonies, n, n) array. Yields the negative trails
-    found and the number of slow steps audited on stacks.
+    stack: one check covers every colony's trails in the network's
+    (colonies, n, n) pheromone. Yields the negative trails found and the
+    number of slow steps audited on stacks, networks of several colonies.
     """
     audit = {"violations": [], "stacked_steps": 0}
     original = core.slow_step
@@ -94,7 +94,7 @@ def _pheromone_audit():
         original(net, rng)
         pheromone = net.arch.pheromone
         audit["violations"].extend(pheromone[pheromone < 0.0].tolist())
-        audit["stacked_steps"] += isinstance(net.arch, ColonyStack)
+        audit["stacked_steps"] += len(net.arch.colonies) > 1
         return net
 
     core.slow_step = audited

@@ -88,8 +88,9 @@ class TestTransitions:
         graph = TourGraph.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=1.0)
         net = build_aco_network(graph, params)
-        net.arch.pheromone[0, 1] = net.arch.pheromone[1, 0] = 2.0
-        row = net.arch.choice_info(params)[0]
+        tau = net.arch.pheromone[0]
+        tau[0, 1] = tau[1, 0] = 2.0
+        row = net.arch.choice_info()[0][0]
         assert probabilities(row, 0) == pytest.approx([2 / 3, 1 / 3])
 
     def test_beta_raises_desirability(self):
@@ -97,7 +98,7 @@ class TestTransitions:
         graph = TourGraph.from_matrix([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=2.0)
         net = build_aco_network(graph, params)
-        assert net.arch.choice_info(params)[0].tolist() == pytest.approx([0.0, 4.0, 1.0])
+        assert net.arch.choice_info()[0][0].tolist() == pytest.approx([0.0, 4.0, 1.0])
 
     def test_zero_total_weight_is_a_dead_end(self):
         weights = np.array([[0.0, 0.0, 0.0]])
@@ -136,7 +137,7 @@ class TestTransitions:
         net = build_aco_network(graph, params)
         upper = np.triu(rng.uniform(0.1, 5.0, size=(5, 5)), 1)
         net.arch.pheromone[...] = upper + upper.T
-        choice = net.arch.choice_info(params)
+        choice = net.arch.choice_info()[0]
         for here in range(5):
             probs = probabilities(choice[here], here)
             assert probs.sum() == pytest.approx(1.0)
@@ -169,7 +170,7 @@ class TestDeadEnds:
         assert (net.arch.pheromone == params.min_pheromone).all()
         rng = CountingStream(7)
         with pytest.raises(DeadEndError):
-            construct_solutions(net, params, rng)
+            construct_solutions(net, rng)
         # one block holds every ant's start and walk, then the stuck ants are re-walked
         assert rng.calls == ["words"] + ["uniform"] * MAX_RESTARTS
 
@@ -180,11 +181,12 @@ class TestDeadEnds:
         trails = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
         params = AcoParams(alpha=100.0, ants=6)
         net = build_aco_network(graph, params)
-        net.arch.pheromone[...] = params.min_pheromone
+        tau = net.arch.pheromone[0]
+        tau[...] = params.min_pheromone
         for a, b in trails:
-            net.arch.pheromone[a, b] = net.arch.pheromone[b, a] = 1.0
+            tau[a, b] = tau[b, a] = 1.0
         rng = CountingStream(3)
-        solutions = construct_solutions(net, params, rng)
+        solutions = construct_solutions(net, rng)
         # the first block held every ant's walk: each draw after it is a restart
         assert rng.calls[0] == "words" and rng.calls[1:]
         assert set(rng.calls[1:]) == {"uniform"}
@@ -207,7 +209,7 @@ class TestDivergence:
         params = AcoParams(beta=6.0)
         net = build_aco_network(graph, params)
         with pytest.raises(NumericDivergenceError):
-            construct_solutions(net, params, RngStream(0))
+            construct_solutions(net, RngStream(0))
 
     def test_weights_too_large_to_sum_are_a_divergence(self):
         # every weight is finite, but a row of them sums past the largest double
@@ -215,14 +217,14 @@ class TestDivergence:
         params = AcoParams(alpha=1.0, beta=0.0, initial_pheromone=1e308)
         net = build_aco_network(graph, params)
         with pytest.raises(NumericDivergenceError):
-            construct_solutions(net, params, RngStream(0))
+            construct_solutions(net, RngStream(0))
 
 
 class TestPheromoneUpdates:
     def test_evaporation_scales_every_trail(self):
         net = build_aco_network(square_graph(), AcoParams(initial_pheromone=2.0))
         evaporate(net, 0.1)
-        tau = net.arch.pheromone
+        tau = net.arch.pheromone[0]
         assert tau[tuple(net.edges.T)].tolist() == pytest.approx([1.8] * len(net.edges))
 
     def test_evaporation_respects_the_floor(self):
@@ -236,7 +238,7 @@ class TestPheromoneUpdates:
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(initial_pheromone=1.0))
         deposit(net, tours(([0, 1, 2, 3], 4.0)), amount=1.0)
-        tau = net.arch.pheromone
+        tau = net.arch.pheromone[0]
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             assert tau[i, j] == tau[j, i] == pytest.approx(1.25)
         # the diagonals carry no deposit
@@ -250,19 +252,19 @@ class TestPheromoneUpdates:
 
     def test_trail_lookup_is_symmetric(self):
         net = build_aco_network(square_graph())
-        arch = net.arch
         deposit(net, tours(([0, 2, 1, 3], 5.0), ([3, 1, 0, 2], 4.0)), amount=1.0)
-        assert arch.pheromone[0, 2] == arch.pheromone[2, 0]
-        assert (arch.pheromone == arch.pheromone.T).all()
+        tau = net.arch.pheromone[0]
+        assert tau[0, 2] == tau[2, 0]
+        assert (tau == tau.T).all()
         # there is no trail from a node to itself
-        assert (np.diag(arch.choice_info(arch.params)) == 0.0).all()
+        assert (np.diag(net.arch.choice_info()[0]) == 0.0).all()
 
 
 class TestConstruction:
     def test_tours_are_valid_permutations(self):
         graph = TourGraph.random_euclidean(6, RngStream(11))
         net = build_aco_network(graph, AcoParams(ants=8))
-        solutions = construct_solutions(net, net.arch.params, RngStream(12))
+        solutions = construct_solutions(net, RngStream(12))
         assert len(solutions) == 8
         for path, length in solutions:
             assert sorted(path) == list(range(6))
@@ -272,7 +274,7 @@ class TestConstruction:
         graph = TourGraph.random_euclidean(5, RngStream(3))
         net = build_aco_network(graph, AcoParams(ants=4))
         before = net.arch.pheromone.copy()
-        construct_solutions(net, net.arch.params, RngStream(4))
+        construct_solutions(net, RngStream(4))
         # construction leaves nothing behind: no trail change
         assert (net.arch.pheromone == before).all()
 
@@ -281,7 +283,7 @@ class TestConstruction:
 
         def tours(seed):
             net = build_aco_network(graph, AcoParams(ants=5))
-            return construct_solutions(net, net.arch.params, RngStream(seed))
+            return construct_solutions(net, RngStream(seed))
 
         assert tours(9) == tours(9)
         assert tours(9) != tours(10)
@@ -324,23 +326,23 @@ class TestColonyRuns:
         graph = TourGraph.random_euclidean(5, RngStream(41))
         net = build_aco_network(graph, AcoParams(ants=5))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), graph, RngStream(42))
-        path = net.arch.best_path_found
+        path = net.arch.best.paths[0].tolist()
         assert sorted(path) == list(range(5))
-        assert net.arch.best_length == pytest.approx(graph.tour_length(path))
+        assert net.arch.best.lengths[0] == pytest.approx(graph.tour_length(path))
         assert net.arch.readout(net) == [float(v) for v in path]
 
     def test_finds_square_optimum(self):
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(ants=8))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=20), graph, RngStream(5))
-        assert net.arch.best_length == pytest.approx(4.0)
+        assert net.arch.best.lengths[0] == pytest.approx(4.0)
 
     def test_demon_run_reaches_optimum_quickly(self):
         graph = TourGraph.random_euclidean(7, RngStream(51))
         optimum = brute_force_optimum(graph)
         net = build_aco_network(graph, AcoParams(ants=8, demon="two-opt"))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(52))
-        assert net.arch.best_length == pytest.approx(optimum)
+        assert net.arch.best.lengths[0] == pytest.approx(optimum)
 
     def test_pheromone_floor_holds_during_a_run(self):
         graph = TourGraph.random_euclidean(5, RngStream(61))

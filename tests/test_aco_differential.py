@@ -50,8 +50,8 @@ def test_lockstep_walk_matches_scalar_walk(n, seed, alpha, beta, ants):
     net = build_aco_network(graph, params)
     net.arch.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
     lockstep, scalar = RngStream(seed, 2), RngStream(seed, 2)
-    got = construct_solutions(net, params, lockstep)
-    want = oracle.construct_solutions(net.arch.pheromone.tolist(), graph, params, scalar)
+    got = construct_solutions(net, lockstep)
+    want = oracle.construct_solutions(net.arch.pheromone[0].tolist(), graph, params, scalar)
     assert got == want
     assert next_draws(lockstep) == next_draws(scalar)
 
@@ -64,8 +64,8 @@ def test_choice_info_matches_scalar_weights(n, seed, alpha, beta):
     params = AcoParams(alpha=alpha, beta=beta)
     net = build_aco_network(graph, params)
     net.arch.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
-    choice = net.arch.choice_info(params)
-    pheromone = net.arch.pheromone.tolist()
+    choice = net.arch.choice_info()[0]
+    pheromone = net.arch.pheromone[0].tolist()
     for here in range(n):
         others = [node for node in range(n) if node != here]
         want = oracle.transition_weights(here, others, pheromone, graph, params)
@@ -88,7 +88,7 @@ def test_colony_iterations_match_scalar_updates(n, seed, alpha, beta, ants, evap
     graph = instance(n, seed)
     params = AcoParams(alpha=alpha, beta=beta, ants=ants, evaporation=evaporation, demon=demon)
     net = build_aco_network(graph, params)
-    pheromone = net.arch.pheromone.tolist()
+    pheromone = net.arch.pheromone[0].tolist()
     lockstep, scalar = RngStream(seed, 3), RngStream(seed, 3)
     for _ in range(3):
         net.arch.fast(net, lockstep)
@@ -102,7 +102,7 @@ def test_colony_iterations_match_scalar_updates(n, seed, alpha, beta, ants, evap
             better = oracle.two_opt(want[index][0], graph)
             want[index] = (better, graph.tour_length(better))
         oracle.deposit(pheromone, want, params.deposit)
-        assert net.arch.pheromone.tolist() == pheromone
+        assert net.arch.pheromone[0].tolist() == pheromone
     assert next_draws(lockstep) == next_draws(scalar)
 
 

@@ -122,6 +122,16 @@ class TestDiscretization:
         with pytest.raises(ConfigurationError):
             trace_from_continuous([(0.0,), (math.inf,)])
 
+    def test_a_range_wider_than_the_largest_float_is_refused_by_node(self):
+        rows = [(0.0, -1e308), (1.0, 1e308), (0.5, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match=r"^node 1's range -1e\+308 to 1e\+308 is wider"):
+                trace_from_continuous(rows, bins=4)
+            # the widest finite range still bins
+            trace = trace_from_continuous([(-8e307,), (8e307,), (0.0,)], bins=4)
+        assert trace.column(0).tolist() == [0, 3, 2]
+
     def test_records_feed_the_network_output_column(self):
         records = [
             record_with_output(0, [0.0, 10.0]),

@@ -1,14 +1,16 @@
 """Stacked (lockstep) and one-at-a-time genome evaluation agree bit for bit.
 
-evaluate_genome runs several genomes as one ColonyStack over the seeds
-that share a problem when their colonies stack, and one at a time
-otherwise. Fitness is a pure function of the genome, so both paths must
-give the same floats, or raise the same error, for every batch: extreme
-exponents that dead-end or overflow, 2-opt, and a rebuild that draws its
-graph from the stream included. Colonies with a slow step replaced on
-the instance (guarded) never stack: the stack never calls a colony's
-own slow step, so AcoArchitecture.lockstep refuses them and they run one
-at a time, replaced step and all.
+evaluate_genome runs several genomes as one stack, a network of many
+colonies that AcoArchitecture.lockstep builds, over the seeds that share
+a problem when their colonies stack, and one at a time otherwise.
+Fitness is a pure function of the genome, so both paths must give the
+same floats, or raise the same error, for every batch: extreme exponents
+that dead-end or overflow, 2-opt, and a rebuild that draws its graph
+from the stream included. Colonies with a slow step replaced on the
+instance (guarded) never stack: the stack never calls a member's own
+slow step, so lockstep refuses them and they run one at a time, replaced
+step and all. TestLockstepHook checks the hook itself, and what a stack
+and a lone colony read.
 """
 from collections import Counter
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from test_meta import QuadraticProbe, probe_rebuild
 
 from cnets import aco, meta
-from cnets.aco import AcoArchitecture, AcoParams, ColonyStack, build_aco_network
+from cnets.aco import AcoArchitecture, AcoParams, build_aco_network
 from cnets.errors import CnError, NumericDivergenceError
 from cnets.meta import evaluate_genome
 from cnets.problems import TourGraph
@@ -83,12 +85,17 @@ def one_at_a_time(genomes, rebuild, steps, seeds):
 
 @pytest.fixture
 def inner_runs(monkeypatch):
-    """The architecture of every network meta hands to core.run."""
+    """What meta hands to core.run, network by network: "stack" for several
+    colonies, "colony" for one, and any other architecture's class."""
     kinds = []
     original = meta.run
 
     def counting(net, *args):
-        kinds.append(type(net.arch))
+        arch = net.arch
+        if isinstance(arch, AcoArchitecture):
+            kinds.append("stack" if len(arch.colonies) > 1 else "colony")
+        else:
+            kinds.append(type(arch))
         return original(net, *args)
 
     monkeypatch.setattr(meta, "run", counting)
@@ -120,12 +127,12 @@ def test_a_batch_runs_one_stack_per_shared_problem(inner_runs):
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
     shared = colony_rebuild(8, 5)
     stacked = evaluate_genome(genomes, shared, 10, (1, 2))
-    assert inner_runs == [ColonyStack]  # the seeds share the graph, so one stack
+    assert inner_runs == ["stack"]  # the seeds share the graph, so one stack
     assert stacked == one_at_a_time(genomes, shared, 10, (1, 2))
     inner_runs.clear()
     drawn = colony_rebuild(8, 5, draw_graph=True)
     stacked = evaluate_genome(genomes, drawn, 10, (1, 2))
-    assert inner_runs == [ColonyStack, ColonyStack]  # a graph drawn per seed
+    assert inner_runs == ["stack", "stack"]  # a graph drawn per seed
     assert stacked == one_at_a_time(genomes, drawn, 10, (1, 2))
 
 
@@ -135,7 +142,7 @@ def test_stacks_are_split_at_the_size_bound(inner_runs, monkeypatch):
     # room for two colonies of 6 locations and 4 ants per stack
     monkeypatch.setattr(aco, "STACK_DOUBLES", 2 * 6 * (6 + 4))
     stacked = evaluate_genome(genomes, rebuild, 5, (3, 4))
-    assert inner_runs == [ColonyStack] * 5  # one genome on both seeds per stack
+    assert inner_runs == ["stack"] * 5  # one genome on both seeds per stack
     assert stacked == one_at_a_time(genomes, rebuild, 5, (3, 4))
 
 
@@ -149,7 +156,7 @@ def test_seeds_that_share_a_graph_share_a_stack(inner_runs):
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
     seeds = (1, 2, 3, 5)
     stacked = evaluate_genome(genomes, rebuild, 6, seeds)
-    assert inner_runs == [ColonyStack, ColonyStack]  # seeds 1, 3 and 5, then seed 2
+    assert inner_runs == ["stack", "stack"]  # seeds 1, 3 and 5, then seed 2
     assert stacked == one_at_a_time(genomes, rebuild, 6, seeds)
 
 
@@ -181,9 +188,11 @@ def test_one_stack_over_seeds_equals_one_stack_per_seed(genomes, seeds, n, ants,
 
     def colony_state(stacks):
         return [
-            (colony.best_path_found, colony.best_length, colony.pheromone.tobytes())
+            (path, length, tau.tobytes())
             for stack in stacks
-            for colony in stack.arch.colonies
+            for path, length, tau in zip(
+                stack.arch.best.paths.tolist(), stack.arch.best.lengths.tolist(), stack.arch.pheromone
+            )
         ]
 
     for _ in range(steps):
@@ -210,8 +219,8 @@ def test_a_failing_stack_gives_the_plain_error(inner_runs):
 
     with pytest.raises(NumericDivergenceError) as stacked:
         evaluate_genome(genomes, rebuild, 3, (1,))
-    assert inner_runs[0] is ColonyStack  # tried, then one at a time
-    assert inner_runs[1:] == [AcoArchitecture, AcoArchitecture]
+    assert inner_runs[0] == "stack"  # tried, then one at a time
+    assert inner_runs[1:] == ["colony", "colony"]
     with pytest.raises(NumericDivergenceError) as alone:
         evaluate_genome(genomes[1:2], rebuild, 3, (1,))
     assert (str(stacked.value), stacked.value.step_position) == (
@@ -230,14 +239,15 @@ def test_a_dead_end_in_the_stack_falls_back_to_restarts(inner_runs):
     def rebuild(genome, rng):
         params = AcoParams(alpha=100.0, ants=6, min_pheromone=1e-9, evaporation=0.0, **genome)
         net = build_aco_network(graph, params)
-        net.arch.pheromone[...] = 1e-9
+        tau = net.arch.pheromone[0]
+        tau[...] = 1e-9
         for a, b in trails:
-            net.arch.pheromone[a, b] = net.arch.pheromone[b, a] = 1.0
+            tau[a, b] = tau[b, a] = 1.0
         return net, graph
 
     genomes = [{"beta": 1.0}, {"beta": 2.0}]
     stacked = evaluate_genome(genomes, rebuild, 2, (3,))
-    assert inner_runs == [ColonyStack, AcoArchitecture, AcoArchitecture]
+    assert inner_runs == ["stack", "colony", "colony"]
     assert stacked == one_at_a_time(genomes, rebuild, 2, (3,))
 
 
@@ -253,9 +263,9 @@ def test_a_replaced_slow_step_never_stacks(inner_runs):
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
     seeds, steps = (1, 2), 5
     values = evaluate_genome(genomes, rebuild, steps, seeds)
-    assert inner_runs == [AcoArchitecture] * (len(genomes) * len(seeds))
+    assert inner_runs == ["colony"] * (len(genomes) * len(seeds))
     # the replaced step ran on every slow step of every inner run, on its own colony
-    assert all(type(net.arch) is AcoArchitecture for net in calls)
+    assert all(type(net.arch) is AcoArchitecture and len(net.arch.colonies) == 1 for net in calls)
     assert list(Counter(map(id, calls)).values()) == [steps] * len(inner_runs)
     assert values == one_at_a_time(genomes, rebuild, steps, seeds)
 
@@ -269,7 +279,7 @@ def test_genome_dependent_rebuild_draws_never_stack(inner_runs):
 
     genomes = [{"alpha": 0.5}, {"alpha": 1.5}]
     values = evaluate_genome(genomes, rebuild, 4, (1, 2))
-    assert ColonyStack not in inner_runs
+    assert "stack" not in inner_runs
     assert values == one_at_a_time(genomes, rebuild, 4, (1, 2))
 
 
@@ -289,10 +299,7 @@ class TestLockstepHook:
         equal = TourGraph.from_matrix(graph.costs)
         nets = [self.colony(graph, alpha=1.0), self.colony(equal, alpha=2.0)]
         stack = AcoArchitecture.lockstep(nets)
-        assert isinstance(stack.arch, ColonyStack)
-        # each colony's pheromone is a view of the stack's array
-        stack.arch.pheromone[1, 0, 1] = 7.0
-        assert nets[1].arch.pheromone[0, 1] == 7.0
+        assert stack.arch.colonies == (nets[0].arch.colonies[0], nets[1].arch.colonies[0])
 
     @pytest.mark.parametrize("other", ["graph", "ants", "subclass", "slow"])
     def test_unlike_colonies_do_not_stack(self, other):
@@ -317,13 +324,19 @@ class TestLockstepHook:
 
         def colonies():
             nets = [self.colony(graph, initial_pheromone=2), self.colony(graph), self.colony(graph)]
-            nets[2].arch.pheromone[0, 1] = nets[2].arch.pheromone[1, 0] = 0.25  # before stacking
+            tau = nets[2].arch.pheromone[0]
+            tau[0, 1] = tau[1, 0] = 0.25  # before stacking
             return nets
 
-        alone = [net.arch.pheromone for net in colonies()]
-        stack = AcoArchitecture.lockstep(colonies())
+        alone = [net.arch.pheromone[0] for net in colonies()]
+        nets = colonies()
+        stack = AcoArchitecture.lockstep(nets)
         assert stack.arch.pheromone.dtype == float
         assert stack.arch.pheromone.tolist() == [tau.tolist() for tau in alone]
+        # lockstep writes nothing into its members: an unbuilt pheromone stays unbuilt
+        assert ["pheromone" in vars(net.arch) for net in nets] == [False, False, True]
+        stack.arch.pheromone[2, 0, 1] = 7.0
+        assert nets[2].arch.pheromone[0, 0, 1] == 0.25
 
     def test_stack_bound_follows_the_problem_size(self):
         small = self.colony(TourGraph.random_euclidean(8, RngStream(1)), ants=10)
@@ -337,7 +350,45 @@ class TestLockstepHook:
         for k, net in enumerate(nets):
             upper = np.triu(RngStream(k, 2).uniform(0.1, 3.0, size=(9, 9)), 1)
             net.arch.pheromone[...] = upper + upper.T
-        alone = [aco.construct_solutions(net, net.arch.params, RngStream(6)) for net in nets]
+        alone = [aco.construct_solutions(net, RngStream(6)) for net in nets]
         stack = AcoArchitecture.lockstep(nets)
-        together = aco.construct_solutions(stack, stack.arch.params, RngStream(6))
+        together = aco.construct_solutions(stack, RngStream(6))
         assert together == [solution for solutions in alone for solution in solutions]
+
+    def test_one_colony_reads_its_best_tour_and_params(self):
+        graph = TourGraph.random_euclidean(6, RngStream(3))
+        net = self.colony(graph, ants=4, demon="two-opt")
+        arch = net.arch
+        assert (arch.readout(net), arch.best_value(net)) == ([], None)
+        assert arch.parameters(net) == {
+            "alpha": 1.0,
+            "beta": 2.0,
+            "evaporation": 0.1,
+            "deposit": 1.0,
+            "ants": 4.0,
+            "initial_pheromone": 1.0,
+            "min_pheromone": 1e-9,
+            "demon": 1.0,
+        }
+        arch.fast(net, RngStream(8))
+        assert arch.readout(net) == [float(v) for v in arch.best.paths[0].tolist()]
+        assert arch.best_value(net) == arch.best.lengths[0] == min(arch.walked.lengths.tolist())
+
+    def test_a_stack_reads_as_one_network(self):
+        graph = TourGraph.random_euclidean(9, RngStream(3))
+        nets = [self.colony(graph, alpha=a, beta=b, ants=2) for a, b in [(0.5, 0.0), (1.0, 2.0), (3.0, 5.0)]]
+        stack = AcoArchitecture.lockstep(nets)
+        arch = stack.arch
+
+        def reads():
+            return arch.readout(stack), arch.parameters(stack), arch.best_value(stack)
+
+        assert reads() == ([], {}, None)  # before any colony walks
+        assert arch.best_values(stack) == [None] * 3
+        for net in nets:
+            net.arch.fast(net, RngStream(8))
+        arch.fast(stack, RngStream(8))
+        alone = [net.arch.best_value(net) for net in nets]
+        assert arch.best_values(stack) == alone
+        assert reads() == ([], {}, min(alone))
+        assert len(set(alone)) > 1  # the minimum is over colonies that differ
