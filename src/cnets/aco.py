@@ -24,8 +24,11 @@ on that stream's draws. Colonies stacked from one position of their
 stream thus make, together, the very draws each would make alone.
 
 Powers use Python's scalar ``**``: numpy's vectorised power rounds
-differently from it on some builds. Sums, products and maxima are exact
-IEEE operations, so the array forms give the same bits as a scalar walk.
+differently from it on some builds. A colony whose alpha is 1.0 skips
+its pheromone power, as t**1.0 is t: the exact result is a double, and
+pow errs by less than an ulp. Sums, products and maxima are correctly
+rounded IEEE operations, so the array forms, 2-opt's block scan among
+them, give the same bits as a scalar walk and the plain 2-opt loop.
 """
 from __future__ import annotations
 
@@ -54,6 +57,13 @@ DEMON_CHOICES = ("off", "two-opt")
 # Doubles a colony stack may hold in one of its (colonies, n, n) arrays or
 # (colonies * ants, n) walk arrays: 16 MB each.
 STACK_DOUBLES = 1 << 21
+
+# Doubles one colony may hold in one of its (ants, n) walk arrays: 32 MB.
+WALK_DOUBLES = 1 << 22
+
+# 2-opt scans this many rows at once after a reversal, and doubles it
+# up to the second while nothing improves.
+SCAN_ROWS = (8, 32)
 
 
 @dataclass
@@ -94,6 +104,16 @@ class AcoParams:
             )
 
 
+def check_walk_size(ants: int, n: int, where: str) -> None:
+    """Refuse a colony whose (ants, n) walk arrays would exceed WALK_DOUBLES,
+    before any is allocated; where names the setting in the error."""
+    if ants * n > WALK_DOUBLES:
+        raise ConfigurationError(
+            f"{where}: {ants} ants on {n} locations need {ants * n} doubles "
+            f"per walk array, over the limit of {WALK_DOUBLES}"
+        )
+
+
 class Tours(NamedTuple):
     """One iteration's walks as arrays: paths (walkers, n) and lengths (walkers,)."""
 
@@ -108,6 +128,17 @@ def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
+
+
+@lru_cache(maxsize=8)
+def _two_opt_pairs(n: int) -> np.ndarray:
+    """visits[i, j]: whether the plain 2-opt loop over an n-tour tries
+    reversing positions i + 1..j; it skips the whole tour, whose reversal
+    changes nothing. Cached and read-only."""
+    visits = np.triu(np.ones((max(n - 2, 0), n), dtype=bool), 2)
+    visits[:1, n - 1] = False
+    visits.flags.writeable = False
+    return visits
 
 
 class AcoArchitecture:
@@ -164,8 +195,12 @@ class AcoArchitecture:
         own alpha and beta: (colonies, n, n), symmetric, zero diagonals."""
         tau = self.pheromone
         rows, cols = _trail_indices(tau.shape[-1])
-        taus = tau[:, rows, cols].tolist()
-        powered = np.array([[t**c.alpha for t in row] for row, c in zip(taus, self.colonies)])
+        powered = tau[:, rows, cols]
+        if any(c.alpha != 1.0 for c in self.colonies):  # t**1.0 is t (module docstring)
+            powered = np.array([
+                row if c.alpha == 1.0 else [t**c.alpha for t in row]
+                for row, c in zip(powered.tolist(), self.colonies)
+            ])
         out = np.zeros(tau.shape)
         out[:, rows, cols] = powered * self._eta_beta
         return out + out.swapaxes(1, 2)
@@ -434,35 +469,49 @@ def deposit(net: ComputingNetwork, tours: Tours, amount: float | np.ndarray) -> 
 def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
     """2-opt: reverse segments while any reversal shortens the closed tour.
 
-    First improvement, in the order of the plain double loop over
-    (i, j): for each i the gains of every remaining j are computed at
-    once, the first improving reversal is applied, and the scan goes on
-    from j + 1 on the updated tour.
+    First improvement, in the order of the plain double loop over (i, j):
+    a pass applies the first improving (i, j) in row-major order and goes
+    on from (i, j + 1) on the updated tour. The gains of a block of rows
+    are computed at once, and its first hit among the pairs the loop
+    visits is the loop's next reversal, as the tour does not change
+    between reversals. A block that finds nothing is followed by one
+    twice as tall, up to SCAN_ROWS[1] rows; after a reversal the next
+    starts at its row, SCAN_ROWS[0] rows tall. Each gain is the loop's
+    (cost(a, c) + cost(b, d)) - cost(a, b) - cost(c, d), elementwise in
+    the same order, so every comparison has the same bits.
     """
     cost = graph.costs
     n = len(path)
     # ring[n] repeats ring[0]; no reversal touches either end
     ring = np.array([*path, path[0]], dtype=np.intp)
     edge = cost[ring[:-1], ring[1:]]  # edge[k]: cost of ring[k] -> ring[k + 1]
+    visits = _two_opt_pairs(n)
     improved = True
     while improved:
         improved = False
-        for i in range(n - 2):
-            stop = n - 1 if i == 0 else n  # reversing the whole tour changes nothing
-            j = i + 2
-            while j < stop:
-                delta = (
-                    cost[ring[i]][ring[j:stop]] + cost[ring[i + 1]][ring[j + 1 : stop + 1]]
-                    - edge[i] - edge[j:stop]
-                )
-                k = int((delta < -1e-12).argmax())
-                if not delta[k] < -1e-12:
-                    break
-                j += k
-                ring[i + 1 : j + 1] = ring[j:i:-1].copy()
-                edge[i : j + 1] = cost[ring[i : j + 1], ring[i + 1 : j + 2]]
-                improved = True
-                j += 1
+        # the block starts at row i, whose columns up to after are done
+        i, after, rows = 0, -1, SCAN_ROWS[0]
+        while i < n - 2:
+            end = min(i + rows, n - 2)
+            # near[r, c] is the cost of ring[i + r] -> ring[c]; one gather
+            # serves both (a, c) and (b, d)
+            near = cost.take(ring[i : end + 1], axis=0).take(ring, axis=1)
+            delta = near[:-1, :-1] + near[1:, 1:]
+            delta -= edge[i:end, None]
+            delta -= edge
+            hits = (delta < -1e-12).ravel()
+            hits &= visits[i:end].ravel()
+            hits[: after + 1] = False
+            k = hits.argmax()
+            if not hits[k]:
+                i, after, rows = end, -1, min(2 * rows, SCAN_ROWS[1])
+                continue
+            r, j = divmod(int(k), n)
+            i += r
+            ring[i + 1 : j + 1] = ring[j:i:-1].copy()
+            edge[i : j + 1] = cost[ring[i : j + 1], ring[i + 1 : j + 2]]
+            improved = True
+            after, rows = j, SCAN_ROWS[0]
     return ring[:n].tolist()
 
 

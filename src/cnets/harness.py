@@ -35,7 +35,9 @@ def _load_problem(config: RunConfig) -> Any:
     if config.architecture == "ann":
         return Dataset.from_csv(section.dataset)
     if config.architecture == "aco":
-        return TourGraph.from_csv(section.graph, fmt=section.graph_format)
+        graph = TourGraph.from_csv(section.graph, fmt=section.graph_format)
+        aco.check_walk_size(section.params.ants, graph.n, "config.aco.ants")
+        return graph
     if config.architecture == "pso":
         return named_objective(section.objective, section.dimension, section.bounds)
     if config.architecture == "eca":

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cnets.aco import (
     MAX_RESTARTS,
+    WALK_DOUBLES,
     AcoParams,
     Tours,
     build_aco_network,
+    check_walk_size,
     construct_solutions,
     demon_local_search,
     deposit,
@@ -74,6 +76,13 @@ class TestParams:
 
     def test_defaults_are_valid(self):
         AcoParams()
+
+    def test_walk_size_is_bounded_by_its_estimate(self):
+        check_walk_size(WALK_DOUBLES // 5, 5, "ants")
+        check_walk_size(1, WALK_DOUBLES, "ants")
+        for ants, n in [(WALK_DOUBLES // 5 + 1, 5), (100_000_000, 5), (2, WALK_DOUBLES)]:
+            with pytest.raises(ConfigurationError, match=f"^ants: {ants} ants on {n} locations"):
+                check_walk_size(ants, n, "ants")
 
 
 def probabilities(row: np.ndarray, here: int) -> np.ndarray:

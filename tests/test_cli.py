@@ -291,6 +291,20 @@ class TestExitCodes:
         assert main(["run", path]) == 1
         assert capsys.readouterr().err.startswith(f"config error: config.{where}: high - low must be finite")
 
+    @pytest.mark.parametrize("meta", [None, {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]}])
+    def test_too_many_ants_are_refused_before_any_network_is_built(
+        self, workdir, capsys, monkeypatch, meta
+    ):
+        def no_network(*args):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr("cnets.aco.build_aco_network", no_network)
+        data = {"aco": {"graph": "cities.csv", "ants": 100_000_000}, "seed": 1, "out": "aco.jsonl"}
+        if meta:
+            data["meta"] = meta
+        assert main(["run", write_json(workdir, data)]) == 1
+        assert "config error: config.aco.ants: 100000000 ants on 5 locations" in capsys.readouterr().err
+
     def test_record_io_error_exits_3(self, workdir, capsys):
         blocker = workdir / "blocker.txt"
         blocker.write_text("plain file\n")
