@@ -12,7 +12,11 @@ Every section holds the library's own params object (AnnParams,
 AcoParams, PsoParams, EcaParams, MetaConfig): its keys, kinds and
 defaults are that dataclass's fields, so each default is written once,
 and the objects are built at load, so their value errors surface there,
-named by config path.
+named by config path. A RunConfig holds its run's one section, and the
+section is where the run's problem and network come from: problem()
+loads the instance and draws nothing, and network(problem, rng, genome)
+makes the build draws, with a meta genome overriding the aco or pso
+params it names. A meta section holds its search boxes, built at load.
 """
 from __future__ import annotations
 
@@ -22,17 +26,17 @@ import os
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Mapping, Sequence
 
+from . import aco, ann, eca, pso
 from .aco import AcoParams
 from .ann import AnnParams
-from .core import ScaleSchedule
+from .core import ComputingNetwork, ScaleSchedule
 from .cross import WEIGHT_BOUNDS
 from .eca import EcaParams
 from .errors import ConfigurationError
-from .meta import MetaConfig, ParamBox
+from .meta import Genome, MetaConfig, ParamBox
+from .problems import Dataset, Objective, Tape, TourGraph, named_objective
 from .pso import PsoParams
-from .rng import check_seed
-
-ARCHITECTURES = ("ann", "aco", "pso", "eca")
+from .rng import RngStream, check_seed
 
 # Real-valued parameters the meta scale may search over: the float fields
 # of each architecture's params class.
@@ -152,6 +156,13 @@ def _echo(params: Any) -> dict[str, Any]:
     return {key: value for key, value in _plain(params).items() if value is not None}
 
 
+def _with(params: Any, genome: Genome) -> Any:
+    """params with the values genome names; constructed, so __post_init__
+    checks them: dataclasses.replace does the same at twice the cost, once
+    per meta rebuild."""
+    return type(params)(**vars(params) | genome)
+
+
 @dataclass
 class AnnSection:
     layers: tuple[int, ...]
@@ -169,6 +180,12 @@ class AnnSection:
             raise ConfigurationError(f"{where}.layers: expected >= 2 positive integers, got {layers!r}")
         dataset = _resolve_path(_get(data, "dataset", where, str, required=True), base_dir, f"{where}.dataset")
         return cls(layers=tuple(layers), dataset=dataset, params=_read(AnnParams, data, where))
+
+    def problem(self) -> Dataset:
+        return Dataset.from_csv(self.dataset)
+
+    def network(self, problem: Dataset, rng: RngStream, genome: Genome) -> ComputingNetwork:
+        return ann.build_ann(self.layers, problem, rng, self.params)
 
 
 @dataclass
@@ -192,19 +209,25 @@ class AcoSection:
             params=_read(AcoParams, data, where),
         )
 
+    def problem(self) -> TourGraph:
+        graph = TourGraph.from_csv(self.graph, fmt=self.graph_format)
+        aco.check_walk_size(self.params.ants, graph.n, "config.aco.ants")
+        return graph
+
+    def network(self, problem: TourGraph, rng: RngStream, genome: Genome) -> ComputingNetwork:
+        return aco.build_aco_network(problem, _with(self.params, genome))
+
 
 @dataclass
 class PsoSection:
-    objective: str
-    dimension: int
-    bounds: tuple[float, float] | None
+    objective: Objective
     params: PsoParams
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "objective": self.objective,
-            "dimension": self.dimension,
-            "bounds": _plain(self.bounds),
+            "objective": self.objective.name,
+            "dimension": self.objective.dimension,
+            "bounds": [self.objective.lower, self.objective.upper],
             **_echo(self.params),
         }
 
@@ -212,11 +235,10 @@ class PsoSection:
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "PsoSection":
         _check_keys(data, ("objective", "dimension", "bounds") + _names(PsoParams), where)
         dimension = _get(data, "dimension", where, int, required=True)
-        if dimension < 1:
-            raise ConfigurationError(f"{where}.dimension: must be >= 1, got {dimension}")
         bounds = None
         if data.get("bounds") is not None:
             bounds = _number_pair(data["bounds"], f"{where}.bounds")
+        name = _get(data, "objective", where, str, default="sphere")
         neighborhoods = None
         if data.get("neighborhoods") is not None:
             raw = _get(data, "neighborhoods", where, list)
@@ -229,11 +251,15 @@ class PsoSection:
                     )
             neighborhoods = tuple(tuple(members) for members in raw)
         return cls(
-            objective=_get(data, "objective", where, str, default="sphere"),
-            dimension=dimension,
-            bounds=bounds,
+            objective=_at(where, named_objective, name, dimension, bounds),
             params=_read(PsoParams, data, where, neighborhoods=neighborhoods),
         )
+
+    def problem(self) -> Objective:
+        return self.objective
+
+    def network(self, problem: Objective, rng: RngStream, genome: Genome) -> ComputingNetwork:
+        return pso.build_pso_network(problem, rng, _with(self.params, genome))
 
 
 @dataclass
@@ -262,15 +288,21 @@ class EcaSection:
         params = _read(EcaParams, data, where, rule=rule, width=width, initial=initial)
         return cls(steps=steps, params=params)
 
+    def problem(self) -> Tape:
+        return self.params.tape()
+
+    def network(self, problem: Tape, rng: RngStream, genome: Genome) -> ComputingNetwork:
+        return eca.build_eca_network(problem, self.params.rule, eca.UpdateMode(self.params.updating))
+
 
 @dataclass
 class MetaSection:
-    parameters: dict[str, tuple[float, float]]
+    boxes: dict[str, ParamBox]
     config: MetaConfig
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "parameters": {k: list(v) for k, v in self.parameters.items()},
+            "parameters": {key: [box.low, box.high] for key, box in self.boxes.items()},
             **_echo(self.config),
         }
 
@@ -291,33 +323,22 @@ class MetaSection:
                 f"{where}.parameters: {bad} not searchable for {architecture} "
                 f"(allowed: {list(allowed)})"
             )
-        parameters = {
-            key: _number_pair(box, f"{where}.parameters.{key}")
+        boxes = {
+            key: _at(f"{where}.parameters.{key}", ParamBox, *_number_pair(box, f"{where}.parameters.{key}"))
             for key, box in raw_params.items()
         }
-        for key, (low, high) in parameters.items():
-            try:
-                ParamBox(low, high)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{where}.parameters.{key}: {exc}") from None
         # every end must be a value params accepts; it checks field by field,
         # so one object holds all the lows and one all the highs
-        for end in (0, 1):
-            ends = {key: box[end] for key, box in parameters.items()}
+        for end in ("low", "high"):
+            ends = {key: getattr(box, end) for key, box in boxes.items()}
             try:
                 replace(params, **ends)
             except ConfigurationError:
                 for key, value in ends.items():  # name the box at fault
-                    try:
-                        replace(params, **{key: value})
-                    except ConfigurationError as exc:
-                        raise ConfigurationError(f"{where}.parameters.{key}: {exc}") from None
+                    _at(f"{where}.parameters.{key}", replace, params, **{key: value})
                 raise
         eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
-        return cls(
-            parameters=parameters,
-            config=_read(MetaConfig, data, where, eval_seeds=eval_seeds),
-        )
+        return cls(boxes=boxes, config=_read(MetaConfig, data, where, eval_seeds=eval_seeds))
 
 
 @dataclass
@@ -363,22 +384,25 @@ class CrossSection:
             dimension=dimension,
         )
 
+    def problem(self) -> Dataset:
+        return self.ann.problem()
+
+
+_SECTIONS = {
+    "ann": AnnSection, "aco": AcoSection, "pso": PsoSection, "eca": EcaSection, "cross": CrossSection
+}
+
 
 @dataclass
 class RunConfig:
+    """A validated run: its one section, its schedule and an optional meta search."""
+
     architecture: str
     schedule: ScaleSchedule
+    section: AnnSection | AcoSection | PsoSection | EcaSection | CrossSection
     seed: int | None = None
     out: str | None = None
-    ann: AnnSection | None = None
-    aco: AcoSection | None = None
-    pso: PsoSection | None = None
-    eca: EcaSection | None = None
     meta: MetaSection | None = None
-    cross: CrossSection | None = None
-
-    def section(self):
-        return getattr(self, self.architecture) if self.architecture in ARCHITECTURES else self.cross
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -390,19 +414,14 @@ class RunConfig:
                 "slow_steps": self.schedule.slow_steps,
                 "meta_generations": 0 if self.meta is None else self.meta.config.generations,
             },
+            self.architecture: self.section.to_dict(),
         }
-        for name in ARCHITECTURES:
-            sect = getattr(self, name)
-            if sect is not None:
-                out[name] = sect.to_dict()
         if self.meta is not None:
             out["meta"] = self.meta.to_dict()
-        if self.cross is not None:
-            out["cross"] = self.cross.to_dict()
         return out
 
 
-_TOP_KEYS = ("architecture", "seed", "out", "schedule") + ARCHITECTURES + ("meta", "cross")
+_TOP_KEYS = ("architecture", "seed", "out", "schedule", "meta") + tuple(_SECTIONS)
 
 
 def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
@@ -411,22 +430,16 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
         raise ConfigurationError(f"config must be a JSON object, got {type(data).__name__}")
     _check_keys(data, _TOP_KEYS, "config")
 
-    sections_present = [name for name in ARCHITECTURES if name in data]
-    cross_present = "cross" in data
-    if cross_present and sections_present:
-        raise ConfigurationError(
-            f"config: cross runs take no architecture section, found {sections_present}"
-        )
-    if not cross_present:
-        if len(sections_present) == 0:
-            raise ConfigurationError("config: no architecture section present")
-        if len(sections_present) > 1:
-            raise ConfigurationError(
-                f"config: exactly one architecture section allowed, found {sections_present}"
-            )
+    present = [name for name in _SECTIONS if name in data]  # cross comes last
+    if not present:
+        raise ConfigurationError("config: no architecture section present")
+    if present[-1] == "cross" and len(present) > 1:
+        raise ConfigurationError(f"config: cross runs take no architecture section, found {present[:-1]}")
+    if len(present) > 1:
+        raise ConfigurationError(f"config: exactly one architecture section allowed, found {present}")
 
     declared = _get(data, "architecture", "config", str)
-    architecture = "cross" if cross_present else sections_present[0]
+    architecture = present[0]
     if declared is not None and declared != architecture:
         raise ConfigurationError(
             f"config.architecture: declared {declared!r} but the config describes {architecture!r}"
@@ -446,60 +459,52 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
     slow = _get(sched_raw, "slow_steps", "config.schedule", int)
     meta_gens = _get(sched_raw, "meta_generations", "config.schedule", int)
 
-    kwargs: dict[str, Any] = {}
-    if architecture == "ann":
-        kwargs["ann"] = AnnSection.parse(data["ann"], base_dir, "config.ann")
-    elif architecture == "aco":
-        kwargs["aco"] = AcoSection.parse(data["aco"], base_dir, "config.aco")
-    elif architecture == "pso":
-        from .problems import named_objective
+    section = _SECTIONS[architecture].parse(data[architecture], base_dir, f"config.{architecture}")
+    if architecture == "eca" and section.steps is not None:
+        if slow is not None and slow != section.steps:
+            raise ConfigurationError(
+                f"config: eca.steps ({section.steps}) disagrees with "
+                f"schedule.slow_steps ({slow})"
+            )
+        slow = section.steps
+    # the schedule is echoed into the header, so a value the run ignores is refused
+    if architecture == "cross" and fast != 1:
+        raise ConfigurationError(
+            f"config.schedule.fast_steps_per_slow: must be 1, a cross run moves its swarm "
+            f"once per slow step, got {fast}"
+        )
 
-        section = PsoSection.parse(data["pso"], base_dir, "config.pso")
-        obj = named_objective(section.objective, section.dimension, section.bounds)
-        section.bounds = (obj.lower, obj.upper)
-        kwargs["pso"] = section
-    elif architecture == "eca":
-        section = EcaSection.parse(data["eca"], base_dir, "config.eca")
-        if section.steps is not None:
-            if slow is not None and slow != section.steps:
-                raise ConfigurationError(
-                    f"config: eca.steps ({section.steps}) disagrees with "
-                    f"schedule.slow_steps ({slow})"
-                )
-            slow = section.steps
-        kwargs["eca"] = section
-    else:
-        kwargs["cross"] = CrossSection.parse(data["cross"], base_dir, "config.cross")
-
+    meta = None
     if "meta" in data:
         if architecture not in META_SEARCHABLE:
             raise ConfigurationError(
                 f"config.meta: meta search supports {sorted(META_SEARCHABLE)}, not {architecture!r}"
             )
-        meta = MetaSection.parse(
-            data["meta"], "config.meta", architecture, kwargs[architecture].params
-        )
-        kwargs["meta"] = meta
+        meta = MetaSection.parse(data["meta"], "config.meta", architecture, section.params)
         if meta_gens is not None and meta_gens != meta.config.generations:
             raise ConfigurationError(
                 f"config: schedule.meta_generations ({meta_gens}) disagrees with "
                 f"meta.generations ({meta.config.generations})"
+            )
+        if slow:
+            raise ConfigurationError(
+                f"config.schedule.slow_steps: must be 0, a meta run's inner runs take "
+                f"meta.inner_slow_steps, got {slow}"
+            )
+        if fast != 1:
+            raise ConfigurationError(
+                f"config.schedule.fast_steps_per_slow: must be 1, a meta run's inner runs take "
+                f"one fast step per slow step, meta.inner_slow_steps of them, got {fast}"
             )
     elif meta_gens:
         raise ConfigurationError(
             "config: schedule.meta_generations > 0 requires a meta section"
         )
 
-    schedule = ScaleSchedule(fast_steps_per_slow=fast, slow_steps=0 if slow is None else slow)
+    schedule = _at("config.schedule", ScaleSchedule, fast, 0 if slow is None else slow)
     if architecture == "eca":
-        kwargs["eca"].steps = schedule.slow_steps
-    return RunConfig(
-        architecture=architecture,
-        schedule=schedule,
-        seed=seed,
-        out=out,
-        **kwargs,
-    )
+        section.steps = schedule.slow_steps
+    return RunConfig(architecture, schedule, section, seed=seed, out=out, meta=meta)
 
 
 def load_config(path: str) -> RunConfig:

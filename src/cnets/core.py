@@ -47,10 +47,10 @@ class ScaleSchedule:
     def __post_init__(self):
         if self.fast_steps_per_slow < 1:
             raise ConfigurationError(
-                f"fast_steps_per_slow must be >= 1, got {self.fast_steps_per_slow}"
+                f"must be >= 1, got {self.fast_steps_per_slow}", key="fast_steps_per_slow"
             )
         if self.slow_steps < 0:
-            raise ConfigurationError(f"slow_steps must be >= 0, got {self.slow_steps}")
+            raise ConfigurationError(f"must be >= 0, got {self.slow_steps}", key="slow_steps")
 
 
 @dataclass

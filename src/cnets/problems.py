@@ -295,12 +295,10 @@ class Objective:
 
     def __post_init__(self):
         if self.dimension < 1:
-            raise ConfigurationError(
-                f"objective dimension must be >= 1, got {self.dimension}"
-            )
+            raise ConfigurationError(f"must be >= 1, got {self.dimension}", key="dimension")
         if not self.lower < self.upper:
             raise ConfigurationError(
-                f"objective box must have lower < upper, got [{self.lower}, {self.upper}]"
+                f"must have lower < upper, got [{self.lower}, {self.upper}]", key="bounds"
             )
 
     def __call__(self, x: np.ndarray) -> float:
@@ -338,7 +336,9 @@ def named_objective(
     """Look up a benchmark objective, with its conventional box by default."""
     if name not in _NAMED_OBJECTIVES:
         known = ", ".join(sorted(_NAMED_OBJECTIVES))
-        raise ConfigurationError(f"unknown objective {name!r} (known: {known})")
+        raise ConfigurationError(f"unknown {name!r} (known: {known})", key="objective")
+    if name == "rosenbrock" and dimension < 2:  # it sums over neighbouring pairs
+        raise ConfigurationError(f"must be >= 2 for rosenbrock, got {dimension}", key="dimension")
     fn, lo, hi = _NAMED_OBJECTIVES[name]
     if bounds is not None:
         lo, hi = float(bounds[0]), float(bounds[1])
@@ -372,9 +372,10 @@ class Tape:
     @classmethod
     def single_one(cls, width: int, boundary: str = boundary) -> "Tape":
         """All zeros except a single 1 at the center cell."""
+        if width < 3:  # the check in __post_init__ would see a negative width as 0
+            raise ConfigurationError(f"must be >= 3, got {width}", key="width")
         cells = [0] * width
-        if width > 0:
-            cells[width // 2] = 1
+        cells[width // 2] = 1
         return cls(cells=tuple(cells), boundary=boundary)
 
     @classmethod

@@ -291,6 +291,62 @@ class TestExitCodes:
         assert main(["run", path]) == 1
         assert capsys.readouterr().err.startswith(f"config error: config.{where}: high - low must be finite")
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"pso": {"objective": "sphere", "dimension": 2, "bounds": [2, 1]}},
+                "pso.bounds: must have lower < upper, got [2.0, 1.0]",
+            ),
+            (
+                {"pso": {"objective": "rosenbrock", "dimension": 1}},
+                "pso.dimension: must be >= 2 for rosenbrock, got 1",
+            ),
+            ({"eca": {"rule": 110, "width": -3}}, "eca.width: must be >= 3, got -3"),
+            (
+                {"eca": {"rule": 110, "width": 9}, "schedule": {"fast_steps_per_slow": 0}},
+                "schedule.fast_steps_per_slow: must be >= 1, got 0",
+            ),
+            (
+                {
+                    "cross": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}},
+                    "schedule": {"fast_steps_per_slow": 4},
+                },
+                "schedule.fast_steps_per_slow: must be 1, a cross run",
+            ),
+            (
+                {
+                    "aco": {"graph": "cities.csv"},
+                    "meta": {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]},
+                    "schedule": {"slow_steps": 500},
+                },
+                "schedule.slow_steps: must be 0, a meta run's inner runs take meta.inner_slow_steps",
+            ),
+            (
+                {
+                    "aco": {"graph": "cities.csv"},
+                    "meta": {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]},
+                    "schedule": {"fast_steps_per_slow": 7},
+                },
+                "schedule.fast_steps_per_slow: must be 1, a meta run's inner runs take",
+            ),
+        ],
+        ids=[
+            "pso.bounds-inverted",
+            "pso.dimension-rosenbrock",
+            "eca.width-negative",
+            "schedule.fast_steps_per_slow-zero",
+            "cross.fast_steps_per_slow",
+            "meta.slow_steps",
+            "meta.fast_steps_per_slow",
+        ],
+    )
+    def test_refused_value_is_named_by_its_config_path(self, workdir, capsys, config, message):
+        path = write_json(workdir, {**config, "seed": 1, "out": "refused.jsonl"})
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: config.{message}")
+        assert not (workdir / "refused.jsonl").exists()
+
     @pytest.mark.parametrize("meta", [None, {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]}])
     def test_too_many_ants_are_refused_before_any_network_is_built(
         self, workdir, capsys, monkeypatch, meta

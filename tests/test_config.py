@@ -8,6 +8,7 @@ from cnets.ann import AnnParams
 from cnets.config import build_config, load_config, write_config
 from cnets.eca import EcaParams
 from cnets.errors import ConfigurationError
+from cnets.meta import ParamBox
 
 
 @pytest.fixture
@@ -47,7 +48,7 @@ class TestArchitectureSelection:
         assert config.schedule.slow_steps == 5
         assert config.schedule.fast_steps_per_slow == 1
         assert config.seed == 1
-        assert config.eca.params.rule == 110
+        assert config.section.params.rule == 110
 
     def test_architecture_field_is_optional_but_checked(self, workdir):
         config = load_config(write_json(workdir, minimal_eca(architecture="eca")))
@@ -82,8 +83,8 @@ class TestArchitectureSelection:
         }
         config = load_config(write_json(workdir, data))
         assert config.architecture == "cross"
-        assert config.cross.ann.layers == (2, 2, 1)
-        assert config.cross.weight_bounds == (-2.0, 2.0)
+        assert config.section.ann.layers == (2, 2, 1)
+        assert config.section.weight_bounds == (-2.0, 2.0)
 
 
 class TestStrictKeys:
@@ -121,7 +122,7 @@ class TestStrictKeys:
 
     def test_explicit_null_initial_reads_as_single_one(self, workdir):
         data = {"eca": {"rule": 110, "width": 9, "initial": None}, "seed": 1}
-        assert load_config(write_json(workdir, data)).eca.params.initial == "single-one"
+        assert load_config(write_json(workdir, data)).section.params.initial == "single-one"
 
 
 class TestValues:
@@ -237,6 +238,8 @@ class TestValues:
             ("eca", "rule", 300),
             ("eca", "boundary", "mirror"),
             ("eca", "width", 2),
+            ("pso", "dimension", 1),
+            ("pso", "bounds", [2, 1]),
         ],
     )
     def test_params_value_errors_name_their_config_path(self, workdir, section, key, value):
@@ -244,6 +247,7 @@ class TestValues:
             "ann": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "seed": 1},
             "cross.ann": minimal_cross(),
             "eca": minimal_eca(),
+            "pso": {"pso": {"objective": "rosenbrock", "dimension": 2}, "seed": 1},
         }[section]
         target = data
         for name in section.split("."):
@@ -265,7 +269,7 @@ class TestValues:
     def test_pso_bounds_filled_from_objective(self, workdir):
         data = {"pso": {"objective": "rastrigin", "dimension": 3}, "seed": 1}
         config = load_config(write_json(workdir, data))
-        assert config.pso.bounds == (-5.12, 5.12)
+        assert (config.section.objective.lower, config.section.objective.upper) == (-5.12, 5.12)
 
     def test_pso_explicit_bounds_win(self, workdir):
         data = {
@@ -273,7 +277,7 @@ class TestValues:
             "seed": 1,
         }
         config = load_config(write_json(workdir, data))
-        assert config.pso.bounds == (-1.0, 1.0)
+        assert (config.section.objective.lower, config.section.objective.upper) == (-1.0, 1.0)
 
     @pytest.mark.parametrize("end", [float("-inf"), float("nan")], ids=["-Infinity", "NaN"])
     @pytest.mark.parametrize("path", ["pso.bounds", "cross.weight_bounds"])
@@ -325,7 +329,7 @@ class TestPaths:
         nested.mkdir()
         data = {"ann": {"layers": [2, 2, 1], "dataset": "../xor.csv"}, "seed": 1}
         config = load_config(write_json(nested, data))
-        assert config.ann.dataset == str(workdir / "xor.csv")
+        assert config.section.dataset == str(workdir / "xor.csv")
 
     def test_out_resolves_against_the_config_directory(self, workdir):
         data = minimal_eca(out="runs/out.jsonl")
@@ -356,7 +360,7 @@ class TestMetaValidation:
 
     def test_meta_aco_accepted(self, workdir):
         config = load_config(write_json(workdir, self.meta_aco()))
-        assert config.meta.parameters == {"alpha": (0.0, 4.0), "beta": (0.0, 6.0)}
+        assert config.meta.boxes == {"alpha": ParamBox(0.0, 4.0), "beta": ParamBox(0.0, 6.0)}
         assert config.to_dict()["schedule"]["meta_generations"] == 3
 
     def test_meta_key_must_be_searchable(self, workdir):
@@ -379,7 +383,7 @@ class TestMetaValidation:
 
     def test_meta_generations_agreement(self, workdir):
         data = self.meta_aco()
-        data["schedule"] = {"meta_generations": 3, "slow_steps": 1}
+        data["schedule"] = {"meta_generations": 3}
         config = load_config(write_json(workdir, data))
         assert config.to_dict()["schedule"]["meta_generations"] == 3
 
@@ -417,7 +421,7 @@ class TestMetaValidation:
 
     def test_single_point_search_box_is_legal(self, workdir):
         config = load_config(write_json(workdir, self.meta_aco(parameters={"alpha": [2.0, 2.0]})))
-        assert config.meta.parameters == {"alpha": (2.0, 2.0)}
+        assert config.meta.boxes == {"alpha": ParamBox(2.0, 2.0)}
 
     def test_empty_parameters_rejected(self, workdir):
         data = self.meta_aco(parameters={})
@@ -483,7 +487,6 @@ class TestRoundTrips:
                     "generations": 2,
                     "inner_slow_steps": 5,
                 },
-                "schedule": {"slow_steps": 1},
                 "seed": 6,
             },
         )
@@ -517,4 +520,4 @@ class TestRoundTrips:
                 "seed": 8,
             },
         )
-        assert config.pso.params.neighborhoods == ((0, 1), (0, 1), (2, 3), (2, 3))
+        assert config.section.params.neighborhoods == ((0, 1), (0, 1), (2, 3), (2, 3))

@@ -4,7 +4,7 @@ import pytest
 
 from cnets.config import load_config
 from cnets.errors import ConfigurationError
-from cnets.harness import _load_problem, _meta_search, execute
+from cnets.harness import _meta_search, execute
 from cnets.meta import evaluate_genome, three_scale_run
 from cnets.records import read_run_file
 from cnets.rng import RngStream
@@ -165,7 +165,7 @@ class TestExecute:
         path = workdir / "again.json"
         path.write_text(json.dumps(data))
         config = load_config(str(path))
-        search = _meta_search(config, _load_problem(config))
+        search = _meta_search(config, config.section.problem())
         [default_fitness] = evaluate_genome(
             [{"alpha": 1.0}], search.rebuild, 3, (1, 2)
         )
@@ -197,7 +197,7 @@ class TestExecute:
         }
         result = run_config(workdir, data)
         config = load_config(str(workdir / "run.json"))
-        expected = three_scale_run(_meta_search(config, _load_problem(config)), RngStream(5))
+        expected = three_scale_run(_meta_search(config, config.section.problem()), RngStream(5))
 
         def comparable(records):
             return [(r.slow_step, r.best_value, r.parameter_snapshot) for r in records]

@@ -50,9 +50,9 @@ def swarms(draw):
         cognitive=draw(st.floats(0.0, 2.5)),
         social=draw(st.floats(0.0, 2.5)),
     )
-    objective = named_objective(
-        draw(st.sampled_from(["sphere", "rosenbrock", "rastrigin"])), draw(st.integers(1, 60))
-    )
+    name = draw(st.sampled_from(["sphere", "rosenbrock", "rastrigin"]))
+    # rosenbrock needs two dimensions; the others take one
+    objective = named_objective(name, draw(st.integers(1 + (name == "rosenbrock"), 60)))
     return objective, params, draw(SEEDS)
 
 
