@@ -83,24 +83,18 @@ class AcoParams:
         for name in ("alpha", "beta", "deposit", "initial_pheromone", "min_pheromone"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigurationError("alpha and beta must be >= 0")
+                raise ConfigurationError(f"must be finite, got {value}", key=name)
+            if name in ("alpha", "beta") and value < 0:
+                raise ConfigurationError(f"must be >= 0, got {value}", key=name)
+            if name not in ("alpha", "beta") and value <= 0:
+                raise ConfigurationError(f"must be positive, got {value}", key=name)
         if not 0.0 <= self.evaporation <= 1.0:
-            raise ConfigurationError(
-                f"evaporation must be in [0, 1], got {self.evaporation}"
-            )
-        if self.deposit <= 0:
-            raise ConfigurationError(f"deposit must be positive, got {self.deposit}")
+            raise ConfigurationError(f"must be in [0, 1], got {self.evaporation}", key="evaporation")
         if self.ants < 1:
-            raise ConfigurationError(f"need >= 1 ant, got {self.ants}")
-        if self.initial_pheromone <= 0:
-            raise ConfigurationError("initial_pheromone must be positive")
-        if self.min_pheromone <= 0:
-            raise ConfigurationError("min_pheromone must be positive")
+            raise ConfigurationError(f"must be >= 1, got {self.ants}", key="ants")
         if self.demon not in DEMON_CHOICES:
             raise ConfigurationError(
-                f"demon must be one of {DEMON_CHOICES}, got {self.demon!r}"
+                f"must be one of {DEMON_CHOICES}, got {self.demon!r}", key="demon"
             )
 
 

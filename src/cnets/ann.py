@@ -166,10 +166,9 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
     if len(inputs) != arity:
         raise ConfigurationError(f"network takes {arity} inputs, got {len(inputs)}")
     a = np.asarray(inputs, dtype=float)
-    pre_activations, outputs = [a], [a]
+    outputs = [a]
     for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
-        z = w @ a + b
-        a = ACTIVATIONS[arch.activations[k + 1]][0](z)
+        a = ACTIVATIONS[arch.activations[k + 1]][0](w @ a + b)
         finite = np.isfinite(a)
         if not finite.all():
             j = int(finite.argmin())
@@ -177,9 +176,8 @@ def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
                 f"node {arch.topology.node_base(k + 1) + j} produced "
                 f"non-finite output {float(a[j])}"
             )
-        pre_activations.append(z)
         outputs.append(a)
-    arch.pre_activations, arch.outputs = pre_activations, outputs
+    arch.outputs = outputs
     return a.tolist()
 
 
@@ -291,8 +289,8 @@ class AnnArchitecture:
     weights[k] (shape: size of layer k+1 by size of layer k) and
     biases[k] feed layer k+1, and activations[k] names layer k's
     activation (the identity for inputs). These arrays are the only copy
-    of the adjustable state. pre_activations[k] and outputs[k] hold layer
-    k's values from the last forward pass, zeros before the first.
+    of the adjustable state. outputs[k] holds layer k's values from the
+    last forward pass, zeros before the first.
     workspace gives the buffers the batch pass of gradients writes into.
     """
 
@@ -309,8 +307,7 @@ class AnnArchitecture:
         hidden = (params.hidden_activation,) * (topology.depth - 2)
         self.activations = ("identity", *hidden, params.output_activation)
         self.weights, self.biases = topology.layer_views(vector)
-        self.pre_activations = [np.zeros(size) for size in topology.layer_sizes]
-        self.outputs = list(self.pre_activations)
+        self.outputs = [np.zeros(size) for size in topology.layer_sizes]
         self._cursor = 0
         self._last_mse: float | None = None
         self._workspace: tuple[list[np.ndarray], ...] | None = None

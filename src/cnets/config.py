@@ -181,8 +181,10 @@ class AnnSection:
         dataset = _resolve_path(_get(data, "dataset", where, str, required=True), base_dir, f"{where}.dataset")
         return cls(layers=tuple(layers), dataset=dataset, params=_read(AnnParams, data, where))
 
-    def problem(self) -> Dataset:
-        return Dataset.from_csv(self.dataset)
+    def problem(self, where: str = "config.ann") -> Dataset:
+        dataset = Dataset.from_csv(self.dataset)
+        _at(f"{where}.layers", ann._check_arities, ann.LayeredTopology(self.layers), dataset)
+        return dataset
 
     def network(self, problem: Dataset, rng: RngStream, genome: Genome) -> ComputingNetwork:
         return ann.build_ann(self.layers, problem, rng, self.params)
@@ -327,16 +329,11 @@ class MetaSection:
             key: _at(f"{where}.parameters.{key}", ParamBox, *_number_pair(box, f"{where}.parameters.{key}"))
             for key, box in raw_params.items()
         }
-        # every end must be a value params accepts; it checks field by field,
-        # so one object holds all the lows and one all the highs
+        # every end must be a value params accepts; it checks field by field and
+        # names the key at fault, so one object holds all the lows and one all the highs
         for end in ("low", "high"):
             ends = {key: getattr(box, end) for key, box in boxes.items()}
-            try:
-                replace(params, **ends)
-            except ConfigurationError:
-                for key, value in ends.items():  # name the box at fault
-                    _at(f"{where}.parameters.{key}", replace, params, **{key: value})
-                raise
+            _at(f"{where}.parameters", replace, params, **ends)
         eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
         return cls(boxes=boxes, config=_read(MetaConfig, data, where, eval_seeds=eval_seeds))
 
@@ -361,7 +358,7 @@ class CrossSection:
     @classmethod
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "CrossSection":
         _check_keys(data, ("ann", "pso", "weight_bounds", "dimension"), where)
-        ann = AnnSection.parse(_get(data, "ann", where, dict, required=True), base_dir, f"{where}.ann")
+        inner = AnnSection.parse(_get(data, "ann", where, dict, required=True), base_dir, f"{where}.ann")
         pso_raw = _get(data, "pso", where, dict, default={})
         _check_keys(pso_raw, tuple(k for k in _names(PsoParams) if k != "neighborhoods"), f"{where}.pso")
         weight_bounds = WEIGHT_BOUNDS
@@ -370,22 +367,26 @@ class CrossSection:
         if not weight_bounds[0] < weight_bounds[1]:
             raise ConfigurationError(f"{where}.weight_bounds: need low < high")
         dimension = _get(data, "dimension", where, int)
-        if dimension is not None and dimension < 1:
-            raise ConfigurationError(f"{where}.dimension: must be >= 1, got {dimension}")
+        count = ann.LayeredTopology(inner.layers).parameter_count
+        if dimension is not None and dimension != count:
+            raise ConfigurationError(
+                f"{where}.dimension: must equal the network's {count} trainable parameters, "
+                f"got {dimension}"
+            )
         topology = _get(pso_raw, "topology", f"{where}.pso", str)
         if topology not in (None, "ring", "global"):
             raise ConfigurationError(
                 f"{where}.pso.topology: cross runs support ring or global, got {topology!r}"
             )
         return cls(
-            ann=ann,
+            ann=inner,
             pso=_read(PsoParams, pso_raw, f"{where}.pso"),
             weight_bounds=weight_bounds,
             dimension=dimension,
         )
 
     def problem(self) -> Dataset:
-        return self.ann.problem()
+        return self.ann.problem("config.cross.ann")
 
 
 _SECTIONS = {
@@ -523,10 +524,3 @@ def load_config(path: str) -> RunConfig:
     except ValueError as exc:  # an integer literal with more digits than Python converts
         raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
     return build_config(data, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def write_config(config: RunConfig, path: str) -> None:
-    """Write the fully resolved form; load_config(path) then round-trips."""
-    with open(path, "w") as handle:
-        json.dump(config.to_dict(), handle, indent=2)
-        handle.write("\n")

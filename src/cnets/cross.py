@@ -46,30 +46,20 @@ def cross_train(
     pso_params: PsoParams | None = None,
     weight_bounds: tuple[float, float] = WEIGHT_BOUNDS,
     ann_params: AnnParams | None = None,
-    dimension: int | None = None,
 ) -> CrossResult:
     """Train the network's weights by swarm search over flat vectors.
 
     ann_params gives the network's activations; the swarm, not gradient
-    descent, trains it, so its learning rate goes unused. dimension,
-    when given, must equal the network's parameter count; it exists so
-    configs that state the dimension explicitly fail fast instead of
-    silently searching the wrong space.
+    descent, trains it, so its learning rate goes unused.
     """
     template = build_ann(layer_sizes, dataset, rng, ann_params)
-    expected = template.arch.topology.parameter_count
-    if dimension is not None and dimension != expected:
-        raise ConfigurationError(
-            f"swarm dimension {dimension} does not match the network's "
-            f"{expected} trainable parameters"
-        )
     lo, hi = weight_bounds
     if not lo < hi:
         raise ConfigurationError(f"weight bounds need low < high, got [{lo}, {hi}]")
 
     objective = Objective(
         name="ann-batch-mse",
-        dimension=expected,
+        dimension=template.arch.topology.parameter_count,
         lower=float(lo),
         upper=float(hi),
         fn=partial(population_mse, template, dataset),

@@ -165,15 +165,6 @@ def grid_to_text(grid: Grid) -> str:
     return "\n".join("".join(str(c) for c in row) for row in grid) + "\n"
 
 
-def grid_from_text(text: str) -> Grid:
-    rows = [line for line in text.splitlines() if line]
-    if len({len(row) for row in rows}) > 1:
-        raise ConfigurationError("grid rows have unequal widths")
-    if any(ch not in "01" for row in rows for ch in row):
-        raise ConfigurationError("grid characters must be 0 or 1")
-    return [[int(ch) for ch in row] for row in rows]
-
-
 def grid_to_pbm(grid: Grid) -> str:
     """Portable bitmap (P1) text; cell value 1 maps to a black pixel."""
     if not grid:

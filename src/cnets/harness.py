@@ -9,6 +9,7 @@ the record file with the resolved config echoed as its header.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -51,12 +52,15 @@ def execute(config: RunConfig) -> ExecuteResult:
     """Run one resolved config end to end.
 
     The config must carry a seed by now (the CLI resolves precedence);
-    the record file is only written when an output path is set.
+    the record file is only written when an output path is set, and an
+    empty or directory path is refused before the run starts.
     """
     if config.seed is None:
         raise ConfigurationError(
             "no seed: set config.seed, pass --seed, or export CN_SEED"
         )
+    if config.out is not None and (not config.out or os.path.isdir(config.out)):
+        raise ConfigurationError(f"output path must name a file, got {config.out!r}")
     rng = RngStream(config.seed)
     section = config.section
     problem = section.problem()
@@ -70,7 +74,6 @@ def execute(config: RunConfig) -> ExecuteResult:
             pso_params=section.pso,
             weight_bounds=section.weight_bounds,
             ann_params=section.ann.params,
-            dimension=section.dimension,
         ).records
     elif config.meta is not None:
         records = three_scale_run(_meta_search(config, problem), rng)

@@ -84,26 +84,27 @@ class MetaConfig:
     def __post_init__(self):
         if self.population_size < 2:
             raise ConfigurationError(
-                f"population must be >= 2, got {self.population_size}"
+                f"must be >= 2, got {self.population_size}", key="population_size"
             )
         if self.generations < 0:
-            raise ConfigurationError(f"generations must be >= 0, got {self.generations}")
+            raise ConfigurationError(f"must be >= 0, got {self.generations}", key="generations")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ConfigurationError(
-                f"tournament size must be in [1, {self.population_size}], "
-                f"got {self.tournament_size}"
+                f"must be between 1 and population_size ({self.population_size}), "
+                f"got {self.tournament_size}",
+                key="tournament_size",
             )
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ConfigurationError(
-                f"crossover rate must be in [0, 1], got {self.crossover_rate}"
+                f"must be in [0, 1], got {self.crossover_rate}", key="crossover_rate"
             )
         if self.mutation_stddev < 0.0:
             raise ConfigurationError(
-                f"mutation stddev must be >= 0, got {self.mutation_stddev}"
+                f"must be >= 0, got {self.mutation_stddev}", key="mutation_stddev"
             )
         if self.inner_slow_steps < 1:
             raise ConfigurationError(
-                f"inner run budget must be >= 1 slow step, got {self.inner_slow_steps}"
+                f"must be >= 1, got {self.inner_slow_steps}", key="inner_slow_steps"
             )
         if not self.eval_seeds:
             raise ConfigurationError("need at least one evaluation seed", key="eval_seeds")

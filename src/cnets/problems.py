@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, MalformedInstanceError
-from .rng import RngStream
+
 
 def _read_only(rows) -> np.ndarray | None:
     """rows as a read-only float64 array, or None if they are not numbers."""
@@ -131,10 +131,6 @@ class Dataset(_ArrayValue):
         return self.targets.shape[1]
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple[Sequence[float], Sequence[float]]]) -> "Dataset":
-        return cls(inputs=[x for x, _ in rows], targets=[t for _, t in rows])
-
-    @classmethod
     def from_csv(cls, path: str) -> "Dataset":
         """Load a dataset whose header names columns in0,in1,...,out0,....
 
@@ -161,18 +157,6 @@ class Dataset(_ArrayValue):
         if table is None or table.shape[1] != len(header) or not np.isfinite(table).all():
             raise ConfigurationError(_refused_line(path, lines, len(header)))
         return cls(inputs=table[:, in_cols], targets=table[:, out_cols])
-
-
-def xor_dataset() -> Dataset:
-    """The 2-input XOR truth table with targets in {0, 1}."""
-    return Dataset.from_rows(
-        [
-            ((0.0, 0.0), (0.0,)),
-            ((0.0, 1.0), (1.0,)),
-            ((1.0, 0.0), (1.0,)),
-            ((1.0, 1.0), (0.0,)),
-        ]
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,9 +197,6 @@ class TourGraph(_ArrayValue):
     def n(self) -> int:
         return len(self.costs)
 
-    def cost(self, i: int, j: int) -> float:
-        return self.costs.item(i, j)
-
     def tour_length(self, tour: Sequence[int]) -> float:
         """Length of the closed tour visiting every node exactly once."""
         if sorted(tour) != list(range(self.n)):
@@ -223,12 +204,8 @@ class TourGraph(_ArrayValue):
                 f"tour must visit all {self.n} nodes exactly once, got {list(tour)}"
             )
         ring = list(tour)
-        # cumsum adds left to right, as summing cost(i, j) along the tour does
+        # cumsum adds left to right, as summing the edge costs in tour order does
         return self.costs[ring, ring[1:] + ring[:1]].cumsum()[-1].item()
-
-    @classmethod
-    def from_matrix(cls, matrix: Sequence[Sequence[float]]) -> "TourGraph":
-        return cls(costs=matrix)
 
     @classmethod
     def from_coordinates(cls, coords: Sequence[Sequence[float]]) -> "TourGraph":
@@ -239,11 +216,6 @@ class TourGraph(_ArrayValue):
             costs[i, i + 1 :] = [math.dist(p, q) for q in points[i + 1 :]]
         costs += costs.T  # the lower triangle is zero: the sum copies the upper one
         return cls(costs=costs)
-
-    @classmethod
-    def random_euclidean(cls, n: int, rng: RngStream, box: float = 100.0) -> "TourGraph":
-        coords = [(rng.uniform(0.0, box), rng.uniform(0.0, box)) for _ in range(n)]
-        return cls.from_coordinates(coords)
 
     @classmethod
     def from_csv(cls, path: str, fmt: str = "coords") -> "TourGraph":
@@ -269,7 +241,7 @@ class TourGraph(_ArrayValue):
             table = None
         if table is None or table.shape[1] != width or not np.isfinite(table).all():
             raise ConfigurationError(_refused_line(path, lines, width, skip_header=header))
-        build = cls.from_coordinates if fmt == "coords" else cls.from_matrix
+        build = cls.from_coordinates if fmt == "coords" else cls
         try:
             return build(table)
         except MalformedInstanceError as exc:

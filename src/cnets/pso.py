@@ -45,31 +45,32 @@ class PsoParams:
         for name in ("inertia", "cognitive", "social", "velocity_clamp"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+                raise ConfigurationError(f"must be finite, got {value}", key=name)
             if name != "inertia" and value < 0:
-                raise ConfigurationError(f"{name} must be >= 0, got {value}")
+                raise ConfigurationError(f"must be >= 0, got {value}", key=name)
         if self.particles < 2:
-            raise ConfigurationError(f"need >= 2 particles, got {self.particles}")
+            raise ConfigurationError(f"must be >= 2, got {self.particles}", key="particles")
         if self.topology not in TOPOLOGIES:
             raise ConfigurationError(
-                f"topology must be one of {TOPOLOGIES}, got {self.topology!r}"
+                f"must be one of {TOPOLOGIES}, got {self.topology!r}", key="topology"
             )
         if self.topology == "custom":
             if not self.neighborhoods:
-                raise ConfigurationError("custom topology needs explicit neighborhoods")
+                raise ConfigurationError("a custom topology needs them", key="neighborhoods")
             if len(self.neighborhoods) != self.particles:
                 raise ConfigurationError(
-                    f"need one neighborhood per particle "
-                    f"({self.particles}), got {len(self.neighborhoods)}"
+                    f"need one per particle ({self.particles}), got {len(self.neighborhoods)}",
+                    key="neighborhoods",
                 )
             for i, members in enumerate(self.neighborhoods):
                 if i not in members:
                     raise ConfigurationError(
-                        f"particle {i} must belong to its own neighborhood"
+                        f"particle {i} must belong to its own neighborhood", key="neighborhoods"
                     )
                 if len(set(members)) < 2:
                     raise ConfigurationError(
-                        f"neighborhood of particle {i} needs >= 2 distinct members"
+                        f"neighborhood of particle {i} needs >= 2 distinct members",
+                        key="neighborhoods",
                     )
                 bad = [m for m in members if not 0 <= m < self.particles]
                 if bad:
@@ -109,7 +110,6 @@ def evaluate(net: ComputingNetwork, objective: Objective) -> None:
             f"particle {i} produced non-finite value {float(values[i])!r}"
         )
     better = values < arch.best_values
-    arch.values = values
     arch.best_values = np.where(better, values, arch.best_values)
     arch.best_positions = np.where(better[:, None], arch.positions, arch.best_positions)
 
@@ -152,7 +152,7 @@ class PsoArchitecture:
     """Swarm behaviour: fast = evaluate, slow = refresh neighborhoods and move.
 
     Row i of positions, velocities and best_positions, and entry i of
-    values and best_values, are particle i's: the only copy of its state.
+    best_values, are particle i's: the only copy of its state.
     Particles with identical neighborhoods share hyperedge k, whose
     members are members[k], ascending, padded by repeating the last one;
     neighborhood_bests[k] caches its best position.
@@ -179,9 +179,8 @@ class PsoArchitecture:
         self.members = np.array([m + m[-1:] * (width - len(m)) for m in edge_of])
         self.positions = positions
         self.velocities = velocities
-        self.values = np.full(len(positions), np.inf)
         self.best_positions = positions.copy()
-        self.best_values = self.values.copy()
+        self.best_values = np.full(len(positions), np.inf)
         self.neighborhood_bests = np.zeros((len(self.members), positions.shape[1]))
 
     def substrate(self) -> tuple[int, np.ndarray]:

@@ -140,20 +140,9 @@ def comparable_bytes(path: str) -> bytes:
 SUMMARY_COLUMNS = ("file", "architecture", "seed", "final_best", "iterations", "wall_clock_ms")
 
 
-def _architecture_of(config: dict[str, Any]) -> str:
-    if "cross" in config:
-        return "cross"
-    explicit = config.get("architecture")
-    if explicit:
-        return str(explicit)
-    for kind in ("ann", "aco", "pso", "eca"):
-        if kind in config:
-            return kind
-    return "unknown"
-
-
 def summarize(paths: Sequence[str]) -> list[dict[str, Any]]:
-    """One summary row per record file, in sorted path order."""
+    """One summary row per record file, in sorted path order; a header with
+    no architecture key reads "unknown"."""
     rows = []
     for path in sorted(paths):
         config, records = read_run_file(path)
@@ -164,7 +153,7 @@ def summarize(paths: Sequence[str]) -> list[dict[str, Any]]:
         rows.append(
             {
                 "file": path,
-                "architecture": _architecture_of(config),
+                "architecture": str(config.get("architecture") or "unknown"),
                 "seed": config.get("seed"),
                 "final_best": final.best_value,
                 "iterations": final.slow_step,

@@ -19,9 +19,6 @@ import numpy as np
 from .errors import ConfigurationError
 
 _WORD = 1 << 64
-# 64-bit golden-ratio increment; decorrelates child stream keys the same
-# way splitmix64 decorrelates consecutive seeds.
-_MIX = 0x9E3779B97F4A7C15
 
 
 def _plain_state(state: dict) -> dict:
@@ -72,7 +69,6 @@ def _unseeded():
 class RngStream:
     """A named, independently seeded source of random draws."""
 
-    algorithm = "philox4x64"
     # the leading shape of every draw: none here, one row per stream in a StreamGroup
     shape = ()
 
@@ -96,11 +92,6 @@ class RngStream:
     @property
     def streams(self) -> tuple["RngStream"]:
         return (self,)
-
-    def substream(self, index: int) -> "RngStream":
-        """Derive a child stream that never collides with the parent's draws."""
-        child = ((self.stream + 1) * _MIX + index + 1) % _WORD
-        return RngStream(self.seed, child)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         self._position = None

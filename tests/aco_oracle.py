@@ -21,7 +21,7 @@ def transition_weights(
     """Unnormalized preference for each candidate trail out of here."""
     return [
         float(pheromone[here][node]) ** params.alpha
-        * (1.0 / graph.cost(here, node)) ** params.beta
+        * (1.0 / graph.costs.item(here, node)) ** params.beta
         for node in candidates
     ]
 
@@ -53,10 +53,10 @@ def construct_one(
     while len(path) < graph.n:
         here = path[-1]
         nxt = choose_next(here, visited, pheromone, graph, params, rng)
-        length += graph.cost(here, nxt)
+        length += graph.costs.item(here, nxt)
         path.append(nxt)
         visited.add(nxt)
-    length += graph.cost(path[-1], path[0])
+    length += graph.costs.item(path[-1], path[0])
     if not length < float("inf"):
         raise NumericDivergenceError(f"tour length diverged at node {path[-1]}")
     return path, length
@@ -110,8 +110,8 @@ def two_opt(path: Sequence[int], graph: TourGraph) -> list[int]:
                 a, b = tour[i], tour[i + 1]
                 c, d = tour[j], tour[(j + 1) % n]
                 delta = (
-                    graph.cost(a, c) + graph.cost(b, d)
-                    - graph.cost(a, b) - graph.cost(c, d)
+                    graph.costs.item(a, c) + graph.costs.item(b, d)
+                    - graph.costs.item(a, b) - graph.costs.item(c, d)
                 )
                 if delta < -1e-12:
                     tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])

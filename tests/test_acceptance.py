@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from instances import random_euclidean, xor_dataset
 from cnets import core
 from cnets.aco import AcoParams, build_aco_network
 from cnets.analysis import interaction_excess, trace_from_discrete
@@ -22,7 +23,7 @@ from cnets.core import ScaleSchedule, run
 from cnets.cross import cross_train
 from cnets.eca import build_eca_network, evolve, rule_table
 from cnets.meta import MetaConfig, MetaSearch, ParamBox, evaluate_genome, meta_run
-from cnets.problems import Dataset, Tape, TourGraph, named_objective, xor_dataset
+from cnets.problems import Dataset, Tape, named_objective
 from cnets.pso import PsoParams, build_pso_network
 from cnets.records import comparable_bytes, write_run_file
 from cnets.rng import RngStream
@@ -155,7 +156,7 @@ def _tours_outcome():
     runs = []
     for seed in ACO_SEEDS:
         rng = RngStream(seed)
-        graph = TourGraph.random_euclidean(5, rng)
+        graph = random_euclidean(5, rng)
         optimum = min(
             graph.tour_length((0,) + rest)
             for rest in itertools.permutations(range(1, graph.n))
@@ -214,7 +215,7 @@ def _meta_outcome():
     start = time.perf_counter()
 
     def rebuild(genome, rng):
-        graph = TourGraph.random_euclidean(5, rng)
+        graph = random_euclidean(5, rng)
         params = AcoParams(
             alpha=genome["alpha"],
             beta=genome["beta"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from instances import random_euclidean
 from cnets.aco import (
     MAX_RESTARTS,
     WALK_DOUBLES,
@@ -94,7 +95,7 @@ def probabilities(row: np.ndarray, here: int) -> np.ndarray:
 class TestTransitions:
     def test_worked_probability_example(self):
         # from node 0: pheromones (2, 1), desirabilities (1, 1), alpha = beta = 1
-        graph = TourGraph.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        graph = TourGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=1.0)
         net = build_aco_network(graph, params)
         tau = net.arch.pheromone[0]
@@ -104,7 +105,7 @@ class TestTransitions:
 
     def test_beta_raises_desirability(self):
         # costs 0.5 and 1 out of node 0: desirabilities 2 and 1
-        graph = TourGraph.from_matrix([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
+        graph = TourGraph([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=2.0)
         net = build_aco_network(graph, params)
         assert net.arch.choice_info()[0][0].tolist() == pytest.approx([0.0, 4.0, 1.0])
@@ -141,7 +142,7 @@ class TestTransitions:
     @settings(max_examples=30)
     def test_probabilities_sum_to_one(self, seed):
         rng = RngStream(seed)
-        graph = TourGraph.random_euclidean(5, rng)
+        graph = random_euclidean(5, rng)
         params = AcoParams(alpha=1.3, beta=0.7)
         net = build_aco_network(graph, params)
         upper = np.triu(rng.uniform(0.1, 5.0, size=(5, 5)), 1)
@@ -207,7 +208,7 @@ class TestDeadEnds:
 
 class TestDivergence:
     def test_overflowing_pheromone_power_is_a_divergence(self):
-        graph = TourGraph.random_euclidean(6, RngStream(1))
+        graph = random_euclidean(6, RngStream(1))
         net = build_aco_network(graph, AcoParams(alpha=400.0, initial_pheromone=10.0))
         with pytest.raises(NumericDivergenceError) as caught:
             run(net, ScaleSchedule(slow_steps=2), graph, RngStream(2))
@@ -222,7 +223,7 @@ class TestDivergence:
 
     def test_weights_too_large_to_sum_are_a_divergence(self):
         # every weight is finite, but a row of them sums past the largest double
-        graph = TourGraph.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        graph = TourGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=0.0, initial_pheromone=1e308)
         net = build_aco_network(graph, params)
         with pytest.raises(NumericDivergenceError):
@@ -271,7 +272,7 @@ class TestPheromoneUpdates:
 
 class TestConstruction:
     def test_tours_are_valid_permutations(self):
-        graph = TourGraph.random_euclidean(6, RngStream(11))
+        graph = random_euclidean(6, RngStream(11))
         net = build_aco_network(graph, AcoParams(ants=8))
         solutions = construct_solutions(net, RngStream(12))
         assert len(solutions) == 8
@@ -280,7 +281,7 @@ class TestConstruction:
             assert length == pytest.approx(graph.tour_length(path))
 
     def test_no_ants_left_behind(self):
-        graph = TourGraph.random_euclidean(5, RngStream(3))
+        graph = random_euclidean(5, RngStream(3))
         net = build_aco_network(graph, AcoParams(ants=4))
         before = net.arch.pheromone.copy()
         construct_solutions(net, RngStream(4))
@@ -288,7 +289,7 @@ class TestConstruction:
         assert (net.arch.pheromone == before).all()
 
     def test_construction_is_seed_deterministic(self):
-        graph = TourGraph.random_euclidean(5, RngStream(3))
+        graph = random_euclidean(5, RngStream(3))
 
         def tours(seed):
             net = build_aco_network(graph, AcoParams(ants=5))
@@ -307,7 +308,7 @@ class TestDemon:
         assert graph.tour_length(improved) < graph.tour_length(crossed)
 
     def test_two_opt_never_lengthens(self):
-        graph = TourGraph.random_euclidean(7, RngStream(21))
+        graph = random_euclidean(7, RngStream(21))
         rng = RngStream(22)
         for _ in range(10):
             path = [int(v) for v in rng.permutation(7)]
@@ -321,7 +322,7 @@ class TestDemon:
 
 class TestColonyRuns:
     def test_best_value_never_worsens(self):
-        graph = TourGraph.random_euclidean(6, RngStream(31))
+        graph = random_euclidean(6, RngStream(31))
         net = build_aco_network(graph, AcoParams(ants=6))
         records = run(
             net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=15), graph, RngStream(32)
@@ -332,7 +333,7 @@ class TestColonyRuns:
         assert all(b <= a for a, b in zip(trailing, trailing[1:]))
 
     def test_readout_matches_best_path(self):
-        graph = TourGraph.random_euclidean(5, RngStream(41))
+        graph = random_euclidean(5, RngStream(41))
         net = build_aco_network(graph, AcoParams(ants=5))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), graph, RngStream(42))
         path = net.arch.best.paths[0].tolist()
@@ -347,22 +348,22 @@ class TestColonyRuns:
         assert net.arch.best.lengths[0] == pytest.approx(4.0)
 
     def test_demon_run_reaches_optimum_quickly(self):
-        graph = TourGraph.random_euclidean(7, RngStream(51))
+        graph = random_euclidean(7, RngStream(51))
         optimum = brute_force_optimum(graph)
         net = build_aco_network(graph, AcoParams(ants=8, demon="two-opt"))
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(52))
         assert net.arch.best.lengths[0] == pytest.approx(optimum)
 
     def test_pheromone_floor_holds_during_a_run(self):
-        graph = TourGraph.random_euclidean(5, RngStream(61))
+        graph = random_euclidean(5, RngStream(61))
         params = AcoParams(ants=3, evaporation=0.9, min_pheromone=1e-6)
         net = build_aco_network(graph, params)
         run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(62))
         assert (net.arch.pheromone >= 1e-6).all()
 
     def test_problem_mismatch_rejected(self):
-        graph = TourGraph.random_euclidean(5, RngStream(71))
-        other = TourGraph.random_euclidean(5, RngStream(72))
+        graph = random_euclidean(5, RngStream(71))
+        other = random_euclidean(5, RngStream(72))
         net = build_aco_network(graph)
         with pytest.raises(ConfigurationError):
             run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=1), other, RngStream(0))

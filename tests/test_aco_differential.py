@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aco_oracle as oracle
+from instances import random_euclidean
 from cnets.aco import (
     AcoArchitecture,
     AcoParams,
@@ -35,7 +36,7 @@ def instance(n: int, seed: int, grid: bool = False, box: float = 100.0) -> TourG
         side = max(7, math.isqrt(n - 1) + 1)
         cells = rng.permutation(side * side)[:n]
         return TourGraph.from_coordinates([(int(c) % side, int(c) // side) for c in cells])
-    return TourGraph.random_euclidean(n, rng, box)
+    return random_euclidean(n, rng, box)
 
 
 def random_pheromone(n: int, rng: RngStream) -> np.ndarray:

@@ -18,9 +18,10 @@ from cnets.ann import (
 )
 from cnets.core import ScaleSchedule, run
 from cnets.errors import ConfigurationError, NumericDivergenceError
-from cnets.problems import Dataset, xor_dataset
+from cnets.problems import Dataset
 from cnets.rng import RngStream
 from ann_oracle import weighted_sum
+from instances import xor_dataset
 
 
 def make_net(layer_sizes, dataset, seed=1, **kwargs):
@@ -28,7 +29,7 @@ def make_net(layer_sizes, dataset, seed=1, **kwargs):
 
 
 def linear_dataset():
-    return Dataset.from_rows([((1.5,), (1.0,))])
+    return Dataset(inputs=[(1.5,)], targets=[(1.0,)])
 
 
 class TestWeightedSum:
@@ -65,13 +66,13 @@ class TestTopology:
 
 class TestForward:
     def test_single_linear_neuron(self):
-        ds = Dataset.from_rows([((1.0, 2.0), (0.0,))])
+        ds = Dataset(inputs=[(1.0, 2.0)], targets=[(0.0,)])
         net = make_net((2, 1), ds, output_activation="identity")
         set_weight_vector(net, [2.0, 3.0, 0.5])
         assert forward(net, [1.0, 2.0]) == [8.5]
 
     def test_hand_computed_two_layer(self):
-        ds = Dataset.from_rows([((1.0, 0.5), (0.0,))])
+        ds = Dataset(inputs=[(1.0, 0.5)], targets=[(0.0,)])
         net = make_net((2, 2, 1), ds)
         # layer 0 weights (dst-major), layer 1 weights, hidden biases, output bias
         set_weight_vector(net, [1.0, -1.0, 0.5, 0.5, 1.0, 2.0, 0.0, -1.0, 0.25])
@@ -88,17 +89,16 @@ class TestForward:
         set_weight_vector(net, [3.0, 0.5])
         forward(net, [2.0])
         assert net.arch.outputs[0].tolist() == [2.0]
-        assert net.arch.pre_activations[1].tolist() == [6.5]
         assert net.arch.outputs[1].tolist() == [6.5]
         assert net.arch.readout(net) == [6.5]
 
     def test_arity_mismatch_rejected(self):
-        net = make_net((2, 1), Dataset.from_rows([((0.0, 0.0), (0.0,))]))
+        net = make_net((2, 1), Dataset(inputs=[(0.0, 0.0)], targets=[(0.0,)]))
         with pytest.raises(ConfigurationError):
             forward(net, [1.0])
 
     def test_divergence_names_the_first_non_finite_node(self):
-        ds = Dataset.from_rows([((1.0, 1.0), (0.0,))])
+        ds = Dataset(inputs=[(1.0, 1.0)], targets=[(0.0,)])
         net = make_net((2, 3, 3, 1), ds, hidden_activation="identity")
         # second hidden layer (node ids 5..7): units 1 and 2 overflow
         vector = np.zeros(net.arch.topology.parameter_count)
@@ -130,12 +130,9 @@ class TestGradients:
         assert grad_b[0][0] == pytest.approx(2.0 * diff)
 
     def test_matches_central_differences(self):
-        ds = Dataset.from_rows(
-            [
-                ((0.2, -0.4, 0.1), (0.3,)),
-                ((-0.5, 0.9, 0.0), (-0.2,)),
-                ((0.7, 0.7, -0.3), (0.1,)),
-            ]
+        ds = Dataset(
+            inputs=[(0.2, -0.4, 0.1), (-0.5, 0.9, 0.0), (0.7, 0.7, -0.3)],
+            targets=[(0.3,), (-0.2,), (0.1,)],
         )
         net = make_net((3, 2, 1), ds, seed=5, output_activation="logistic")
         grad_w, grad_b, _ = gradients(net, ds)
@@ -161,7 +158,7 @@ class TestGradients:
         assert rel.max() < 1e-6
 
     def test_dataset_arity_checked(self):
-        net = make_net((2, 1), Dataset.from_rows([((0.0, 0.0), (0.0,))]))
+        net = make_net((2, 1), Dataset(inputs=[(0.0, 0.0)], targets=[(0.0,)]))
         with pytest.raises(ConfigurationError):
             gradients(net, linear_dataset())
 
@@ -207,7 +204,7 @@ class TestTrainStep:
         step, a step's peak allocation is below one (samples, 64) array."""
         samples, sizes = 1024, (16, 64, 64, 4)
         data = RngStream(3).uniform(-1.0, 1.0, size=(samples, sizes[0] + sizes[-1]))
-        ds = Dataset.from_rows([(row[: sizes[0]], row[sizes[0] :]) for row in data])
+        ds = Dataset(inputs=data[:, : sizes[0]], targets=data[:, sizes[0] :])
         net = make_net(sizes, ds, seed=4)
         train_step(net, ds, 0.1)
         tracemalloc.start()
@@ -286,7 +283,7 @@ class TestArchitecture:
         assert [r.best_value for r in records] == pytest.approx(replayed[:4])
 
     def test_learning_rate_must_be_positive(self):
-        dataset = Dataset.from_rows([((0.0, 0.0), (0.0,))])
+        dataset = Dataset(inputs=[(0.0, 0.0)], targets=[(0.0,)])
         for rate in (0.0, -0.5, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError, match="learning_rate"):
                 make_net((2, 1), dataset, learning_rate=rate)

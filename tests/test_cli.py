@@ -61,6 +61,19 @@ class TestRunCommand:
         assert main(["run", path]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config-empty", "flag-empty", "flag-directory"])
+    def test_empty_or_directory_out_is_refused_before_the_run(
+        self, workdir, capsys, monkeypatch, where
+    ):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("cnets.harness.run", no_run)
+        flag = {"config-empty": [], "flag-empty": ["--out", ""], "flag-directory": ["--out", str(workdir)]}
+        path = eca_config(workdir, out="" if where == "config-empty" else "run.jsonl")
+        assert main(["run", path, *flag[where]]) == 1
+        assert capsys.readouterr().err.startswith("config error: output path must name a file, got ")
+
     def test_out_flag_overrides_config(self, workdir, capsys):
         path = eca_config(workdir, out="ignored.jsonl")
         target = str(workdir / "explicit.jsonl")
@@ -330,6 +343,29 @@ class TestExitCodes:
                 },
                 "schedule.fast_steps_per_slow: must be 1, a meta run's inner runs take",
             ),
+            (
+                {"ann": {"layers": [3, 1], "dataset": "xor.csv"}},
+                "ann.layers: dataset input arity 2 does not match input layer size 3",
+            ),
+            (
+                {"cross": {"ann": {"layers": [2, 2], "dataset": "xor.csv"}}},
+                "cross.ann.layers: dataset target arity 1 does not match output layer size 2",
+            ),
+            (
+                {"cross": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "dimension": 7}},
+                "cross.dimension: must equal the network's 3 trainable parameters, got 7",
+            ),
+            (
+                {
+                    "aco": {"graph": "cities.csv"},
+                    "meta": {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1], "population_size": 2},
+                },
+                "meta.tournament_size: must be between 1 and population_size (2), got 3",
+            ),
+            (
+                {"aco": {"graph": "cities.csv", "evaporation": 1.5}},
+                "aco.evaporation: must be in [0, 1], got 1.5",
+            ),
         ],
         ids=[
             "pso.bounds-inverted",
@@ -339,6 +375,11 @@ class TestExitCodes:
             "cross.fast_steps_per_slow",
             "meta.slow_steps",
             "meta.fast_steps_per_slow",
+            "ann.layers-arity",
+            "cross.ann.layers-arity",
+            "cross.dimension",
+            "meta.tournament_size",
+            "aco.evaporation",
         ],
     )
     def test_refused_value_is_named_by_its_config_path(self, workdir, capsys, config, message):

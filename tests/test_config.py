@@ -4,8 +4,9 @@ from dataclasses import MISSING, asdict, fields
 
 import pytest
 
+from instances import write_config
 from cnets.ann import AnnParams
-from cnets.config import build_config, load_config, write_config
+from cnets.config import build_config, load_config
 from cnets.eca import EcaParams
 from cnets.errors import ConfigurationError
 from cnets.meta import ParamBox
@@ -182,7 +183,7 @@ class TestValues:
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_aco_non_finite_weight_rejected(self, workdir, field, value):
         data = json.loads('{"aco": {"graph": "cities.csv", "%s": %s}, "seed": 1}' % (field, value))
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        with pytest.raises(ConfigurationError, match=f"config.aco.{field}: must be finite"):
             build_config(data, base_dir=str(workdir))
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
@@ -198,12 +199,12 @@ class TestValues:
         "data, match",
         [
             (minimal_cross(particles=1), "particles"),
-            (minimal_cross(cognitive=float("nan")), "cognitive must be finite"),
-            (minimal_meta_aco(population_size=1), "population"),
-            (minimal_meta_aco(crossover_rate=2.0), "crossover rate"),
-            (minimal_meta_aco(tournament_size=50), "tournament size"),
-            (minimal_meta_aco(inner_slow_steps=0), "inner run budget"),
-            (minimal_meta_aco(mutation_stddev=-1), "mutation stddev"),
+            (minimal_cross(cognitive=float("nan")), "cross.pso.cognitive: must be finite"),
+            (minimal_meta_aco(population_size=1), "meta.population_size: must be >= 2"),
+            (minimal_meta_aco(crossover_rate=2.0), "meta.crossover_rate: must be in"),
+            (minimal_meta_aco(tournament_size=50), "meta.tournament_size: must be between"),
+            (minimal_meta_aco(inner_slow_steps=0), "meta.inner_slow_steps: must be >= 1"),
+            (minimal_meta_aco(mutation_stddev=-1), "meta.mutation_stddev: must be >= 0"),
         ],
         ids=[
             "cross-particles",
@@ -225,7 +226,7 @@ class TestValues:
         data = json.loads(
             '{"pso": {"objective": "sphere", "dimension": 2, "%s": NaN}, "seed": 1}' % field
         )
-        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+        with pytest.raises(ConfigurationError, match=f"config.pso.{field}: must be finite"):
             build_config(data)
 
     @pytest.mark.parametrize(
@@ -398,11 +399,24 @@ class TestMetaValidation:
             ("aco", "alpha", "[0.0, 1e400]", "finite"),
             ("aco", "alpha", "[NaN, 4.0]", "finite"),
             ("aco", "beta", "[-Infinity, 6.0]", "finite"),
-            ("aco", "alpha", "[-1, 4]", "alpha and beta must be >= 0"),
-            ("aco", "evaporation", "[0.5, 1.5]", "evaporation must be in"),
-            ("aco", "deposit", "[0, 2]", "deposit must be positive"),
+            # each id names the rule the box breaks
+            pytest.param(
+                "aco", "alpha", "[-1, 4]", "must be >= 0",
+                id="aco-alpha-[-1, 4]-alpha and beta must be >= 0",
+            ),
+            pytest.param(
+                "aco", "evaporation", "[0.5, 1.5]", "must be in",
+                id="aco-evaporation-[0.5, 1.5]-evaporation must be in",
+            ),
+            pytest.param(
+                "aco", "deposit", "[0, 2]", "must be positive",
+                id="aco-deposit-[0, 2]-deposit must be positive",
+            ),
             ("aco", "alpha", "[4, 0]", "empty search box"),
-            ("pso", "cognitive", "[-1, 2]", "cognitive must be >= 0"),
+            pytest.param(
+                "pso", "cognitive", "[-1, 2]", "must be >= 0",
+                id="pso-cognitive-[-1, 2]-cognitive must be >= 0",
+            ),
             ("pso", "inertia", "[0.4, Infinity]", "finite"),
         ],
     )

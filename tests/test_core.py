@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from instances import random_euclidean, xor_dataset
 from cnets.aco import AcoArchitecture, build_aco_network
 from cnets.ann import build_ann, weight_vector
 from cnets.core import (
@@ -18,7 +19,7 @@ from cnets.core import (
 )
 from cnets.eca import UpdateMode, build_eca_network, node_update_order
 from cnets.errors import ConfigurationError, NumericDivergenceError
-from cnets.problems import Dataset, Tape, TourGraph, named_objective, xor_dataset
+from cnets.problems import Dataset, Tape, named_objective
 from cnets.pso import PsoParams, build_pso_network
 from cnets.rng import RngStream
 
@@ -195,7 +196,7 @@ class TestSubstrateArrays:
         "build, expected",
         [
             (
-                lambda: build_aco_network(TourGraph.random_euclidean(7, RngStream(0))),
+                lambda: build_aco_network(random_euclidean(7, RngStream(0))),
                 list(combinations(range(7), 2)),
             ),
             (
@@ -253,9 +254,9 @@ class TestProtocol:
         "build",
         [
             lambda: build_ann((2, 2, 1), xor_dataset(), RngStream(0)),
-            lambda: build_aco_network(TourGraph.random_euclidean(5, RngStream(0))),
+            lambda: build_aco_network(random_euclidean(5, RngStream(0))),
             lambda: AcoArchitecture.lockstep(
-                [build_aco_network(TourGraph.random_euclidean(5, RngStream(0))) for _ in range(2)]
+                [build_aco_network(random_euclidean(5, RngStream(0))) for _ in range(2)]
             ),
             lambda: build_pso_network(named_objective("sphere", 2), RngStream(0)),
             lambda: build_eca_network(Tape.single_one(5), 110),

@@ -1,20 +1,41 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from instances import xor_dataset
 from cnets.ann import batch_mse, weight_vector
 from cnets.ann import AnnParams
+from cnets.config import build_config
 from cnets.cross import cross_train
 from cnets.errors import ConfigurationError
-from cnets.problems import Dataset, xor_dataset
+from cnets.harness import execute
+from cnets.problems import Dataset
 from cnets.pso import PsoParams
 from cnets.rng import RngStream
+
+
+CONFIGS = str(Path(__file__).resolve().parent.parent / "configs")
+
+
+def xor_cross_config(dimension: int) -> dict:
+    """A cross config over configs/xor.csv: a 2-2-1 network has 9 parameters."""
+    return {
+        "cross": {
+            "ann": {"layers": [2, 2, 1], "dataset": "xor.csv"},
+            "pso": {"particles": 5},
+            "dimension": dimension,
+        },
+        "schedule": {"slow_steps": 5},
+        "seed": 1,
+    }
 
 
 class TestCrossTrain:
     def test_linear_identity_is_solved_exactly(self):
         # one weight and one bias suffice: the swarm should find
         # parameters mapping 2 -> 1 to numerical precision
-        dataset = Dataset.from_rows([((2.0,), (1.0,))])
+        dataset = Dataset(inputs=[(2.0,)], targets=[(1.0,)])
         result = cross_train(
             dataset,
             (1, 1),
@@ -74,25 +95,17 @@ class TestCrossTrain:
         assert result.mse < result.records[0].best_value
 
     def test_dimension_must_match_parameter_count(self):
-        with pytest.raises(ConfigurationError, match="9"):
-            cross_train(
-                xor_dataset(),
-                (2, 2, 1),
-                RngStream(1),
-                iterations=5,
-                dimension=7,
-            )
+        with pytest.raises(
+            ConfigurationError,
+            match=r"^config\.cross\.dimension: must equal the network's 9 trainable parameters, got 7$",
+        ):
+            build_config(xor_cross_config(dimension=7), base_dir=CONFIGS)
 
     def test_matching_dimension_accepted(self):
-        result = cross_train(
-            xor_dataset(),
-            (2, 2, 1),
-            RngStream(1),
-            iterations=5,
-            pso_params=PsoParams(particles=5),
-            dimension=9,
-        )
-        assert result.weights.shape == (9,)
+        config = build_config(xor_cross_config(dimension=9), base_dir=CONFIGS)
+        records = execute(config).records
+        assert config.to_dict()["cross"]["dimension"] == 9
+        assert len(records[-1].network_output) == 9
 
     def test_degenerate_weight_bounds_rejected(self):
         with pytest.raises(ConfigurationError, match="bounds"):

@@ -17,6 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from instances import random_euclidean
 from test_meta import QuadraticProbe, probe_rebuild
 
 from cnets import aco, meta
@@ -56,10 +57,10 @@ def guard(net, calls=None):
 
 
 def colony_rebuild(n, ants, demon="off", guarded=False, draw_graph=False, graph_seed=0):
-    fixed = TourGraph.random_euclidean(n, RngStream(graph_seed, 1))
+    fixed = random_euclidean(n, RngStream(graph_seed, 1))
 
     def rebuild(genome, rng):
-        graph = TourGraph.random_euclidean(n, rng) if draw_graph else fixed
+        graph = random_euclidean(n, rng) if draw_graph else fixed
         net = build_aco_network(graph, AcoParams(ants=ants, demon=demon, **genome))
         if guarded:
             guard(net)
@@ -147,7 +148,7 @@ def test_stacks_are_split_at_the_size_bound(inner_runs, monkeypatch):
 
 
 def test_seeds_that_share_a_graph_share_a_stack(inner_runs):
-    graphs = [TourGraph.random_euclidean(7, RngStream(k, 1)) for k in range(2)]
+    graphs = [random_euclidean(7, RngStream(k, 1)) for k in range(2)]
 
     def rebuild(genome, rng):
         graph = graphs[rng.seed % 2]
@@ -176,7 +177,7 @@ def test_seeds_that_share_a_graph_share_a_stack(inner_runs):
 )
 @settings(max_examples=60, deadline=None)
 def test_one_stack_over_seeds_equals_one_stack_per_seed(genomes, seeds, n, ants, steps, demon):
-    graph = TourGraph.random_euclidean(n, RngStream(seeds[0], 1))
+    graph = random_euclidean(n, RngStream(seeds[0], 1))
 
     def colonies():
         return [build_aco_network(graph, AcoParams(ants=ants, demon=demon, **g)) for g in genomes]
@@ -214,7 +215,7 @@ def test_a_failing_stack_gives_the_plain_error(inner_runs):
     genomes = [{"alpha": 1.0}, {"alpha": 400.0}, {"alpha": 2.0}]
 
     def rebuild(genome, rng):
-        graph = TourGraph.random_euclidean(6, rng)
+        graph = random_euclidean(6, rng)
         return build_aco_network(graph, AcoParams(initial_pheromone=10.0, **genome)), graph
 
     with pytest.raises(NumericDivergenceError) as stacked:
@@ -253,7 +254,7 @@ def test_a_dead_end_in_the_stack_falls_back_to_restarts(inner_runs):
 
 def test_a_replaced_slow_step_never_stacks(inner_runs):
     calls = []
-    graph = TourGraph.random_euclidean(6, RngStream(5, 1))
+    graph = random_euclidean(6, RngStream(5, 1))
 
     def rebuild(genome, rng):
         net = build_aco_network(graph, AcoParams(ants=4, **genome))
@@ -272,7 +273,7 @@ def test_a_replaced_slow_step_never_stacks(inner_runs):
 
 def test_genome_dependent_rebuild_draws_never_stack(inner_runs):
     def rebuild(genome, rng):
-        graph = TourGraph.random_euclidean(5, RngStream(9))
+        graph = random_euclidean(5, RngStream(9))
         if genome["alpha"] > 1.0:
             rng.uniform()  # this genome's runs draw differently
         return build_aco_network(graph, AcoParams(**genome)), graph
@@ -295,18 +296,18 @@ class TestLockstepHook:
         return build_aco_network(graph, AcoParams(**params))
 
     def test_colonies_stack_over_equal_graphs(self):
-        graph = TourGraph.random_euclidean(5, RngStream(1))
-        equal = TourGraph.from_matrix(graph.costs)
+        graph = random_euclidean(5, RngStream(1))
+        equal = TourGraph(graph.costs)
         nets = [self.colony(graph, alpha=1.0), self.colony(equal, alpha=2.0)]
         stack = AcoArchitecture.lockstep(nets)
         assert stack.arch.colonies == (nets[0].arch.colonies[0], nets[1].arch.colonies[0])
 
     @pytest.mark.parametrize("other", ["graph", "ants", "subclass", "slow"])
     def test_unlike_colonies_do_not_stack(self, other):
-        graph = TourGraph.random_euclidean(5, RngStream(1))
+        graph = random_euclidean(5, RngStream(1))
         nets = [self.colony(graph), self.colony(graph)]
         if other == "graph":
-            nets[1] = self.colony(TourGraph.random_euclidean(5, RngStream(2)))
+            nets[1] = self.colony(random_euclidean(5, RngStream(2)))
         elif other == "ants":
             nets[1] = self.colony(graph, ants=3)
         elif other == "slow":  # the stack would skip the replaced step
@@ -320,7 +321,7 @@ class TestLockstepHook:
         assert AcoArchitecture.lockstep(nets) is None
 
     def test_stacked_pheromone_starts_where_each_colony_would(self):
-        graph = TourGraph.random_euclidean(5, RngStream(1))
+        graph = random_euclidean(5, RngStream(1))
 
         def colonies():
             nets = [self.colony(graph, initial_pheromone=2), self.colony(graph), self.colony(graph)]
@@ -339,12 +340,12 @@ class TestLockstepHook:
         assert nets[2].arch.pheromone[0, 0, 1] == 0.25
 
     def test_stack_bound_follows_the_problem_size(self):
-        small = self.colony(TourGraph.random_euclidean(8, RngStream(1)), ants=10)
+        small = self.colony(random_euclidean(8, RngStream(1)), ants=10)
         assert small.arch.lockstep_limit() == aco.STACK_DOUBLES // (8 * 18)
         assert small.arch.lockstep_limit() * 8 * 18 * 8 <= 16 * 2**20
 
     def test_stacked_walk_matches_each_colony_walk(self):
-        graph = TourGraph.random_euclidean(9, RngStream(4))
+        graph = random_euclidean(9, RngStream(4))
         params = [AcoParams(alpha=a, beta=b, ants=7) for a, b in [(1.0, 2.0), (3.0, 0.5), (0.0, 5.0)]]
         nets = [build_aco_network(graph, p) for p in params]
         for k, net in enumerate(nets):
@@ -356,7 +357,7 @@ class TestLockstepHook:
         assert together == [solution for solutions in alone for solution in solutions]
 
     def test_one_colony_reads_its_best_tour_and_params(self):
-        graph = TourGraph.random_euclidean(6, RngStream(3))
+        graph = random_euclidean(6, RngStream(3))
         net = self.colony(graph, ants=4, demon="two-opt")
         arch = net.arch
         assert (arch.readout(net), arch.best_value(net)) == ([], None)
@@ -375,7 +376,7 @@ class TestLockstepHook:
         assert arch.best_value(net) == arch.best.lengths[0] == min(arch.walked.lengths.tolist())
 
     def test_a_stack_reads_as_one_network(self):
-        graph = TourGraph.random_euclidean(9, RngStream(3))
+        graph = random_euclidean(9, RngStream(3))
         nets = [self.colony(graph, alpha=a, beta=b, ants=2) for a, b in [(0.5, 0.0), (1.0, 2.0), (3.0, 5.0)]]
         stack = AcoArchitecture.lockstep(nets)
         arch = stack.arch

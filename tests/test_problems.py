@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from instances import random_euclidean, xor_dataset
 from cnets.errors import ConfigurationError, MalformedInstanceError
 from cnets.problems import (
     Dataset,
@@ -13,7 +14,6 @@ from cnets.problems import (
     Tape,
     TourGraph,
     named_objective,
-    xor_dataset,
 )
 from cnets.rng import RngStream
 
@@ -180,9 +180,9 @@ class TestDataset:
 class TestTourGraph:
     def test_euclidean_distances(self):
         graph = TourGraph.from_coordinates([(0, 0), (3, 4), (0, 8)])
-        assert graph.cost(0, 1) == 5.0
-        assert graph.cost(1, 2) == 5.0
-        assert graph.cost(0, 2) == 8.0
+        assert graph.costs.item(0, 1) == 5.0
+        assert graph.costs.item(1, 2) == 5.0
+        assert graph.costs.item(0, 2) == 8.0
 
     def test_tour_length_closes_the_cycle(self):
         graph = TourGraph.from_coordinates([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -208,13 +208,13 @@ class TestTourGraph:
     )
     def test_malformed_matrices_rejected(self, matrix):
         with pytest.raises(MalformedInstanceError):
-            TourGraph.from_matrix(matrix)
+            TourGraph(matrix)
 
     def test_first_defect_in_row_major_order_is_reported(self):
         matrix = [[0, 1, 2, -1], [1, 5, 3, 4], [2, 3, 0, 5], [-1, 4, 5, 0]]
         # column-major order would reach cost[3][0] first
         with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[3\] must be positive, got -1.0$"):
-            TourGraph.from_matrix(matrix)
+            TourGraph(matrix)
 
     @given(
         n=st.integers(3, 40),
@@ -225,7 +225,7 @@ class TestTourGraph:
     def test_coordinates_give_the_matrix_of_their_distances(self, n, seed, scale):
         points = RngStream(seed).uniform(-scale, scale, size=(n, 2)).tolist()
         distances = [[math.dist(p, q) for q in points] for p in points]
-        assert TourGraph.from_coordinates(points) == TourGraph.from_matrix(distances)
+        assert TourGraph.from_coordinates(points) == TourGraph(distances)
 
     def test_coincident_cities_are_rejected(self):
         with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[2\] must be positive, got 0.0$"):
@@ -244,9 +244,9 @@ class TestTourGraph:
 
     def test_costs_are_a_copy_of_the_matrix_given(self):
         matrix = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
-        graph = TourGraph.from_matrix(matrix)
+        graph = TourGraph(matrix)
         matrix[0, 1] = 9.0
-        assert graph.cost(0, 1) == 1.0
+        assert graph.costs.item(0, 1) == 1.0
 
     @given(
         n=st.integers(3, 40),
@@ -260,7 +260,7 @@ class TestTourGraph:
         tour = data.draw(st.permutations(range(n)))
         total = 0.0
         for k, node in enumerate(tour):
-            cost = graph.cost(node, tour[(k + 1) % n])
+            cost = graph.costs.item(node, tour[(k + 1) % n])
             assert type(cost) is float  # not numpy's float64, whose ** differs from Python's
             total += cost
         length = graph.tour_length(tour)
@@ -268,8 +268,8 @@ class TestTourGraph:
         assert length.hex() == total.hex()
 
     def test_random_instances_are_reproducible(self):
-        a = TourGraph.random_euclidean(5, RngStream(1))
-        b = TourGraph.random_euclidean(5, RngStream(1))
+        a = random_euclidean(5, RngStream(1))
+        b = random_euclidean(5, RngStream(1))
         assert a == b
 
     def test_csv_coords(self, tmp_path):
@@ -280,13 +280,13 @@ class TestTourGraph:
         path.write_text("x,y\n0,0\n3,4\n6,0\n")
         graph = TourGraph.from_csv(str(path))
         assert graph.n == 3
-        assert graph.cost(0, 1) == 5.0
+        assert graph.costs.item(0, 1) == 5.0
 
     def test_csv_matrix(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("0,2,3\n2,0,4\n3,4,0\n")
         graph = TourGraph.from_csv(str(path), fmt="matrix")
-        assert graph.cost(1, 2) == 4.0
+        assert graph.costs.item(1, 2) == 4.0
 
     @pytest.mark.parametrize("header", ["", "x,y\n", "\n\"x\",\"y\"\n"], ids=["none", "plain", "quoted"])
     def test_csv_coords_load_the_bits_of_from_coordinates(self, tmp_path, header):
@@ -454,10 +454,10 @@ def test_sphere_is_nonnegative_everywhere():
 
 
 def test_euclidean_graph_satisfies_triangle_inequality():
-    graph = TourGraph.random_euclidean(6, RngStream(2))
+    graph = random_euclidean(6, RngStream(2))
     n = graph.n
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 if len({i, j, k}) == 3:
-                    assert graph.cost(i, j) <= graph.cost(i, k) + graph.cost(k, j) + 1e-9
+                    assert graph.costs.item(i, j) <= graph.costs.item(i, k) + graph.costs.item(k, j) + 1e-9

@@ -53,7 +53,7 @@ class TestParams:
 
     @pytest.mark.parametrize("name", ["inertia", "cognitive", "social", "velocity_clamp"])
     def test_non_finite_weight_is_named(self, name):
-        with pytest.raises(ConfigurationError, match=f"^{name} must be finite, got nan$"):
+        with pytest.raises(ConfigurationError, match=f"^{name}: must be finite, got nan$"):
             PsoParams(**{name: float("nan")})
 
     def test_defaults_are_valid(self):
@@ -117,7 +117,7 @@ class TestEvaluation:
         net, objective = sphere_swarm()
         arch = net.arch
         for i, position in enumerate(arch.positions):
-            assert arch.values[i] == arch.best_values[i] == objective(position)
+            assert arch.best_values[i] == objective(position)
         assert np.array_equal(arch.best_positions, arch.positions)
 
     def test_personal_best_only_improves_strictly(self):

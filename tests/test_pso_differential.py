@@ -66,7 +66,6 @@ def assert_same_state(net, reference):
     particles = [node.payload for node in reference.nodes]
     assert same_bits(arch.positions, [p.position for p in particles])
     assert same_bits(arch.velocities, [p.velocity for p in particles])
-    assert same_bits(arch.values, [p.value for p in particles])
     assert same_bits(arch.best_positions, [p.best_position for p in particles])
     assert same_bits(arch.best_values, [p.best_value for p in particles])
     assert same_bits(
@@ -115,7 +114,7 @@ def test_population_mse_matches_installing_each_vector(
 ):
     rng = RngStream(seed)
     data = rng.uniform(-1.0, 1.0, size=(samples, inputs + outputs))
-    dataset = Dataset.from_rows([(row[:inputs], row[inputs:]) for row in data])
+    dataset = Dataset(inputs=data[:, :inputs], targets=data[:, inputs:])
     net = build_ann(
         (inputs, *hidden, outputs),
         dataset,

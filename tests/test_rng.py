@@ -25,16 +25,6 @@ def test_streams_of_one_seed_differ():
     assert list(a.uniform(size=8)) != list(b.uniform(size=8))
 
 
-def test_substream_deterministic_and_distinct():
-    parent = RngStream(42)
-    children = [parent.substream(i) for i in range(4)]
-    again = [RngStream(42).substream(i) for i in range(4)]
-    draws = [tuple(c.uniform(size=4)) for c in children]
-    assert draws == [tuple(c.uniform(size=4)) for c in again]
-    assert len(set(draws)) == len(draws)
-    assert all(d != tuple(parent.uniform(size=4)) for d in draws)
-
-
 @given(st.integers(min_value=0, max_value=2**64 - 1))
 def test_any_valid_seed_accepted(seed):
     stream = RngStream(seed)
