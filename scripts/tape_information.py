@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     for rule in RULES:
         tape = Tape.single_one(args.width, boundary="periodic")
         net = build_eca_network(tape, rule)
-        records = run(net, schedule, tape, RngStream(0))
+        records = run(net, schedule, RngStream(0))
         trace = trace_from_records(records, bins=2)
         node_bits = node_scale_info(trace)
         joint_bits = network_scale_info(trace)

@@ -1,8 +1,8 @@
 """Ant-colony optimization on closed-tour problems.
 
 Nodes are locations and edges are trails. A network holds one or more
-colonies over one graph, each with its own params, and every array on
-the architecture has a leading colony axis. The adjustable state is one
+colonies over one graph, each with its own params, and every array of
+the network has a leading colony axis. The adjustable state is one
 (colonies, n, n) pheromone array, symmetric per colony; each trail's
 fixed desirability is the reciprocal of its cost. Ants prefer trails by
 pheromone**alpha * desirability**beta (``choice_info``), computed once
@@ -61,6 +61,10 @@ STACK_DOUBLES = 1 << 21
 # Doubles one colony may hold in one of its (ants, n) walk arrays: 32 MB.
 WALK_DOUBLES = 1 << 22
 
+# Doubles the largest array a config's sizes ask for may hold, checked when
+# the config loads: 128 MB.
+ARRAY_DOUBLES = 1 << 24
+
 # 2-opt scans this many rows at once after a reversal, and doubles it
 # up to the second while nothing improves.
 SCAN_ROWS = (8, 32)
@@ -98,14 +102,19 @@ class AcoParams:
             )
 
 
-def check_walk_size(ants: int, n: int, where: str) -> None:
-    """Refuse a colony whose (ants, n) walk arrays would exceed WALK_DOUBLES,
-    before any is allocated; where names the setting in the error."""
-    if ants * n > WALK_DOUBLES:
+def check_size(doubles: int, where: str, what: str, limit: int | None = None) -> None:
+    """Refuse an array of doubles over limit (ARRAY_DOUBLES by default), before
+    it is allocated; where names the setting in the error, what the sizes."""
+    limit = ARRAY_DOUBLES if limit is None else limit
+    if doubles > limit:
         raise ConfigurationError(
-            f"{where}: {ants} ants on {n} locations need {ants * n} doubles "
-            f"per walk array, over the limit of {WALK_DOUBLES}"
+            f"{where}: {what} need {doubles} doubles in one array, over the limit of {limit}"
         )
+
+
+def check_walk_size(ants: int, n: int, where: str) -> None:
+    """Refuse a colony whose (ants, n) walk arrays would exceed WALK_DOUBLES."""
+    check_size(ants * n, where, f"{ants} ants on {n} locations", WALK_DOUBLES)
 
 
 class Tours(NamedTuple):
@@ -135,7 +144,7 @@ def _two_opt_pairs(n: int) -> np.ndarray:
     return visits
 
 
-class AcoArchitecture:
+class AcoArchitecture(ComputingNetwork):
     """Colonies over one graph: fast = construct tours, slow = pheromone update.
 
     colonies[k] is colony k's params, and every colony sends as many
@@ -200,30 +209,29 @@ class AcoArchitecture:
         return out + out.swapaxes(1, 2)
 
     @classmethod
-    def lockstep(cls, nets: Sequence[ComputingNetwork]) -> ComputingNetwork | None:
+    def lockstep(cls, nets: Sequence[AcoArchitecture]) -> AcoArchitecture | None:
         """A new network stacking every colony of nets, in order, or None unless
         each is a plain colony network over an equal graph with as many ants; one
         with slow replaced on the instance is refused, as the stack would skip
         it. Each colony starts from its network's pheromone if that was built,
         and with no best tour; the networks themselves are left as they were."""
-        first = nets[0].arch
+        first = nets[0]
         for net in nets:
-            arch = net.arch
             if (
-                type(arch) is not cls
-                or "slow" in vars(arch)
-                or arch.colonies[0].ants != first.colonies[0].ants
-                or (arch.problem is not first.problem and arch.problem != first.problem)
+                type(net) is not cls
+                or "slow" in vars(net)
+                or net.colonies[0].ants != first.colonies[0].ants
+                or (net.problem is not first.problem and net.problem != first.problem)
             ):
                 return None
-        stack = cls(first.problem, [c for net in nets for c in net.arch.colonies])
+        stack = cls(first.problem, [c for net in nets for c in net.colonies])
         start = 0
         for net in nets:
-            end = start + len(net.arch.colonies)
-            if "pheromone" in vars(net.arch):  # built, and perhaps changed, before stacking
-                stack.pheromone[start:end] = net.arch.pheromone
+            end = start + len(net.colonies)
+            if "pheromone" in vars(net):  # built, and perhaps changed, before stacking
+                stack.pheromone[start:end] = net.pheromone
             start = end
-        return ComputingNetwork(arch=stack)
+        return stack
 
     def lockstep_limit(self) -> int:
         """The most colonies like this one that one stack may hold."""
@@ -251,23 +259,23 @@ class AcoArchitecture:
         self.best.paths[colonies] = paths[rows]
         self.best.lengths[colonies] = lengths[rows]
 
-    def fast(self, net, rng: RngStream | StreamGroup) -> None:
-        construct_solutions(net, rng)
+    def fast(self, rng: RngStream | StreamGroup) -> None:
+        construct_solutions(self, rng)
         every = np.arange(len(self.colonies))
         self._offer(every, self._shortest(every))
 
-    def readout(self, net) -> list[float]:
+    def readout(self) -> list[float]:
         """The best tour of a lone colony; [] before its first walk, and always
         for several colonies, each of which holds its own."""
         if self.best is None or len(self.colonies) > 1:
             return []
         return self.best.paths[0].astype(float).tolist()
 
-    def slow(self, net, rng: RngStream | StreamGroup) -> None:
+    def slow(self, rng: RngStream | StreamGroup) -> None:
         """Evaporate, 2-opt each two-opt colony's first shortest tour in walked,
         in place, and deposit, for all colonies at once; draws nothing."""
         rates, _, amounts = self._slow_params
-        evaporate(net, rates)
+        evaporate(self, rates)
         two_opt = self._two_opt
         if two_opt.size:
             paths, lengths = self.walked
@@ -276,19 +284,19 @@ class AcoArchitecture:
                 improved = demon_local_search(paths[row].tolist(), self.problem)
                 paths[row], lengths[row] = improved, self.problem.tour_length(improved)
             self._offer(two_opt, rows)
-        deposit(net, self.walked, amounts.ravel())
+        deposit(self, self.walked, amounts.ravel())
 
-    def best_values(self, net) -> list[float | None]:
+    def best_values(self) -> list[float | None]:
         """Each colony's best tour length, in colony order; None before its first walk."""
         if self.best is None:
             return [None] * len(self.colonies)
         return self.best.lengths.tolist()
 
-    def best_value(self, net) -> float | None:
+    def best_value(self) -> float | None:
         """The shortest tour over the colonies, None before any walk."""
         return None if self.best is None else min(self.best.lengths.tolist())
 
-    def parameters(self, net) -> dict[str, float]:
+    def parameters(self) -> dict[str, float]:
         """A lone colony's params; {} for several colonies, each of which holds its own."""
         if len(self.colonies) > 1:
             return {}
@@ -373,7 +381,7 @@ def _walk(
 
 
 def construct_solutions(
-    net: ComputingNetwork, rng: RngStream | StreamGroup
+    net: AcoArchitecture, rng: RngStream | StreamGroup
 ) -> list[tuple[list[int], float]]:
     """Send every ant on one complete closed tour, all ants in lockstep.
 
@@ -393,17 +401,16 @@ def construct_solutions(
     loop reads: the returned (path, length) pairs are read only outside
     it, by perfbench's tracer and by tests.
     """
-    arch: AcoArchitecture = net.arch
-    cost = arch.problem.costs
+    cost = net.problem.costs
     n = len(cost)
     try:
         with np.errstate(over="raise"):
-            choice = arch.choice_info()
+            choice = net.choice_info()
             # nonnegative terms: no partial sum of a row exceeds the whole row's
             choice.cumsum(axis=2)
     except (OverflowError, FloatingPointError):
         raise NumericDivergenceError("transition weights overflow") from None
-    starts, uniforms = draw_walks(rng, arch.colonies[0].ants, n)
+    starts, uniforms = draw_walks(rng, net.colonies[0].ants, n)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
     if (len(choice) > 1 or rng.shape) and dead.any():
         raise DeadEndError("an ant of a stacked colony found no positive trail")
@@ -417,11 +424,11 @@ def construct_solutions(
         raise DeadEndError(f"an ant still found no positive trail after {MAX_RESTARTS} restarts")
     if not (lengths < float("inf")).all():
         raise NumericDivergenceError("a tour length diverged")
-    arch.walked = Tours(tours, lengths)
+    net.walked = Tours(tours, lengths)
     return list(zip(tours.tolist(), lengths.tolist()))
 
 
-def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
+def evaporate(net: AcoArchitecture, rate: float | np.ndarray) -> None:
     """Decay every trail, clamped to each colony's pheromone floor.
 
     rate is one rate for every colony, or one per colony shaped
@@ -429,11 +436,11 @@ def evaporate(net: ComputingNetwork, rate: float | np.ndarray) -> None:
     """
     if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ConfigurationError(f"evaporation rate must be in [0, 1], got {rate}")
-    tau = net.arch.pheromone
-    np.maximum(net.arch.pheromone_floor, (1.0 - rate) * tau, out=tau)
+    tau = net.pheromone
+    np.maximum(net.pheromone_floor, (1.0 - rate) * tau, out=tau)
 
 
-def deposit(net: ComputingNetwork, tours: Tours, amount: float | np.ndarray) -> None:
+def deposit(net: AcoArchitecture, tours: Tours, amount: float | np.ndarray) -> None:
     """Every tour reinforces its edges by amount / tour length.
 
     tours is one iteration's Tours, and nothing else: the walks come
@@ -446,7 +453,7 @@ def deposit(net: ComputingNetwork, tours: Tours, amount: float | np.ndarray) -> 
     short = lengths[lengths <= 0.0].tolist()
     if short:
         raise MalformedInstanceError(f"tour length must be positive to deposit, got {short[0]}")
-    tau = net.arch.pheromone
+    tau = net.pheromone
     after = _successors(here)
     n = here.shape[1]
     per_colony = len(here) * n * n // tau.size
@@ -509,9 +516,7 @@ def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:
     return ring[:n].tolist()
 
 
-def build_aco_network(
-    graph: TourGraph, params: AcoParams | None = None
-) -> ComputingNetwork:
+def build_aco_network(graph: TourGraph, params: AcoParams | None = None) -> AcoArchitecture:
     """One colony's complete trail network; the pheromone lives on the
-    architecture, and nodes and edges are derived from the graph only when read."""
-    return ComputingNetwork(arch=AcoArchitecture(graph, (params or AcoParams(),)))
+    network, and nodes and edges are derived from the graph only when read."""
+    return AcoArchitecture(graph, (params or AcoParams(),))

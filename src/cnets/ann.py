@@ -1,7 +1,7 @@
 """Layered feedforward neural networks.
 
 Nodes are neurons and edges are directed synapses carrying one weight
-each. The adjustable state lives on the architecture as per-layer
+each. The adjustable state lives on the network as per-layer
 arrays, and the node count and endpoint array are derived from the
 topology only when read. The fast scale computes the network function
 by layer-wise composition; the slow scale is plain gradient descent on
@@ -158,132 +158,125 @@ def _check_arities(topo: LayeredTopology, dataset: Dataset) -> None:
         )
 
 
-def forward(net: ComputingNetwork, inputs: Sequence[float]) -> list[float]:
-    """Evaluate one input vector, keeping every layer's values on the architecture
+def forward(net: AnnArchitecture, inputs: Sequence[float]) -> list[float]:
+    """Evaluate one input vector, keeping every layer's values on the network
     (a float64 array input, such as a row of the dataset, is kept uncopied)."""
-    arch = net.arch
-    arity = arch.topology.layer_sizes[0]
+    arity = net.topology.layer_sizes[0]
     if len(inputs) != arity:
         raise ConfigurationError(f"network takes {arity} inputs, got {len(inputs)}")
     a = np.asarray(inputs, dtype=float)
     outputs = [a]
-    for k, (w, b) in enumerate(zip(arch.weights, arch.biases)):
-        a = ACTIVATIONS[arch.activations[k + 1]][0](w @ a + b)
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        a = ACTIVATIONS[net.activations[k + 1]][0](w @ a + b)
         finite = np.isfinite(a)
         if not finite.all():
             j = int(finite.argmin())
             raise NumericDivergenceError(
-                f"node {arch.topology.node_base(k + 1) + j} produced "
+                f"node {net.topology.node_base(k + 1) + j} produced "
                 f"non-finite output {float(a[j])}"
             )
         outputs.append(a)
-    arch.outputs = outputs
+    net.outputs = outputs
     return a.tolist()
 
 
 def _batch_forward(
-    arch: "AnnArchitecture", weights, biases, x: np.ndarray, layers: list[np.ndarray]
+    net: AnnArchitecture, weights, biases, x: np.ndarray, layers: list[np.ndarray]
 ) -> list[np.ndarray]:
     """All-sample forward pass written into layers, one array per non-input
     layer (rows = samples); returns x followed by layers.
 
-    weights and biases are the architecture's own, or stacked layer_views.
+    weights and biases are the network's own, or stacked layer_views.
     """
     a = x
     for k, (w, b, out) in enumerate(zip(weights, biases, layers)):
         np.matmul(a, w.swapaxes(-1, -2), out=out)
         out += b[..., None, :]
-        a = ACTIVATIONS[arch.activations[k + 1]][0](out, out=out)
+        a = ACTIVATIONS[net.activations[k + 1]][0](out, out=out)
     return [x, *layers]
 
 
-def batch_mse(net: ComputingNetwork, dataset: Dataset) -> float:
+def batch_mse(net: AnnArchitecture, dataset: Dataset) -> float:
     """Mean squared error over every sample and output component."""
     return float(population_mse(net, dataset, weight_vector(net)[None])[0])
 
 
-def population_mse(net: ComputingNetwork, dataset: Dataset, vectors: np.ndarray) -> np.ndarray:
+def population_mse(net: AnnArchitecture, dataset: Dataset, vectors: np.ndarray) -> np.ndarray:
     """batch_mse for each row of vectors (flat parameter vectors) in one stacked pass.
 
     Row i has the bits of set_weight_vector(net, vectors[i]) then batch_mse;
     the network's own weights are untouched.
     """
-    arch = net.arch
     vectors = np.ascontiguousarray(vectors, dtype=float)
-    count = arch.topology.parameter_count
+    count = net.topology.parameter_count
     if vectors.ndim != 2 or vectors.shape[1] != count:
         raise ConfigurationError(f"expected rows of {count} parameters, got {vectors.shape}")
-    weights, biases = arch.topology.layer_views(vectors)
+    weights, biases = net.topology.layer_views(vectors)
     x = dataset.inputs
-    layers = [np.empty((len(vectors), len(x), size)) for size in arch.topology.layer_sizes[1:]]
-    output = _batch_forward(arch, weights, biases, x, layers)[-1]
+    layers = [np.empty((len(vectors), len(x), size)) for size in net.topology.layer_sizes[1:]]
+    output = _batch_forward(net, weights, biases, x, layers)[-1]
     diff = output - dataset.targets
     return (diff * diff).reshape(len(vectors), -1).mean(axis=1)
 
 
 def gradients(
-    net: ComputingNetwork, dataset: Dataset
+    net: AnnArchitecture, dataset: Dataset
 ) -> tuple[list[np.ndarray], list[np.ndarray], float]:
     """Analytic batch-MSE gradients for every weight and bias.
 
     Returns (weight gradients, bias gradients, pre-update mse); shapes
-    match the architecture's weights and biases. The batch pass runs in
-    the architecture's workspace, and the returned arrays are new ones.
+    match the network's weights and biases. The batch pass runs in the
+    network's workspace, and the returned arrays are new ones.
     """
-    arch = net.arch
-    _check_arities(arch.topology, dataset)
-    kinds = arch.activations
-    outputs, deltas, slopes = arch.workspace(len(dataset))
-    activations = _batch_forward(arch, arch.weights, arch.biases, dataset.inputs, outputs)
+    _check_arities(net.topology, dataset)
+    kinds = net.activations
+    outputs, deltas, slopes = net.workspace(len(dataset))
+    activations = _batch_forward(net, net.weights, net.biases, dataset.inputs, outputs)
     diff = np.subtract(activations[-1], dataset.targets, out=deltas[-1])
     mse = float(np.mean(diff * diff))
     # d(mse)/d(output); mse averages over samples * components
     delta = np.multiply(2.0 / diff.size, diff, out=diff)
     delta *= ACTIVATIONS[kinds[-1]][1](activations[-1], slopes[-1])
-    depth = arch.topology.depth
+    depth = net.topology.depth
     grad_w: list[np.ndarray] = [np.empty(0)] * (depth - 1)
     grad_b: list[np.ndarray] = [np.empty(0)] * (depth - 1)
     for k in range(depth - 2, -1, -1):
         grad_w[k] = delta.T @ activations[k]
         grad_b[k] = delta.sum(axis=0)
         if k > 0:
-            delta = np.matmul(delta, arch.weights[k], out=deltas[k - 1])
+            delta = np.matmul(delta, net.weights[k], out=deltas[k - 1])
             delta *= ACTIVATIONS[kinds[k]][1](activations[k], slopes[k - 1])
     return grad_w, grad_b, mse
 
 
-def train_step(
-    net: ComputingNetwork, dataset: Dataset, learning_rate: float
-) -> float:
+def train_step(net: AnnArchitecture, dataset: Dataset, learning_rate: float) -> float:
     """One full-batch gradient-descent update; returns the pre-update MSE."""
     grad_w, grad_b, mse = gradients(net, dataset)
     for g in grad_w + grad_b:
         if not np.all(np.isfinite(g)):
             raise NumericDivergenceError("gradient became non-finite")
-    arch = net.arch
-    arch.weights = [w - learning_rate * g for w, g in zip(arch.weights, grad_w)]
-    arch.biases = [b - learning_rate * g for b, g in zip(arch.biases, grad_b)]
+    net.weights = [w - learning_rate * g for w, g in zip(net.weights, grad_w)]
+    net.biases = [b - learning_rate * g for b, g in zip(net.biases, grad_b)]
     return mse
 
 
-def weight_vector(net: ComputingNetwork) -> np.ndarray:
+def weight_vector(net: AnnArchitecture) -> np.ndarray:
     """A copy of all trainable parameters (edge weights, then biases)."""
-    arch = net.arch
-    return np.concatenate([w.reshape(-1) for w in arch.weights] + arch.biases)
+    return np.concatenate([w.reshape(-1) for w in net.weights] + net.biases)
 
 
-def set_weight_vector(net: ComputingNetwork, vector: Sequence[float]) -> None:
+def set_weight_vector(net: AnnArchitecture, vector: Sequence[float]) -> None:
     """Install a copy of a flat parameter vector as the layer arrays."""
-    topo = net.arch.topology
+    topo = net.topology
     vector = np.array(vector, dtype=float)
     if vector.shape != (topo.parameter_count,):
         raise ConfigurationError(
             f"expected {topo.parameter_count} parameters, got {vector.shape}"
         )
-    net.arch.weights, net.arch.biases = topo.layer_views(vector)
+    net.weights, net.biases = topo.layer_views(vector)
 
 
-class AnnArchitecture:
+class AnnArchitecture(ComputingNetwork):
     """Feedforward behaviour: fast = evaluate the next sample, slow = batch descent.
 
     weights[k] (shape: size of layer k+1 by size of layer k) and
@@ -333,22 +326,22 @@ class AnnArchitecture:
             block[..., 1] = topo.node_base(k + 1) + np.arange(sizes[k + 1])[:, None]
         return topo.node_count, ends
 
-    def fast(self, net, rng: RngStream) -> None:
-        forward(net, self.problem.inputs[self._cursor % len(self.problem)])
+    def fast(self, rng: RngStream) -> None:
+        forward(self, self.problem.inputs[self._cursor % len(self.problem)])
         self._cursor += 1
 
-    def readout(self, net) -> list[float]:
+    def readout(self) -> list[float]:
         return self.outputs[-1].tolist()
 
-    def slow(self, net, rng: RngStream) -> None:
-        self._last_mse = train_step(net, self.problem, self.params.learning_rate)
+    def slow(self, rng: RngStream) -> None:
+        self._last_mse = train_step(self, self.problem, self.params.learning_rate)
 
-    def best_value(self, net) -> float | None:
+    def best_value(self) -> float | None:
         if self._last_mse is None:
-            return batch_mse(net, self.problem)
+            return batch_mse(self, self.problem)
         return self._last_mse
 
-    def parameters(self, net) -> dict[str, float]:
+    def parameters(self) -> dict[str, float]:
         return {"learning_rate": float(self.params.learning_rate)}
 
 
@@ -357,7 +350,7 @@ def build_ann(
     dataset: Dataset,
     rng: RngStream,
     params: AnnParams | None = None,
-) -> ComputingNetwork:
+) -> AnnArchitecture:
     """Fully connected feedforward network with uniform [-0.5, 0.5] init.
 
     Draw order is fixed: every synapse weight in edge-id order, then
@@ -368,4 +361,4 @@ def build_ann(
     weights = rng.uniform(-0.5, 0.5, size=topo.edge_count)
     biases = rng.uniform(-0.5, 0.5, size=topo.bias_count)
     vector = np.concatenate([weights, biases])
-    return ComputingNetwork(arch=AnnArchitecture(topo, dataset, params or AnnParams(), vector))
+    return AnnArchitecture(topo, dataset, params or AnnParams(), vector)

@@ -21,7 +21,7 @@ from .errors import (
     EXIT_IO,
     EXIT_OK,
 )
-from .harness import execute
+from .harness import check_out_path, execute
 from .records import summarize, summary_csv
 from .rng import check_seed
 
@@ -89,6 +89,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
+    check_out_path(args.out)
     paths: set[str] = set()
     for pattern in args.patterns:
         matches = glob.glob(pattern)
@@ -119,12 +120,12 @@ def _cmd_render(args) -> int:
     config.seed = _resolve_seed(config, None)
     if config.seed is None:
         config.seed = 0
-    saved_out = config.out
+    target = args.out if args.out is not None else config.out
+    check_out_path(target)
     config.out = None
     result = execute(config)
     grid = [[int(v) for v in record.network_output] for record in result.records]
     text = eca.grid_to_text(grid) if args.format == "text" else eca.grid_to_pbm(grid)
-    target = args.out if args.out is not None else saved_out
     if target is None:
         sys.stdout.write(text)
     else:

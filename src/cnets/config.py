@@ -163,6 +163,11 @@ def _with(params: Any, genome: Genome) -> Any:
     return type(params)(**vars(params) | genome)
 
 
+def _check_swarm(particles: int, dimension: int, where: str) -> None:
+    """A swarm's largest array is its build's (particles, 2, dimension) draws."""
+    aco.check_size(particles * 2 * dimension, where, f"{particles} particles in {dimension} dimensions")
+
+
 @dataclass
 class AnnSection:
     layers: tuple[int, ...]
@@ -178,6 +183,8 @@ class AnnSection:
         layers = _get(data, "layers", where, list, required=True)
         if len(layers) < 2 or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in layers):
             raise ConfigurationError(f"{where}.layers: expected >= 2 positive integers, got {layers!r}")
+        count = ann.LayeredTopology(tuple(layers)).parameter_count
+        aco.check_size(count, f"{where}.layers", f"{count} parameters")
         dataset = _resolve_path(_get(data, "dataset", where, str, required=True), base_dir, f"{where}.dataset")
         return cls(layers=tuple(layers), dataset=dataset, params=_read(AnnParams, data, where))
 
@@ -252,10 +259,10 @@ class PsoSection:
                         f"{where}.neighborhoods[{i}]: expected a list of particle ids"
                     )
             neighborhoods = tuple(tuple(members) for members in raw)
-        return cls(
-            objective=_at(where, named_objective, name, dimension, bounds),
-            params=_read(PsoParams, data, where, neighborhoods=neighborhoods),
-        )
+        objective = _at(where, named_objective, name, dimension, bounds)
+        params = _read(PsoParams, data, where, neighborhoods=neighborhoods)
+        _check_swarm(params.particles, dimension, where)
+        return cls(objective=objective, params=params)
 
     def problem(self) -> Objective:
         return self.objective
@@ -287,6 +294,7 @@ class EcaSection:
             raise ConfigurationError(f"{where}.steps: must be >= 0, got {steps}")
         rule = _get(data, "rule", where, int, required=True)
         width = _get(data, "width", where, int, required=True)
+        aco.check_size(width, f"{where}.width", f"{width} cells")
         params = _read(EcaParams, data, where, rule=rule, width=width, initial=initial)
         return cls(steps=steps, params=params)
 
@@ -335,7 +343,10 @@ class MetaSection:
             ends = {key: getattr(box, end) for key, box in boxes.items()}
             _at(f"{where}.parameters", replace, params, **ends)
         eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
-        return cls(boxes=boxes, config=_read(MetaConfig, data, where, eval_seeds=eval_seeds))
+        config = _read(MetaConfig, data, where, eval_seeds=eval_seeds)
+        size, keys = config.population_size, len(boxes)
+        aco.check_size(size * keys, f"{where}.population_size", f"{size} genomes of {keys} values")
+        return cls(boxes=boxes, config=config)
 
 
 @dataclass
@@ -365,7 +376,9 @@ class CrossSection:
         if data.get("weight_bounds") is not None:
             weight_bounds = _number_pair(data["weight_bounds"], f"{where}.weight_bounds")
         if not weight_bounds[0] < weight_bounds[1]:
-            raise ConfigurationError(f"{where}.weight_bounds: need low < high")
+            raise ConfigurationError(
+                f"{where}.weight_bounds: must have low < high, got {list(weight_bounds)}"
+            )
         dimension = _get(data, "dimension", where, int)
         count = ann.LayeredTopology(inner.layers).parameter_count
         if dimension is not None and dimension != count:
@@ -378,12 +391,9 @@ class CrossSection:
             raise ConfigurationError(
                 f"{where}.pso.topology: cross runs support ring or global, got {topology!r}"
             )
-        return cls(
-            ann=inner,
-            pso=_read(PsoParams, pso_raw, f"{where}.pso"),
-            weight_bounds=weight_bounds,
-            dimension=dimension,
-        )
+        params = _read(PsoParams, pso_raw, f"{where}.pso")
+        _check_swarm(params.particles, count, f"{where}.pso")
+        return cls(ann=inner, pso=params, weight_bounds=weight_bounds, dimension=dimension)
 
     def problem(self) -> Dataset:
         return self.ann.problem("config.cross.ann")

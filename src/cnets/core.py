@@ -1,14 +1,15 @@
 """Generic computing-network substrate.
 
-A computing network is an architecture object, which keeps its state in
-arrays and supplies two plug-in behaviours, over the graph that
-architecture describes: fast dynamics that evaluate the network
-function, and a slow adaptation algorithm that rewrites the adjustable
-state between evaluations. Each architecture keeps whatever its fast
-steps leave for its slow step, so the loop hands it only the network
-and the stream. ``run`` drives both under an explicit ScaleSchedule and
-emits one RunRecord per slow step (plus an initial pre-adaptation
-snapshot), which is the only artifact the harness persists.
+A computing network is its architecture: a ComputingNetwork subclass
+that keeps its state in arrays, describes its own graph and supplies two
+plug-in behaviours, fast dynamics that evaluate the network function and
+a slow adaptation algorithm that rewrites the adjustable state between
+evaluations. Each architecture keeps whatever its fast steps leave for
+its slow step, so the loop hands it only the stream. ``run`` drives a
+network, on the problem it was built for, under an explicit
+ScaleSchedule and emits one RunRecord per slow step (plus an initial
+pre-adaptation snapshot), which is the only artifact the harness
+persists.
 
 The graph is arrays too. A node is its index in ``range(node_count)``,
 and the edges are one read-only integer array of shape (edges, width):
@@ -25,7 +26,6 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -69,57 +69,24 @@ class RunRecord:
     wall_clock_ms: float
 
 
-@runtime_checkable
-class Architecture(Protocol):
-    """Behaviour bundle a ComputingNetwork delegates to.
-
-    ``fast`` implements the network function's dynamics (may mutate the
-    architecture's state), ``readout`` is a pure function of current
-    state, and ``slow`` is the adaptation algorithm. Each architecture
-    keeps whatever its fast steps leave for its slow step: an ann its
-    next sample's place in the dataset, a colony the tours it walked.
-    ``substrate()``, read only when the network's graph is, returns the
-    node count and the (edges, width) endpoint array. Edges with more
-    than two members are legal only when ``allow_hyperedges`` is set, and
-    ``directed`` says whether each row reads (source, destination).
-    ``problem`` is the instance the network was built for; a run is
-    driven only on it.
-    """
-
-    kind: str
-    allow_hyperedges: bool
-    directed: bool
-    problem: Any
-
-    def fast(self, net: "ComputingNetwork", rng: RngStream) -> None: ...
-
-    def readout(self, net: "ComputingNetwork") -> list[float]: ...
-
-    def slow(self, net: "ComputingNetwork", rng: RngStream) -> None: ...
-
-    def best_value(self, net: "ComputingNetwork") -> float | None: ...
-
-    def parameters(self, net: "ComputingNetwork") -> dict[str, float]: ...
-
-
-def _validated(arch: Architecture, node_count: int, edges: np.ndarray) -> tuple[range, np.ndarray]:
+def _validated(net: ComputingNetwork, node_count: int, edges: np.ndarray) -> tuple[range, np.ndarray]:
     """The node indices and a read-only view of the endpoint array, checked
-    against each other and the architecture; errors name the first bad edge."""
+    against each other and the network; errors name the first bad edge."""
     edges = np.asarray(edges).view()
     edges.flags.writeable = False
     # one contiguous row per endpoint position, since numpy reduces across such
     # rows far faster than along each short edge row; sorted if wider than a pair
     ends = np.ascontiguousarray(np.sort(edges, axis=1).T if edges.shape[1] > 2 else edges.T)
     members = len(ends) - (ends[1:] == ends[:-1]).sum(axis=0)
-    widest = len(ends) if arch.allow_hyperedges else 2
+    widest = len(ends) if net.allow_hyperedges else 2
     bad = (members < 2) | (members > widest) | ((ends < 0) | (ends >= node_count)).any(axis=0)
     if bad.any():
         k = int(bad.argmax())
         if members[k] < 2:
             raise ConfigurationError(f"edge {k} has {members[k]} endpoints; need >= 2")
-        if members[k] > 2 and not arch.allow_hyperedges:
+        if members[k] > 2 and not net.allow_hyperedges:
             raise ConfigurationError(
-                f"edge {k} is a hyperedge but architecture {arch.kind!r} does not allow them"
+                f"edge {k} is a hyperedge but architecture {net.kind!r} does not allow them"
             )
         missing = [v for v in dict.fromkeys(edges[k].tolist()) if not 0 <= v < node_count]
         raise ConfigurationError(f"edge {k} references unknown node ids {missing}")
@@ -127,18 +94,25 @@ def _validated(arch: Architecture, node_count: int, edges: np.ndarray) -> tuple[
 
 
 class ComputingNetwork:
-    """An architecture plus the computing-network graph its state lives on.
+    """The base of every architecture: a network is its architecture.
 
-    The architecture keeps its state in arrays and describes its topology
-    with ``substrate()``, which returns the node count and the endpoint
-    array. ``nodes`` is ``range(node_count)``; ``edges`` is the endpoint
-    array, read-only, its rows in edge-id order and (source, destination)
-    order when ``arch.directed``. Both are built and validated on first
-    read of either.
+    An architecture keeps its state in arrays and defines ``kind``,
+    ``allow_hyperedges``, ``directed`` and ``problem``, the instance it
+    was built for. ``fast(rng)`` implements the network function's
+    dynamics (it may mutate the state), ``readout()`` is a pure function
+    of the state, ``slow(rng)`` is the adaptation algorithm, and
+    ``best_value()`` and ``parameters()`` are what each record reads.
+    Each architecture keeps whatever its fast steps leave for its slow
+    step: an ann its next sample's place in the dataset, a colony the
+    tours it walked.
+
+    ``substrate()`` returns the node count and the endpoint array.
+    ``nodes`` is ``range(node_count)``; ``edges`` is the endpoint array,
+    read-only, its rows in edge-id order and (source, destination) order
+    when ``directed``. Edges with more than two members are legal only
+    when ``allow_hyperedges`` is set. Both are built and validated on
+    first read of either.
     """
-
-    def __init__(self, arch: Architecture):
-        self.arch = arch
 
     @property
     def nodes(self) -> range:
@@ -150,47 +124,42 @@ class ComputingNetwork:
 
     @cached_property
     def _graph(self) -> tuple[range, np.ndarray]:
-        return _validated(self.arch, *self.arch.substrate())
+        return _validated(self, *self.substrate())
 
 
 def fast_step(net: ComputingNetwork, rng: RngStream) -> list[float]:
     """Run one fast-scale evaluation and return the readout."""
-    net.arch.fast(net, rng)
-    out = net.arch.readout(net)
+    net.fast(rng)
+    out = net.readout()
     if not all(map(math.isfinite, out)):
         value = next(v for v in out if not math.isfinite(v))
-        raise NumericDivergenceError(f"{net.arch.kind} readout produced non-finite value {value!r}")
+        raise NumericDivergenceError(f"{net.kind} readout produced non-finite value {value!r}")
     return out
 
 
 def slow_step(net: ComputingNetwork, rng: RngStream) -> ComputingNetwork:
     """Apply the adaptation algorithm once and return the same network."""
-    net.arch.slow(net, rng)
+    net.slow(rng)
     return net
 
 
 def _record(net: ComputingNetwork, slow_index: int, elapsed_ms: float) -> RunRecord:
     return RunRecord(
         slow_step=slow_index,
-        best_value=net.arch.best_value(net),
-        network_output=net.arch.readout(net),
-        parameter_snapshot=net.arch.parameters(net),
+        best_value=net.best_value(),
+        network_output=net.readout(),
+        parameter_snapshot=net.parameters(),
         wall_clock_ms=elapsed_ms,
     )
 
 
-def run(
-    net: ComputingNetwork, schedule: ScaleSchedule, problem: Any, rng: RngStream
-) -> list[RunRecord]:
+def run(net: ComputingNetwork, schedule: ScaleSchedule, rng: RngStream) -> list[RunRecord]:
     """Drive the network through the whole schedule.
 
     Returns the initial snapshot record followed by one record per slow
     step. A CnError raised inside carries (slow step, fast index) as its
     step_position; the fast index is None outside the fast phase.
     """
-    arch = net.arch
-    if not (problem is arch.problem or problem == arch.problem):
-        raise ConfigurationError(f"{arch.kind} network was built for a different problem")
     slow_index, fast_index = 0, None
     try:
         started = time.perf_counter()

@@ -20,7 +20,6 @@ import numpy as np
 
 from .ann import AnnParams, build_ann, population_mse, set_weight_vector
 from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
-from .errors import ConfigurationError
 from .problems import Dataset, Objective
 from .pso import PsoParams, build_pso_network, global_best
 from .rng import RngStream
@@ -54,19 +53,16 @@ def cross_train(
     """
     template = build_ann(layer_sizes, dataset, rng, ann_params)
     lo, hi = weight_bounds
-    if not lo < hi:
-        raise ConfigurationError(f"weight bounds need low < high, got [{lo}, {hi}]")
-
     objective = Objective(
         name="ann-batch-mse",
-        dimension=template.arch.topology.parameter_count,
+        dimension=template.topology.parameter_count,
         lower=float(lo),
         upper=float(hi),
         fn=partial(population_mse, template, dataset),
     )
     swarm = build_pso_network(objective, rng, pso_params)
     schedule = ScaleSchedule(fast_steps_per_slow=1, slow_steps=iterations)
-    records = run(swarm, schedule, objective, rng)
+    records = run(swarm, schedule, rng)
     best_position, best_value = global_best(swarm)
     set_weight_vector(template, best_position)
     return CrossResult(

@@ -175,7 +175,7 @@ def grid_to_pbm(grid: Grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-class EcaArchitecture:
+class EcaArchitecture(ComputingNetwork):
     """Cellular-automaton behaviour: fast = one tape step, slow = nothing.
 
     The cells are one uint8 vector, the only copy of the state. The rule
@@ -204,7 +204,7 @@ class EcaArchitecture:
         links = np.stack([np.arange(n), np.arange(1, n + 1) % n], axis=1)
         return n, links if self.problem.boundary == "periodic" else links[:-1]
 
-    def fast(self, net, rng: RngStream) -> None:
+    def fast(self, rng: RngStream) -> None:
         boundary = self.problem.boundary
         if self.updating is UpdateMode.SYNCHRONOUS:
             self.cells = _step_cells(self.cells, self.lookup, boundary)
@@ -212,16 +212,16 @@ class EcaArchitecture:
             order = node_update_order(len(self.cells), self.updating, rng)
             self.cells = _step_cells_in_order(self.cells, self.lookup, boundary, order)
 
-    def readout(self, net) -> list[float]:
+    def readout(self) -> list[float]:
         return self.cells.astype(float).tolist()
 
-    def slow(self, net, rng: RngStream) -> None:
+    def slow(self, rng: RngStream) -> None:
         pass
 
-    def best_value(self, net) -> float | None:
+    def best_value(self) -> float | None:
         return None
 
-    def parameters(self, net) -> dict[str, float]:
+    def parameters(self) -> dict[str, float]:
         return {"rule": float(self.rule_number)}
 
 
@@ -229,6 +229,6 @@ def build_eca_network(
     tape: Tape,
     rule_number: int,
     updating: UpdateMode = UpdateMode.SYNCHRONOUS,
-) -> ComputingNetwork:
-    """Wrap a tape as a computing network of cell nodes and neighbour links."""
-    return ComputingNetwork(EcaArchitecture(rule_number, tape, updating))
+) -> EcaArchitecture:
+    """A tape as a computing network of cell nodes and neighbour links."""
+    return EcaArchitecture(rule_number, tape, updating)

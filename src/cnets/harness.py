@@ -40,12 +40,18 @@ def _meta_search(config: RunConfig, problem: Any) -> MetaSearch:
     section, boxes = config.section, config.meta.boxes
     seed_genome = {key: float(getattr(section.params, key)) for key in boxes}
 
-    def rebuild(genome: Genome, rng: RngStream) -> tuple[ComputingNetwork, Any]:
-        return section.network(problem, rng, genome), problem
+    def rebuild(genome: Genome, rng: RngStream) -> ComputingNetwork:
+        return section.network(problem, rng, genome)
 
     return MetaSearch(
         config=config.meta.config, boxes=boxes, rebuild=rebuild, seed_genome=seed_genome
     )
+
+
+def check_out_path(path: str | None) -> None:
+    """Refuse an empty or directory output path, before any work is done."""
+    if path is not None and (not path or os.path.isdir(path)):
+        raise ConfigurationError(f"output path must name a file, got {path!r}")
 
 
 def execute(config: RunConfig) -> ExecuteResult:
@@ -59,8 +65,7 @@ def execute(config: RunConfig) -> ExecuteResult:
         raise ConfigurationError(
             "no seed: set config.seed, pass --seed, or export CN_SEED"
         )
-    if config.out is not None and (not config.out or os.path.isdir(config.out)):
-        raise ConfigurationError(f"output path must name a file, got {config.out!r}")
+    check_out_path(config.out)
     rng = RngStream(config.seed)
     section = config.section
     problem = section.problem()
@@ -78,7 +83,7 @@ def execute(config: RunConfig) -> ExecuteResult:
     elif config.meta is not None:
         records = three_scale_run(_meta_search(config, problem), rng)
     else:
-        records = run(section.network(problem, rng, {}), config.schedule, problem, rng)
+        records = run(section.network(problem, rng, {}), config.schedule, rng)
 
     resolved = config.to_dict()
     if config.out is not None:

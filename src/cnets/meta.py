@@ -13,9 +13,9 @@ every genome, so when the architecture class offers a lockstep hook,
 the inner runs of every seed that shares a problem go as one stacked
 network, instead of one run per genome and seed. The hook is the
 class's ``lockstep(nets)``, a new network over all of nets or None when
-they do not stack; the architecture's ``lockstep_limit()``, the most
-members one stack may hold; and the stack's ``best_values(net)``, each
-member's best value in member order (aco's colonies stack this way).
+they do not stack; the network's ``lockstep_limit()``, the most members
+one stack may hold; and the stack's ``best_values()``, each member's
+best value in member order (aco's colonies stack this way).
 Each seed keeps its own stream: the stack draws from a StreamGroup of
 them, one row per seed, and each seed's colonies walk on that seed's
 row.
@@ -39,9 +39,9 @@ from .errors import CnError, ConfigurationError
 from .rng import RngStream, StreamGroup, check_seed
 
 Genome = dict[str, float]
-# rebuild(genome, rng) -> (fresh network, its problem); consumes rng draws
-# exactly like the plain two-scale builder so fitnesses are comparable.
-Rebuild = Callable[[Genome, RngStream], tuple[ComputingNetwork, Any]]
+# rebuild(genome, rng) -> fresh network; consumes rng draws exactly like
+# the plain two-scale builder so fitnesses are comparable.
+Rebuild = Callable[[Genome, RngStream], ComputingNetwork]
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,7 @@ def _mean_final_best(
     total = 0.0
     for seed in eval_seeds:
         rng = RngStream(seed)
-        net, problem = rebuild(genome, rng)
-        total += _final_best(run(net, schedule, problem, rng)[-1].best_value)
+        total += _final_best(run(rebuild(genome, rng), schedule, rng)[-1].best_value)
     return total / len(eval_seeds)
 
 
@@ -195,11 +194,11 @@ def _lockstep_totals(
 
     Every (seed, genome) network is rebuilt from its seed's fresh
     position; each rebuild of a seed must leave that seed's stream at
-    one same position and return an equal problem. Seeds whose rebuilds
-    returned equal problems run together: their colonies, seed by seed,
-    form one stack that runs on a StreamGroup of their streams (a lone
-    seed's stack on its stream), so each colony draws from its own
-    seed's stream. The architecture bounds a stack's size, counted over
+    one same position, and lockstep refuses networks over unequal
+    problems. Seeds whose first networks have equal problems run
+    together: their colonies, seed by seed, form one stack that runs on
+    a StreamGroup of their streams (a lone seed's stack on its stream),
+    so each colony draws from its own seed's stream. The architecture bounds a stack's size, counted over
     the colonies of all its seeds; larger batches run as consecutive
     stacks, each over a block of seeds and a block of genomes. The
     values are summed seed by seed, in the order the plain path adds
@@ -207,25 +206,25 @@ def _lockstep_totals(
     """
     streams = [RngStream(seed) for seed in eval_seeds]
     starts = [stream.snapshot() for stream in streams]
-    # each seed's first rebuild: its network, its problem and where it left
-    # the stream; the network runs in its seed's first stack
+    # each seed's first rebuild and where it left the stream; the network
+    # runs in its seed's first stack
     firsts = []
     for stream in streams:
-        net, problem = rebuild(genomes[0], stream)
-        lockstep = getattr(type(net.arch), "lockstep", None)
+        net = rebuild(genomes[0], stream)
+        lockstep = getattr(type(net), "lockstep", None)
         if lockstep is None:
             return None
-        firsts.append((net, problem, stream.snapshot()))
+        firsts.append((net, stream.snapshot()))
     groups: list[list[int]] = []  # seeds whose problems are equal
-    for seed, (_, problem, _) in enumerate(firsts):
-        group = next((g for g in groups if _same(firsts[g[0]][1], problem)), None)
+    for seed, (net, _) in enumerate(firsts):
+        group = next((g for g in groups if _same(firsts[g[0]][0].problem, net.problem)), None)
         if group is None:
             groups.append([seed])
         else:
             group.append(seed)
     values = [[0.0] * len(genomes) for _ in streams]
     for group in groups:
-        limit = firsts[group[0]][0].arch.lockstep_limit()
+        limit = firsts[group[0]][0].lockstep_limit()
         seed_step = min(len(group), limit)
         genome_step = max(1, limit // seed_step)
         for block, indices in product(
@@ -233,12 +232,12 @@ def _lockstep_totals(
         ):
             nets = []
             for seed in block:
-                stream, start, (net, problem, built) = streams[seed], starts[seed], firsts[seed]
+                stream, start, (net, built) = streams[seed], starts[seed], firsts[seed]
                 for index in indices:
                     if index > 0:  # genome 0's network is the seed's first rebuild
                         stream.restore(start)
-                        net, rebuilt = rebuild(genomes[index], stream)
-                        if not (_same(rebuilt, problem) and _same(stream.snapshot(), built)):
+                        net = rebuild(genomes[index], stream)
+                        if not _same(stream.snapshot(), built):
                             return None
                     nets.append(net)
             stack = lockstep(nets)
@@ -246,8 +245,8 @@ def _lockstep_totals(
                 return None
             # a lone seed's stack draws from its stream, without a group's stream axis
             rng = streams[block[0]] if len(block) == 1 else StreamGroup([streams[s] for s in block])
-            run(stack, schedule, firsts[block[0]][1], rng)
-            for value, (seed, index) in zip(stack.arch.best_values(stack), product(block, indices)):
+            run(stack, schedule, rng)
+            for value, (seed, index) in zip(stack.best_values(), product(block, indices)):
                 values[seed][index] = _final_best(value)
     totals = [0.0] * len(genomes)
     for row in values:

@@ -2,8 +2,8 @@
 
 Four instance kinds: supervised Dataset (ANN), TourGraph (ACO),
 Objective (PSO and cross-composition), and binary Tape (ECA). All are
-value types with structural equality so a driven run can verify it was
-handed the same problem its network was built for. Dataset and
+value types with structural equality, so that the meta scale can run
+the networks of equal problems as one lockstep stack. Dataset and
 TourGraph hold read-only float64 arrays and compare by their shapes
 and bytes.
 """

@@ -2,7 +2,7 @@
 
 Nodes are particles (position, velocity, personal best); every particle
 belongs to one hyperedge listing its whole neighborhood, whose best
-personal best guides it. The state lives on the architecture as
+personal best guides it. The state lives on the network as
 (particles, dimension) arrays, and the hyperedges are one padded array
 of member ids, which is also the substrate's endpoint array. The fast
 scale evaluates the whole swarm in one call of the objective and
@@ -75,11 +75,12 @@ class PsoParams:
                 bad = [m for m in members if not 0 <= m < self.particles]
                 if bad:
                     raise ConfigurationError(
-                        f"neighborhood of particle {i} has unknown members {bad}"
+                        f"neighborhood of particle {i} has unknown members {bad}",
+                        key="neighborhoods",
                     )
         elif self.neighborhoods is not None:
             raise ConfigurationError(
-                "explicit neighborhoods require the custom topology"
+                "explicit neighborhoods require the custom topology", key="neighborhoods"
             )
 
 
@@ -94,14 +95,13 @@ def _neighborhood_members(params: PsoParams) -> list[tuple[int, ...]]:
     return [tuple(sorted(set(members))) for members in params.neighborhoods]
 
 
-def evaluate(net: ComputingNetwork, objective: Objective) -> None:
+def evaluate(net: PsoArchitecture, objective: Objective) -> None:
     """Evaluate every particle and update personal bests (strict improvement)."""
-    arch = net.arch
-    values = np.asarray(objective.fn(arch.positions), dtype=float)
-    if values.shape != arch.best_values.shape:
+    values = np.asarray(objective.fn(net.positions), dtype=float)
+    if values.shape != net.best_values.shape:
         raise ConfigurationError(
             f"objective {objective.name!r} returned shape {values.shape} "
-            f"for {len(arch.positions)} particles"
+            f"for {len(net.positions)} particles"
         )
     finite = np.isfinite(values)
     if not finite.all():
@@ -109,46 +109,44 @@ def evaluate(net: ComputingNetwork, objective: Objective) -> None:
         raise NumericDivergenceError(
             f"particle {i} produced non-finite value {float(values[i])!r}"
         )
-    better = values < arch.best_values
-    arch.best_values = np.where(better, values, arch.best_values)
-    arch.best_positions = np.where(better[:, None], arch.positions, arch.best_positions)
+    better = values < net.best_values
+    net.best_values = np.where(better, values, net.best_values)
+    net.best_positions = np.where(better[:, None], net.positions, net.best_positions)
 
 
-def refresh_neighborhoods(net: ComputingNetwork) -> None:
+def refresh_neighborhoods(net: PsoArchitecture) -> None:
     """Cache each hyperedge's best personal best; ties go to the lowest id."""
-    arch, members = net.arch, net.arch.members
-    winners = members[np.arange(len(members)), arch.best_values[members].argmin(axis=1)]
-    arch.neighborhood_bests = arch.best_positions[winners]
+    members = net.members
+    winners = members[np.arange(len(members)), net.best_values[members].argmin(axis=1)]
+    net.neighborhood_bests = net.best_positions[winners]
 
 
-def move(net: ComputingNetwork, params: PsoParams, rng: RngStream) -> None:
+def move(net: PsoArchitecture, params: PsoParams, rng: RngStream) -> None:
     """One velocity-position update for every particle.
 
     The draws are those of a per-particle loop in id order, each
     particle taking a cognitive and then a social uniform vector.
     """
-    arch = net.arch
-    r = rng.uniform(0.0, 1.0, size=(len(arch.positions), 2, arch.positions.shape[1]))
-    local = arch.neighborhood_bests[arch.edge_of_particle]
+    r = rng.uniform(0.0, 1.0, size=(len(net.positions), 2, net.positions.shape[1]))
+    local = net.neighborhood_bests[net.edge_of_particle]
     velocities = (
-        params.inertia * arch.velocities
-        + params.cognitive * r[:, 0] * (arch.best_positions - arch.positions)
-        + params.social * r[:, 1] * (local - arch.positions)
+        params.inertia * net.velocities
+        + params.cognitive * r[:, 0] * (net.best_positions - net.positions)
+        + params.social * r[:, 1] * (local - net.positions)
     )
     if params.velocity_clamp > 0.0:
         velocities = np.clip(velocities, -params.velocity_clamp, params.velocity_clamp)
-    arch.velocities = velocities
-    arch.positions = arch.positions + velocities
+    net.velocities = velocities
+    net.positions = net.positions + velocities
 
 
-def global_best(net: ComputingNetwork) -> tuple[np.ndarray, float]:
+def global_best(net: PsoArchitecture) -> tuple[np.ndarray, float]:
     """Best personal best across the whole swarm; ties to the lowest id."""
-    arch = net.arch
-    i = int(arch.best_values.argmin())
-    return arch.best_positions[i].copy(), float(arch.best_values[i])
+    i = int(net.best_values.argmin())
+    return net.best_positions[i].copy(), float(net.best_values[i])
 
 
-class PsoArchitecture:
+class PsoArchitecture(ComputingNetwork):
     """Swarm behaviour: fast = evaluate, slow = refresh neighborhoods and move.
 
     Row i of positions, velocities and best_positions, and entry i of
@@ -187,22 +185,22 @@ class PsoArchitecture:
         """Particles in id order and one hyperedge per distinct neighborhood."""
         return len(self.positions), self.members
 
-    def fast(self, net, rng: RngStream) -> None:
-        evaluate(net, self.problem)
+    def fast(self, rng: RngStream) -> None:
+        evaluate(self, self.problem)
 
-    def readout(self, net) -> list[float]:
-        position, _ = global_best(net)
+    def readout(self) -> list[float]:
+        position, _ = global_best(self)
         return position.tolist()
 
-    def slow(self, net, rng: RngStream) -> None:
-        refresh_neighborhoods(net)
-        move(net, self.params, rng)
+    def slow(self, rng: RngStream) -> None:
+        refresh_neighborhoods(self)
+        move(self, self.params, rng)
 
-    def best_value(self, net) -> float | None:
-        _, value = global_best(net)
+    def best_value(self) -> float | None:
+        _, value = global_best(self)
         return value
 
-    def parameters(self, net) -> dict[str, float]:
+    def parameters(self) -> dict[str, float]:
         p = self.params
         return {
             "inertia": float(p.inertia),
@@ -215,7 +213,7 @@ class PsoArchitecture:
 
 def build_pso_network(
     objective: Objective, rng: RngStream, params: PsoParams | None = None
-) -> ComputingNetwork:
+) -> PsoArchitecture:
     """Swarm over the objective's box, personal bests seeded by evaluation.
 
     Draw order is fixed: for each particle in id order, one position
@@ -228,10 +226,9 @@ def build_pso_network(
     draws = rng.uniform(
         [[lo], [-vspan]], [[hi], [vspan]], size=(params.particles, 2, objective.dimension)
     )
-    arch = PsoArchitecture(
+    net = PsoArchitecture(
         objective, params, np.ascontiguousarray(draws[:, 0]), np.ascontiguousarray(draws[:, 1])
     )
-    net = ComputingNetwork(arch=arch)
     evaluate(net, objective)
     refresh_neighborhoods(net)
     return net

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from cnets.core import ComputingNetwork
 from cnets.eca import RuleTable, UpdateMode, rule_table
 from cnets.errors import ConfigurationError
 from cnets.problems import Tape
@@ -83,8 +84,12 @@ class OracleNode:
     payload: CellPayload
 
 
-class OracleEca:
-    """Cellular-automaton architecture over one payload object per cell."""
+class OracleEca(ComputingNetwork):
+    """Cellular-automaton architecture over one payload object per cell.
+
+    cell_nodes holds those objects in tape order; nodes is the network's
+    node range.
+    """
 
     kind = "eca"
     allow_hyperedges = False
@@ -95,12 +100,12 @@ class OracleEca:
         self.table = rule_table(rule_number)
         self.problem = problem
         self.updating = updating
-        self.nodes = [
+        self.cell_nodes = [
             OracleNode(id=i, payload=CellPayload(state=c)) for i, c in enumerate(problem.cells)
         ]
 
     def substrate(self) -> tuple[int, np.ndarray]:
-        n = len(self.nodes)
+        n = len(self.cell_nodes)
         edges = [(i, i + 1) for i in range(n - 1)]
         if self.problem.boundary == "periodic" and n > 2:
             edges.append((n - 1, 0))
@@ -108,30 +113,30 @@ class OracleEca:
 
     def _tape(self) -> Tape:
         return Tape(
-            cells=tuple(node.payload.state for node in self.nodes),
+            cells=tuple(node.payload.state for node in self.cell_nodes),
             boundary=self.problem.boundary,
         )
 
-    def fast(self, net, rng: RngStream) -> None:
+    def fast(self, rng: RngStream) -> None:
         tape = self._tape()
         if self.updating is UpdateMode.SYNCHRONOUS:
             stepped = step(tape, self.table)
         else:
-            order = list(range(len(self.nodes)))
+            order = list(range(len(self.cell_nodes)))
             if self.updating is UpdateMode.ASYNC_RANDOM:
-                order = [int(i) for i in rng.permutation(len(self.nodes))]
+                order = [int(i) for i in rng.permutation(len(self.cell_nodes))]
             stepped = step_in_order(tape, self.table, order)
-        for node, state in zip(self.nodes, stepped.cells):
+        for node, state in zip(self.cell_nodes, stepped.cells):
             node.payload.state = state
 
-    def readout(self, net) -> list[float]:
-        return [float(node.payload.state) for node in self.nodes]
+    def readout(self) -> list[float]:
+        return [float(node.payload.state) for node in self.cell_nodes]
 
-    def slow(self, net, rng: RngStream) -> None:
+    def slow(self, rng: RngStream) -> None:
         pass
 
-    def best_value(self, net) -> float | None:
+    def best_value(self) -> float | None:
         return None
 
-    def parameters(self, net) -> dict[str, float]:
+    def parameters(self) -> dict[str, float]:
         return {"rule": float(self.rule_number)}

@@ -93,9 +93,9 @@ def _pheromone_audit():
 
     def audited(net, rng):
         original(net, rng)
-        pheromone = net.arch.pheromone
+        pheromone = net.pheromone
         audit["violations"].extend(pheromone[pheromone < 0.0].tolist())
-        audit["stacked_steps"] += len(net.arch.colonies) > 1
+        audit["stacked_steps"] += len(net.colonies) > 1
         return net
 
     core.slow_step = audited
@@ -116,9 +116,7 @@ def _eca_outcome():
     elapsed = time.perf_counter() - start
     rng = RngStream(0)
     net = build_eca_network(Tape.single_one(129), 110)
-    records = run(
-        net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=64), Tape.single_one(129), rng
-    )
+    records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=64), rng)
     header = {"architecture": "eca", "rule": 110, "width": 129, "steps": 64, "seed": 0}
     return {
         "mismatches": mismatches,
@@ -133,9 +131,7 @@ def _xor_outcome():
     start = time.perf_counter()
     rng = RngStream(1)
     net = build_ann((2, 2, 1), dataset, rng, AnnParams(learning_rate=0.5))
-    records = run(
-        net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5000), dataset, rng
-    )
+    records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5000), rng)
     final = batch_mse(net, dataset)
     elapsed = time.perf_counter() - start
     header = {
@@ -163,9 +159,7 @@ def _tours_outcome():
         )
         net = build_aco_network(graph)
         with _pheromone_audit() as audit:
-            records = run(
-                net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=50), graph, rng
-            )
+            records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=50), rng)
         violations += audit["violations"]
         values = [r.best_value for r in records[1:]]
         monotone = monotone and all(
@@ -190,9 +184,7 @@ def _sphere_outcome():
     objective = named_objective("sphere", 2)
     rng = RngStream(1)
     net = build_pso_network(objective, rng, PsoParams())
-    records = run(
-        net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=200), objective, rng
-    )
+    records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=200), rng)
     values = [r.best_value for r in records]
     elapsed = time.perf_counter() - start
     header = {
@@ -221,7 +213,7 @@ def _meta_outcome():
             beta=genome["beta"],
             evaporation=genome["evaporation"],
         )
-        return build_aco_network(graph, params), graph
+        return build_aco_network(graph, params)
 
     config = MetaConfig(
         population_size=10,

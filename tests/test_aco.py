@@ -98,9 +98,9 @@ class TestTransitions:
         graph = TourGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=1.0)
         net = build_aco_network(graph, params)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         tau[0, 1] = tau[1, 0] = 2.0
-        row = net.arch.choice_info()[0][0]
+        row = net.choice_info()[0][0]
         assert probabilities(row, 0) == pytest.approx([2 / 3, 1 / 3])
 
     def test_beta_raises_desirability(self):
@@ -108,7 +108,7 @@ class TestTransitions:
         graph = TourGraph([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]])
         params = AcoParams(alpha=1.0, beta=2.0)
         net = build_aco_network(graph, params)
-        assert net.arch.choice_info()[0][0].tolist() == pytest.approx([0.0, 4.0, 1.0])
+        assert net.choice_info()[0][0].tolist() == pytest.approx([0.0, 4.0, 1.0])
 
     def test_zero_total_weight_is_a_dead_end(self):
         weights = np.array([[0.0, 0.0, 0.0]])
@@ -146,8 +146,8 @@ class TestTransitions:
         params = AcoParams(alpha=1.3, beta=0.7)
         net = build_aco_network(graph, params)
         upper = np.triu(rng.uniform(0.1, 5.0, size=(5, 5)), 1)
-        net.arch.pheromone[...] = upper + upper.T
-        choice = net.arch.choice_info()[0]
+        net.pheromone[...] = upper + upper.T
+        choice = net.choice_info()[0]
         for here in range(5):
             probs = probabilities(choice[here], here)
             assert probs.sum() == pytest.approx(1.0)
@@ -177,7 +177,7 @@ class TestDeadEnds:
         params = AcoParams(alpha=100.0, ants=2)
         net = build_aco_network(square_graph(), params)
         evaporate(net, 1.0)
-        assert (net.arch.pheromone == params.min_pheromone).all()
+        assert (net.pheromone == params.min_pheromone).all()
         rng = CountingStream(7)
         with pytest.raises(DeadEndError):
             construct_solutions(net, rng)
@@ -191,7 +191,7 @@ class TestDeadEnds:
         trails = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 4)]
         params = AcoParams(alpha=100.0, ants=6)
         net = build_aco_network(graph, params)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         tau[...] = params.min_pheromone
         for a, b in trails:
             tau[a, b] = tau[b, a] = 1.0
@@ -211,7 +211,7 @@ class TestDivergence:
         graph = random_euclidean(6, RngStream(1))
         net = build_aco_network(graph, AcoParams(alpha=400.0, initial_pheromone=10.0))
         with pytest.raises(NumericDivergenceError) as caught:
-            run(net, ScaleSchedule(slow_steps=2), graph, RngStream(2))
+            run(net, ScaleSchedule(slow_steps=2), RngStream(2))
         assert caught.value.step_position == (1, 0)
 
     def test_overflowing_desirability_power_is_a_divergence(self):
@@ -234,7 +234,7 @@ class TestPheromoneUpdates:
     def test_evaporation_scales_every_trail(self):
         net = build_aco_network(square_graph(), AcoParams(initial_pheromone=2.0))
         evaporate(net, 0.1)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         assert tau[tuple(net.edges.T)].tolist() == pytest.approx([1.8] * len(net.edges))
 
     def test_evaporation_respects_the_floor(self):
@@ -242,13 +242,13 @@ class TestPheromoneUpdates:
             square_graph(), AcoParams(initial_pheromone=1.0, min_pheromone=0.5)
         )
         evaporate(net, 0.9)
-        assert (net.arch.pheromone == 0.5).all()
+        assert (net.pheromone == 0.5).all()
 
     def test_deposit_adds_amount_over_length(self):
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(initial_pheromone=1.0))
         deposit(net, tours(([0, 1, 2, 3], 4.0)), amount=1.0)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         for i, j in [(0, 1), (1, 2), (2, 3), (3, 0)]:
             assert tau[i, j] == tau[j, i] == pytest.approx(1.25)
         # the diagonals carry no deposit
@@ -263,11 +263,11 @@ class TestPheromoneUpdates:
     def test_trail_lookup_is_symmetric(self):
         net = build_aco_network(square_graph())
         deposit(net, tours(([0, 2, 1, 3], 5.0), ([3, 1, 0, 2], 4.0)), amount=1.0)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         assert tau[0, 2] == tau[2, 0]
         assert (tau == tau.T).all()
         # there is no trail from a node to itself
-        assert (np.diag(net.arch.choice_info()[0]) == 0.0).all()
+        assert (np.diag(net.choice_info()[0]) == 0.0).all()
 
 
 class TestConstruction:
@@ -283,10 +283,10 @@ class TestConstruction:
     def test_no_ants_left_behind(self):
         graph = random_euclidean(5, RngStream(3))
         net = build_aco_network(graph, AcoParams(ants=4))
-        before = net.arch.pheromone.copy()
+        before = net.pheromone.copy()
         construct_solutions(net, RngStream(4))
         # construction leaves nothing behind: no trail change
-        assert (net.arch.pheromone == before).all()
+        assert (net.pheromone == before).all()
 
     def test_construction_is_seed_deterministic(self):
         graph = random_euclidean(5, RngStream(3))
@@ -324,9 +324,7 @@ class TestColonyRuns:
     def test_best_value_never_worsens(self):
         graph = random_euclidean(6, RngStream(31))
         net = build_aco_network(graph, AcoParams(ants=6))
-        records = run(
-            net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=15), graph, RngStream(32)
-        )
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=15), RngStream(32))
         values = [r.best_value for r in records]
         assert values[0] is None  # nothing constructed before the first fast step
         trailing = [v for v in values if v is not None]
@@ -335,35 +333,28 @@ class TestColonyRuns:
     def test_readout_matches_best_path(self):
         graph = random_euclidean(5, RngStream(41))
         net = build_aco_network(graph, AcoParams(ants=5))
-        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), graph, RngStream(42))
-        path = net.arch.best.paths[0].tolist()
+        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), RngStream(42))
+        path = net.best.paths[0].tolist()
         assert sorted(path) == list(range(5))
-        assert net.arch.best.lengths[0] == pytest.approx(graph.tour_length(path))
-        assert net.arch.readout(net) == [float(v) for v in path]
+        assert net.best.lengths[0] == pytest.approx(graph.tour_length(path))
+        assert net.readout() == [float(v) for v in path]
 
     def test_finds_square_optimum(self):
         graph = square_graph()
         net = build_aco_network(graph, AcoParams(ants=8))
-        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=20), graph, RngStream(5))
-        assert net.arch.best.lengths[0] == pytest.approx(4.0)
+        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=20), RngStream(5))
+        assert net.best.lengths[0] == pytest.approx(4.0)
 
     def test_demon_run_reaches_optimum_quickly(self):
         graph = random_euclidean(7, RngStream(51))
         optimum = brute_force_optimum(graph)
         net = build_aco_network(graph, AcoParams(ants=8, demon="two-opt"))
-        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(52))
-        assert net.arch.best.lengths[0] == pytest.approx(optimum)
+        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), RngStream(52))
+        assert net.best.lengths[0] == pytest.approx(optimum)
 
     def test_pheromone_floor_holds_during_a_run(self):
         graph = random_euclidean(5, RngStream(61))
         params = AcoParams(ants=3, evaporation=0.9, min_pheromone=1e-6)
         net = build_aco_network(graph, params)
-        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), graph, RngStream(62))
-        assert (net.arch.pheromone >= 1e-6).all()
-
-    def test_problem_mismatch_rejected(self):
-        graph = random_euclidean(5, RngStream(71))
-        other = random_euclidean(5, RngStream(72))
-        net = build_aco_network(graph)
-        with pytest.raises(ConfigurationError):
-            run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=1), other, RngStream(0))
+        run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=10), RngStream(62))
+        assert (net.pheromone >= 1e-6).all()

@@ -61,10 +61,10 @@ def test_lockstep_walk_matches_scalar_walk(n, seed, alpha, beta, ants):
     graph = instance(n, seed)
     params = AcoParams(alpha=alpha, beta=beta, ants=ants)
     net = build_aco_network(graph, params)
-    net.arch.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
+    net.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
     lockstep, scalar = RngStream(seed, 2), RngStream(seed, 2)
     got = construct_solutions(net, lockstep)
-    want = oracle.construct_solutions(net.arch.pheromone[0].tolist(), graph, params, scalar)
+    want = oracle.construct_solutions(net.pheromone[0].tolist(), graph, params, scalar)
     assert got == want
     assert next_draws(lockstep) == next_draws(scalar)
 
@@ -76,9 +76,9 @@ def test_choice_info_matches_scalar_weights(n, seed, alpha, beta):
     graph = instance(n, seed)
     params = AcoParams(alpha=alpha, beta=beta)
     net = build_aco_network(graph, params)
-    net.arch.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
-    choice = net.arch.choice_info()[0]
-    pheromone = net.arch.pheromone[0].tolist()
+    net.pheromone[...] = random_pheromone(n, RngStream(seed, 1))
+    choice = net.choice_info()[0]
+    pheromone = net.pheromone[0].tolist()
     for here in range(n):
         others = [node for node in range(n) if node != here]
         want = oracle.transition_weights(here, others, pheromone, graph, params)
@@ -101,21 +101,21 @@ def test_colony_iterations_match_scalar_updates(n, seed, alpha, beta, ants, evap
     graph = instance(n, seed)
     params = AcoParams(alpha=alpha, beta=beta, ants=ants, evaporation=evaporation, demon=demon)
     net = build_aco_network(graph, params)
-    pheromone = net.arch.pheromone[0].tolist()
+    pheromone = net.pheromone[0].tolist()
     lockstep, scalar = RngStream(seed, 3), RngStream(seed, 3)
     for _ in range(3):
-        net.arch.fast(net, lockstep)
-        walked = net.arch.walked
+        net.fast(lockstep)
+        walked = net.walked
         want = oracle.construct_solutions(pheromone, graph, params, scalar)
         assert list(zip(walked.paths.tolist(), walked.lengths.tolist())) == want
-        net.arch.slow(net, lockstep)
+        net.slow(lockstep)
         oracle.evaporate(pheromone, evaporation, params.min_pheromone)
         if demon == "two-opt":
             index = min(range(len(want)), key=lambda k: want[k][1])
             better = oracle.two_opt(want[index][0], graph)
             want[index] = (better, graph.tour_length(better))
         oracle.deposit(pheromone, want, params.deposit)
-        assert net.arch.pheromone[0].tolist() == pheromone
+        assert net.pheromone[0].tolist() == pheromone
     assert next_draws(lockstep) == next_draws(scalar)
 
 
@@ -170,10 +170,10 @@ def test_stacked_choice_info_with_mixed_alphas_matches_scalar_weights(n, seed, a
     colonies = [AcoParams(alpha=alpha, beta=beta) for alpha in [1.0, *alphas]]
     net = AcoArchitecture.lockstep([build_aco_network(graph, params) for params in colonies])
     for k in range(len(colonies)):
-        net.arch.pheromone[k] = random_pheromone(n, RngStream(seed, 10 + k))
-    choice = net.arch.choice_info()
+        net.pheromone[k] = random_pheromone(n, RngStream(seed, 10 + k))
+    choice = net.choice_info()
     for k, params in enumerate(colonies):
-        pheromone = net.arch.pheromone[k].tolist()
+        pheromone = net.pheromone[k].tolist()
         for here in range(n):
             others = [node for node in range(n) if node != here]
             want = oracle.transition_weights(here, others, pheromone, graph, params)

@@ -85,12 +85,12 @@ class TestForward:
     def test_payloads_record_the_evaluation(self):
         ds = linear_dataset()
         net = make_net((1, 1), ds, output_activation="identity")
-        assert net.arch.readout(net) == [0.0]
+        assert net.readout() == [0.0]
         set_weight_vector(net, [3.0, 0.5])
         forward(net, [2.0])
-        assert net.arch.outputs[0].tolist() == [2.0]
-        assert net.arch.outputs[1].tolist() == [6.5]
-        assert net.arch.readout(net) == [6.5]
+        assert net.outputs[0].tolist() == [2.0]
+        assert net.outputs[1].tolist() == [6.5]
+        assert net.readout() == [6.5]
 
     def test_arity_mismatch_rejected(self):
         net = make_net((2, 1), Dataset(inputs=[(0.0, 0.0)], targets=[(0.0,)]))
@@ -101,7 +101,7 @@ class TestForward:
         ds = Dataset(inputs=[(1.0, 1.0)], targets=[(0.0,)])
         net = make_net((2, 3, 3, 1), ds, hidden_activation="identity")
         # second hidden layer (node ids 5..7): units 1 and 2 overflow
-        vector = np.zeros(net.arch.topology.parameter_count)
+        vector = np.zeros(net.topology.parameter_count)
         vector[0:6] = 1.0
         vector[6:15] = [1.0, 0.0, 0.0, 1e308, 1e308, 1e308, 1e308, 1e308, 1e308]
         set_weight_vector(net, vector)
@@ -228,10 +228,10 @@ class TestWeightVector:
         net = make_net((2, 2, 1), xor_dataset())
         set_weight_vector(net, np.arange(9.0))
         # weights grouped by destination neuron, then by source, like the edge ids
-        assert net.arch.weights[0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert net.weights[0].tolist() == [[0.0, 1.0], [2.0, 3.0]]
         assert net.edges[1].tolist() == [1, 2]
-        assert net.arch.weights[1].tolist() == [[4.0, 5.0]]
-        assert [b.tolist() for b in net.arch.biases] == [[6.0, 7.0], [8.0]]
+        assert net.weights[1].tolist() == [[4.0, 5.0]]
+        assert [b.tolist() for b in net.biases] == [[6.0, 7.0], [8.0]]
 
     def test_vectors_are_copies(self):
         net = make_net((2, 2, 1), xor_dataset())
@@ -252,7 +252,7 @@ class TestArchitecture:
         net = make_net((2, 2, 1), xor_dataset())
         assert len(net.nodes) == 5
         assert len(net.edges) == 6
-        assert net.arch.directed
+        assert net.directed
 
     def test_build_rejects_mismatched_dataset(self):
         with pytest.raises(ConfigurationError):
@@ -263,17 +263,15 @@ class TestArchitecture:
         net = make_net((2, 2, 1), ds)
         seen = []
         for _ in range(6):
-            net.arch.fast(net, RngStream(0))
-            seen.append(tuple(net.arch.outputs[0].tolist()))
+            net.fast(RngStream(0))
+            seen.append(tuple(net.outputs[0].tolist()))
         assert seen == [tuple(ds.inputs[i % 4].tolist()) for i in range(6)]
 
     def test_run_records_pre_update_mse(self):
         ds = xor_dataset()
         net = make_net((2, 2, 1), ds, seed=3, learning_rate=0.5)
         fresh = make_net((2, 2, 1), ds, seed=3, learning_rate=0.5)
-        records = run(
-            net, ScaleSchedule(fast_steps_per_slow=4, slow_steps=3), ds, RngStream(0)
-        )
+        records = run(net, ScaleSchedule(fast_steps_per_slow=4, slow_steps=3), RngStream(0))
         assert len(records) == 4
         assert records[0].best_value == pytest.approx(batch_mse(fresh, ds))
         replayed = [batch_mse(fresh, ds)]

@@ -60,7 +60,7 @@ def test_build_draws_the_same_weights_and_leaves_the_same_stream(case):
 def test_forward_matches_every_layer(case):
     net, reference, _, _ = both(*case)
     dataset = case[1]
-    topo = net.arch.topology
+    topo = net.topology
     for sample in dataset.inputs:
         assert forward(net, sample) == oracle.forward(reference, sample)
         for k in range(topo.depth):
@@ -68,7 +68,7 @@ def test_forward_matches_every_layer(case):
                 reference.nodes[topo.node_base(k) + j].payload
                 for j in range(topo.layer_sizes[k])
             ]
-            assert same_bits(net.arch.outputs[k], [p.output for p in payloads])
+            assert same_bits(net.outputs[k], [p.output for p in payloads])
     assert batch_mse(net, dataset) == oracle.batch_mse(reference, dataset)
 
 

@@ -366,6 +366,25 @@ class TestExitCodes:
                 {"aco": {"graph": "cities.csv", "evaporation": 1.5}},
                 "aco.evaporation: must be in [0, 1], got 1.5",
             ),
+            (
+                {
+                    "pso": {
+                        "dimension": 2,
+                        "particles": 3,
+                        "topology": "custom",
+                        "neighborhoods": [[0, 1], [1, 7], [2, 0]],
+                    }
+                },
+                "pso.neighborhoods: neighborhood of particle 1 has unknown members [7]",
+            ),
+            (
+                {"pso": {"dimension": 2, "particles": 2, "neighborhoods": [[0, 1], [0, 1]]}},
+                "pso.neighborhoods: explicit neighborhoods require the custom topology",
+            ),
+            (
+                {"cross": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "weight_bounds": [1, 1]}},
+                "cross.weight_bounds: must have low < high, got [1.0, 1.0]",
+            ),
         ],
         ids=[
             "pso.bounds-inverted",
@@ -380,6 +399,9 @@ class TestExitCodes:
             "cross.dimension",
             "meta.tournament_size",
             "aco.evaporation",
+            "pso.neighborhoods-unknown-member",
+            "pso.neighborhoods-not-custom",
+            "cross.weight_bounds-empty",
         ],
     )
     def test_refused_value_is_named_by_its_config_path(self, workdir, capsys, config, message):
@@ -472,6 +494,16 @@ class TestSummarizeCommand:
         assert main(["summarize", str(workdir / "run1.jsonl"), "--out", bad_out]) == 3
         assert "io error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["empty", "directory"])
+    def test_empty_or_directory_out_is_refused_before_reading(self, workdir, capsys, monkeypatch, where):
+        def no_summary(*args):
+            raise AssertionError("the record files were read")
+
+        monkeypatch.setattr("cnets.cli.summarize", no_summary)
+        out = "" if where == "empty" else str(workdir)
+        assert main(["summarize", str(workdir / "*.jsonl"), "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("config error: output path must name a file, got ")
+
 
 class TestRenderCommand:
     def test_text_render_matches_direct_evolution(self, workdir, capsys):
@@ -499,6 +531,19 @@ class TestRenderCommand:
         )
         assert main(["eca-render", path]) == 1
         assert "eca" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config-empty", "flag-empty", "flag-directory"])
+    def test_empty_or_directory_out_is_refused_before_the_run(
+        self, workdir, capsys, monkeypatch, where
+    ):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr("cnets.harness.run", no_run)
+        flag = {"config-empty": [], "flag-empty": ["--out", ""], "flag-directory": ["--out", str(workdir)]}
+        path = eca_config(workdir, out="" if where == "config-empty" else "grid.txt")
+        assert main(["eca-render", path, *flag[where]]) == 1
+        assert capsys.readouterr().err.startswith("config error: output path must name a file, got ")
 
     def test_unseeded_render_defaults_to_zero(self, workdir, capsys):
         path = eca_config(workdir, seed=None)

@@ -1,15 +1,26 @@
 import json
 import re
+import sys
 from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import pytest
 
 from instances import write_config
+from cnets import aco
 from cnets.ann import AnnParams
 from cnets.config import build_config, load_config
 from cnets.eca import EcaParams
 from cnets.errors import ConfigurationError
 from cnets.meta import ParamBox
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+
+# a size no config may ask for, far past what numpy can index
+HUGE = 2**70
 
 
 @pytest.fixture
@@ -446,6 +457,44 @@ class TestMetaValidation:
         data = self.meta_aco(eval_seeds=[])
         with pytest.raises(ConfigurationError, match="eval_seeds"):
             load_config(write_json(workdir, data))
+
+
+class TestSizes:
+    """The largest array each section asks for is estimated at load, never allocated."""
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            ({"pso": {"dimension": 2, "particles": HUGE}}, "pso"),
+            ({"pso": {"dimension": HUGE}}, "pso"),
+            (minimal_cross(particles=HUGE), "cross.pso"),
+            ({"ann": {"layers": [2, HUGE, HUGE, 1], "dataset": "xor.csv"}}, "ann.layers"),
+            ({"cross": {"ann": {"layers": [2, HUGE, 1], "dataset": "xor.csv"}}}, "cross.ann.layers"),
+            ({"eca": {"rule": 110, "width": HUGE}}, "eca.width"),
+            (minimal_meta_aco(population_size=HUGE), "meta.population_size"),
+        ],
+        ids=[
+            "pso.particles",
+            "pso.dimension",
+            "cross.pso.particles",
+            "ann.layers",
+            "cross.ann.layers",
+            "eca.width",
+            "meta.population_size",
+        ],
+    )
+    def test_oversized_setting_is_refused_at_load(self, workdir, data, where):
+        message = rf"^config\.{re.escape(where)}: .* doubles in one array, over the limit of \d+$"
+        with pytest.raises(ConfigurationError, match=message):
+            build_config(data, str(workdir))
+
+    def test_committed_configs_and_workloads_sit_far_below_the_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(aco, "ARRAY_DOUBLES", aco.ARRAY_DOUBLES // 100)
+        for path in sorted((ROOT / "configs").glob("*.json")):
+            load_config(str(path))
+        for name in sorted(workloads.WORKLOADS):
+            (tmp_path / name).mkdir()
+            build_config(workloads.make_inputs(name, 1, str(tmp_path / name)), str(tmp_path / name))
 
 
 class TestRoundTrips:

@@ -1,3 +1,4 @@
+import inspect
 import re
 from itertools import combinations
 
@@ -9,7 +10,6 @@ from instances import random_euclidean, xor_dataset
 from cnets.aco import AcoArchitecture, build_aco_network
 from cnets.ann import build_ann, weight_vector
 from cnets.core import (
-    Architecture,
     ComputingNetwork,
     RunRecord,
     ScaleSchedule,
@@ -24,44 +24,40 @@ from cnets.pso import PsoParams, build_pso_network
 from cnets.rng import RngStream
 
 
-class CounterArchitecture:
+class CounterArchitecture(ComputingNetwork):
     """Minimal architecture for exercising the generic driver.
 
     One value per node; fast adds 1.0 to every value, slow decays all
-    values toward 0. It defines only the Architecture protocol's
-    members, so core.run needs nothing more.
+    values toward 0. It defines only the members the ComputingNetwork
+    docstring lists, substrate aside, so core.run needs nothing more.
     """
 
     kind = "counter"
     allow_hyperedges = False
     directed = False
+    problem = None
 
-    def __init__(self, n=3, problem=None):
-        self.problem = problem
+    def __init__(self, n=3):
         self.values = np.zeros(n)
         self.fast_calls = 0
         self.slow_calls = 0
 
-    def fast(self, net, rng):
+    def fast(self, rng):
         self.fast_calls += 1
         self.values += 1.0
 
-    def readout(self, net):
+    def readout(self):
         return self.values.tolist()
 
-    def slow(self, net, rng):
+    def slow(self, rng):
         self.slow_calls += 1
         self.values *= 0.5
 
-    def best_value(self, net):
+    def best_value(self):
         return float(self.values.sum())
 
-    def parameters(self, net):
+    def parameters(self):
         return {"decay": 0.5}
-
-
-def counter_net(n=3, problem=None):
-    return ComputingNetwork(CounterArchitecture(n=n, problem=problem))
 
 
 def chain(n):
@@ -101,12 +97,12 @@ class TestScaleSchedule:
 
 class TestNetworkValidation:
     def test_edge_needs_two_endpoints(self):
-        net = ComputingNetwork(GraphArchitecture(1, np.array([[0]])))
+        net = GraphArchitecture(1, np.array([[0]]))
         with pytest.raises(ConfigurationError, match=r"^edge 0 has 1 endpoints; need >= 2$"):
             net.edges
 
     def test_unknown_endpoint_rejected(self):
-        net = ComputingNetwork(GraphArchitecture(1, np.array([[0, 5]])))
+        net = GraphArchitecture(1, np.array([[0, 5]]))
         with pytest.raises(ConfigurationError, match=r"^edge 0 references unknown node ids \[5\]$"):
             net.edges
 
@@ -126,30 +122,30 @@ class TestNetworkValidation:
         ids=["negative", "loop", "padded-loop", "first-bad-edge", "first-failed-check"],
     )
     def test_refusal_names_the_first_bad_edge(self, nodes, edges, message):
-        net = ComputingNetwork(GraphArchitecture(nodes, np.array(edges)))
+        net = GraphArchitecture(nodes, np.array(edges))
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             net.edges
 
     def test_hyperedge_needs_permission(self):
         edges = np.array([[0, 1, 2]])
-        net = ComputingNetwork(GraphArchitecture(3, edges))
+        net = GraphArchitecture(3, edges)
         with pytest.raises(ConfigurationError, match="does not allow them"):
             net.edges
-        net = ComputingNetwork(GraphArchitecture(3, edges, allow_hyperedges=True))
+        net = GraphArchitecture(3, edges, allow_hyperedges=True)
         assert len(set(net.edges[0].tolist())) == 3
         assert net.nodes == range(3)
 
     def test_a_padded_pair_is_a_plain_edge(self):
-        net = ComputingNetwork(GraphArchitecture(3, np.array([[0, 1, 1], [1, 2, 2]])))
+        net = GraphArchitecture(3, np.array([[0, 1, 1], [1, 2, 2]]))
         assert [set(row) for row in net.edges.tolist()] == [{0, 1}, {1, 2}]
 
     def test_no_edges_is_a_graph(self):
-        net = ComputingNetwork(GraphArchitecture(2, np.empty((0, 2), dtype=int)))
+        net = GraphArchitecture(2, np.empty((0, 2), dtype=int))
         assert net.edges.shape == (0, 2)
         assert net.nodes == range(2)
 
     def test_edges_are_built_once_and_read_only(self):
-        net = ComputingNetwork(GraphArchitecture(4, chain(4)))
+        net = GraphArchitecture(4, chain(4))
         assert net.edges is net.edges
         with pytest.raises(ValueError):
             net.edges[0, 0] = 3
@@ -236,20 +232,33 @@ class TestSubstrateArrays:
         net = build()
         assert net.edges.dtype.kind == "i"
         assert net.edges.tolist() == [list(edge) for edge in expected]
-        assert net.arch.directed == (net.arch.kind == "ann")
+        assert net.directed == (net.kind == "ann")
 
     def test_ann_edge_ids_index_the_weight_vector(self):
         sizes = (3, 5, 4, 2)
         net = build_ann(sizes, blank_dataset(3, 2), RngStream(0))
         weights = weight_vector(net)
         flat = {(src, dst): w for (src, dst), w in zip(net.edges.tolist(), weights)}
-        for k, block in enumerate(net.arch.weights):
+        for k, block in enumerate(net.weights):
             base = sum(sizes[:k])
             for j, i in np.ndindex(block.shape):
                 assert flat[(base + i, base + sizes[k] + j)] == block[j, i]
 
 
+# each architecture method the loop or the graph calls, and its parameters
+METHODS = {
+    "fast": ["rng"],
+    "readout": [],
+    "slow": ["rng"],
+    "best_value": [],
+    "parameters": [],
+    "substrate": [],
+}
+
+
 class TestProtocol:
+    """What every architecture keeps: the ComputingNetwork base class and its members."""
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -260,120 +269,121 @@ class TestProtocol:
             ),
             lambda: build_pso_network(named_objective("sphere", 2), RngStream(0)),
             lambda: build_eca_network(Tape.single_one(5), 110),
-            counter_net,
+            lambda: GraphArchitecture(3, chain(3)),
         ],
         ids=["ann", "aco", "colony-stack", "pso", "eca", "counter"],
     )
     def test_every_architecture_is_one(self, build):
-        assert isinstance(build().arch, Architecture)
+        net = build()
+        assert isinstance(net, ComputingNetwork)
+        assert isinstance(net.kind, str)
+        assert isinstance(net.allow_hyperedges, bool) and isinstance(net.directed, bool)
+        assert hasattr(net, "problem")
+        for name, parameters in METHODS.items():
+            assert list(inspect.signature(getattr(net, name)).parameters) == parameters, name
 
 
 class TestFastSlowSteps:
     def test_fast_step_returns_readout(self):
-        net = counter_net(n=2)
+        net = CounterArchitecture(n=2)
         fast_step(net, RngStream(0))
         out = fast_step(net, RngStream(0))
         assert out == [2.0, 2.0]
 
     def test_non_finite_readout_raises(self):
-        net = counter_net(n=1)
-        net.arch.values[0] = float("inf")
+        net = CounterArchitecture(n=1)
+        net.values[0] = float("inf")
         with pytest.raises(NumericDivergenceError):
             fast_step(net, RngStream(0))
 
     def test_non_finite_readout_error_names_the_first_bad_value(self):
-        net = counter_net(n=3)
-        net.arch.values[1:] = [float("-inf"), float("nan")]
+        net = CounterArchitecture(n=3)
+        net.values[1:] = [float("-inf"), float("nan")]
         with pytest.raises(NumericDivergenceError, match=r"non-finite value -inf$"):
             fast_step(net, RngStream(0))
 
     def test_slow_step_returns_same_network(self):
-        net = counter_net()
+        net = CounterArchitecture()
         assert slow_step(net, RngStream(0)) is net
 
     def test_readout_is_pure(self):
-        net = counter_net(n=2)
+        net = CounterArchitecture(n=2)
         fast_step(net, RngStream(0))
-        assert net.arch.readout(net) == net.arch.readout(net)
+        assert net.readout() == net.readout()
 
     def test_slow_step_applies_adaptation(self):
-        net = counter_net(n=1)
-        net.arch.values[0] = 4.0
+        net = CounterArchitecture(n=1)
+        net.values[0] = 4.0
         slow_step(net, RngStream(0))
-        assert net.arch.values[0] == 2.0
+        assert net.values[0] == 2.0
 
 
 class TestRun:
     def test_degenerate_schedule_yields_only_initial_record(self):
-        net = counter_net()
-        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=0), None, RngStream(0))
+        net = CounterArchitecture()
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=0), RngStream(0))
         assert len(records) == 1
         assert records[0].slow_step == 0
-        assert net.arch.fast_calls == 0
+        assert net.fast_calls == 0
 
     def test_record_count_and_step_budget(self):
-        net = counter_net()
-        records = run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=5), None, RngStream(0))
+        net = CounterArchitecture()
+        records = run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=5), RngStream(0))
         assert len(records) == 6
         assert [r.slow_step for r in records] == list(range(6))
-        assert net.arch.fast_calls == 15
-        assert net.arch.slow_calls == 5
+        assert net.fast_calls == 15
+        assert net.slow_calls == 5
 
     def test_topology_conserved_across_run(self):
-        net = ComputingNetwork(GraphArchitecture(4, chain(4)))
+        net = GraphArchitecture(4, chain(4))
         before = (len(net.nodes), len(net.edges), net.edges.tolist())
-        run(net, ScaleSchedule(1, 10), None, RngStream(0))
+        run(net, ScaleSchedule(1, 10), RngStream(0))
         after = (len(net.nodes), len(net.edges), net.edges.tolist())
         assert before == after
 
     def test_records_carry_parameter_snapshot(self):
-        net = counter_net()
-        records = run(net, ScaleSchedule(1, 2), None, RngStream(0))
+        net = CounterArchitecture()
+        records = run(net, ScaleSchedule(1, 2), RngStream(0))
         assert all(r.parameter_snapshot == {"decay": 0.5} for r in records)
-
-    def test_problem_mismatch_rejected(self):
-        net = counter_net(problem="expected")
-        with pytest.raises(ConfigurationError):
-            run(net, ScaleSchedule(1, 1), "other", RngStream(0))
 
     def test_errors_carry_step_position(self):
         class Exploding(CounterArchitecture):
-            def fast(self, net, rng):
-                super().fast(net, rng)
+            def fast(self, rng):
+                super().fast(rng)
                 if self.fast_calls == 5:
                     raise NumericDivergenceError("boom")
 
-        net = ComputingNetwork(Exploding(n=1))
+        net = Exploding(n=1)
         with pytest.raises(NumericDivergenceError) as excinfo:
-            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
+            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), RngStream(0))
         # 5th fast call = slow step 2, fast index 1
         assert excinfo.value.step_position == (2, 1)
 
         class ExplodingSlow(CounterArchitecture):
-            def slow(self, net, rng):
-                super().slow(net, rng)
+            def slow(self, rng):
+                super().slow(rng)
                 if self.slow_calls == 3:
                     raise NumericDivergenceError("boom")
 
-        net = ComputingNetwork(ExplodingSlow(n=1))
+        net = ExplodingSlow(n=1)
         with pytest.raises(NumericDivergenceError) as excinfo:
-            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
+            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), RngStream(0))
         assert excinfo.value.step_position == (3, None)
 
         class ExplodingSnapshot(CounterArchitecture):
-            def best_value(self, net):
+            def best_value(self):
                 raise NumericDivergenceError("boom")
 
-        net = ComputingNetwork(ExplodingSnapshot(n=1))
+        net = ExplodingSnapshot(n=1)
         with pytest.raises(NumericDivergenceError) as excinfo:
-            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), None, RngStream(0))
+            run(net, ScaleSchedule(fast_steps_per_slow=3, slow_steps=4), RngStream(0))
         # the initial record is made before any step
         assert excinfo.value.step_position == (0, None)
-        assert net.arch.fast_calls == 0
+        assert net.fast_calls == 0
 
     def test_wall_clock_is_nonnegative(self):
-        net = counter_net()
-        records = run(net, ScaleSchedule(1, 3), None, RngStream(0))
+        net = CounterArchitecture()
+        records = run(net, ScaleSchedule(1, 3), RngStream(0))
         assert all(r.wall_clock_ms >= 0.0 for r in records)
 
 

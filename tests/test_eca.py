@@ -153,7 +153,7 @@ class TestNetworkForm:
     def test_run_reproduces_direct_evolution(self):
         tape = Tape.single_one(11)
         net = build_eca_network(tape, 110, UpdateMode.SYNCHRONOUS)
-        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=6), tape, RngStream(0))
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=6), RngStream(0))
         grid = evolve(tape, 110, 6)
         assert [[int(v) for v in r.network_output] for r in records] == grid
 
@@ -162,8 +162,8 @@ class TestNetworkForm:
         sync = build_eca_network(tape, 110, UpdateMode.SYNCHRONOUS)
         fixed = build_eca_network(tape, 110, UpdateMode.ASYNC_FIXED)
         schedule = ScaleSchedule(fast_steps_per_slow=1, slow_steps=5)
-        rows_sync = [r.network_output for r in run(sync, schedule, tape, RngStream(3))]
-        rows_fixed = [r.network_output for r in run(fixed, schedule, tape, RngStream(3))]
+        rows_sync = [r.network_output for r in run(sync, schedule, RngStream(3))]
+        rows_fixed = [r.network_output for r in run(fixed, schedule, RngStream(3))]
         assert rows_sync != rows_fixed
 
     def test_async_random_is_seed_deterministic(self):
@@ -172,13 +172,6 @@ class TestNetworkForm:
 
         def rows(seed):
             net = build_eca_network(tape, 110, UpdateMode.ASYNC_RANDOM)
-            return [r.network_output for r in run(net, schedule, tape, RngStream(seed))]
+            return [r.network_output for r in run(net, schedule, RngStream(seed))]
 
         assert rows(7) == rows(7)
-
-    def test_problem_mismatch_rejected(self):
-        tape = Tape.single_one(9)
-        net = build_eca_network(tape, 110, UpdateMode.SYNCHRONOUS)
-        other = Tape.single_one(11)
-        with pytest.raises(ConfigurationError):
-            run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=1), other, RngStream(0))

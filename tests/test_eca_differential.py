@@ -9,7 +9,7 @@ import json
 from hypothesis import given, settings, strategies as st
 
 import eca_oracle as oracle
-from cnets.core import ComputingNetwork, ScaleSchedule, run
+from cnets.core import ScaleSchedule, run
 from cnets.eca import UpdateMode, build_eca_network, evolve, rule_table, step, step_in_order
 from cnets.problems import BOUNDARIES, Tape
 from cnets.rng import RngStream
@@ -29,10 +29,10 @@ def tapes(draw):
 def test_network_run_matches_oracle(tape, rule, updating, steps, seed):
     schedule = ScaleSchedule(fast_steps_per_slow=1, slow_steps=steps)
     net = build_eca_network(tape, rule, updating)
-    reference = ComputingNetwork(oracle.OracleEca(rule, tape, updating))
+    reference = oracle.OracleEca(rule, tape, updating)
     rng, reference_rng = RngStream(seed), RngStream(seed)
-    records = run(net, schedule, tape, rng)
-    expected = run(reference, schedule, tape, reference_rng)
+    records = run(net, schedule, rng)
+    expected = run(reference, schedule, reference_rng)
     # json text tells 0.0 from 0, as a record file would
     assert json.dumps([r.network_output for r in records]) == json.dumps(
         [r.network_output for r in expected]

@@ -17,7 +17,7 @@ from cnets.rng import RngStream
 PROBE_PROBLEM = "quadratic-probe"
 
 
-class QuadraticProbe:
+class QuadraticProbe(ComputingNetwork):
     """Throwaway architecture whose best value is a pure genome function.
 
     The bowl bottoms out at x = 0.3, y = -0.1 with value 0, so a search
@@ -31,20 +31,20 @@ class QuadraticProbe:
     def __init__(self, genome):
         self.genome = dict(genome)
 
-    def fast(self, net, rng):
+    def fast(self, rng):
         pass
 
-    def readout(self, net):
+    def readout(self):
         return []
 
-    def slow(self, net, rng):
+    def slow(self, rng):
         pass
 
-    def best_value(self, net):
+    def best_value(self):
         x, y = self.genome["x"], self.genome["y"]
         return (x - 0.3) ** 2 + 2.0 * (y + 0.1) ** 2
 
-    def parameters(self, net):
+    def parameters(self):
         return dict(self.genome)
 
 
@@ -54,7 +54,7 @@ def probe_value(genome):
 
 def probe_rebuild(genome, rng):
     rng.uniform()  # a builder always consumes its stream
-    return ComputingNetwork(QuadraticProbe(genome)), PROBE_PROBLEM
+    return QuadraticProbe(genome)
 
 
 def probe_boxes():
@@ -126,7 +126,7 @@ class TestEvaluateGenome:
         tape = Tape.single_one(5)
 
         def eca_rebuild(genome, rng):
-            return build_eca_network(tape, 110), tape
+            return build_eca_network(tape, 110)
 
         with pytest.raises(ConfigurationError):
             evaluate_genome([{"x": 0.0}], eca_rebuild, 1, (1,))

@@ -45,15 +45,15 @@ def guard(net, calls=None):
     """Replace the colony's slow step on the instance with one that checks its
     pheromone, and logs the network in calls. A guarded colony never stacks,
     so every guarded step runs on that colony alone."""
-    original = net.arch.slow
+    original = net.slow
 
-    def guarded(inner_net, stream):
-        original(inner_net, stream)
-        assert (inner_net.arch.pheromone > 0.0).all()
+    def guarded(stream):
+        original(stream)
+        assert (net.pheromone > 0.0).all()
         if calls is not None:
-            calls.append(inner_net)
+            calls.append(net)
 
-    net.arch.slow = guarded
+    net.slow = guarded
 
 
 def colony_rebuild(n, ants, demon="off", guarded=False, draw_graph=False, graph_seed=0):
@@ -64,7 +64,7 @@ def colony_rebuild(n, ants, demon="off", guarded=False, draw_graph=False, graph_
         net = build_aco_network(graph, AcoParams(ants=ants, demon=demon, **genome))
         if guarded:
             guard(net)
-        return net, graph
+        return net
 
     return rebuild
 
@@ -92,11 +92,10 @@ def inner_runs(monkeypatch):
     original = meta.run
 
     def counting(net, *args):
-        arch = net.arch
-        if isinstance(arch, AcoArchitecture):
-            kinds.append("stack" if len(arch.colonies) > 1 else "colony")
+        if isinstance(net, AcoArchitecture):
+            kinds.append("stack" if len(net.colonies) > 1 else "colony")
         else:
-            kinds.append(type(arch))
+            kinds.append(type(net))
         return original(net, *args)
 
     monkeypatch.setattr(meta, "run", counting)
@@ -152,7 +151,7 @@ def test_seeds_that_share_a_graph_share_a_stack(inner_runs):
 
     def rebuild(genome, rng):
         graph = graphs[rng.seed % 2]
-        return build_aco_network(graph, AcoParams(ants=4, **genome)), graph
+        return build_aco_network(graph, AcoParams(ants=4, **genome))
 
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
     seeds = (1, 2, 3, 5)
@@ -192,20 +191,20 @@ def test_one_stack_over_seeds_equals_one_stack_per_seed(genomes, seeds, n, ants,
             (path, length, tau.tobytes())
             for stack in stacks
             for path, length, tau in zip(
-                stack.arch.best.paths.tolist(), stack.arch.best.lengths.tolist(), stack.arch.pheromone
+                stack.best.paths.tolist(), stack.best.lengths.tolist(), stack.pheromone
             )
         ]
 
     for _ in range(steps):
-        together.arch.fast(together, group)
+        together.fast(group)
         for stack, stream in alone:
-            stack.arch.fast(stack, stream)
-        walked = together.arch.walked
-        assert walked.paths.tolist() == [p for s, _ in alone for p in s.arch.walked.paths.tolist()]
-        assert walked.lengths.tobytes() == b"".join(s.arch.walked.lengths.tobytes() for s, _ in alone)
-        together.arch.slow(together, group)
+            stack.fast(stream)
+        walked = together.walked
+        assert walked.paths.tolist() == [p for s, _ in alone for p in s.walked.paths.tolist()]
+        assert walked.lengths.tobytes() == b"".join(s.walked.lengths.tobytes() for s, _ in alone)
+        together.slow(group)
         for stack, stream in alone:
-            stack.arch.slow(stack, stream)
+            stack.slow(stream)
         assert colony_state([together]) == colony_state([s for s, _ in alone])
     assert [float(s.uniform()) for s in group.streams] == [float(s.uniform()) for _, s in alone]
 
@@ -216,7 +215,7 @@ def test_a_failing_stack_gives_the_plain_error(inner_runs):
 
     def rebuild(genome, rng):
         graph = random_euclidean(6, rng)
-        return build_aco_network(graph, AcoParams(initial_pheromone=10.0, **genome)), graph
+        return build_aco_network(graph, AcoParams(initial_pheromone=10.0, **genome))
 
     with pytest.raises(NumericDivergenceError) as stacked:
         evaluate_genome(genomes, rebuild, 3, (1,))
@@ -240,11 +239,11 @@ def test_a_dead_end_in_the_stack_falls_back_to_restarts(inner_runs):
     def rebuild(genome, rng):
         params = AcoParams(alpha=100.0, ants=6, min_pheromone=1e-9, evaporation=0.0, **genome)
         net = build_aco_network(graph, params)
-        tau = net.arch.pheromone[0]
+        tau = net.pheromone[0]
         tau[...] = 1e-9
         for a, b in trails:
             tau[a, b] = tau[b, a] = 1.0
-        return net, graph
+        return net
 
     genomes = [{"beta": 1.0}, {"beta": 2.0}]
     stacked = evaluate_genome(genomes, rebuild, 2, (3,))
@@ -259,14 +258,14 @@ def test_a_replaced_slow_step_never_stacks(inner_runs):
     def rebuild(genome, rng):
         net = build_aco_network(graph, AcoParams(ants=4, **genome))
         guard(net, calls)
-        return net, graph
+        return net
 
     genomes = [{"alpha": a, "beta": b} for a, b in [(1.0, 2.0), (0.5, 3.0), (2.0, 1.0)]]
     seeds, steps = (1, 2), 5
     values = evaluate_genome(genomes, rebuild, steps, seeds)
     assert inner_runs == ["colony"] * (len(genomes) * len(seeds))
     # the replaced step ran on every slow step of every inner run, on its own colony
-    assert all(type(net.arch) is AcoArchitecture and len(net.arch.colonies) == 1 for net in calls)
+    assert all(type(net) is AcoArchitecture and len(net.colonies) == 1 for net in calls)
     assert list(Counter(map(id, calls)).values()) == [steps] * len(inner_runs)
     assert values == one_at_a_time(genomes, rebuild, steps, seeds)
 
@@ -276,7 +275,7 @@ def test_genome_dependent_rebuild_draws_never_stack(inner_runs):
         graph = random_euclidean(5, RngStream(9))
         if genome["alpha"] > 1.0:
             rng.uniform()  # this genome's runs draw differently
-        return build_aco_network(graph, AcoParams(**genome)), graph
+        return build_aco_network(graph, AcoParams(**genome))
 
     genomes = [{"alpha": 0.5}, {"alpha": 1.5}]
     values = evaluate_genome(genomes, rebuild, 4, (1, 2))
@@ -300,7 +299,7 @@ class TestLockstepHook:
         equal = TourGraph(graph.costs)
         nets = [self.colony(graph, alpha=1.0), self.colony(equal, alpha=2.0)]
         stack = AcoArchitecture.lockstep(nets)
-        assert stack.arch.colonies == (nets[0].arch.colonies[0], nets[1].arch.colonies[0])
+        assert stack.colonies == (nets[0].colonies[0], nets[1].colonies[0])
 
     @pytest.mark.parametrize("other", ["graph", "ants", "subclass", "slow"])
     def test_unlike_colonies_do_not_stack(self, other):
@@ -317,7 +316,7 @@ class TestLockstepHook:
             class Variant(AcoArchitecture):
                 pass
 
-            nets[1].arch.__class__ = Variant
+            nets[1].__class__ = Variant
         assert AcoArchitecture.lockstep(nets) is None
 
     def test_stacked_pheromone_starts_where_each_colony_would(self):
@@ -325,24 +324,24 @@ class TestLockstepHook:
 
         def colonies():
             nets = [self.colony(graph, initial_pheromone=2), self.colony(graph), self.colony(graph)]
-            tau = nets[2].arch.pheromone[0]
+            tau = nets[2].pheromone[0]
             tau[0, 1] = tau[1, 0] = 0.25  # before stacking
             return nets
 
-        alone = [net.arch.pheromone[0] for net in colonies()]
+        alone = [net.pheromone[0] for net in colonies()]
         nets = colonies()
         stack = AcoArchitecture.lockstep(nets)
-        assert stack.arch.pheromone.dtype == float
-        assert stack.arch.pheromone.tolist() == [tau.tolist() for tau in alone]
+        assert stack.pheromone.dtype == float
+        assert stack.pheromone.tolist() == [tau.tolist() for tau in alone]
         # lockstep writes nothing into its members: an unbuilt pheromone stays unbuilt
-        assert ["pheromone" in vars(net.arch) for net in nets] == [False, False, True]
-        stack.arch.pheromone[2, 0, 1] = 7.0
-        assert nets[2].arch.pheromone[0, 0, 1] == 0.25
+        assert ["pheromone" in vars(net) for net in nets] == [False, False, True]
+        stack.pheromone[2, 0, 1] = 7.0
+        assert nets[2].pheromone[0, 0, 1] == 0.25
 
     def test_stack_bound_follows_the_problem_size(self):
         small = self.colony(random_euclidean(8, RngStream(1)), ants=10)
-        assert small.arch.lockstep_limit() == aco.STACK_DOUBLES // (8 * 18)
-        assert small.arch.lockstep_limit() * 8 * 18 * 8 <= 16 * 2**20
+        assert small.lockstep_limit() == aco.STACK_DOUBLES // (8 * 18)
+        assert small.lockstep_limit() * 8 * 18 * 8 <= 16 * 2**20
 
     def test_stacked_walk_matches_each_colony_walk(self):
         graph = random_euclidean(9, RngStream(4))
@@ -350,7 +349,7 @@ class TestLockstepHook:
         nets = [build_aco_network(graph, p) for p in params]
         for k, net in enumerate(nets):
             upper = np.triu(RngStream(k, 2).uniform(0.1, 3.0, size=(9, 9)), 1)
-            net.arch.pheromone[...] = upper + upper.T
+            net.pheromone[...] = upper + upper.T
         alone = [aco.construct_solutions(net, RngStream(6)) for net in nets]
         stack = AcoArchitecture.lockstep(nets)
         together = aco.construct_solutions(stack, RngStream(6))
@@ -359,9 +358,8 @@ class TestLockstepHook:
     def test_one_colony_reads_its_best_tour_and_params(self):
         graph = random_euclidean(6, RngStream(3))
         net = self.colony(graph, ants=4, demon="two-opt")
-        arch = net.arch
-        assert (arch.readout(net), arch.best_value(net)) == ([], None)
-        assert arch.parameters(net) == {
+        assert (net.readout(), net.best_value()) == ([], None)
+        assert net.parameters() == {
             "alpha": 1.0,
             "beta": 2.0,
             "evaporation": 0.1,
@@ -371,25 +369,24 @@ class TestLockstepHook:
             "min_pheromone": 1e-9,
             "demon": 1.0,
         }
-        arch.fast(net, RngStream(8))
-        assert arch.readout(net) == [float(v) for v in arch.best.paths[0].tolist()]
-        assert arch.best_value(net) == arch.best.lengths[0] == min(arch.walked.lengths.tolist())
+        net.fast(RngStream(8))
+        assert net.readout() == [float(v) for v in net.best.paths[0].tolist()]
+        assert net.best_value() == net.best.lengths[0] == min(net.walked.lengths.tolist())
 
     def test_a_stack_reads_as_one_network(self):
         graph = random_euclidean(9, RngStream(3))
         nets = [self.colony(graph, alpha=a, beta=b, ants=2) for a, b in [(0.5, 0.0), (1.0, 2.0), (3.0, 5.0)]]
         stack = AcoArchitecture.lockstep(nets)
-        arch = stack.arch
 
         def reads():
-            return arch.readout(stack), arch.parameters(stack), arch.best_value(stack)
+            return stack.readout(), stack.parameters(), stack.best_value()
 
         assert reads() == ([], {}, None)  # before any colony walks
-        assert arch.best_values(stack) == [None] * 3
+        assert stack.best_values() == [None] * 3
         for net in nets:
-            net.arch.fast(net, RngStream(8))
-        arch.fast(stack, RngStream(8))
-        alone = [net.arch.best_value(net) for net in nets]
-        assert arch.best_values(stack) == alone
+            net.fast(RngStream(8))
+        stack.fast(RngStream(8))
+        alone = [net.best_value() for net in nets]
+        assert stack.best_values() == alone
         assert reads() == ([], {}, min(alone))
         assert len(set(alone)) > 1  # the minimum is over colonies that differ

@@ -92,14 +92,14 @@ class TestTopologies:
     def test_ring_neighbors_are_within_one_hop(self, n):
         net, _ = sphere_swarm(particles=n, topology="ring")
         for i in range(n):
-            members = net.edges[net.arch.edge_of_particle[i]].tolist()
+            members = net.edges[net.edge_of_particle[i]].tolist()
             assert members == [j for j in range(n) if ring_distance(n, i, j) <= 1]
 
     def test_global_collapses_to_one_hyperedge(self):
         net, _ = sphere_swarm(particles=5, topology="global")
         assert len(net.edges) == 1
         assert net.edges[0].tolist() == list(range(5))
-        assert net.arch.edge_of_particle.tolist() == [0] * 5
+        assert net.edge_of_particle.tolist() == [0] * 5
 
     def test_custom_neighborhoods_are_honored(self):
         net, _ = sphere_swarm(
@@ -108,30 +108,28 @@ class TestTopologies:
             neighborhoods=((0, 1), (0, 1), (2, 3), (2, 3)),
         )
         assert len(net.edges) == 2
-        assert net.arch.edge_of_particle.tolist() == [0, 0, 1, 1]
+        assert net.edge_of_particle.tolist() == [0, 0, 1, 1]
         assert net.edges.tolist() == [[0, 1], [2, 3]]
 
 
 class TestEvaluation:
     def test_personal_bests_seeded_at_build(self):
         net, objective = sphere_swarm()
-        arch = net.arch
-        for i, position in enumerate(arch.positions):
-            assert arch.best_values[i] == objective(position)
-        assert np.array_equal(arch.best_positions, arch.positions)
+        for i, position in enumerate(net.positions):
+            assert net.best_values[i] == objective(position)
+        assert np.array_equal(net.best_positions, net.positions)
 
     def test_personal_best_only_improves_strictly(self):
         net, objective = sphere_swarm(particles=3, dimension=1)
-        arch = net.arch
-        arch.best_values[0] = 1.0
-        arch.best_positions[0] = [1.0]
-        arch.positions[0] = [-1.0]  # same value: no update
+        net.best_values[0] = 1.0
+        net.best_positions[0] = [1.0]
+        net.positions[0] = [-1.0]  # same value: no update
         evaluate(net, objective)
-        assert arch.best_positions[0, 0] == 1.0
-        arch.positions[0] = [0.5]  # better: update
+        assert net.best_positions[0, 0] == 1.0
+        net.positions[0] = [0.5]  # better: update
         evaluate(net, objective)
-        assert arch.best_values[0] == 0.25
-        assert arch.best_positions[0, 0] == 0.5
+        assert net.best_values[0] == 0.25
+        assert net.best_positions[0, 0] == 0.5
 
     def test_non_finite_value_raises(self):
         spike = Objective(
@@ -176,50 +174,46 @@ class TestEvaluation:
             topology="custom",
             neighborhoods=((0, 1, 2), (2, 1), (1, 2, 2)),
         )
-        arch = net.arch
-        arch.best_values[:] = [3.0, 2.0, 2.0]
-        arch.best_positions[:, 0] = [0.0, 1.0, 2.0]
+        net.best_values[:] = [3.0, 2.0, 2.0]
+        net.best_positions[:, 0] = [0.0, 1.0, 2.0]
         refresh_neighborhoods(net)
-        assert arch.members.tolist() == [[0, 1, 2], [1, 2, 2]]
-        assert arch.neighborhood_bests[:, 0].tolist() == [1.0, 1.0]
+        assert net.members.tolist() == [[0, 1, 2], [1, 2, 2]]
+        assert net.neighborhood_bests[:, 0].tolist() == [1.0, 1.0]
 
 
 class TestMove:
     def test_pure_inertia_drift(self):
         net, _ = sphere_swarm(particles=2, dimension=1, cognitive=0.0, social=0.0, inertia=1.0)
-        arch = net.arch
-        arch.positions[0] = [1.0]
-        arch.velocities[0] = [0.25]
+        net.positions[0] = [1.0]
+        net.velocities[0] = [0.25]
         refresh_neighborhoods(net)
-        move(net, arch.params, RngStream(9))
-        assert arch.positions[0, 0] == 1.25
-        assert arch.velocities[0, 0] == 0.25
+        move(net, net.params, RngStream(9))
+        assert net.positions[0, 0] == 1.25
+        assert net.velocities[0, 0] == 0.25
 
     def test_attraction_points_toward_bests(self):
         net, _ = sphere_swarm(particles=2, dimension=1, inertia=0.0)
-        arch = net.arch
-        arch.positions[0] = [3.0]
-        arch.velocities[0] = [0.0]
-        arch.best_positions[0] = [0.0]
-        arch.best_values[0] = 0.0
+        net.positions[0] = [3.0]
+        net.velocities[0] = [0.0]
+        net.best_positions[0] = [0.0]
+        net.best_values[0] = 0.0
         refresh_neighborhoods(net)
-        move(net, arch.params, RngStream(9))
-        assert arch.velocities[0, 0] <= 0.0  # both pulls aim at the origin side
+        move(net, net.params, RngStream(9))
+        assert net.velocities[0, 0] <= 0.0  # both pulls aim at the origin side
 
     def test_velocity_clamp_bounds_components(self):
         net, _ = sphere_swarm(particles=4, dimension=3, velocity_clamp=0.05)
         for _ in range(5):
             refresh_neighborhoods(net)
-            move(net, net.arch.params, RngStream(3))
-        assert np.all(np.abs(net.arch.velocities) <= 0.05)
+            move(net, net.params, RngStream(3))
+        assert np.all(np.abs(net.velocities) <= 0.05)
 
     def test_draw_order_is_cognitive_then_social_per_particle(self):
         net, _ = sphere_swarm(particles=2, dimension=2, inertia=0.0)
-        arch = net.arch
-        arch.positions[:] = 1.0
-        arch.velocities[:] = 0.0
-        arch.best_positions[:] = 0.0
-        arch.best_values[:] = 0.0
+        net.positions[:] = 1.0
+        net.velocities[:] = 0.0
+        net.best_positions[:] = 0.0
+        net.best_values[:] = 0.0
         refresh_neighborhoods(net)
         rng = RngStream(77)
         reference = []
@@ -228,57 +222,38 @@ class TestMove:
             r_cog = mirror.uniform(0.0, 1.0, size=2)
             r_soc = mirror.uniform(0.0, 1.0, size=2)
             reference.append(-(1.49 * r_cog + 1.49 * r_soc))
-        move(net, arch.params, rng)
-        for velocity, expected in zip(arch.velocities, reference):
+        move(net, net.params, rng)
+        for velocity, expected in zip(net.velocities, reference):
             assert velocity == pytest.approx(expected)
 
 
 class TestSwarmRuns:
     def test_global_best_is_non_increasing(self):
-        net, objective = sphere_swarm(particles=8, dimension=3, seed=5)
-        records = run(
-            net,
-            ScaleSchedule(fast_steps_per_slow=1, slow_steps=30),
-            objective,
-            RngStream(6),
-        )
+        net, _ = sphere_swarm(particles=8, dimension=3, seed=5)
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=30), RngStream(6))
         values = [r.best_value for r in records]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_sphere_swarm_converges_reasonably(self):
-        net, objective = sphere_swarm(particles=12, dimension=2, seed=7)
-        records = run(
-            net,
-            ScaleSchedule(fast_steps_per_slow=1, slow_steps=60),
-            objective,
-            RngStream(8),
-        )
+        net, _ = sphere_swarm(particles=12, dimension=2, seed=7)
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=60), RngStream(8))
         assert records[-1].best_value < records[0].best_value * 0.05
 
     def test_readout_is_the_global_best_position(self):
-        net, objective = sphere_swarm(particles=5, dimension=2, seed=9)
-        records = run(
-            net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), objective, RngStream(10)
-        )
+        net, _ = sphere_swarm(particles=5, dimension=2, seed=9)
+        records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=5), RngStream(10))
         position, value = global_best(net)
         assert records[-1].network_output == pytest.approx(list(position))
         assert records[-1].best_value == value
 
     def test_run_is_seed_deterministic(self):
         def final(seed):
-            net, objective = sphere_swarm(particles=6, dimension=2, seed=seed)
+            net, _ = sphere_swarm(particles=6, dimension=2, seed=seed)
             records = run(
                 net,
                 ScaleSchedule(fast_steps_per_slow=1, slow_steps=20),
-                objective,
                 RngStream(seed + 1),
             )
             return records[-1].best_value
 
         assert final(3) == final(3)
-
-    def test_problem_mismatch_rejected(self):
-        net, _ = sphere_swarm()
-        other = named_objective("rastrigin", 2)
-        with pytest.raises(ConfigurationError):
-            run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=1), other, RngStream(0))

@@ -62,14 +62,13 @@ def same_bits(a, b) -> bool:
 
 
 def assert_same_state(net, reference):
-    arch = net.arch
     particles = [node.payload for node in reference.nodes]
-    assert same_bits(arch.positions, [p.position for p in particles])
-    assert same_bits(arch.velocities, [p.velocity for p in particles])
-    assert same_bits(arch.best_positions, [p.best_position for p in particles])
-    assert same_bits(arch.best_values, [p.best_value for p in particles])
+    assert same_bits(net.positions, [p.position for p in particles])
+    assert same_bits(net.velocities, [p.velocity for p in particles])
+    assert same_bits(net.best_positions, [p.best_position for p in particles])
+    assert same_bits(net.best_values, [p.best_value for p in particles])
     assert same_bits(
-        arch.neighborhood_bests, [edge.payload.best_position for edge in reference.edges]
+        net.neighborhood_bests, [edge.payload.best_position for edge in reference.edges]
     )
     assert [tuple(sorted(set(row))) for row in net.edges.tolist()] == [
         e.endpoints for e in reference.edges
@@ -121,7 +120,7 @@ def test_population_mse_matches_installing_each_vector(
         rng,
         AnnParams(hidden_activation=hidden_kind, output_activation=output_kind),
     )
-    vectors = rng.uniform(-2.0, 2.0, size=(particles, net.arch.topology.parameter_count))
+    vectors = rng.uniform(-2.0, 2.0, size=(particles, net.topology.parameter_count))
     values = population_mse(net, dataset, vectors)
     expected = []
     for vector in vectors:
