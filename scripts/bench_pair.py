@@ -15,7 +15,11 @@ drifts in speed favours neither. Pair k of a workload uses seed
 --first-seed + k. The file records the Python and numpy versions and
 nproc, then per workload and end-to-end metric the min, median and
 quartile spread of each side and the number of pairs the change won
-(strictly better, in the direction BENCHMARK.json gives). It also records,
+(strictly better, in the direction BENCHMARK.json gives), with two
+verdicts: `gain_met` (the change won at least 9/10 of the pairs and its
+median is better than the parent's by more than the parent's IQR) and
+`within_bound` (the change's median is worse than the parent's by no
+more than the metric's relative bound in BENCHMARK.json). It also records,
 per workload and side, each untraced run's minor page faults per
 operation: the growth of this process's RUSAGE_CHILDREN ru_minflt across
 the run, divided by the operations perfbench reports.
@@ -118,16 +122,27 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"min": min(values), "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread and the pairs the change won."""
+def verdicts(entry: dict, pairs: int, bound: float) -> dict[str, bool]:
+    """gain_met and within_bound of one metric's entry, as the module docstring defines them."""
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    parent, change = entry["parent"], entry["change"]
+    gain = sign * (change["median"] - parent["median"])
+    return {
+        "gain_met": 10 * entry["change_wins"] >= 9 * pairs and gain > parent["iqr"],
+        "within_bound": -gain <= bound * abs(parent["median"]),
+    }
+
+
+def compare(runs: dict[str, list[dict]], metrics_spec: dict[str, dict]) -> dict:
+    """Per metric: each side's spread, the pairs the change won and the verdicts."""
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in metrics_spec.items():
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if spec["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        metrics[name] = {
+        entry = {
             "unit": runs["change"][0]["metrics"][name]["unit"],
-            "better": direction,
+            "better": spec["better"],
             **{side: spread(values[side]) for side in SIDES},
             "change_wins": wins,
             "median_ratio": (
@@ -135,6 +150,7 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
                 if statistics.median(values["parent"]) else None
             ),
         }
+        metrics[name] = {**entry, **verdicts(entry, len(values["parent"]), spec["bound"])}
     return metrics
 
 
@@ -151,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as handle:
-        better = {m["name"]: m["better"] for m in json.load(handle)["end_to_end"]}
+        metrics_spec = {m["name"]: m for m in json.load(handle)["end_to_end"]}
     checkouts = {"parent": os.path.abspath(args.parent), "change": ROOT}
     report: dict = {"seconds_per_run": args.seconds, "workloads": {}, "per_layer": {}}
     incorrect: list[str] = []  # the runs whose records failed perfbench's checks
@@ -182,7 +198,7 @@ def main(argv=None) -> int:
             "pairs": len(seeds),
             "seeds": seeds,
             "all_correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
-            "metrics": compare(runs, better),
+            "metrics": compare(runs, metrics_spec),
             "minor_faults_per_operation": faults,
         }
         layers: dict = {"seed": seeds[0]}

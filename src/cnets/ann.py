@@ -215,8 +215,11 @@ def population_mse(net: AnnArchitecture, dataset: Dataset, vectors: np.ndarray) 
     x = dataset.inputs
     layers = [np.empty((len(vectors), len(x), size)) for size in net.topology.layer_sizes[1:]]
     output = _batch_forward(net, weights, biases, x, layers)[-1]
-    diff = output - dataset.targets
-    return (diff * diff).reshape(len(vectors), -1).mean(axis=1)
+    # the squared errors overwrite the output this call allocated; the sum over
+    # the count is what mean(axis=1) computes, without its Python wrapper
+    np.subtract(output, dataset.targets, out=output)
+    squares = np.multiply(output, output, out=output).reshape(len(vectors), -1)
+    return np.add.reduce(squares, axis=1) / squares.shape[1]
 
 
 def gradients(

@@ -460,6 +460,8 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
     if seed is not None:
         _at("config", check_seed, seed)
     out = _get(data, "out", "config", str)
+    if out == "":  # refused before it resolves to the config's directory
+        raise ConfigurationError("config.out: must name a file, got ''")
     if out is not None and not os.path.isabs(out):
         # outputs resolve like inputs: against the config's directory
         out = os.path.normpath(os.path.join(base_dir, out))

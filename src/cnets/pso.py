@@ -110,8 +110,9 @@ def evaluate(net: PsoArchitecture, objective: Objective) -> None:
             f"particle {i} produced non-finite value {float(values[i])!r}"
         )
     better = values < net.best_values
-    net.best_values = np.where(better, values, net.best_values)
-    net.best_positions = np.where(better[:, None], net.positions, net.best_positions)
+    if better.any():
+        net.best_values[better] = values[better]
+        net.best_positions[better] = net.positions[better]
 
 
 def refresh_neighborhoods(net: PsoArchitecture) -> None:

@@ -5,6 +5,15 @@ following line is one RunRecord. Serialization is compact with a fixed
 key order, so re-running a config with the same seed reproduces the
 file byte for byte except for wall_clock_ms (and the output path echoed
 in the header), which comparable_bytes strips before comparison.
+
+Every line is the text json.dumps(..., separators=(",", ":"),
+allow_nan=False) gives, made by one shared encoder. A swarm's output is
+its global best, which changes only when the best improves, so
+RecordEncoder reuses the previous record's network_output text while
+the new output prints alike: its elements equal the previous ones in
+order, each is of the same type as before, an int, float or bool, and
+each zero has the sign it had. Python's == alone is not enough, as
+-0.0 == 0.0 and 1 == 1.0 == True each print differently.
 """
 from __future__ import annotations
 
@@ -64,18 +73,59 @@ def record_from_dict(data: Any, where: str = "record line") -> RunRecord:
     )
 
 
-def _dump(data: dict[str, Any]) -> str:
+# one encoder for every line, as json.dumps with keywords builds a new one per call
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+# the number kinds whose equal values print alike, but for the sign of a zero
+_PLAIN = frozenset((int, float, bool))
+
+
+def _dump(data: Any) -> str:
     try:
-        return json.dumps(data, separators=(",", ":"), allow_nan=False)
+        return _ENCODER.encode(data)
     except ValueError as exc:
         raise RecordIoError(f"record is not strict-JSON serializable: {exc}") from None
+
+
+class RecordEncoder:
+    """Each call returns one record's line, json.dumps(record_to_dict(record),
+    separators=(",", ":"), allow_nan=False) byte for byte, reusing the last
+    network_output text while the output prints alike."""
+
+    def __init__(self) -> None:
+        # the last output encoded, its element types (None unless all plain) and its text
+        self._output: list = []
+        self._types: list | None = None
+        self._text = ""
+
+    def __call__(self, record: RunRecord) -> str:
+        output = list(record.network_output)
+        types = list(map(type, output))
+        if not (
+            types == self._types
+            and output == self._output
+            and (0 not in output or all(
+                math.copysign(1.0, a) == math.copysign(1.0, b)
+                for a, b in zip(output, self._output)
+                if a == 0
+            ))
+        ):
+            self._text = _dump(output)
+            self._output = output
+            self._types = types if _PLAIN.issuperset(types) else None
+        # the keys before the output and those after it, each encoded as one object
+        head = _dump({"slow_step": record.slow_step, "best_value": record.best_value})
+        tail = _dump({
+            "parameter_snapshot": dict(record.parameter_snapshot),
+            "wall_clock_ms": record.wall_clock_ms,
+        })
+        return f'{head[:-1]},"network_output":{self._text},{tail[1:]}'
 
 
 def write_run_file(path: str, config: dict[str, Any], records: Iterable[RunRecord]) -> None:
     """Write the header line and one line per record to <path>.tmp, then move
     it onto path: a failed write leaves any earlier file at path as it was."""
     lines = [_dump({"config": config})]
-    lines.extend(_dump(record_to_dict(r)) for r in records)
+    lines.extend(map(RecordEncoder(), records))
     temporary = f"{path}.tmp"
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import ann_oracle as oracle
 from cnets.ann import (
-    AnnParams, batch_mse, build_ann, forward, gradients, train_step, weight_vector,
+    AnnParams, _batch_forward, batch_mse, build_ann, forward, gradients, population_mse,
+    train_step, weight_vector,
 )
 from cnets.problems import Dataset
 from cnets.rng import RngStream
@@ -106,3 +107,18 @@ def test_benchmark_shape_trains_like_the_oracle_through_its_workspace(hidden, ou
     expected_w, expected_b, expected_mse = oracle.gradients(reference, dataset)
     assert mse == expected_mse
     assert all(same_bits(g, e) for g, e in zip(grad_w + grad_b, expected_w + expected_b))
+
+
+@given(case=networks(), particles=st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_population_mse_keeps_the_bits_of_the_mean(case, particles):
+    """The in-place squares summed by np.add.reduce and divided by their count
+    have the bits of the allocating (diff * diff).mean(axis=1) it replaced."""
+    net, _, rng, _ = both(*case)
+    dataset = case[1]
+    vectors = rng.uniform(-2.0, 2.0, size=(particles, net.topology.parameter_count))
+    weights, biases = net.topology.layer_views(vectors)
+    layers = [np.empty((particles, len(dataset.inputs), n)) for n in net.topology.layer_sizes[1:]]
+    diff = _batch_forward(net, weights, biases, dataset.inputs, layers)[-1] - dataset.targets
+    expected = (diff * diff).reshape(particles, -1).mean(axis=1)
+    assert same_bits(population_mse(net, dataset, vectors), expected)

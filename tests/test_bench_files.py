@@ -8,7 +8,12 @@ median seconds per example config, timed in process. From BENCH_10.json
 on, a `per_layer` section holds each side's per-layer metrics from one
 traced run per workload. From BENCH_15.json on, each workload also
 holds each side's minor page faults per operation, one per untraced run
-in seed order; earlier files may hold them.
+in seed order; earlier files may hold them. From BENCH_24.json on, each
+workload's metric also holds two verdicts, which must follow from its
+numbers: gain_met (the change won at least 9/10 of the pairs and beat
+the parent's median by more than the parent's IQR) and within_bound
+(the change's median is worse than the parent's by no more than the
+metric's relative bound in BENCHMARK.json).
 """
 import json
 import math
@@ -110,3 +115,20 @@ def test_bench_file_runs_were_correct(path):
         assert workload["all_correct"] == {"parent": True, "change": True}
     for workload in bench.get("per_layer", {}).values():
         assert workload["parent"]["correct"] is True and workload["change"]["correct"] is True
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_verdicts(path):
+    bench = json.loads(path.read_text())
+    number = int(re.fullmatch(r"BENCH_(\d+)\.json", path.name).group(1))
+    bounds = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    for workload in bench["workloads"].values():
+        for name, entry in workload["metrics"].items():
+            if number < 24 and "gain_met" not in entry and "within_bound" not in entry:
+                continue
+            sign = 1.0 if entry["better"] == "higher" else -1.0
+            parent = entry["parent"]
+            gain = sign * (entry["change"]["median"] - parent["median"])
+            won = 10 * entry["change_wins"] >= 9 * workload["pairs"]
+            assert entry["gain_met"] is (won and gain > parent["iqr"])
+            assert entry["within_bound"] is (-gain <= bounds[name] * abs(parent["median"]))

@@ -72,7 +72,11 @@ class TestRunCommand:
         flag = {"config-empty": [], "flag-empty": ["--out", ""], "flag-directory": ["--out", str(workdir)]}
         path = eca_config(workdir, out="" if where == "config-empty" else "run.jsonl")
         assert main(["run", path, *flag[where]]) == 1
-        assert capsys.readouterr().err.startswith("config error: output path must name a file, got ")
+        err = capsys.readouterr().err
+        if where == "config-empty":  # named as written, not as the config's directory
+            assert err == "config error: config.out: must name a file, got ''\n"
+        else:
+            assert err.startswith("config error: output path must name a file, got ")
 
     def test_out_flag_overrides_config(self, workdir, capsys):
         path = eca_config(workdir, out="ignored.jsonl")
@@ -543,7 +547,11 @@ class TestRenderCommand:
         flag = {"config-empty": [], "flag-empty": ["--out", ""], "flag-directory": ["--out", str(workdir)]}
         path = eca_config(workdir, out="" if where == "config-empty" else "grid.txt")
         assert main(["eca-render", path, *flag[where]]) == 1
-        assert capsys.readouterr().err.startswith("config error: output path must name a file, got ")
+        err = capsys.readouterr().err
+        if where == "config-empty":  # named as written, not as the config's directory
+            assert err == "config error: config.out: must name a file, got ''\n"
+        else:
+            assert err.startswith("config error: output path must name a file, got ")
 
     def test_unseeded_render_defaults_to_zero(self, workdir, capsys):
         path = eca_config(workdir, seed=None)

@@ -348,6 +348,10 @@ class TestPaths:
         config = load_config(write_json(workdir, data))
         assert config.out == str(workdir / "runs" / "out.jsonl")
 
+    def test_empty_out_is_refused_before_it_resolves(self, workdir):
+        with pytest.raises(ConfigurationError, match=r"^config\.out: must name a file, got ''$"):
+            build_config(minimal_eca(out=""), str(workdir))
+
     def test_absolute_out_is_kept(self, workdir):
         target = str(workdir / "elsewhere.jsonl")
         config = load_config(write_json(workdir, minimal_eca(out=target)))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import pso_oracle as oracle
 from cnets.ann import AnnParams, batch_mse, build_ann, population_mse, set_weight_vector
-from cnets.problems import Dataset, named_objective
+from cnets.problems import Dataset, Objective, named_objective
 from cnets.pso import (
     PsoParams,
     build_pso_network,
@@ -95,6 +95,33 @@ def test_swarm_matches_the_oracle_step_by_step(case, steps):
         oracle.move(reference, params, oracle_rng)
         assert_same_state(net, reference)
     assert float(rng.uniform()) == float(oracle_rng.uniform())
+
+
+@given(
+    particles=st.integers(2, 40),
+    dimension=st.integers(1, 60),
+    ties=st.floats(0.0, 1.0),
+    seed=SEEDS,
+)
+@settings(max_examples=100, deadline=None)
+def test_evaluate_updates_bests_as_the_full_select_did(particles, dimension, ties, seed):
+    """Writing only the improved personal bests has the bits of selecting every
+    row with np.where; an equal value is no improvement."""
+    rng = RngStream(seed)
+    values = rng.uniform(-1.0, 1.0, size=particles)
+    objective = Objective(
+        name="drawn", dimension=dimension, lower=-1.0, upper=1.0, fn=lambda _: values
+    )
+    net = build_pso_network(objective, rng, PsoParams(particles=particles))
+    net.positions = rng.uniform(-1.0, 1.0, size=(particles, dimension))
+    drawn = rng.uniform(-1.0, 1.0, size=particles)
+    values = np.where(rng.uniform(size=particles) < ties, net.best_values, drawn)
+    better = values < net.best_values
+    expected_values = np.where(better, values, net.best_values)
+    expected_positions = np.where(better[:, None], net.positions, net.best_positions)
+    evaluate(net, objective)
+    assert same_bits(net.best_values, expected_values)
+    assert same_bits(net.best_positions, expected_positions)
 
 
 @given(

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import records_oracle as oracle
 from cnets.core import RunRecord
 from cnets.errors import RecordIoError
 from cnets.records import (
@@ -105,6 +108,92 @@ class TestRoundTrip:
             write_run_file(path, {"architecture": "eca"}, sample_records()[:1])
         assert (tmp_path / "run.jsonl").read_bytes() == earlier
         assert os.listdir(tmp_path) == ["run.jsonl"]  # no run.jsonl.tmp left behind
+
+
+# zeros and ones of each kind are equal under == but print differently
+ALIKE = st.sampled_from([0.0, -0.0, 0, False, 1.0, 1, True, -1.0, -1])
+NUMBERS = st.one_of(
+    ALIKE, st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70)
+)
+# a nested list is no record's value, but the writer must not reuse text across one
+ATOMS = st.one_of(NUMBERS, st.lists(ALIKE, min_size=1, max_size=2))
+OUTPUTS = st.lists(ATOMS, max_size=5)
+SNAPSHOTS = st.dictionaries(st.sampled_from(["alpha", "beta", "particles"]), ATOMS, max_size=3)
+
+
+def _flip(value):
+    if type(value) is list:
+        return [_flip(v) for v in value]
+    return -value if type(value) is float and value == 0 else value
+
+
+def _recast(value):
+    """An equal value of another kind, where one exists."""
+    if type(value) is bool:
+        return int(value)
+    if type(value) is int:
+        return float(value) if abs(value) < 2**53 else value
+    return bool(value) if value in (0.0, 1.0) else value
+
+
+def _next_output(draw, previous):
+    """Mostly the previous output, as it was or changed where == cannot see it."""
+    how = draw(st.sampled_from(["repeat", "repeat", "flip", "recast", "fresh"]))
+    if how == "fresh":
+        return draw(OUTPUTS)
+    change = {"repeat": lambda v: v, "flip": _flip, "recast": _recast}[how]
+    return [change(v) for v in previous]
+
+
+@st.composite
+def record_runs(draw):
+    output = draw(OUTPUTS)
+    runs = []
+    for step in range(draw(st.integers(0, 12))):
+        runs.append(
+            RunRecord(
+                slow_step=step,
+                best_value=draw(st.one_of(st.none(), NUMBERS)),
+                network_output=output,
+                parameter_snapshot=draw(SNAPSHOTS),
+                wall_clock_ms=draw(NUMBERS),
+            )
+        )
+        output = _next_output(draw, output)
+    return runs
+
+
+class TestWriterAgainstTheOracle:
+    @given(records=record_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_file_bytes_equal_plain_dumps(self, records):
+        config = sample_config()
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "run.jsonl")
+            write_run_file(path, config, records)
+            with open(path) as handle:
+                assert handle.read() == oracle.run_file_text(config, records)
+
+    @given(
+        records=record_runs().filter(bool),
+        where=st.sampled_from(["network_output", "parameter_snapshot", "best_value", "wall_clock_ms"]),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_non_finite_value_leaves_no_file(self, records, where, value, data):
+        k = data.draw(st.integers(0, len(records) - 1))
+        bad = records[k]
+        if where == "network_output":
+            bad.network_output = [*bad.network_output, value]
+        elif where == "parameter_snapshot":
+            bad.parameter_snapshot = {**bad.parameter_snapshot, "bad": value}
+        else:
+            setattr(bad, where, value)
+        with tempfile.TemporaryDirectory() as directory:
+            with pytest.raises(RecordIoError, match="not strict-JSON serializable"):
+                write_run_file(os.path.join(directory, "run.jsonl"), sample_config(), records)
+            assert os.listdir(directory) == []
 
 
 class TestRecordDicts:
