@@ -8,7 +8,10 @@ fixed desirability is the reciprocal of its cost. Ants prefer trails by
 pheromone**alpha * desirability**beta (``choice_info``), computed once
 per iteration. The fast scale sends all ants of all colonies on one
 complete tour in lockstep: each step picks every ant's next location
-from a row-wise cumulative sum over the locations it has not visited.
+from a running sum over the locations it has not visited. A walk with
+more than WALKERS_PER_LOCATION walkers per location keeps its sums
+locations-major, one vector add per location; a smaller one sums each
+walker's row with cumsum. Both add left to right, so their bits agree.
 Every ant's start and uniforms come from one block of raw words per
 stream per fast step (rng.draw_walks), bit for bit the per-ant scalar
 draws. The slow scale evaporates and deposits pheromone, optionally
@@ -23,10 +26,11 @@ come stream by stream, as many for each, and each stream's colonies walk
 on that stream's draws. Colonies stacked from one position of their
 stream thus make, together, the very draws each would make alone.
 
-Powers use Python's scalar ``**``: numpy's vectorised power rounds
-differently from it on some builds. A colony whose alpha is 1.0 skips
-its pheromone power, as t**1.0 is t: the exact result is a double, and
-pow errs by less than an ulp. Sums, products and maxima are correctly
+Powers use np.float_power, whose float64 loop calls the C library's
+pow, as Python's scalar ``**`` does; np.power rounds differently from
+both on some builds. A stack whose every alpha is 1.0 skips its
+pheromone power, as t**1.0 is t: the exact result is a double, and pow
+errs by less than an ulp. Sums, products and maxima are correctly
 rounded IEEE operations, so the array forms, 2-opt's block scan among
 them, give the same bits as a scalar walk and the plain 2-opt loop.
 """
@@ -68,6 +72,12 @@ ARRAY_DOUBLES = 1 << 24
 # 2-opt scans this many rows at once after a reversal, and doubles it
 # up to the second while nothing improves.
 SCAN_ROWS = (8, 32)
+
+# A walk with more walkers than this per location sums locations-major
+# (next_locations' axis 0): there n - 1 adds of one location's column beat
+# cumsum along many short rows. Measured on 5 to 50 locations: the two
+# layouts tie between about 9 and 16 walkers per location; CHANGES.md.
+WALKERS_PER_LOCATION = 16
 
 
 @dataclass
@@ -173,8 +183,16 @@ class AcoArchitecture(ComputingNetwork):
     @cached_property
     def _eta_beta(self) -> np.ndarray:
         """desirability**beta per trail (i < j), in edge-id order, one row per colony."""
-        eta = (1.0 / self.problem.costs[_trail_indices(self.problem.n)]).tolist()
-        return np.array([[e**c.beta for e in eta] for c in self.colonies])
+        eta = 1.0 / self.problem.costs[_trail_indices(self.problem.n)]
+        return np.float_power(eta, np.array([[c.beta] for c in self.colonies]))
+
+    @cached_property
+    def _alphas(self) -> np.ndarray | None:
+        """Each colony's alpha, shaped (colonies, 1); None when every alpha is
+        1.0, as t**1.0 is t (module docstring)."""
+        if all(c.alpha == 1.0 for c in self.colonies):
+            return None
+        return np.array([[c.alpha] for c in self.colonies])
 
     @cached_property
     def _slow_params(self) -> np.ndarray:
@@ -199,11 +217,8 @@ class AcoArchitecture(ComputingNetwork):
         tau = self.pheromone
         rows, cols = _trail_indices(tau.shape[-1])
         powered = tau[:, rows, cols]
-        if any(c.alpha != 1.0 for c in self.colonies):  # t**1.0 is t (module docstring)
-            powered = np.array([
-                row if c.alpha == 1.0 else [t**c.alpha for t in row]
-                for row, c in zip(powered.tolist(), self.colonies)
-            ])
+        if self._alphas is not None:
+            powered = np.float_power(powered, self._alphas)
         out = np.zeros(tau.shape)
         out[:, rows, cols] = powered * self._eta_beta
         return out + out.swapaxes(1, 2)
@@ -313,30 +328,55 @@ class AcoArchitecture(ComputingNetwork):
         }
 
 
-def next_locations(
-    weights: np.ndarray, visited: np.ndarray, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One lockstep move: each row's next location and whether it dead-ended.
+def _running_sums(values: np.ndarray, axis: int) -> np.ndarray:
+    """The running sums of the 2-d values along axis, in place, each added
+    left to right as cumsum adds them; along axis 0 one add per row."""
+    if axis:
+        return np.cumsum(values, axis=1, out=values)
+    for j in range(1, len(values)):
+        np.add(values[j - 1], values[j], out=values[j])
+    return values
 
-    Row k samples an unvisited column with probability proportional to
-    weights[k]: the first column whose running sum exceeds total * u,
-    or the last unvisited column when rounding puts the threshold at the
-    total. A row whose unvisited weights sum to zero dead-ends (it still
-    gets that last unvisited column, so the walk stays well formed).
+
+def next_locations(
+    weights: np.ndarray, keep: np.ndarray, uniforms: np.ndarray, axis: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep move: each walker's next location and whether it dead-ended.
+
+    Locations lie along axis of weights and keep: walker k's are row k
+    with axis 1, column k with axis 0. keep is 1.0 at the locations a
+    walker has not visited and 0.0 at the others. Walker k samples an
+    unvisited location with probability proportional to its weight: the
+    first whose running sum exceeds total * u, or the last unvisited one
+    when rounding puts the threshold at the total. A walker whose
+    unvisited weights sum to zero dead-ends (it still gets that last
+    unvisited location, so the walk stays well formed). The weights must
+    be finite and nonnegative, and are overwritten with the running sums.
     """
-    cumulative = np.where(visited, 0.0, weights).cumsum(axis=1)
-    total = cumulative[:, -1]
-    threshold = total * uniforms
-    chosen = (cumulative > threshold[:, None]).argmax(axis=1)
+    # finite weights times 1.0 or 0.0: the bits of np.where(visited, 0.0, w)
+    sums = _running_sums(np.multiply(weights, keep, out=weights), axis)
+    if axis:
+        total = sums[:, -1]
+        threshold = total * uniforms
+        chosen = (sums > threshold[:, None]).argmax(axis=1)
+    else:
+        total = sums[-1]
+        threshold = total * uniforms
+        # the sums never fall: the first above the threshold follows all that are not
+        chosen = np.add.reduce(sums <= threshold, axis=0, dtype=np.intp)
     short = threshold >= total
     if not np.count_nonzero(short):
         return chosen, short
-    chosen[short] = visited.shape[1] - 1 - (~visited[short, ::-1]).argmax(axis=1)
+    unvisited = np.moveaxis(keep, axis, 1)[short] != 0.0
+    chosen[short] = unvisited.shape[1] - 1 - unvisited[:, ::-1].argmax(axis=1)
     return chosen, total <= 0.0
 
 
-def _successors(tours: np.ndarray) -> np.ndarray:
-    """Each tour's next location after every position, closing the loop."""
+def _successors(tours: np.ndarray, axis: int = 1) -> np.ndarray:
+    """Each tour's next location after every position, closing the loop; a
+    tour's positions lie along axis."""
+    if axis == 0:
+        return np.concatenate((tours[1:], tours[:1]))
     return np.concatenate((tours[:, 1:], tours[:, :1]), axis=1)
 
 
@@ -364,20 +404,29 @@ def _walk(
         starts, uniforms = np.repeat(starts, each, axis=0), np.repeat(uniforms, each, axis=0)
     starts, uniforms = starts.reshape(-1), uniforms.reshape(-1, n - 1)
     walkers = len(starts)
-    rows = np.arange(walkers)
-    tours = np.empty((walkers, n), dtype=np.intp)
-    tours[:, 0] = here = starts
-    visited = np.zeros((walkers, n), dtype=bool)
-    visited[rows, here] = True
+    # next_locations' axis: the walk's arrays are (n, walkers) locations-major
+    if walkers > WALKERS_PER_LOCATION * n:
+        axis, shape, weights = 0, (n, walkers), np.ascontiguousarray(weights.T)
+    else:
+        axis, shape = 1, (walkers, n)
+    sums, keep, tours = np.empty(shape), np.ones(shape), np.empty(shape, dtype=np.intp)
+    # steps[j] is every walker's location after j moves; visits[i] their keep at i
+    steps, visits = np.moveaxis(tours, axis, 0), np.moveaxis(keep, axis, 0)
+    every = np.arange(walkers)
+    steps[0] = here = starts
+    visits[here, every] = 0.0
     dead = np.zeros(walkers, dtype=bool)
-    for step, u in enumerate(uniforms.T, start=1):
-        here, stuck = next_locations(weights[here if offsets is None else offsets + here], visited, u)
+    for move, u in enumerate(uniforms.T, start=1):
+        # every index is in range: clip only spares take its buffered copy
+        weights.take(here if offsets is None else offsets + here, axis=1 - axis, out=sums, mode="clip")
+        here, stuck = next_locations(sums, keep, u, axis)
         dead |= stuck
-        visited[rows, here] = True
-        tours[:, step] = here
-    # cumsum adds left to right: the same sums as accumulating step by step
-    lengths = cost[tours, _successors(tours)].cumsum(axis=1)[:, -1]
-    return tours, lengths, dead
+        visits[here, every] = 0.0
+        steps[move] = here
+    # each tour's edge costs, summed left to right as a scalar walk adds them
+    edges = cost.take(tours * n + _successors(tours, axis))
+    lengths = np.take(_running_sums(edges, axis), -1, axis=axis)
+    return np.ascontiguousarray(steps.T), lengths, dead
 
 
 def construct_solutions(
@@ -403,13 +452,13 @@ def construct_solutions(
     """
     cost = net.problem.costs
     n = len(cost)
-    try:
-        with np.errstate(over="raise"):
-            choice = net.choice_info()
-            # nonnegative terms: no partial sum of a row exceeds the whole row's
-            choice.cumsum(axis=2)
-    except (OverflowError, FloatingPointError):
-        raise NumericDivergenceError("transition weights overflow") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        choice = net.choice_info()
+        # nonnegative terms: a row's last running sum is finite only if
+        # every weight and every partial sum of the row is
+        totals = choice.cumsum(axis=2)[..., -1]
+    if not np.isfinite(totals).all():
+        raise NumericDivergenceError("transition weights overflow")
     starts, uniforms = draw_walks(rng, net.colonies[0].ants, n)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
     if (len(choice) > 1 or rng.shape) and dead.any():
@@ -447,7 +496,9 @@ def deposit(net: AcoArchitecture, tours: Tours, amount: float | np.ndarray) -> N
     colony by colony, as many for each. Trails shared by several tours
     take their shares in walk order, one addition at a time, as a loop
     over the walks would. amount is one value for every colony, or one
-    per colony.
+    per colony. A share or a trail that overflows raises
+    NumericDivergenceError; the pheromone is then left as the additions
+    made it, and the run stops there.
     """
     here, lengths = tours
     short = lengths[lengths <= 0.0].tolist()
@@ -457,14 +508,19 @@ def deposit(net: AcoArchitecture, tours: Tours, amount: float | np.ndarray) -> N
     after = _successors(here)
     n = here.shape[1]
     per_colony = len(here) * n * n // tau.size
-    shares = np.repeat(amount, per_colony) / lengths
     # both directions of every tour edge, solution by solution, as indices
     # into the flattened pheromone (C-contiguous wherever it is made, so
     # reshape gives a view); add.at adds repeated indices in order, and
     # one tour never repeats an index
     base = np.arange(0, tau.size, n * n).repeat(per_colony)[:, None]
     index = np.concatenate([base + here * n + after, base + after * n + here], axis=1)
-    np.add.at(tau.reshape(-1), index.ravel(), shares.repeat(2 * n))
+    with np.errstate(over="ignore"):
+        shares = np.repeat(amount, per_colony) / lengths
+        np.add.at(tau.reshape(-1), index.ravel(), shares.repeat(2 * n))
+    # an infinite share makes its trails infinite too; finite trails keep
+    # every later transition weight finite
+    if not np.isfinite(tau).all():
+        raise NumericDivergenceError("pheromone overflows")
 
 
 def demon_local_search(path: Sequence[int], graph: TourGraph) -> list[int]:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def probabilities(row: np.ndarray, here: int) -> np.ndarray:
     return weights / weights.sum()
 
 
+def move(weights, visited, uniforms, axis):
+    """next_locations on rows of weights and visited flags, laid out along axis."""
+    weights, keep = np.array(weights, dtype=float), 1.0 - np.array(visited, dtype=float)
+    if axis == 0:
+        weights, keep = weights.T.copy(), keep.T.copy()
+    return next_locations(weights, keep, np.array(uniforms), axis)
+
+
+# next_locations' two layouts: walker rows (axis 1) and locations-major (axis 0)
+@pytest.fixture(params=[1, 0], ids=["rows", "locations"])
+def axis(request):
+    return request.param
+
+
 class TestTransitions:
     def test_worked_probability_example(self):
         # from node 0: pheromones (2, 1), desirabilities (1, 1), alpha = beta = 1
@@ -110,33 +125,28 @@ class TestTransitions:
         net = build_aco_network(graph, params)
         assert net.choice_info()[0][0].tolist() == pytest.approx([0.0, 4.0, 1.0])
 
-    def test_zero_total_weight_is_a_dead_end(self):
-        weights = np.array([[0.0, 0.0, 0.0]])
-        visited = np.array([[True, False, False]])
-        _, dead = next_locations(weights, visited, np.array([0.5]))
+    def test_zero_total_weight_is_a_dead_end(self, axis):
+        _, dead = move([[0.0, 0.0, 0.0]], [[True, False, False]], [0.5], axis)
         assert dead.tolist() == [True]
 
-    def test_choose_next_skips_visited(self):
-        weights = np.array([[0.0, 25.0, 1.0]])
-        visited = np.array([[True, True, False]])
+    def test_choose_next_skips_visited(self, axis):
         for u in (0.0, 0.5, 0.999999):
-            chosen, dead = next_locations(weights, visited, np.array([u]))
+            chosen, dead = move([[0.0, 25.0, 1.0]], [[True, True, False]], [u], axis)
             assert chosen.tolist() == [2] and dead.tolist() == [False]
 
-    def test_choose_next_with_everything_visited(self):
-        weights = np.array([[0.0, 1.0, 1.0]])
-        visited = np.array([[True, True, True]])
-        _, dead = next_locations(weights, visited, np.array([0.5]))
+    def test_choose_next_with_everything_visited(self, axis):
+        _, dead = move([[0.0, 1.0, 1.0]], [[True, True, True]], [0.5], axis)
         assert dead.tolist() == [True]
 
-    def test_rounding_at_the_total_takes_the_last_unvisited_location(self):
+    def test_rounding_at_the_total_takes_the_last_unvisited_location(self, axis):
         # a subnormal total times u rounds back up to the total, so no
         # running sum exceeds the threshold: the scalar walk then takes
-        # its last admissible candidate, here a zero-weight one
-        weights = np.array([[0.0, 5e-324, 0.0]])
-        visited = np.array([[True, False, False]])
-        chosen, dead = next_locations(weights, visited, np.array([0.9]))
-        assert chosen.tolist() == [2] and dead.tolist() == [False]
+        # its last admissible candidate, here a zero-weight one; the
+        # second walker moves as usual
+        chosen, dead = move(
+            [[0.0, 5e-324, 0.0], [0.0, 1.0, 3.0]], [[True, False, False], [True, False, False]], [0.9, 0.5], axis
+        )
+        assert chosen.tolist() == [2, 2] and dead.tolist() == [False, False]
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30)
@@ -221,6 +231,14 @@ class TestDivergence:
         with pytest.raises(NumericDivergenceError):
             construct_solutions(net, RngStream(0))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_infinite_pheromone_is_a_divergence(self, alpha):
+        # an infinite input raises no overflow, but its row sums are not finite
+        net = build_aco_network(square_graph(), AcoParams(alpha=alpha))
+        net.pheromone[0, 0, 1] = net.pheromone[0, 1, 0] = np.inf
+        with pytest.raises(NumericDivergenceError, match="transition weights overflow"):
+            construct_solutions(net, RngStream(0))
+
     def test_weights_too_large_to_sum_are_a_divergence(self):
         # every weight is finite, but a row of them sums past the largest double
         graph = TourGraph([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
@@ -259,6 +277,18 @@ class TestPheromoneUpdates:
         net = build_aco_network(square_graph())
         with pytest.raises(MalformedInstanceError):
             deposit(net, tours(([0, 1, 2, 3], 0.0)), amount=1.0)
+
+    @pytest.mark.parametrize(
+        "initial, amount, length",
+        [(1.0, 1e308, 0.5), (1e308, 1e308, 1.0)],
+        ids=["share", "trail"],
+    )
+    def test_deposit_that_overflows_is_a_divergence(self, initial, amount, length):
+        net = build_aco_network(square_graph(), AcoParams(initial_pheromone=initial))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDivergenceError, match="pheromone overflows"):
+                deposit(net, tours(([0, 1, 2, 3], length)), amount=amount)
 
     def test_trail_lookup_is_symmetric(self):
         net = build_aco_network(square_graph())

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import aco_oracle as oracle
 from instances import random_euclidean
+from cnets import aco
 from cnets.aco import (
     AcoArchitecture,
     AcoParams,
@@ -21,12 +22,24 @@ from cnets.aco import (
     construct_solutions,
     demon_local_search,
 )
+from cnets.errors import DeadEndError
 from cnets.problems import TourGraph
-from cnets.rng import RngStream
+from cnets.rng import RngStream, draw_walks
 
 # integer and non-integer exponents, the ends of the range included
 EXPONENTS = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 6.0]), st.floats(0.0, 6.0))
 SEEDS = st.integers(min_value=0, max_value=2**32)
+
+# every power of two and its neighbours, the subnormals and the ends of the
+# range among them (the smallest one's lower neighbour is 0.0)
+POWERS_OF_TWO = [2.0**e for e in range(-1074, 1024)]
+POWER_GRID = [
+    5e-324,
+    1e-300,
+    sys.float_info.max,
+    *POWERS_OF_TWO,
+    *(math.nextafter(t, bound) for t in POWERS_OF_TWO for bound in (0.0, math.inf)),
+]
 
 
 def instance(n: int, seed: int, grid: bool = False, box: float = 100.0) -> TourGraph:
@@ -165,7 +178,8 @@ def test_two_optimal_tour_comes_back_unchanged(n):
 @given(n=st.integers(3, 30), seed=SEEDS, alphas=st.lists(EXPONENTS, min_size=1, max_size=4), beta=EXPONENTS)
 @settings(max_examples=40, deadline=None)
 def test_stacked_choice_info_with_mixed_alphas_matches_scalar_weights(n, seed, alphas, beta):
-    """Colonies at alpha = 1.0 skip the power; the others keep Python's **."""
+    """Colonies at alpha = 1.0 take the power like the others, and a stack
+    whose alphas are all 1.0 skips it; both give Python's ** bits."""
     graph = instance(n, seed)
     colonies = [AcoParams(alpha=alpha, beta=beta) for alpha in [1.0, *alphas]]
     net = AcoArchitecture.lockstep([build_aco_network(graph, params) for params in colonies])
@@ -183,7 +197,109 @@ def test_stacked_choice_info_with_mixed_alphas_matches_scalar_weights(n, seed, a
 def test_power_one_is_the_identity():
     """choice_info relies on t ** 1.0 == t: pinned at both ends of the
     range and at every power of two and its neighbours."""
-    powers = [2.0**e for e in range(-1074, 1024)]
-    neighbours = [math.nextafter(t, bound) for t in powers for bound in (0.0, math.inf)]
-    for t in [5e-324, 1e-300, sys.float_info.max, *powers, *neighbours]:
+    for t in POWER_GRID:
         assert t**1.0 == t
+
+
+@given(
+    bases=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), max_size=40),
+    exponents=st.lists(EXPONENTS, min_size=1, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_float_power_is_python_power(bases, exponents):
+    """choice_info takes its powers with np.float_power, as an array
+    broadcast against one exponent per row; each must have the bits of
+    Python's x ** a, an overflow (OverflowError there) being inf."""
+    bases = [*POWER_GRID, *bases]
+
+    def power(x, a):
+        try:
+            return x**a
+        except OverflowError:
+            return math.inf
+
+    with np.errstate(over="ignore", under="ignore"):
+        got = np.float_power(np.array(bases), np.array(exponents)[:, None])
+    # nonnegative results: equal values have equal bits
+    assert got.tolist() == [[power(x, a) for x in bases] for a in exponents]
+
+
+def walk_and_position(walk, stream):
+    """A walk's solutions and its stream's next draws, or (None, None) when
+    it ends in a dead end."""
+    try:
+        return walk(stream), next_draws(stream)
+    except DeadEndError:
+        return None, None
+
+
+def check_stacked_walk(graph, colonies, seed, zero_share):
+    """The stack's walk equals each colony's lone walk, with the same stream
+    position after it; the last colony's trails are zeroed at zero_share. A
+    colony that walks on its one block of draws equals the scalar walk too.
+    One that goes past it restarted a dead end, which the scalar walk
+    restarts at once, on other draws; and the stack, which cannot restart,
+    must then dead-end. Returns the stack's solutions, None after a dead end."""
+    n = graph.n
+    nets = [build_aco_network(graph, params) for params in colonies]
+    for k, net in enumerate(nets):
+        net.pheromone[0] = random_pheromone(n, RngStream(seed, 10 + k))
+    zeros = np.triu(RngStream(seed, 9).uniform(size=(n, n)) < zero_share, 1)
+    nets[-1].pheromone[0][zeros | zeros.T] = 0.0
+    block = RngStream(seed, 2)
+    draw_walks(block, colonies[0].ants, n)
+    one_block = next_draws(block)
+    alone, restarted = [], False
+    for net, params in zip(nets, colonies):
+        solutions, position = walk_and_position(lambda s: construct_solutions(net, s), RngStream(seed, 2))
+        pheromone = net.pheromone[0].tolist()
+        if position == one_block:
+            scalar = walk_and_position(
+                lambda s: oracle.construct_solutions(pheromone, graph, params, s), RngStream(seed, 2)
+            )
+            assert (solutions, position) == scalar
+        restarted |= position != one_block
+        alone += solutions or []
+    together, after = walk_and_position(
+        lambda s: construct_solutions(AcoArchitecture.lockstep(nets), s), RngStream(seed, 2)
+    )
+    if restarted:
+        assert together is None
+    else:
+        assert (together, after) == (alone, one_block)
+    return together
+
+
+@given(
+    n=st.integers(3, 10),
+    seed=SEEDS,
+    count=st.sampled_from(range(2, 65)),
+    exponents=st.lists(st.tuples(EXPONENTS, EXPONENTS), min_size=1, max_size=8),
+    ants=st.integers(1, 12),
+    zero_share=st.sampled_from([0.0, 0.1, 0.3]),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_walk_matches_lone_and_scalar_walks(n, seed, count, exponents, ants, zero_share):
+    """Up to 768 walkers on 3 to 10 locations: both running-sum layouts.
+    The colonies take their (alpha, beta) from exponents in turn."""
+    turns = itertools.islice(itertools.cycle(exponents), count)
+    colonies = [AcoParams(alpha=alpha, beta=beta, ants=ants) for alpha, beta in turns]
+    check_stacked_walk(instance(n, seed), colonies, seed, zero_share)
+
+
+@pytest.mark.parametrize("extra, axis", [(0, 1), (1, 0)], ids=["rows", "locations"])
+def test_stacked_walk_on_each_side_of_the_layout_bound(monkeypatch, extra, axis):
+    """WALKERS_PER_LOCATION * n one-ant colonies sum by rows; one more, by locations."""
+    n = 8
+    count = aco.WALKERS_PER_LOCATION * n + extra
+    layouts = set()  # (axis, walkers) of every move
+    plain = aco.next_locations
+
+    def next_locations(weights, keep, uniforms, axis):
+        layouts.add((axis, weights.shape[1 - axis]))
+        return plain(weights, keep, uniforms, axis)
+
+    monkeypatch.setattr(aco, "next_locations", next_locations)
+    colonies = [AcoParams(alpha=[0.5, 1.0, 2.5][k % 3], beta=[2.0, 0.0][k % 2], ants=1) for k in range(count)]
+    assert check_stacked_walk(instance(n, 9), colonies, 9, 0.0) is not None
+    assert {a for a, walkers in layouts if walkers == count} == {axis}

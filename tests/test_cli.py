@@ -182,6 +182,24 @@ class TestExitCodes:
         assert "numeric error" in err
         assert "(slow, fast)=" in err
 
+    def test_overflowing_pheromone_exits_2(self, workdir, capsys):
+        # 1e308 over a tour of length 0.004 overflows every share on the
+        # first deposit; infinite trails would force every later move
+        (workdir / "tiny.csv").write_text("0,0\n0.001,0\n0,0.001\n0.001,0.001\n")
+        path = write_json(
+            workdir,
+            {
+                "aco": {"graph": "tiny.csv", "ants": 3, "deposit": 1e308},
+                "schedule": {"fast_steps_per_slow": 1, "slow_steps": 4},
+                "seed": 1,
+                "out": "overflow.jsonl",
+            },
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", path]) == 2
+        assert capsys.readouterr().err == "numeric error: pheromone overflows at (slow, fast)=(1, None)\n"
+
     def test_position_is_printed_for_every_error_raised_mid_run(self, workdir, capsys):
         # trails of 1/cost**400 underflow to zero, so an ant finds no move
         path = write_json(
