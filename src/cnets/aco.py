@@ -50,7 +50,7 @@ from .errors import (
     MalformedInstanceError,
     NumericDivergenceError,
 )
-from .problems import TourGraph
+from .problems import TourGraph, check_size
 from .rng import RngStream, StreamGroup, draw_walks
 
 # Construction restarts allowed per ant per iteration before giving up.
@@ -64,10 +64,6 @@ STACK_DOUBLES = 1 << 21
 
 # Doubles one colony may hold in one of its (ants, n) walk arrays: 32 MB.
 WALK_DOUBLES = 1 << 22
-
-# Doubles the largest array a config's sizes ask for may hold, checked when
-# the config loads: 128 MB.
-ARRAY_DOUBLES = 1 << 24
 
 # 2-opt scans this many rows at once after a reversal, and doubles it
 # up to the second while nothing improves.
@@ -110,16 +106,6 @@ class AcoParams:
             raise ConfigurationError(
                 f"must be one of {DEMON_CHOICES}, got {self.demon!r}", key="demon"
             )
-
-
-def check_size(doubles: int, where: str, what: str, limit: int | None = None) -> None:
-    """Refuse an array of doubles over limit (ARRAY_DOUBLES by default), before
-    it is allocated; where names the setting in the error, what the sizes."""
-    limit = ARRAY_DOUBLES if limit is None else limit
-    if doubles > limit:
-        raise ConfigurationError(
-            f"{where}: {what} need {doubles} doubles in one array, over the limit of {limit}"
-        )
 
 
 def check_walk_size(ants: int, n: int, where: str) -> None:

@@ -34,7 +34,7 @@ from .cross import WEIGHT_BOUNDS
 from .eca import EcaParams
 from .errors import ConfigurationError
 from .meta import Genome, MetaConfig, ParamBox
-from .problems import Dataset, Objective, Tape, TourGraph, named_objective
+from .problems import Dataset, Objective, Tape, TourGraph, check_size, named_objective
 from .pso import PsoParams
 from .rng import RngStream, check_seed
 
@@ -165,7 +165,7 @@ def _with(params: Any, genome: Genome) -> Any:
 
 def _check_swarm(particles: int, dimension: int, where: str) -> None:
     """A swarm's largest array is its build's (particles, 2, dimension) draws."""
-    aco.check_size(particles * 2 * dimension, where, f"{particles} particles in {dimension} dimensions")
+    check_size(particles * 2 * dimension, where, f"{particles} particles in {dimension} dimensions")
 
 
 @dataclass
@@ -184,7 +184,7 @@ class AnnSection:
         if len(layers) < 2 or any(isinstance(v, bool) or not isinstance(v, int) or v < 1 for v in layers):
             raise ConfigurationError(f"{where}.layers: expected >= 2 positive integers, got {layers!r}")
         count = ann.LayeredTopology(tuple(layers)).parameter_count
-        aco.check_size(count, f"{where}.layers", f"{count} parameters")
+        check_size(count, f"{where}.layers", f"{count} parameters")
         dataset = _resolve_path(_get(data, "dataset", where, str, required=True), base_dir, f"{where}.dataset")
         return cls(layers=tuple(layers), dataset=dataset, params=_read(AnnParams, data, where))
 
@@ -219,7 +219,7 @@ class AcoSection:
         )
 
     def problem(self) -> TourGraph:
-        graph = TourGraph.from_csv(self.graph, fmt=self.graph_format)
+        graph = TourGraph.from_csv(self.graph, fmt=self.graph_format, where="config.aco.graph")
         aco.check_walk_size(self.params.ants, graph.n, "config.aco.ants")
         return graph
 
@@ -294,7 +294,7 @@ class EcaSection:
             raise ConfigurationError(f"{where}.steps: must be >= 0, got {steps}")
         rule = _get(data, "rule", where, int, required=True)
         width = _get(data, "width", where, int, required=True)
-        aco.check_size(width, f"{where}.width", f"{width} cells")
+        check_size(width, f"{where}.width", f"{width} cells")
         params = _read(EcaParams, data, where, rule=rule, width=width, initial=initial)
         return cls(steps=steps, params=params)
 
@@ -345,7 +345,7 @@ class MetaSection:
         eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
         config = _read(MetaConfig, data, where, eval_seeds=eval_seeds)
         size, keys = config.population_size, len(boxes)
-        aco.check_size(size * keys, f"{where}.population_size", f"{size} genomes of {keys} values")
+        check_size(size * keys, f"{where}.population_size", f"{size} genomes of {keys} values")
         return cls(boxes=boxes, config=config)
 
 
@@ -396,7 +396,15 @@ class CrossSection:
         return cls(ann=inner, pso=params, weight_bounds=weight_bounds, dimension=dimension)
 
     def problem(self) -> Dataset:
-        return self.ann.problem("config.cross.ann")
+        dataset = self.ann.problem("config.cross.ann")
+        # population_mse's stack: one (particles, samples) plane per unit of its widest layer
+        particles, samples, width = self.pso.particles, len(dataset), max(self.ann.layers[1:])
+        check_size(
+            particles * samples * width,
+            "config.cross.ann.dataset",
+            f"{particles} particles on {samples} samples through {width} units",
+        )
+        return dataset
 
 
 _SECTIONS = {
@@ -472,7 +480,8 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
     slow = _get(sched_raw, "slow_steps", "config.schedule", int)
     meta_gens = _get(sched_raw, "meta_generations", "config.schedule", int)
 
-    section = _SECTIONS[architecture].parse(data[architecture], base_dir, f"config.{architecture}")
+    section_raw = _get(data, architecture, "config", dict, required=True)
+    section = _SECTIONS[architecture].parse(section_raw, base_dir, f"config.{architecture}")
     if architecture == "eca" and section.steps is not None:
         if slow is not None and slow != section.steps:
             raise ConfigurationError(
@@ -488,12 +497,13 @@ def build_config(data: Mapping[str, Any], base_dir: str = ".") -> RunConfig:
         )
 
     meta = None
-    if "meta" in data:
+    meta_raw = _get(data, "meta", "config", dict)
+    if meta_raw is not None:
         if architecture not in META_SEARCHABLE:
             raise ConfigurationError(
                 f"config.meta: meta search supports {sorted(META_SEARCHABLE)}, not {architecture!r}"
             )
-        meta = MetaSection.parse(data["meta"], "config.meta", architecture, section.params)
+        meta = MetaSection.parse(meta_raw, "config.meta", architecture, section.params)
         if meta_gens is not None and meta_gens != meta.config.generations:
             raise ConfigurationError(
                 f"config: schedule.meta_generations ({meta_gens}) disagrees with "

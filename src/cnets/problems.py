@@ -19,6 +19,20 @@ import numpy as np
 
 from .errors import ConfigurationError, MalformedInstanceError
 
+# Doubles the largest array a config's sizes ask for may hold, checked when
+# the config or its input loads: 128 MB.
+ARRAY_DOUBLES = 1 << 24
+
+
+def check_size(doubles: int, where: str, what: str, limit: int | None = None) -> None:
+    """Refuse an array of doubles over limit (ARRAY_DOUBLES by default), before
+    it is allocated; where names the setting in the error, what the sizes."""
+    limit = ARRAY_DOUBLES if limit is None else limit
+    if doubles > limit:
+        raise ConfigurationError(
+            f"{where}: {what} need {doubles} doubles in one array, over the limit of {limit}"
+        )
+
 
 def _read_only(rows) -> np.ndarray | None:
     """rows as a read-only float64 array, or None if they are not numbers."""
@@ -218,11 +232,13 @@ class TourGraph(_ArrayValue):
         return cls(costs=costs)
 
     @classmethod
-    def from_csv(cls, path: str, fmt: str = "coords") -> "TourGraph":
+    def from_csv(cls, path: str, fmt: str = "coords", where: str = "graph") -> "TourGraph":
         """Load x,y coordinate rows or the rows of a full cost matrix.
 
         Each non-blank line holds one row of finite numbers. The first may
-        instead be a header, a line in which no field is a number.
+        instead be a header, a line in which no field is a number. A graph
+        whose (n, n) cost array is too large is refused, named by where,
+        before any row is parsed.
         """
         if fmt not in ("coords", "matrix"):
             raise ConfigurationError(f"unknown graph format {fmt!r}")
@@ -234,6 +250,7 @@ class TourGraph(_ArrayValue):
         rows = filled[1:] if header else filled
         if not rows:
             raise ConfigurationError(f"graph file {path} has no data rows")
+        check_size(len(rows) ** 2, where, f"{len(rows)} cities")
         width = 2 if fmt == "coords" else len(rows)
         try:
             table = _parse_numbers(rows)

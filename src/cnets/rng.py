@@ -2,12 +2,24 @@
 
 Every stochastic choice in the package draws from an RngStream, so a
 (config, seed) pair fully determines a run. Streams wrap numpy's
-counter-based Philox generator keyed with (seed, stream); the same key
-produces the same draw sequence on every platform and numpy build, which
-is what makes record files byte-reproducible.
+counter-based Philox bit generator keyed with (seed, stream). What a key
+fixes, and on which numpy:
 
-draw_walks makes an ant colony's per-ant draws as one block of raw words per
-stream, decoded bit for bit as numpy's Generator makes the scalar draws.
+- Philox's raw words are the same on every platform and numpy build:
+  numpy's random policy (NEP 19) keeps bit-generator streams stable.
+- draw_walks makes an ant colony's per-ant draws, integers(0, n) and
+  uniform(size=n - 1) per ant, as one block of raw words per stream,
+  decoded in cnets bit for bit as numpy 2.4's Generator makes them.
+- uniform, integers, normal and permutation are numpy Generator methods,
+  which NEP 19 lets a feature release change; tests/test_rng.py pins
+  their first draws for one key. The committed records were made with
+  numpy 2.4.6.
+
+A 32-bit draw takes half a 64-bit word and buffers the other half. The
+half that a draw_walks block leaves stays on its stream, not in the bit
+generator, so a block makes no state round trip: the stream hands it to
+the bit generator, in one state write, only before a Generator draw that
+may read it, and snapshot() includes it.
 """
 from __future__ import annotations
 
@@ -77,6 +89,9 @@ class RngStream:
         self.stream = stream % _WORD
         # snapshot() of the current position; every draw clears it
         self._position: dict | None = self._fresh()
+        # (has_uint32, uinteger): the half word draw_walks left buffered, which
+        # the bit generator takes only before a draw that may read it
+        self._half: tuple[int, int] | None = None
 
     def _fresh(self) -> dict:
         return {**_FRESH, "state": {**_FRESH["state"], "key": (self.seed, self.stream)}}
@@ -93,29 +108,48 @@ class RngStream:
     def streams(self) -> tuple["RngStream"]:
         return (self,)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+    def _drawing(self) -> np.random.Generator:
+        """The generator, about to make a draw that may read the buffered half word."""
+        if self._half is not None:
+            self._gen.bit_generator.state = self.snapshot()
+            self._half = None
         self._position = None
-        return self._gen.uniform(low, high, size)
+        return self._gen
+
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        return self._drawing().uniform(low, high, size)
 
     def normal(self, loc: float = 0.0, scale: float = 1.0, size=None):
-        self._position = None
-        return self._gen.normal(loc, scale, size)
+        return self._drawing().normal(loc, scale, size)
 
     def integers(self, low: int, high: int, size=None, dtype=np.int64):
-        """Draw from [low, high) like numpy's Generator.integers."""
-        self._position = None
-        return self._gen.integers(low, high, size=size, dtype=dtype)
+        """Draw from [low, high) like numpy's Generator.integers. A block of
+        whole uint64s is Philox's raw words, which leave the half word alone."""
+        if dtype is np.uint64 and (low, high) == (0, _WORD) and size is not None:
+            self._position = None
+            return self._gen.bit_generator.random_raw(size)
+        return self._drawing().integers(low, high, size=size, dtype=dtype)
 
     def permutation(self, n: int) -> np.ndarray:
-        self._position = None
-        return self._gen.permutation(n)
+        return self._drawing().permutation(n)
+
+    def _buffered(self) -> tuple[int, int]:
+        """The buffered half word, (has_uint32, uinteger): read from the bit
+        generator only if the stream holds neither it nor its position."""
+        if self._half is not None:
+            return self._half
+        state = self._position or self._gen.bit_generator.state
+        return state["has_uint32"], state["uinteger"]
 
     def snapshot(self) -> dict:
         """The stream's position in plain values: equal snapshots are equal
         positions, and restore() returns to one far faster than a new stream
         is made. Taken again before another draw, it costs nothing."""
         if self._position is None:
-            self._position = _plain_state(self._gen.bit_generator.state)
+            state = _plain_state(self._gen.bit_generator.state)
+            if self._half is not None:
+                state["has_uint32"], state["uinteger"] = self._half
+            self._position = state
         return self._position
 
     def restore(self, snapshot: dict) -> None:
@@ -123,6 +157,7 @@ class RngStream:
         if snapshot is not self._position:  # else the stream stands there already
             self._gen.bit_generator.state = snapshot
             self._position = snapshot
+            self._half = None
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -177,27 +212,27 @@ def draw_walks(rng: RngStream | StreamGroup, walkers: int, n: int) -> tuple[np.n
     """walkers pairs of draws integers(0, n), uniform(size=n - 1) from each
     stream, as those calls make them and leaving each stream where they do:
     starts (*rng.shape, walkers) and uniforms (*rng.shape, walkers, n - 1), from
-    one raw-word draw per stream; the streams go back and make the scalar calls
-    if numpy would reject a start, or if they differ in buffering a half word."""
+    one raw-word draw per stream, each keeping the half word it leaves; the
+    streams go back and make the scalar calls if numpy would reject a start, or
+    if they differ in buffering a half word."""
     streams = rng.streams
-    bits = [stream._gen.bit_generator for stream in streams]
-    before = [bit.state for bit in bits]
+    # numpy can reject a start only if n does not divide 2**32
+    before = [stream.snapshot() for stream in streams] if (1 << 32) % n else ()
+    halves = [stream._buffered() for stream in streams]
     decoded = None
-    if len({state["has_uint32"] for state in before}) == 1 and n > 1:
-        buffered = before[0]["has_uint32"]
-        halves = np.array([state["uinteger"] for state in before], np.uint64) if buffered else None
+    if len({has for has, _ in halves}) == 1 and n > 1:
+        buffered = halves[0][0]
+        kept = np.array([half for _, half in halves], np.uint64) if buffered else None
         count = walkers * n - (walkers + buffered) // 2
         words = np.array([stream.integers(0, _WORD, count, np.uint64) for stream in streams])
-        decoded = decode_walks(words, walkers, n, halves)
+        decoded = decode_walks(words, walkers, n, kept)
     if decoded is None:
-        for bit, state in zip(bits, before):
-            bit.state = state
+        for stream, position in zip(streams, before):
+            stream.restore(position)
         draws = [(s.integers(0, n), s.uniform(size=n - 1)) for s in streams for _ in range(walkers)]
         starts, uniforms = np.array([d[0] for d in draws]), np.array([d[1] for d in draws])
     else:
-        starts, uniforms, (has, halves) = decoded
-        for bit, half in zip(bits, halves.tolist()):
-            state = bit.state
-            state["has_uint32"], state["uinteger"] = has, half
-            bit.state = state
+        starts, uniforms, (has, kept) = decoded
+        for stream, half in zip(streams, kept.tolist()):
+            stream._half = (has, half)
     return starts.reshape(*rng.shape, walkers), uniforms.reshape(*rng.shape, walkers, n - 1)

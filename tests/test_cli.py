@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -432,6 +433,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"config error: config.{message}")
         assert not (workdir / "refused.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"aco": True}, "config.aco: expected an object, got True"),
+            # null means an absent key, so the section it names is missing
+            ({"ann": None}, "config: missing required key 'ann'"),
+            ({"eca": 5}, "config.eca: expected an object, got 5"),
+            ({"aco": {"graph": "cities.csv"}, "meta": 3}, "config.meta: expected an object, got 3"),
+            ({"cross": []}, "config.cross: expected an object, got []"),
+        ],
+        ids=["aco-bool", "ann-null", "eca-number", "meta-number", "cross-list"],
+    )
+    def test_a_section_of_the_wrong_kind_is_a_config_error(self, workdir, capsys, config, message):
+        path = write_json(workdir, {**config, "seed": 1, "out": "refused.jsonl"})
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (workdir / "refused.jsonl").exists()
+
     @pytest.mark.parametrize("meta", [None, {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]}])
     def test_too_many_ants_are_refused_before_any_network_is_built(
         self, workdir, capsys, monkeypatch, meta
@@ -445,6 +464,19 @@ class TestExitCodes:
             data["meta"] = meta
         assert main(["run", write_json(workdir, data)]) == 1
         assert "config error: config.aco.ants: 100000000 ants on 5 locations" in capsys.readouterr().err
+
+    def test_a_graph_too_large_for_its_cost_array_is_refused_at_once(self, workdir, capsys):
+        # 4,097**2 doubles is the first count over ARRAY_DOUBLES, 4,096**2
+        lines = [f"{i % 64},{i // 64}" for i in range(4097)]
+        (workdir / "big.csv").write_text("x,y\n" + "\n".join(lines) + "\n")
+        data = {"aco": {"graph": "big.csv"}, "seed": 1, "out": "aco.jsonl"}
+        started = time.perf_counter()
+        assert main(["run", write_json(workdir, data)]) == 1
+        assert time.perf_counter() - started < 0.5
+        assert capsys.readouterr().err == (
+            "config error: config.aco.graph: 4097 cities need 16785409 doubles in one array, "
+            "over the limit of 16777216\n"
+        )
 
     def test_record_io_error_exits_3(self, workdir, capsys):
         blocker = workdir / "blocker.txt"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from instances import write_config
-from cnets import aco
+from cnets import problems
 from cnets.ann import AnnParams
 from cnets.config import build_config, load_config
 from cnets.eca import EcaParams
@@ -492,13 +492,41 @@ class TestSizes:
         with pytest.raises(ConfigurationError, match=message):
             build_config(data, str(workdir))
 
+    @pytest.mark.parametrize("limit, refused", [(25, False), (24, True)])
+    @pytest.mark.parametrize("fmt", ["coords", "matrix"])
+    def test_a_graph_is_refused_by_its_cost_array(self, workdir, monkeypatch, fmt, limit, refused):
+        if fmt == "matrix":
+            rows = [",".join(str(abs(i - j)) for j in range(5)) for i in range(5)]
+            (workdir / "cities.csv").write_text("\n".join(rows) + "\n")
+        config = build_config({"aco": {"graph": "cities.csv", "graph_format": fmt}}, str(workdir))
+        monkeypatch.setattr(problems, "ARRAY_DOUBLES", limit)
+        message = r"^config\.aco\.graph: 5 cities need 25 doubles in one array, over the limit of 24$"
+        if refused:
+            with pytest.raises(ConfigurationError, match=message):
+                config.section.problem()
+        else:
+            assert config.section.problem().n == 5
+
+    def test_a_cross_stack_is_refused_when_its_dataset_loads(self, workdir):
+        rows = [f"{i % 2},{i // 2 % 2},{(i ^ i // 2) % 2}" for i in range(300)]
+        (workdir / "wide.csv").write_text("in0,in1,out0\n" + "\n".join(rows) + "\n")
+        data = {"cross": {"ann": {"layers": [2, 64, 1], "dataset": "wide.csv"}, "pso": {"particles": 1000}}}
+        config = build_config(data, str(workdir))  # each setting alone is small
+        message = (
+            r"^config\.cross\.ann\.dataset: 1000 particles on 300 samples through 64 units "
+            r"need 19200000 doubles in one array, over the limit of 16777216$"
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            config.section.problem()
+
     def test_committed_configs_and_workloads_sit_far_below_the_bound(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(aco, "ARRAY_DOUBLES", aco.ARRAY_DOUBLES // 100)
+        monkeypatch.setattr(problems, "ARRAY_DOUBLES", problems.ARRAY_DOUBLES // 100)
         for path in sorted((ROOT / "configs").glob("*.json")):
-            load_config(str(path))
+            load_config(str(path)).section.problem()
         for name in sorted(workloads.WORKLOADS):
             (tmp_path / name).mkdir()
-            build_config(workloads.make_inputs(name, 1, str(tmp_path / name)), str(tmp_path / name))
+            data = workloads.make_inputs(name, 1, str(tmp_path / name))
+            build_config(data, str(tmp_path / name)).section.problem()
 
 
 class TestRoundTrips:

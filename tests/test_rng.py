@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from instances import random_euclidean
 
+from cnets.aco import AcoArchitecture, AcoParams, build_aco_network
 from cnets.errors import ConfigurationError
+from cnets.meta import evaluate_genome
 from cnets.rng import RngStream, StreamGroup, decode_walks, draw_walks
 
 
@@ -275,3 +278,107 @@ def test_a_cached_walk_layout_cannot_be_changed():
         for shared in _walk_layout(4, 7, buffered):
             with pytest.raises(ValueError):
                 shared[...] = 0
+
+
+def test_first_draws_of_a_fixed_key_are_pinned():
+    """Literal draws, so a numpy release that changes a Generator method shows
+    here: NEP 19 lets a feature release change a distribution method."""
+    stream = RngStream(2026, 7)
+    assert stream.integers(0, 2**64, 3, np.uint64).tolist() == [
+        4464583800282260749, 9202327227910888272, 1348907069451995232
+    ]
+    assert stream.uniform(size=3).tolist() == [0.272331063544489, 0.06570147500865664, 0.6753882716322992]
+    assert stream.integers(0, 1000, 4).tolist() == [211, 161, 796, 459]
+    assert stream.normal(size=3).tolist() == [-0.921312208955759, -0.4672062699018924, -1.0920968322354387]
+    assert stream.permutation(8).tolist() == [0, 3, 5, 1, 2, 4, 7, 6]
+
+
+STREAM = st.integers(0, 2)
+MOVES = st.lists(
+    st.one_of(
+        # a walk on every stream as a group (None) or on one stream alone;
+        # odd walker counts leave a half word, and n = 2 and 8 divide 2**32
+        st.tuples(st.just("walks"), st.none() | STREAM, st.integers(1, 6), st.sampled_from([2, 3, 5, 8, 9])),
+        st.tuples(st.sampled_from(["uniform", "normal", "snapshot", "restore"]), STREAM),
+        st.tuples(st.just("integers"), STREAM, st.integers(1, 2**40)),
+        st.tuples(st.just("raw"), STREAM, st.integers(1, 5)),
+        st.tuples(st.just("permutation"), STREAM, st.integers(1, 9)),
+    ),
+    max_size=14,
+)
+
+
+@given(seed=st.integers(0, 2**64 - 1), moves=MOVES)
+# a restore drops the half word a walk left: the next walk reads the restored one
+@example(seed=5, moves=[("walks", 0, 3, 8), ("restore", 0), ("walks", 0, 3, 8)])
+@settings(max_examples=200, deadline=None)
+def test_draws_and_snapshots_around_walks_match_numpy_philox(seed, moves):
+    streams = [RngStream(seed, k) for k in range(3)]
+    numpy = [np.random.Generator(np.random.Philox(key=np.array([seed, k], np.uint64))) for k in range(3)]
+    saved = [stream.snapshot() for stream in streams]
+    for name, k, *args in moves:
+        if name == "walks":
+            walkers, n = args
+            rng = StreamGroup(streams) if k is None else streams[k]
+            starts, uniforms = draw_walks(rng, walkers, n)
+            want = [scalar_walks(gen, walkers, n) for gen in (numpy if k is None else [numpy[k]])]
+            assert starts.reshape(-1, walkers).tolist() == [s for s, _ in want]
+            assert uniforms.reshape(-1, walkers, n - 1).tolist() == [u for _, u in want]
+        elif name == "snapshot":
+            saved[k] = streams[k].snapshot()
+            assert saved[k] == _plain(numpy[k].bit_generator.state)
+        elif name == "restore":
+            streams[k].restore(saved[k])
+            numpy[k].bit_generator.state = saved[k]
+        else:
+            method, call = {
+                "uniform": ("uniform", ()),
+                "normal": ("normal", ()),
+                "integers": ("integers", (0, *args)),
+                "raw": ("integers", (0, 2**64, *args, np.uint64)),
+                "permutation": ("permutation", tuple(args)),
+            }[name]
+            got, want = getattr(streams[k], method)(*call), getattr(numpy[k], method)(*call)
+            assert np.asarray(got).tolist() == np.asarray(want).tolist()
+    assert [stream.snapshot() for stream in streams] == [_plain(gen.bit_generator.state) for gen in numpy]
+
+
+PHILOX = np.random.Philox
+
+
+class CountingPhilox(PHILOX):
+    """A Philox that counts every read and write of its state."""
+
+    touches = 0
+
+    @property
+    def state(self):
+        CountingPhilox.touches += 1
+        return PHILOX.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        CountingPhilox.touches += 1
+        PHILOX.state.__set__(self, value)
+
+
+CountingPhilox.__name__ = "Philox"  # the name numpy checks a state's bit_generator against
+
+
+@pytest.mark.parametrize("seeds", [(4,), (4, 5, 6)], ids=["stream", "group"])
+def test_a_lockstep_inner_run_touches_no_state_after_its_first_fast_step(monkeypatch, seeds):
+    graph = random_euclidean(8, RngStream(1, 1))
+    genomes = [{"alpha": 1.0 + k / 4, "beta": 2.0} for k in range(4)]
+    touched = []  # the state touches made before each fast step
+    fast = AcoArchitecture.fast
+
+    def counted(net, rng):
+        touched.append(CountingPhilox.touches)
+        fast(net, rng)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    monkeypatch.setattr(CountingPhilox, "touches", 0)
+    monkeypatch.setattr(AcoArchitecture, "fast", counted)
+    evaluate_genome(genomes, lambda g, rng: build_aco_network(graph, AcoParams(**g)), 30, seeds)
+    assert len(touched) == 30  # one stack for every genome and seed
+    assert touched[1] == CountingPhilox.touches
