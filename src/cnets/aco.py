@@ -16,7 +16,9 @@ Every ant's start and uniforms come from one block of raw words per
 stream per fast step (rng.draw_walks), bit for bit the per-ant scalar
 draws. The slow scale evaporates and deposits pheromone, optionally
 after a local-search demon (2-opt) improves each colony's shortest
-tour of the iteration.
+tour of the iteration. The tours stay on the network as arrays; the
+(path, length) pairs that construct_solutions returns are a read-only
+view over a copy of them, made into Python lists only when read.
 
 build_aco_network builds a network of one colony; AcoArchitecture.lockstep
 stacks the colonies of several into a new network, as in the matrix form
@@ -37,9 +39,11 @@ them, give the same bits as a scalar walk and the plain 2-opt loop.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +54,7 @@ from .errors import (
     MalformedInstanceError,
     NumericDivergenceError,
 )
-from .problems import TourGraph, check_size
+from .problems import TourGraph, check_size, pair_indices
 from .rng import RngStream, StreamGroup, draw_walks
 
 # Construction restarts allowed per ant per iteration before giving up.
@@ -120,13 +124,25 @@ class Tours(NamedTuple):
     lengths: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _trail_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of every trail (i < j), in edge-id order; cached, as numpy
-    builds them slower than a small colony builds the rest of its network."""
-    rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+class Solutions(Sequence):
+    """One iteration's walks as (path, length) pairs, made only when read.
+
+    Holds a copy of the walk's Tours, as the slow step may rewrite the
+    network's in place. Iterating makes every pair from two bulk tolist
+    calls; indexing makes one (list[int], float) pair.
+    """
+
+    def __init__(self, tours: Tours):
+        self._paths, self._lengths = tours.paths.copy(), tours.lengths.copy()
+
+    def __len__(self) -> int:
+        return len(self._lengths)
+
+    def __getitem__(self, k: int) -> tuple[list[int], float]:
+        return self._paths[k].tolist(), float(self._lengths[k])
+
+    def __iter__(self):
+        return zip(self._paths.tolist(), self._lengths.tolist())
 
 
 @lru_cache(maxsize=8)
@@ -169,7 +185,7 @@ class AcoArchitecture(ComputingNetwork):
     @cached_property
     def _eta_beta(self) -> np.ndarray:
         """desirability**beta per trail (i < j), in edge-id order, one row per colony."""
-        eta = 1.0 / self.problem.costs[_trail_indices(self.problem.n)]
+        eta = 1.0 / self.problem.costs[pair_indices(self.problem.n)]
         return np.float_power(eta, np.array([[c.beta] for c in self.colonies]))
 
     @cached_property
@@ -201,7 +217,7 @@ class AcoArchitecture(ComputingNetwork):
         """Each colony's pheromone**alpha * desirability**beta per trail, with its
         own alpha and beta: (colonies, n, n), symmetric, zero diagonals."""
         tau = self.pheromone
-        rows, cols = _trail_indices(tau.shape[-1])
+        rows, cols = pair_indices(tau.shape[-1])
         powered = tau[:, rows, cols]
         if self._alphas is not None:
             powered = np.float_power(powered, self._alphas)
@@ -242,7 +258,7 @@ class AcoArchitecture(ComputingNetwork):
     def substrate(self) -> tuple[int, np.ndarray]:
         """One node per location and one undirected edge (i < j) per trail, in edge-id order."""
         n = self.problem.n
-        return n, np.stack(_trail_indices(n), axis=1)
+        return n, np.stack(pair_indices(n), axis=1)
 
     def _shortest(self, colonies: np.ndarray) -> np.ndarray:
         """The walked row of the first shortest tour of each of colonies."""
@@ -417,7 +433,7 @@ def _walk(
 
 def construct_solutions(
     net: AcoArchitecture, rng: RngStream | StreamGroup
-) -> list[tuple[list[int], float]]:
+) -> Solutions:
     """Send every ant on one complete closed tour, all ants in lockstep.
 
     Each ant draws its start, then one uniform per move, in ant order
@@ -431,20 +447,24 @@ def construct_solutions(
     colonies come stream by stream, and each colony's ants walk on its
     stream's draws, made in the same order as on a lone stream. A dead
     end among several colonies, or on a group, raises DeadEndError at
-    once: its restart would draw for one colony alone. The tours also
-    stay on the architecture as arrays, in walked, which is all the run
-    loop reads: the returned (path, length) pairs are read only outside
-    it, by perfbench's tracer and by tests.
+    once: its restart would draw for one colony alone. The tours stay
+    on the architecture as arrays, in walked, which is all the run loop
+    reads. The returned Solutions is a read-only view of their (path,
+    length) pairs, in walk order, that makes them only when read (by
+    perfbench's tracer and by tests): a step that does not read them
+    builds no Python lists.
     """
     cost = net.problem.costs
     n = len(cost)
     with np.errstate(over="ignore", invalid="ignore"):
         choice = net.choice_info()
-        # nonnegative terms: a row's last running sum is finite only if
-        # every weight and every partial sum of the row is
-        totals = choice.cumsum(axis=2)[..., -1]
-    if not np.isfinite(totals).all():
-        raise NumericDivergenceError("transition weights overflow")
+        # n nonnegative weights of at most DBL_MAX / (2n) sum to at most
+        # DBL_MAX / 2 in any order; a NaN fails the comparison. Else a row's
+        # last running sum is finite only if every weight and every partial
+        # sum of the row is.
+        if not choice.max() <= sys.float_info.max / (2 * n):
+            if not np.isfinite(choice.cumsum(axis=2)[..., -1]).all():
+                raise NumericDivergenceError("transition weights overflow")
     starts, uniforms = draw_walks(rng, net.colonies[0].ants, n)
     tours, lengths, dead = _walk(choice, cost, starts, uniforms)
     if (len(choice) > 1 or rng.shape) and dead.any():
@@ -460,7 +480,7 @@ def construct_solutions(
     if not (lengths < float("inf")).all():
         raise NumericDivergenceError("a tour length diverged")
     net.walked = Tours(tours, lengths)
-    return list(zip(tours.tolist(), lengths.tolist()))
+    return Solutions(net.walked)
 
 
 def evaporate(net: AcoArchitecture, rate: float | np.ndarray) -> None:

@@ -10,9 +10,11 @@ and bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,6 +34,16 @@ def check_size(doubles: int, where: str, what: str, limit: int | None = None) ->
         raise ConfigurationError(
             f"{where}: {what} need {doubles} doubles in one array, over the limit of {limit}"
         )
+
+
+@lru_cache(maxsize=8)
+def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of every pair i < j of n nodes, row by row (a graph's
+    edge-id order); cached and read-only, as numpy builds them slower than
+    a small graph builds the rest of itself."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 def _read_only(rows) -> np.ndarray | None:
@@ -224,10 +236,12 @@ class TourGraph(_ArrayValue):
     @classmethod
     def from_coordinates(cls, coords: Sequence[Sequence[float]]) -> "TourGraph":
         """Euclidean instance from planar points."""
-        points = np.asarray(coords, dtype=float).tolist()
-        costs = np.zeros((len(points), len(points)))
-        for i, p in enumerate(points):
-            costs[i, i + 1 :] = [math.dist(p, q) for q in points[i + 1 :]]
+        points = list(map(tuple, np.asarray(coords, dtype=float).tolist()))
+        n = len(points)
+        costs = np.zeros((n, n))
+        # combinations lists the pairs i < j in pair_indices' order
+        distances = itertools.starmap(math.dist, itertools.combinations(points, 2))
+        costs[pair_indices(n)] = np.fromiter(distances, float, n * (n - 1) // 2)
         costs += costs.T  # the lower triangle is zero: the sum copies the upper one
         return cls(costs=costs)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from cnets.aco import MAX_RESTARTS, AcoParams
 from cnets.errors import DeadEndError, NumericDivergenceError
 from cnets.problems import TourGraph
@@ -24,6 +26,14 @@ def transition_weights(
         * (1.0 / graph.costs.item(here, node)) ** params.beta
         for node in candidates
     ]
+
+
+def weights_overflow(choice: np.ndarray) -> bool:
+    """Whether a row of a (colonies, n, n) choice_info stack sums past the
+    largest double: every row's running sums, to the last."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = choice.cumsum(axis=2)[..., -1]
+    return not np.isfinite(totals).all()
 
 
 def choose_next(

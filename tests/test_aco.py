@@ -9,6 +9,7 @@ from instances import random_euclidean
 from cnets.aco import (
     MAX_RESTARTS,
     WALK_DOUBLES,
+    AcoArchitecture,
     AcoParams,
     Tours,
     build_aco_network,
@@ -27,7 +28,7 @@ from cnets.errors import (
     NumericDivergenceError,
 )
 from cnets.problems import TourGraph
-from cnets.rng import RngStream
+from cnets.rng import RngStream, StreamGroup
 
 
 def square_graph():
@@ -323,10 +324,42 @@ class TestConstruction:
 
         def tours(seed):
             net = build_aco_network(graph, AcoParams(ants=5))
-            return construct_solutions(net, RngStream(seed))
+            return list(construct_solutions(net, RngStream(seed)))
 
         assert tours(9) == tours(9)
         assert tours(9) != tours(10)
+
+
+def walked_pairs(net):
+    """The (path, length) pairs of net.walked, made eagerly."""
+    return list(zip(net.walked.paths.tolist(), net.walked.lengths.tolist()))
+
+
+class TestSolutions:
+    @pytest.mark.parametrize("colonies, streams", [(1, 0), (6, 0), (6, 3)], ids=["lone", "stack", "group"])
+    def test_the_view_reads_as_the_walked_pairs(self, colonies, streams):
+        graph = random_euclidean(7, RngStream(13))
+        net = AcoArchitecture(graph, [AcoParams(alpha=0.5 * (k + 1), ants=4) for k in range(colonies)])
+        rng = StreamGroup([RngStream(14, s) for s in range(streams)]) if streams else RngStream(14)
+        solutions = construct_solutions(net, rng)
+        pairs = walked_pairs(net)
+        assert len(solutions) == len(pairs) == colonies * 4
+        assert list(solutions) == pairs
+        assert [solutions[k] for k in range(len(pairs))] == pairs
+        assert solutions[-1] == pairs[-1]
+        path, length = solutions[0]
+        assert type(path) is list and type(path[0]) is int and type(length) is float
+
+    def test_the_view_keeps_the_walked_tours_after_two_opt(self):
+        graph = random_euclidean(12, RngStream(17))
+        net = build_aco_network(graph, AcoParams(ants=6, demon="two-opt"))
+        solutions = construct_solutions(net, RngStream(18))
+        walked = walked_pairs(net)
+        net.slow(RngStream(19))
+        # the slow step's 2-opt rewrote the shortest tour in walked, in place
+        assert walked_pairs(net) != walked
+        assert list(solutions) == walked
+        assert [solutions[k] for k in range(len(walked))] == walked
 
 
 class TestDemon:

@@ -22,7 +22,7 @@ from cnets.aco import (
     construct_solutions,
     demon_local_search,
 )
-from cnets.errors import DeadEndError
+from cnets.errors import DeadEndError, NumericDivergenceError
 from cnets.problems import TourGraph
 from cnets.rng import RngStream, draw_walks
 
@@ -78,7 +78,7 @@ def test_lockstep_walk_matches_scalar_walk(n, seed, alpha, beta, ants):
     lockstep, scalar = RngStream(seed, 2), RngStream(seed, 2)
     got = construct_solutions(net, lockstep)
     want = oracle.construct_solutions(net.pheromone[0].tolist(), graph, params, scalar)
-    assert got == want
+    assert list(got) == want
     assert next_draws(lockstep) == next_draws(scalar)
 
 
@@ -251,7 +251,7 @@ def check_stacked_walk(graph, colonies, seed, zero_share):
     one_block = next_draws(block)
     alone, restarted = [], False
     for net, params in zip(nets, colonies):
-        solutions, position = walk_and_position(lambda s: construct_solutions(net, s), RngStream(seed, 2))
+        solutions, position = walk_and_position(lambda s: list(construct_solutions(net, s)), RngStream(seed, 2))
         pheromone = net.pheromone[0].tolist()
         if position == one_block:
             scalar = walk_and_position(
@@ -261,7 +261,7 @@ def check_stacked_walk(graph, colonies, seed, zero_share):
         restarted |= position != one_block
         alone += solutions or []
     together, after = walk_and_position(
-        lambda s: construct_solutions(AcoArchitecture.lockstep(nets), s), RngStream(seed, 2)
+        lambda s: list(construct_solutions(AcoArchitecture.lockstep(nets), s)), RngStream(seed, 2)
     )
     if restarted:
         assert together is None
@@ -303,3 +303,50 @@ def test_stacked_walk_on_each_side_of_the_layout_bound(monkeypatch, extra, axis)
     colonies = [AcoParams(alpha=[0.5, 1.0, 2.5][k % 3], beta=[2.0, 0.0][k % 2], ants=1) for k in range(count)]
     assert check_stacked_walk(instance(n, 9), colonies, 9, 0.0) is not None
     assert {a for a, walkers in layouts if walkers == count} == {axis}
+
+
+@given(
+    n=st.integers(3, 9),
+    colonies=st.integers(1, 4),
+    seed=SEEDS,
+    largest=st.sampled_from(["below", "at", "above", "row", "half", "max"]),
+    ones=st.sampled_from([0.0, 0.5, 1.0]),
+    specials=st.lists(st.sampled_from([math.nan, math.inf]), max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_weight_overflow_is_refused_exactly_when_a_running_sum_overflows(
+    n, colonies, seed, largest, ones, specials
+):
+    """The largest weight just below, at and just above DBL_MAX / (2n), the
+    bound of construct_solutions' max check; then past it, where only the
+    running sums tell: DBL_MAX / (n - 1), whose full row still fits,
+    DBL_MAX / 2, of which two fit and three do not, and DBL_MAX. Each other
+    weight is the largest or between half and all of it, and NaN and inf
+    trails may sit among them."""
+    bound = sys.float_info.max / (2 * n)
+    top = {
+        "below": math.nextafter(bound, 0.0),
+        "at": bound,
+        "above": math.nextafter(bound, math.inf),
+        "row": sys.float_info.max / (n - 1),
+        "half": sys.float_info.max / 2,
+        "max": sys.float_info.max,
+    }[largest]
+    rng = RngStream(seed, 1)
+    rows, cols = np.triu_indices(n, 1)
+    ratios = rng.uniform(0.5, 1.0, size=(colonies, len(rows)))
+    ratios[rng.uniform(size=ratios.shape) < ones] = 1.0
+    ratios.flat[int(rng.integers(0, ratios.size))] = 1.0
+    trails = top * ratios
+    for value in specials:
+        trails.flat[int(rng.integers(0, trails.size))] = value
+    # alpha 1 and beta 0: every weight is its trail's pheromone
+    net = AcoArchitecture(instance(n, seed), [AcoParams(beta=0.0, ants=3)] * colonies)
+    net.pheromone[:, rows, cols] = trails
+    choice = net.choice_info()
+    assert np.array_equal(choice[:, rows, cols], trails, equal_nan=True)
+    if oracle.weights_overflow(choice):
+        with pytest.raises(NumericDivergenceError, match="^transition weights overflow$"):
+            construct_solutions(net, RngStream(seed, 2))
+    else:
+        assert len(construct_solutions(net, RngStream(seed, 2))) == colonies * 3

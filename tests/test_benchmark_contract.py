@@ -7,7 +7,8 @@ error when a layer records no span or the meta fitness lookups are not
 counted. This runs those checks here, at seed 1, traced and untraced
 operations alternating, on meta-colony (many colonies joined in
 lockstep) and tsp-colony (one colony, on its own), so a colony path that
-trips one fails tier-1.
+trips one fails tier-1, as does a construct_solutions result that the
+tracer cannot count tours and moves from.
 """
 import sys
 from pathlib import Path
@@ -37,3 +38,5 @@ def test_colony_workload_passes_the_benchmark_checks(tmp_path, workload, final_b
     assert bench.failed == 0 and bench.attempted >= 2 * measure.MIN_OPERATIONS
     assert metrics["final_best"] == final_best
     assert metrics["aco.tours_built"] == tours
+    # the tracer counts moves by iterating construct_solutions' (path, length) pairs
+    assert metrics["aco.construct_us_per_move"] > 0

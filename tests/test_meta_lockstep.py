@@ -353,7 +353,7 @@ class TestLockstepHook:
         alone = [aco.construct_solutions(net, RngStream(6)) for net in nets]
         stack = AcoArchitecture.lockstep(nets)
         together = aco.construct_solutions(stack, RngStream(6))
-        assert together == [solution for solutions in alone for solution in solutions]
+        assert list(together) == [solution for solutions in alone for solution in solutions]
 
     def test_one_colony_reads_its_best_tour_and_params(self):
         graph = random_euclidean(6, RngStream(3))

@@ -227,6 +227,44 @@ class TestTourGraph:
         distances = [[math.dist(p, q) for q in points] for p in points]
         assert TourGraph.from_coordinates(points) == TourGraph(distances)
 
+    @given(
+        n=st.integers(3, 60),
+        form=st.sampled_from(["list", "array", "integer"]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_coordinates_give_the_bits_of_the_per_pair_loop(self, n, form, data):
+        """Against math.dist on each pair i < j in turn, mirrored: equal costs,
+        or the same refusal (coincident cities, or a distance that overflows)."""
+        if form == "integer":
+            coordinate = st.integers(-(10**9), 10**9)
+        else:
+            coordinate = st.one_of(
+                st.floats(-1e6, 1e6),
+                st.integers(-(10**6), 10**6),
+                # mixed magnitudes and signs within one instance, up to overflow
+                st.builds(
+                    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+                    st.sampled_from([-1.0, 1.0]),
+                    st.floats(1.0, 10.0),
+                    st.integers(-300, 307),
+                ),
+            )
+        points = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=n, max_size=n))
+        floats = [(float(x), float(y)) for x, y in points]
+        plain = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                plain[i, j] = plain[j, i] = math.dist(floats[i], floats[j])
+        given_points = np.array(points, dtype=float) if form == "array" else points
+        try:
+            want = TourGraph(plain)
+        except MalformedInstanceError as refused:
+            with pytest.raises(MalformedInstanceError, match=f"^{re.escape(str(refused))}$"):
+                TourGraph.from_coordinates(given_points)
+            return
+        assert TourGraph.from_coordinates(given_points).costs.tobytes() == want.costs.tobytes()
+
     def test_coincident_cities_are_rejected(self):
         with pytest.raises(MalformedInstanceError, match=r"^cost\[0\]\[2\] must be positive, got 0.0$"):
             TourGraph.from_coordinates([(0, 0), (3, 4), (0, 0)])
