@@ -38,16 +38,15 @@ them, give the same bits as a scalar walk and the plain 2-opt loop.
 """
 from __future__ import annotations
 
-import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ComputingNetwork
+from .core import ComputingNetwork, check_fields, rule
 from .errors import (
     ConfigurationError,
     DeadEndError,
@@ -84,32 +83,16 @@ WALKERS_PER_LOCATION = 16
 class AcoParams:
     """Colony parameters; defaults follow common Ant System practice."""
 
-    alpha: float = 1.0
-    beta: float = 2.0
-    evaporation: float = 0.1
-    deposit: float = 1.0
-    ants: int = 10
-    initial_pheromone: float = 1.0
-    min_pheromone: float = 1e-9
-    demon: str = "off"
+    alpha: float = field(default=1.0, metadata=rule(low=0))
+    beta: float = field(default=2.0, metadata=rule(low=0))
+    evaporation: float = field(default=0.1, metadata=rule(low=0, high=1))
+    deposit: float = field(default=1.0, metadata=rule(low=0, strict=True))
+    ants: int = field(default=10, metadata=rule(low=1))
+    initial_pheromone: float = field(default=1.0, metadata=rule(low=0, strict=True))
+    min_pheromone: float = field(default=1e-9, metadata=rule(low=0, strict=True))
+    demon: str = field(default="off", metadata=rule(choices=DEMON_CHOICES))
 
-    def __post_init__(self):
-        for name in ("alpha", "beta", "deposit", "initial_pheromone", "min_pheromone"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"must be finite, got {value}", key=name)
-            if name in ("alpha", "beta") and value < 0:
-                raise ConfigurationError(f"must be >= 0, got {value}", key=name)
-            if name not in ("alpha", "beta") and value <= 0:
-                raise ConfigurationError(f"must be positive, got {value}", key=name)
-        if not 0.0 <= self.evaporation <= 1.0:
-            raise ConfigurationError(f"must be in [0, 1], got {self.evaporation}", key="evaporation")
-        if self.ants < 1:
-            raise ConfigurationError(f"must be >= 1, got {self.ants}", key="ants")
-        if self.demon not in DEMON_CHOICES:
-            raise ConfigurationError(
-                f"must be one of {DEMON_CHOICES}, got {self.demon!r}", key="demon"
-            )
+    __post_init__ = check_fields
 
 
 def check_walk_size(ants: int, n: int, where: str) -> None:

@@ -25,13 +25,12 @@ aliases the workspace, so no later call overwrites it.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import ComputingNetwork
+from .core import ComputingNetwork, check_fields, rule
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Dataset
 from .rng import RngStream
@@ -66,20 +65,11 @@ class AnnParams:
     """Gradient-descent step size and the activation of the hidden layers
     and of the output layer."""
 
-    learning_rate: float = 0.1
-    hidden_activation: str = "tanh"
-    output_activation: str = "tanh"
+    learning_rate: float = field(default=0.1, metadata=rule(low=0, strict=True))
+    hidden_activation: str = field(default="tanh", metadata=rule(choices=tuple(ACTIVATIONS)))
+    output_activation: str = field(default="tanh", metadata=rule(choices=tuple(ACTIVATIONS)))
 
-    def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError(
-                f"must be positive and finite, got {self.learning_rate}", key="learning_rate"
-            )
-        for key in ("hidden_activation", "output_activation"):
-            kind = getattr(self, key)
-            if kind not in ACTIVATIONS:
-                known = ", ".join(sorted(ACTIVATIONS))
-                raise ConfigurationError(f"unknown activation {kind!r} (known: {known})", key=key)
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

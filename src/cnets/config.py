@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Mapping, Sequence
 
 from . import aco, ann, eca, pso
@@ -321,7 +321,7 @@ class MetaSection:
         cls, data: Mapping[str, Any], where: str, architecture: str, params: Any
     ) -> "MetaSection":
         """params is the searched section's params object: each box must be
-        a finite, nonempty interval whose ends it accepts."""
+        a finite, nonempty interval whose ends keep its field's declared rule."""
         _check_keys(data, ("parameters",) + _names(MetaConfig), where)
         raw_params = _get(data, "parameters", where, dict, required=True)
         if not raw_params:
@@ -337,11 +337,11 @@ class MetaSection:
             key: _at(f"{where}.parameters.{key}", ParamBox, *_number_pair(box, f"{where}.parameters.{key}"))
             for key, box in raw_params.items()
         }
-        # every end must be a value params accepts; it checks field by field and
-        # names the key at fault, so one object holds all the lows and one all the highs
+        # a box keeps its field's rule throughout when both its finite ends keep it
         for end in ("low", "high"):
-            ends = {key: getattr(box, end) for key, box in boxes.items()}
-            _at(f"{where}.parameters", replace, params, **ends)
+            for f in fields(params):
+                if f.name in boxes:
+                    _at(f"{where}.parameters", f.metadata["rule"].check, f.name, getattr(boxes[f.name], end))
         eval_seeds = tuple(_get(data, "eval_seeds", where, list, required=True))
         config = _read(MetaConfig, data, where, eval_seeds=eval_seeds)
         size, keys = config.population_size, len(boxes)

@@ -23,14 +23,73 @@ nodes or edges after construction.
 from __future__ import annotations
 
 import math
+import sys
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from .errors import CnError, ConfigurationError, NumericDivergenceError
 from .rng import RngStream
+
+_LARGEST = sys.float_info.max
+
+
+class Rule(NamedTuple):
+    """A scalar params field's declared rule, as data: a float must be finite,
+    then be one of choices if given, else in [low, high] if high is given,
+    else >= low, or > low when strict; no low bounds nothing more."""
+
+    low: float | None = None
+    strict: bool = False
+    high: float | None = None
+    choices: tuple = ()
+
+    def check(self, key: str, value: Any) -> None:
+        """Raise a ConfigurationError naming key unless value keeps the rule."""
+        if isinstance(value, float) and not math.isfinite(value):
+            broken = "finite"
+        elif self.choices:
+            broken = None if value in self.choices else f"one of {self.choices}"
+        elif self.high is not None:
+            broken = None if self.low <= value <= self.high else f"in [{self.low}, {self.high}]"
+        elif self.strict:
+            broken = None if value > self.low else ("positive" if self.low == 0 else f"> {self.low}")
+        else:
+            broken = None if self.low is None or value >= self.low else f">= {self.low}"
+        if broken is not None:
+            raise ConfigurationError(f"must be {broken}, got {value!r}", key=key)
+
+    def closed(self) -> tuple[float, float]:
+        """The closed, finite bounds inside which every number keeps the rule."""
+        least = -_LARGEST if self.low is None else math.nextafter(self.low, math.inf) if self.strict else self.low
+        return least, _LARGEST if self.high is None else self.high
+
+
+def rule(**bounds: Any) -> dict[str, Rule]:
+    """The metadata that declares a field's rule: field(default=1.0, metadata=rule(low=0))."""
+    return {"rule": Rule(**bounds)}
+
+
+@lru_cache(maxsize=None)
+def _declared(cls: type) -> tuple[tuple[str, Rule, tuple, float, float], ...]:
+    """(name, rule, choices, least, most) for each field that cls declares a rule
+    for, in field order: every number in the closed [least, most] keeps the rule."""
+    return tuple(
+        (f.name, r, r.choices, *r.closed()) for f in fields(cls) if (r := f.metadata.get("rule"))
+    )
+
+
+def check_fields(params: Any) -> None:
+    """Check params' declared fields in field order: a value in its rule's
+    choices or closed bounds at once, any other by Rule.check. A params
+    class's __post_init__ calls this before any check that spans fields."""
+    for name, declared, choices, least, most in _declared(type(params)):
+        value = getattr(params, name)
+        if not (value in choices if choices else least <= value <= most):
+            declared.check(name, value)
 
 
 @dataclass(frozen=True)
@@ -41,16 +100,10 @@ class ScaleSchedule:
     steps.
     """
 
-    fast_steps_per_slow: int = 1
-    slow_steps: int = 0
+    fast_steps_per_slow: int = field(default=1, metadata=rule(low=1))
+    slow_steps: int = field(default=0, metadata=rule(low=0))
 
-    def __post_init__(self):
-        if self.fast_steps_per_slow < 1:
-            raise ConfigurationError(
-                f"must be >= 1, got {self.fast_steps_per_slow}", key="fast_steps_per_slow"
-            )
-        if self.slow_steps < 0:
-            raise ConfigurationError(f"must be >= 0, got {self.slow_steps}", key="slow_steps")
+    __post_init__ = check_fields
 
 
 @dataclass

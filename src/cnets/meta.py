@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Callable, Sequence
 
-from .core import ComputingNetwork, RunRecord, ScaleSchedule, run
+from .core import ComputingNetwork, RunRecord, ScaleSchedule, check_fields, rule, run
 from .errors import CnError, ConfigurationError
 from .rng import RngStream, StreamGroup, check_seed
 
@@ -73,38 +73,21 @@ class ParamBox:
 class MetaConfig:
     """Genetic-algorithm settings for the meta scale."""
 
-    population_size: int = 10
-    generations: int = 10
-    tournament_size: int = 3
-    crossover_rate: float = 0.9
-    mutation_stddev: float = 0.1
-    inner_slow_steps: int = 50
+    population_size: int = field(default=10, metadata=rule(low=2))
+    generations: int = field(default=10, metadata=rule(low=0))
+    tournament_size: int = 3  # checked against population_size
+    crossover_rate: float = field(default=0.9, metadata=rule(low=0, high=1))
+    mutation_stddev: float = field(default=0.1, metadata=rule(low=0))
+    inner_slow_steps: int = field(default=50, metadata=rule(low=1))
     eval_seeds: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if self.population_size < 2:
-            raise ConfigurationError(
-                f"must be >= 2, got {self.population_size}", key="population_size"
-            )
-        if self.generations < 0:
-            raise ConfigurationError(f"must be >= 0, got {self.generations}", key="generations")
+        check_fields(self)
         if not 1 <= self.tournament_size <= self.population_size:
             raise ConfigurationError(
                 f"must be between 1 and population_size ({self.population_size}), "
                 f"got {self.tournament_size}",
                 key="tournament_size",
-            )
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ConfigurationError(
-                f"must be in [0, 1], got {self.crossover_rate}", key="crossover_rate"
-            )
-        if self.mutation_stddev < 0.0:
-            raise ConfigurationError(
-                f"must be >= 0, got {self.mutation_stddev}", key="mutation_stddev"
-            )
-        if self.inner_slow_steps < 1:
-            raise ConfigurationError(
-                f"must be >= 1, got {self.inner_slow_steps}", key="inner_slow_steps"
             )
         if not self.eval_seeds:
             raise ConfigurationError("need at least one evaluation seed", key="eval_seeds")

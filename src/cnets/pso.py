@@ -12,12 +12,11 @@ Minimization throughout.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ComputingNetwork
+from .core import ComputingNetwork, check_fields, rule
 from .errors import ConfigurationError, NumericDivergenceError
 from .problems import Objective
 from .rng import RngStream
@@ -33,27 +32,16 @@ class PsoParams:
     velocity component to [-clamp, clamp].
     """
 
-    particles: int = 30
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
-    velocity_clamp: float = 0.0
-    topology: str = "ring"
+    particles: int = field(default=30, metadata=rule(low=2))
+    inertia: float = field(default=0.72, metadata=rule())
+    cognitive: float = field(default=1.49, metadata=rule(low=0))
+    social: float = field(default=1.49, metadata=rule(low=0))
+    velocity_clamp: float = field(default=0.0, metadata=rule(low=0))
+    topology: str = field(default="ring", metadata=rule(choices=TOPOLOGIES))
     neighborhoods: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        for name in ("inertia", "cognitive", "social", "velocity_clamp"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"must be finite, got {value}", key=name)
-            if name != "inertia" and value < 0:
-                raise ConfigurationError(f"must be >= 0, got {value}", key=name)
-        if self.particles < 2:
-            raise ConfigurationError(f"must be >= 2, got {self.particles}", key="particles")
-        if self.topology not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"must be one of {TOPOLOGIES}, got {self.topology!r}", key="topology"
-            )
+        check_fields(self)
         if self.topology == "custom":
             if not self.neighborhoods:
                 raise ConfigurationError("a custom topology needs them", key="neighborhoods")

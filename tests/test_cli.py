@@ -451,6 +451,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (workdir / "refused.jsonl").exists()
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_a_non_finite_mutation_stddev_is_refused_at_load(self, workdir, capsys, value):
+        # json.dumps writes NaN and Infinity, and json reads them back
+        meta = {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1], "mutation_stddev": value}
+        path = write_json(workdir, {"aco": {"graph": "cities.csv"}, "meta": meta, "seed": 1, "out": "meta.jsonl"})
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == f"config error: config.meta.mutation_stddev: must be finite, got {value}\n"
+        assert not (workdir / "meta.jsonl").exists()
+
     @pytest.mark.parametrize("meta", [None, {"parameters": {"alpha": [0.0, 2.0]}, "eval_seeds": [1]}])
     def test_too_many_ants_are_refused_before_any_network_is_built(
         self, workdir, capsys, monkeypatch, meta

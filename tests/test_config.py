@@ -197,13 +197,17 @@ class TestValues:
         with pytest.raises(ConfigurationError, match=f"config.aco.{field}: must be finite"):
             build_config(data, base_dir=str(workdir))
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0"])
-    def test_ann_learning_rate_must_be_positive_and_finite(self, workdir, value):
+    @pytest.mark.parametrize(
+        "value, text",
+        [("NaN", "must be finite, got nan"), ("Infinity", "must be finite, got inf"), ("0", "must be positive, got 0.0")],
+        ids=["NaN", "Infinity", "0"],
+    )
+    def test_ann_learning_rate_must_be_positive_and_finite(self, workdir, value, text):
         data = json.loads(
             '{"ann": {"layers": [2, 1], "dataset": "xor.csv", "learning_rate": %s}, "seed": 1}'
             % value
         )
-        with pytest.raises(ConfigurationError, match="learning_rate: must be positive and finite"):
+        with pytest.raises(ConfigurationError, match=f"^config.ann.learning_rate: {text}$"):
             build_config(data, base_dir=str(workdir))
 
     @pytest.mark.parametrize(
@@ -216,6 +220,8 @@ class TestValues:
             (minimal_meta_aco(tournament_size=50), "meta.tournament_size: must be between"),
             (minimal_meta_aco(inner_slow_steps=0), "meta.inner_slow_steps: must be >= 1"),
             (minimal_meta_aco(mutation_stddev=-1), "meta.mutation_stddev: must be >= 0"),
+            (minimal_meta_aco(mutation_stddev=float("nan")), "meta.mutation_stddev: must be finite"),
+            (minimal_meta_aco(mutation_stddev=float("inf")), "meta.mutation_stddev: must be finite"),
         ],
         ids=[
             "cross-particles",
@@ -225,6 +231,8 @@ class TestValues:
             "meta-tournament",
             "meta-inner-steps",
             "meta-mutation",
+            "meta-mutation-nan",
+            "meta-mutation-inf",
         ],
     )
     def test_params_value_errors_surface_at_load(self, workdir, data, match):
@@ -326,7 +334,8 @@ class TestValues:
             "ann": {"layers": [2, 1], "dataset": "xor.csv", "hidden_activation": "relu"},
             "seed": 1,
         }
-        with pytest.raises(ConfigurationError, match="activation"):
+        text = r"must be one of \('tanh', 'logistic', 'identity'\), got 'relu'"
+        with pytest.raises(ConfigurationError, match=rf"^config\.ann\.hidden_activation: {text}$"):
             load_config(write_json(workdir, data))
 
     def test_aco_section_value_error_surfaces_at_load(self, workdir):
