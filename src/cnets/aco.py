@@ -47,12 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import ComputingNetwork, check_fields, rule
-from .errors import (
-    ConfigurationError,
-    DeadEndError,
-    MalformedInstanceError,
-    NumericDivergenceError,
-)
+from .errors import DeadEndError, MalformedInstanceError, NumericDivergenceError
 from .problems import TourGraph, check_size, pair_indices
 from .rng import RngStream, StreamGroup, draw_walks
 
@@ -470,10 +465,9 @@ def evaporate(net: AcoArchitecture, rate: float | np.ndarray) -> None:
     """Decay every trail, clamped to each colony's pheromone floor.
 
     rate is one rate for every colony, or one per colony shaped
-    (colonies, 1, 1), as the slow step passes it.
+    (colonies, 1, 1), as the slow step passes it. AcoParams' declared
+    rule keeps each rate in [0, 1].
     """
-    if not np.all((0.0 <= rate) & (rate <= 1.0)):
-        raise ConfigurationError(f"evaporation rate must be in [0, 1], got {rate}")
     tau = net.pheromone
     np.maximum(net.pheromone_floor, (1.0 - rate) * tau, out=tau)
 

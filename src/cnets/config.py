@@ -34,7 +34,7 @@ from .cross import WEIGHT_BOUNDS
 from .eca import EcaParams
 from .errors import ConfigurationError
 from .meta import Genome, MetaConfig, ParamBox
-from .problems import Dataset, Objective, Tape, TourGraph, check_size, named_objective
+from .problems import GRAPH_FORMATS, Dataset, Objective, Tape, TourGraph, check_size, named_objective
 from .pso import PsoParams
 from .rng import RngStream, check_seed
 
@@ -210,8 +210,10 @@ class AcoSection:
     def parse(cls, data: Mapping[str, Any], base_dir: str, where: str) -> "AcoSection":
         _check_keys(data, ("graph", "graph_format") + _names(AcoParams), where)
         graph_format = _get(data, "graph_format", where, str, default="coords")
-        if graph_format not in ("coords", "matrix"):
-            raise ConfigurationError(f"{where}.graph_format: expected coords or matrix")
+        if graph_format not in GRAPH_FORMATS:
+            raise ConfigurationError(
+                f"{where}.graph_format: expected one of {list(GRAPH_FORMATS)}, got {graph_format!r}"
+            )
         return cls(
             graph=_resolve_path(_get(data, "graph", where, str, required=True), base_dir, f"{where}.graph"),
             graph_format=graph_format,

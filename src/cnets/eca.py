@@ -2,16 +2,13 @@
 
 A rule is one of the 256 Wolfram numberings: bit k of the rule number is
 the next state for the neighborhood whose (left, center, right) bits
-read as the binary number k. The cells are one uint8 vector. The
-stand-alone functions step Tape values through the same kernels that
-build_eca_network runs as a computing network whose nodes are cells and
-whose edges link neighbours.
+read as the binary number k. The cells are one uint8 vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -120,46 +117,6 @@ def _step_cells_in_order(
     return np.array(row, dtype=np.uint8)
 
 
-def step(tape: Tape, table: RuleTable) -> Tape:
-    """One synchronous step: every cell reads the pre-step tape."""
-    cells = _step_cells(np.array(tape.cells, dtype=np.uint8), _lookup(table), tape.boundary)
-    return Tape(cells=tuple(cells.tolist()), boundary=tape.boundary)
-
-
-def step_in_order(tape: Tape, table: RuleTable, order: Sequence[int]) -> Tape:
-    """One asynchronous step: updates land in place, in the given order."""
-    cells = _step_cells_in_order(
-        np.array(tape.cells, dtype=np.uint8), _lookup(table), tape.boundary, order
-    )
-    return Tape(cells=tuple(cells.tolist()), boundary=tape.boundary)
-
-
-def node_update_order(n: int, mode: UpdateMode, rng: RngStream | None) -> list[int]:
-    """Cell visit order for one fast step under the given update mode.
-
-    Synchronous callers should read all pre-step state first and ignore
-    ordering; the order returned here matters only to the asynchronous
-    modes, where updates land in place.
-    """
-    if mode is UpdateMode.ASYNC_RANDOM:
-        if rng is None:
-            raise ConfigurationError("asynchronous-random updating needs an RngStream")
-        return [int(i) for i in rng.permutation(n)]
-    return list(range(n))
-
-
-def evolve(tape: Tape, rule_number: int, steps: int) -> Grid:
-    """Synchronous evolution; returns steps+1 rows, row 0 the initial tape."""
-    if steps < 0:
-        raise ConfigurationError(f"steps must be >= 0, got {steps}")
-    lookup = _lookup(rule_table(rule_number))
-    grid = np.empty((steps + 1, len(tape)), dtype=np.uint8)
-    grid[0] = tape.cells
-    for t in range(steps):
-        grid[t + 1] = _step_cells(grid[t], lookup, tape.boundary)
-    return grid.tolist()
-
-
 def grid_to_text(grid: Grid) -> str:
     """Rows of 0/1 characters, one line per time step."""
     return "\n".join("".join(str(c) for c in row) for row in grid) + "\n"
@@ -208,9 +165,11 @@ class EcaArchitecture(ComputingNetwork):
         boundary = self.problem.boundary
         if self.updating is UpdateMode.SYNCHRONOUS:
             self.cells = _step_cells(self.cells, self.lookup, boundary)
-        else:
-            order = node_update_order(len(self.cells), self.updating, rng)
-            self.cells = _step_cells_in_order(self.cells, self.lookup, boundary, order)
+            return
+        # asynchronous cells update in tape order, or in one permutation drawn per step
+        n = len(self.cells)
+        order = rng.permutation(n).tolist() if self.updating is UpdateMode.ASYNC_RANDOM else range(n)
+        self.cells = _step_cells_in_order(self.cells, self.lookup, boundary, order)
 
     def readout(self) -> list[float]:
         return self.cells.astype(float).tolist()

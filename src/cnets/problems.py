@@ -254,7 +254,7 @@ class TourGraph(_ArrayValue):
         whose (n, n) cost array is too large is refused, named by where,
         before any row is parsed.
         """
-        if fmt not in ("coords", "matrix"):
+        if fmt not in GRAPH_FORMATS:
             raise ConfigurationError(f"unknown graph format {fmt!r}")
         lines = _lines(path, "graph")
         filled = [line for line in lines if line.rstrip("\r\n")]
@@ -349,6 +349,8 @@ def named_objective(
 
 
 BOUNDARIES = ("fixed-zero", "periodic")
+# x,y coordinate rows, or the rows of a full cost matrix
+GRAPH_FORMATS = ("coords", "matrix")
 
 
 @dataclass(frozen=True)

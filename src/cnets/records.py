@@ -142,9 +142,24 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a strict-JSON number")
 
 
-# write_run_file writes strict JSON, so a line holding NaN, Infinity or -Infinity is refused;
-# one shared decoder, as json.loads with a keyword builds a new one per call
-_STRICT_JSON = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"the number {text[:20]}{'...' * (len(text) > 20)} overflows a float")
+    return value
+
+
+def _float_sized_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
+# write_run_file writes strict JSON of finite floats, so a line holding NaN, Infinity,
+# -Infinity or a number that overflows a float is refused; one shared decoder, as
+# json.loads with a keyword builds a new one per call
+_STRICT_JSON = json.JSONDecoder(
+    parse_constant=_refuse_constant, parse_float=_finite_float, parse_int=_float_sized_int
+)
 
 
 def read_run_file(path: str) -> tuple[dict[str, Any], list[RunRecord]]:
@@ -199,7 +214,10 @@ def summarize(paths: Sequence[str]) -> list[dict[str, Any]]:
         if not records:
             raise RecordIoError(f"record file {path} has no records")
         final = records[-1]
-        total_ms = math.fsum(r.wall_clock_ms for r in records)
+        try:
+            total_ms = math.fsum(r.wall_clock_ms for r in records)
+        except OverflowError:
+            raise RecordIoError(f"record file {path}: wall_clock_ms total overflows a float") from None
         rows.append(
             {
                 "file": path,

@@ -21,7 +21,7 @@ from cnets.analysis import interaction_excess, trace_from_discrete
 from cnets.ann import AnnParams, batch_mse, build_ann, gradients, set_weight_vector, weight_vector
 from cnets.core import ScaleSchedule, run
 from cnets.cross import cross_train
-from cnets.eca import build_eca_network, evolve, rule_table
+from cnets.eca import build_eca_network, rule_table
 from cnets.meta import MetaConfig, MetaSearch, ParamBox, evaluate_genome, meta_run
 from cnets.problems import Dataset, Tape, named_objective
 from cnets.pso import PsoParams, build_pso_network
@@ -108,15 +108,14 @@ def _pheromone_audit():
 def _eca_outcome():
     start = time.perf_counter()
     tape = Tape.single_one(129)
-    grid = evolve(tape, 110, 64)
+    net = build_eca_network(tape, 110)
+    records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=64), RngStream(0))
+    grid = [[int(v) for v in record.network_output] for record in records]
     expected = _naive_rows(tape.cells, 110, 64)
     mismatches = sum(
         got != want for g_row, e_row in zip(grid, expected) for got, want in zip(g_row, e_row)
     )
     elapsed = time.perf_counter() - start
-    rng = RngStream(0)
-    net = build_eca_network(Tape.single_one(129), 110)
-    records = run(net, ScaleSchedule(fast_steps_per_slow=1, slow_steps=64), rng)
     header = {"architecture": "eca", "rule": 110, "width": 129, "steps": 64, "seed": 0}
     return {
         "mismatches": mismatches,

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+import eca_oracle as oracle
 from cnets.cli import main
-from cnets.eca import evolve, grid_to_text
+from cnets.eca import grid_to_text
 from cnets.problems import Tape
 from cnets.records import read_run_file
 
@@ -572,7 +573,7 @@ class TestRenderCommand:
     def test_text_render_matches_direct_evolution(self, workdir, capsys):
         path = eca_config(workdir)
         assert main(["eca-render", path]) == 0
-        expected = grid_to_text(evolve(Tape.single_one(9), 110, 5))
+        expected = grid_to_text(oracle.evolve(Tape.single_one(9), 110, 5))
         assert capsys.readouterr().out == expected
 
     def test_pbm_render_to_file(self, workdir):

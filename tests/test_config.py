@@ -260,10 +260,12 @@ class TestValues:
             ("eca", "width", 2),
             ("pso", "dimension", 1),
             ("pso", "bounds", [2, 1]),
+            ("aco", "graph_format", "polar"),
         ],
     )
     def test_params_value_errors_name_their_config_path(self, workdir, section, key, value):
         data = {
+            "aco": {"aco": {"graph": "cities.csv"}, "seed": 1},
             "ann": {"ann": {"layers": [2, 1], "dataset": "xor.csv"}, "seed": 1},
             "cross.ann": minimal_cross(),
             "eca": minimal_eca(),

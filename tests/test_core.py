@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import eca_oracle as oracle
 from instances import random_euclidean, xor_dataset
 from cnets.aco import AcoArchitecture, build_aco_network
 from cnets.ann import build_ann, weight_vector
@@ -17,7 +18,7 @@ from cnets.core import (
     run,
     slow_step,
 )
-from cnets.eca import UpdateMode, build_eca_network, node_update_order
+from cnets.eca import UpdateMode, build_eca_network, rule_table
 from cnets.errors import ConfigurationError, NumericDivergenceError
 from cnets.problems import Dataset, Tape, named_objective
 from cnets.pso import PsoParams, build_pso_network
@@ -389,14 +390,26 @@ class TestRun:
 
 class TestUpdateOrder:
     def test_synchronous_and_fixed_are_identity_order(self):
+        tape = Tape.single_one(5)
         for mode in (UpdateMode.SYNCHRONOUS, UpdateMode.ASYNC_FIXED):
-            assert node_update_order(5, mode, None) == [0, 1, 2, 3, 4]
+            rng, untouched = RngStream(0), RngStream(0)
+            net = build_eca_network(tape, 110, mode)
+            net.fast(rng)
+            # neither mode draws an order
+            assert rng.uniform() == untouched.uniform()
+        # the fixed mode sweeps the cells in tape order
+        assert net.cells.tolist() == list(
+            oracle.step_in_order(tape, rule_table(110), [0, 1, 2, 3, 4]).cells
+        )
 
-    def test_random_order_needs_rng(self):
-        with pytest.raises(ConfigurationError):
-            node_update_order(5, UpdateMode.ASYNC_RANDOM, None)
-
-    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32))
+    @given(st.integers(min_value=3, max_value=40), st.integers(min_value=0, max_value=2**32))
     def test_random_order_is_a_permutation(self, n, seed):
-        order = node_update_order(n, UpdateMode.ASYNC_RANDOM, RngStream(seed))
+        tape = Tape.single_one(n)
+        net = build_eca_network(tape, 110, UpdateMode.ASYNC_RANDOM)
+        rng, reference = RngStream(seed), RngStream(seed)
+        net.fast(rng)
+        order = [int(i) for i in reference.permutation(n)]
         assert sorted(order) == list(range(n))
+        # a step updates in place in one drawn order, and draws nothing else
+        assert net.cells.tolist() == list(oracle.step_in_order(tape, rule_table(110), order).cells)
+        assert rng.uniform() == reference.uniform()

@@ -1,6 +1,7 @@
 """Each params field's declared rule: read from its field metadata, held to
 the field's plain predicate at its edges, and fed into the committed
-configs, where an edge value must end a run cleanly."""
+configs, where an edge value, like a value of the wrong JSON kind or a
+deleted key, must end a run cleanly."""
 import json
 import math
 import shutil
@@ -166,3 +167,55 @@ def test_an_edge_value_in_a_committed_config_ends_the_run_cleanly(configs, capsy
         read_run_file(str(configs / "edge.jsonl"))
     else:
         assert err.startswith("config error: "), err
+
+
+# a value of each JSON kind but number: no mutation writes a number, so a
+# schedule key holds what _capped left in it or, once deleted, its default
+OTHER_KINDS = (None, True, "x", [], {}, [1], {"a": 1})
+DELETED = "deleted"
+
+
+def _json_kind(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+def _paths(node, prefix=()):
+    """The path of every value under node: each section, leaf and list element."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _paths(value, (*prefix, key))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+@settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(choice=st.data())
+def test_a_wrong_kind_or_a_deleted_key_in_a_committed_config_ends_the_run_cleanly(
+    configs, capsys, monkeypatch, name, choice
+):
+    monkeypatch.delenv("CN_SEED", raising=False)
+    data = _capped(json.loads((CONFIGS / name).read_text()))
+    data["out"] = "mutated.jsonl"
+    *parents, key = choice.draw(st.sampled_from(list(_paths(data))), label="path")
+    section = data
+    for part in parents:
+        section = section[part]
+    kinds = [v for v in OTHER_KINDS if _json_kind(v) != _json_kind(section[key])]
+    value = choice.draw(st.sampled_from([*kinds, DELETED]), label="value")
+    if value == DELETED:
+        del section[key]
+    else:
+        section[key] = value
+    for written in configs.glob("*.jsonl"):
+        written.unlink()
+    (configs / "mutated.json").write_text(json.dumps(data))
+    status = main(["run", str(configs / "mutated.json")])
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2, 3), err
+    if status == 0:
+        read_run_file(str(configs / data["out"]))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import eca_oracle as oracle
 from cnets.core import ScaleSchedule, run
-from cnets.eca import UpdateMode, build_eca_network, evolve, rule_table, step, step_in_order
+from cnets.eca import UpdateMode, build_eca_network
 from cnets.problems import BOUNDARIES, Tape
 from cnets.rng import RngStream
 
@@ -44,17 +44,3 @@ def test_network_run_matches_oracle(tape, rule, updating, steps, seed):
     assert net.nodes == range(len(tape))
     assert net.edges.tolist() == reference.edges.tolist()
 
-
-@given(tapes(), RULES, st.data())
-@settings(max_examples=200, deadline=None)
-def test_step_functions_match_oracle(tape, rule, data):
-    table = rule_table(rule)
-    assert step(tape, table) == oracle.step(tape, table)
-    order = data.draw(st.permutations(range(len(tape))))
-    assert step_in_order(tape, table, order) == oracle.step_in_order(tape, table, order)
-
-
-@given(tapes(), RULES, st.integers(0, 8))
-@settings(max_examples=100, deadline=None)
-def test_evolve_matches_oracle(tape, rule, steps):
-    assert evolve(tape, rule, steps) == oracle.evolve(tape, rule, steps)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -262,12 +263,12 @@ class TestReadErrors:
 
     @pytest.mark.parametrize("line", [1, 2])
     @pytest.mark.parametrize(
-        "constant", ["NaN", "Infinity", "-Infinity", "1" + "0" * 5000],
-        ids=["NaN", "Infinity", "-Infinity", "5001-digits"],
+        "constant", ["NaN", "Infinity", "-Infinity", "1" + "0" * 5000, "1" * 401, "1e400"],
+        ids=["NaN", "Infinity", "-Infinity", "5001-digits", "401-digits", "1e400"],
     )
     def test_non_strict_number_names_its_line(self, tmp_path, line, constant):
         """Python's json reads NaN, Infinity and -Infinity, which write_run_file
-        refuses to write; they, and an integer too long to convert, are a
+        refuses to write; they, and a number that overflows a float, are a
         RecordIoError at path:line, in the header as in a record."""
         lines = [{"config": {"seed": 1}}, record_to_dict(sample_records()[1])]
         if line == 1:
@@ -364,6 +365,13 @@ class TestSummaries:
         fields = lines[1].split(",")
         assert fields[3] == ""  # a run with no objective leaves final_best blank
         assert len(lines) == 2
+
+    def test_overflowing_wall_clock_total_is_refused(self, tmp_path):
+        path = str(tmp_path / "run.jsonl")
+        records = [replace(r, wall_clock_ms=1e308) for r in sample_records()]
+        write_run_file(path, sample_config(), records)
+        with pytest.raises(RecordIoError, match=f"^record file {path}: wall_clock_ms total overflows"):
+            summarize([path])
 
     def test_recordless_file_rejected(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -19,9 +19,6 @@ SRC = ROOT / "src" / "cnets"
 # names that no run reads, kept on purpose
 ALLOWED = {
     "_missing_": "Enum calls it to look up a value no member has",
-    "evolve": "the oracle form of the eca kernels that acceptance criterion 02 "
-    "and the eca differential tests drive",
-    "step_in_order": "the asynchronous eca kernel that the eca differential tests drive",
 }
 
 
